@@ -2,7 +2,7 @@
 
 The service claim: sharding the fleet across execution backends buys
 throughput *without* buying drift — every cell of the strategy matrix
-(sequential / thread / process x 1 / 2 / 4 shards) replays the same
+(sequential / process x 1 / 2 / 4 shards) replays the same
 seeded bursty telemetry (storm-burst latch-up schedule from the
 environment timeline) and must reproduce the synchronous single-scorer
 reference **byte-for-byte**: per-board alarm times, commanded
@@ -57,7 +57,7 @@ ONSET_S = DURATION_S / 4.0
 SEL_RATE = 400.0
 TIMELINE_SEED = 7
 MEMBER_SEED = 500
-STRATEGIES = ("sequential", "thread", "process")
+STRATEGIES = ("sequential", "process")
 SHARD_COUNTS = (1, 2, 4)
 #: Saturation depth: frames pipeline ahead of decisions (replay mode is
 #: open-loop, so pipelining cannot change the decision history), while

@@ -15,9 +15,8 @@ the file records a perf *trajectory* across commits, not a single point):
 * parallel determinism — the 4-worker campaign must be **byte-identical**
   to the serial loop.
 
-Determinism assertions always gate — including the three-way gate that
-serial, warm-pool parallel and batched-lockstep campaigns stay
-byte-identical at 1/2/4 workers.  Timing numbers are recorded, not
+Determinism assertions always gate — including the gate that serial and
+warm-pool parallel campaigns stay byte-identical at 1/2/4 workers.  Timing numbers are recorded, not
 asserted, unless ``REPRO_PERF_STRICT=1``: wall-clock depends on the host
 (CI runners and 1-CPU sandboxes can't demonstrate parallel scaling), but
 correctness never does.  ``parallel.available_cpus`` is recorded so a
@@ -48,7 +47,6 @@ from repro.faults.campaign import (
     trial_fuel_for,
 )
 from repro.faults.outcomes import FaultOutcome, OutcomeCounts, TrialResult, classify
-from repro.faults.lockstep import run_campaign_lockstep
 from repro.faults.parallel import available_cpus, run_campaign_parallel
 from repro.obs.events import InMemorySink, Tracer
 from repro.obs.export import export_snapshot, snapshot_section
@@ -185,8 +183,8 @@ def test_perf_campaign_throughput():
         n_trials=N_TRIALS,
     )
 
-    # Determinism gate: warm-pool parallel AND batched lockstep stay
-    # byte-identical to the serial loop at every worker count.
+    # Determinism gate: the warm-pool parallel run stays byte-identical
+    # to the serial loop at every worker count.
     serial = run_campaign(campaign, seed=1)
     for workers in (1, 2, WORKERS):
         par = run_campaign_parallel(campaign, seed=1, workers=workers)
@@ -194,11 +192,6 @@ def test_perf_campaign_throughput():
             f"parallel campaign diverged from serial at workers={workers}"
         )
         assert par.counts.counts == serial.counts.counts
-        lock = run_campaign_lockstep(campaign, seed=1, workers=workers)
-        assert lock.trials == serial.trials, (
-            f"lockstep campaign diverged from serial at workers={workers}"
-        )
-        assert lock.counts.counts == serial.counts.counts
 
     GOLDEN_CACHE.clear()
     t_baseline = _best_of(lambda: _baseline_campaign(campaign, seed=1), 1)
@@ -208,12 +201,10 @@ def test_perf_campaign_throughput():
     t_parallel = _best_of(
         lambda: run_campaign_parallel(campaign, seed=1, workers=WORKERS)
     )
-    t_lockstep = _best_of(lambda: run_campaign_lockstep(campaign, seed=1))
 
     baseline_tps = N_TRIALS / t_baseline
     serial_tps = N_TRIALS / t_serial
     parallel_tps = N_TRIALS / t_parallel
-    lockstep_tps = N_TRIALS / t_lockstep
     cpus = available_cpus()
     SNAPSHOT["campaign"] = {
         "program": CAMPAIGN_PROGRAM,
@@ -221,10 +212,8 @@ def test_perf_campaign_throughput():
         "baseline_trials_per_s": baseline_tps,
         "serial_trials_per_s": serial_tps,
         "parallel_trials_per_s": parallel_tps,
-        "lockstep_trials_per_s": lockstep_tps,
         "serial_speedup_vs_baseline": serial_tps / baseline_tps,
         "parallel_speedup_vs_baseline": parallel_tps / baseline_tps,
-        "lockstep_vs_serial": lockstep_tps / serial_tps,
         "target_parallel_speedup_vs_baseline": 2.0,
     }
     # Warm-pool stats come through the versioned snapshot schema — the
@@ -357,8 +346,6 @@ def test_perf_write_report():
              "1.00x"],
             ["optimized serial", f"{camp['serial_trials_per_s']:.0f}",
              f"{camp['serial_speedup_vs_baseline']:.2f}x"],
-            ["lockstep serial", f"{camp['lockstep_trials_per_s']:.0f}",
-             f"{camp['lockstep_trials_per_s'] / camp['baseline_trials_per_s']:.2f}x"],
             [f"parallel x{SNAPSHOT['parallel']['workers']} (warm pool)",
              f"{camp['parallel_trials_per_s']:.0f}",
              f"{camp['parallel_speedup_vs_baseline']:.2f}x"],

@@ -32,7 +32,6 @@ from repro.faults.parallel import (
     run_supervised_campaign_parallel,
     run_timeline_campaign_parallel,
 )
-from repro.faults.lockstep import run_campaign_lockstep
 from repro.faults.sel import LatchupEvent, LatchupGenerator
 
 __all__ = [
@@ -45,6 +44,6 @@ __all__ = [
     "prune_masked_trials", "run_campaign_pruned",
     "TimelineCampaignResult", "run_timeline_campaign",
     "run_campaign_parallel", "run_supervised_campaign_parallel",
-    "run_timeline_campaign_parallel", "run_campaign_lockstep",
+    "run_timeline_campaign_parallel",
     "LatchupEvent", "LatchupGenerator",
 ]

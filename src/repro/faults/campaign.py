@@ -1,4 +1,4 @@
-"""Fault-injection campaigns: many randomized trials, classified outcomes.
+"""Fault-injection campaigns: one plan → execute → emit pipeline.
 
 A campaign fixes a program and its inputs, takes one golden (fault-free)
 run, then repeatedly re-executes with a single random SEU — uniform over
@@ -7,26 +7,25 @@ classifies each outcome.  This reproduces the methodology of the paper's
 QEMU experiments at the granularity it argues is sufficient: faults between
 instructions (sect. 4.2).
 
-Performance plumbing (the ROADMAP's "as fast as the hardware allows"):
+Every campaign flavour runs through the same three stages (:func:`run_plan`):
 
-* golden runs are served from the process-global
-  :data:`repro.perf.cache.GOLDEN_CACHE`, keyed by a content fingerprint of
-  the printed IR, so sweeps over the same module + args derive the
-  reference run once;
-* every trial of a campaign shares one compiled-block ``code_cache``, so
-  the interpreter lowers each basic block once per campaign instead of
-  once per trial;
-* ``run_campaign(c, seed, workers=n)`` fans trials out across a process
-  pool via :func:`repro.faults.parallel.run_campaign_parallel`, with
-  results byte-identical to the serial loop at any worker count.
+* **plan** — one :class:`PlannedTrial` per trial.  Plain campaigns fork
+  one generator per trial (:func:`plan_trials`); timeline campaigns draw
+  their thinned arrivals, then fork the same way; pruned campaigns
+  resolve every fault and mark the ones the masking analysis proves
+  benign (:func:`prune_masked_trials`); supervised campaigns use the
+  plain plan and hand a ``SupervisorConfig`` to the executor.
+* **execute** — :func:`repro.faults.parallel.execute` runs every trial
+  that is not pruned, inline or on the warm worker pool, and yields one
+  ``(trial, record, events)`` row per trial in plan order.
+* **emit** — :class:`CampaignEmitter` writes the campaign, trial, pruned
+  and span events in trial order, so the traced stream is the same
+  however the trials ran.
 
-Observability (``tracer=``): every stage emits typed events — campaign
-start/end, golden-cache hit/miss, trial start, resolved injection site +
-bit, classified trial end, optionally per-block transitions — through a
-:class:`repro.obs.events.Tracer`.  Tracing only observes: it never draws
-from an RNG or mutates engine state, so traced results are byte-identical
-to untraced ones, and with ``tracer=None`` the cost is one pointer test
-per trial.
+Golden runs come from :data:`repro.perf.cache.GOLDEN_CACHE`, and the
+trials an executor runs share one compiled-block ``code_cache``.  Tracing
+only observes — it never draws from an RNG or mutates engine state — so
+traced results are byte-identical to untraced ones.
 """
 
 from __future__ import annotations
@@ -47,6 +46,7 @@ from repro.obs.events import (
     BlockTransition,
     CampaignEnd,
     CampaignStart,
+    Event,
     GoldenCacheLookup,
     Injection,
     Tracer,
@@ -216,42 +216,6 @@ def make_injector(
     )
 
 
-def begin_campaign_span(
-    tracer: Tracer,
-    campaign: Campaign,
-    seed: int | np.random.Generator | None,
-) -> str:
-    """Open the campaign's root span; returns its deterministic id.
-
-    Called before :func:`emit_campaign_start` so the campaign lifecycle
-    events themselves are attributed to the span.  The id is a pure
-    function of the campaign identity and the integer seed (see
-    :func:`repro.obs.spans.campaign_root`), so every execution mode —
-    serial, parallel at any worker count, lockstep — derives the same
-    root and emits the same span events.
-    """
-    root = campaign_root(
-        campaign.module.name, campaign.func_name, seed, campaign.n_trials
-    )
-    tracer.emit(SpanStart(
-        span=root,
-        parent=ROOT,
-        name="campaign",
-        index=seed if isinstance(seed, int) else 0,
-        detail=f"{campaign.module.name}:@{campaign.func_name}",
-    ))
-    return root
-
-
-def end_campaign_span(
-    tracer: Tracer, span_root: str, campaign: Campaign
-) -> None:
-    """Close the campaign's root span (after :func:`emit_campaign_end`)."""
-    tracer.emit(SpanEnd(
-        span=span_root, status="ok", count=campaign.n_trials
-    ))
-
-
 def begin_trial_span(tracer: Tracer, span_root: str, index: int) -> str:
     """Open trial ``index``'s span under the campaign root."""
     span = span_id(span_root, "trial", index)
@@ -279,9 +243,8 @@ def emit_trial_events(
 ) -> None:
     """Emit the injection + classification events of one finished trial.
 
-    Shared by the serial loop, the supervisor, and the parallel workers
-    so every execution mode produces the identical per-trial event
-    sequence (the order-stable-merge invariant rests on this).
+    Shared by :func:`run_trial`, the supervisor and the emitter's pruned
+    trials, so every flavour produces the same per-trial event sequence.
     """
     spec = trial.spec
     tracer.emit(Injection(
@@ -315,18 +278,13 @@ def run_trial(
 ) -> TrialResult:
     """Execute and classify one faulted trial.
 
-    This is the single trial body shared by the serial loop, the parallel
-    worker pool, and the ``workers=1`` fallback — byte-identical results
-    across all of them follow from sharing this code and the per-trial
-    forked generators.  A tracer adds trial start / injection / end
-    events (and per-block transitions when ``trace_blocks``) without
-    touching the trial's RNG stream.  With a ``span_root``, the trial's
-    events are additionally bracketed by a deterministic trial span
-    (id derived from root + index, never from any clock).
-
-    Pruned campaigns pass a pre-built ``injector`` whose spec is fully
-    resolved (location and bit fixed by the planning replay); the trial
-    then draws nothing and ``trial_rng`` may be None.
+    The trial body of every unsupervised execution mode, inline or on a
+    pool worker.  A tracer adds trial start / injection / end events (and
+    per-block transitions when ``trace_blocks``) without touching the
+    trial's RNG stream; a ``span_root`` brackets them with the trial's
+    deterministic span.  Pruned campaigns pass an ``injector`` whose spec
+    the planner resolved; the trial then draws nothing and ``trial_rng``
+    may be None.
     """
     trace_hook = None
     trial_span = ""
@@ -363,35 +321,6 @@ def run_trial(
     return trial
 
 
-def emit_lockstep_trial(
-    tracer: Tracer,
-    index: int,
-    trial: TrialResult,
-    fired: bool,
-    block_trace: list[tuple[str, str]],
-    span_root: str = "",
-) -> None:
-    """Re-emit one lockstep trial's events post-hoc, in per-trial order.
-
-    The lockstep engines classify whole batches before any event can be
-    emitted, then replay each trial's stream — start, block transitions,
-    injection, classified end, bracketed by the trial span when a
-    ``span_root`` is given — exactly as the per-trial loop would have.
-    Shared by the serial lockstep campaign, the parallel in-process
-    fallback and the traced worker chunks, so all three re-emission
-    sites stay byte-identical by construction.
-    """
-    trial_span = ""
-    if span_root:
-        trial_span = begin_trial_span(tracer, span_root, index)
-    tracer.emit(TrialStart(trial=index))
-    for func_name, block_name in block_trace:
-        tracer.emit(BlockTransition(func=func_name, block=block_name))
-    emit_trial_events(tracer, index, trial, fired=fired)
-    if trial_span:
-        end_trial_span(tracer, trial_span, trial)
-
-
 def classify_trial(
     campaign: Campaign,
     golden: ExecutionResult,
@@ -400,8 +329,8 @@ def classify_trial(
 ) -> TrialResult:
     """Build the :class:`TrialResult` of one finished faulted execution.
 
-    Shared by :func:`run_trial` and the lockstep engine so every
-    execution mode classifies identically.
+    Shared by :func:`run_trial` and the supervisor so every flavour
+    classifies identically.
     """
     outcome, rel_error = classify(
         result, golden.value, campaign.sdc_tolerance
@@ -419,31 +348,206 @@ def classify_trial(
     )
 
 
-def emit_campaign_start(
-    tracer: Tracer, campaign: Campaign, supervised: bool = False
-) -> None:
-    tracer.emit(CampaignStart(
-        program=campaign.module.name,
-        func=campaign.func_name,
-        n_trials=campaign.n_trials,
-        target=campaign.target.value,
-        supervised=supervised,
-    ))
+# -- plan ------------------------------------------------------------------------
 
 
-def emit_campaign_end(
-    tracer: Tracer,
+@dataclass(frozen=True)
+class PlannedTrial:
+    """One trial of a campaign plan: the executor's work item.
+
+    A planner fixes everything a trial's result depends on before any
+    trial runs, so the result cannot depend on where trials execute.
+
+    Attributes:
+        spec: the fault the pruning planner resolved (dynamic index =
+            firing point, location and bit fixed; the bare request when
+            it never fired).  None when the trial draws from ``rng``.
+        fired: whether the fault lands at all.
+        func, block, body_index: the firing point — function, block and
+            index into ``block.body`` ("", "", -1 when unknown).
+        mask_class: the masking verdict
+            (:class:`repro.analysis.masking.MaskClass`), if analysed.
+        pruned: the record can be rebuilt without execution
+            (EXACT_BENIGN verdict, or the fault never fired).
+        rng: the trial's forked generator (plain and supervised plans).
+    """
+
+    spec: FaultSpec | None = None
+    fired: bool = True
+    func: str = ""
+    block: str = ""
+    body_index: int = -1
+    mask_class: "MaskClass | None" = None  # noqa: F821 - analysis import is lazy
+    pruned: bool = False
+    rng: np.random.Generator | None = field(
+        default=None, compare=False, repr=False
+    )
+
+
+def plan_trials(
+    campaign: Campaign, seed: int | np.random.Generator | None
+) -> list[PlannedTrial]:
+    """The plain plan: one forked generator per trial, nothing pruned."""
+    return [
+        PlannedTrial(rng=trial_rng)
+        for trial_rng in fork(make_rng(seed), campaign.n_trials)
+    ]
+
+
+# -- emit ------------------------------------------------------------------------
+
+
+class CampaignEmitter:
+    """The emit stage: every event a campaign writes, for every flavour.
+
+    Construction opens the campaign's root span (its id derives from the
+    campaign identity and integer seed, see
+    :func:`repro.obs.spans.campaign_root`), so planning inside it belongs
+    to the campaign.  Executed trials' events arrive as the executor's
+    batches; pruned trials' are rebuilt here.  Without a tracer every
+    method does nothing.
+    """
+
+    def __init__(
+        self,
+        tracer: Tracer | None,
+        campaign: Campaign,
+        seed: int | np.random.Generator | None,
+        spans: bool = False,
+    ) -> None:
+        self.tracer = tracer
+        self.campaign = campaign
+        self.root = ""
+        if tracer is not None and spans:
+            name, func = campaign.module.name, campaign.func_name
+            self.root = campaign_root(name, func, seed, campaign.n_trials)
+            tracer.emit(SpanStart(
+                span=self.root,
+                parent=ROOT,
+                name="campaign",
+                index=seed if isinstance(seed, int) else 0,
+                detail=f"{name}:@{func}",
+            ))
+
+    def start(self, supervised: bool) -> None:
+        if self.tracer is not None:
+            campaign = self.campaign
+            self.tracer.emit(CampaignStart(
+                program=campaign.module.name,
+                func=campaign.func_name,
+                n_trials=campaign.n_trials,
+                target=campaign.target.value,
+                supervised=supervised,
+            ))
+
+    def trial(
+        self,
+        index: int,
+        trial: TrialResult,
+        planned: PlannedTrial,
+        events: list[Event] | None,
+    ) -> None:
+        """Trial ``index``'s events: its executed batch or its pruned form."""
+        tracer = self.tracer
+        if tracer is None:
+            return
+        if not planned.pruned:
+            tracer.emit_all(events)
+            return
+        span = begin_trial_span(tracer, self.root, index) if self.root else ""
+        tracer.emit(TrialStart(trial=index))
+        emit_trial_events(
+            tracer, index, trial, fired=planned.fired, pruned=True
+        )
+        if span:
+            end_trial_span(tracer, span, trial)
+
+    def end(self, golden: ExecutionResult, counts: OutcomeCounts) -> None:
+        if self.tracer is None:
+            return
+        campaign = self.campaign
+        self.tracer.emit(CampaignEnd(
+            program=campaign.module.name,
+            func=campaign.func_name,
+            counts=counts.as_dict(),
+            golden_cycles=golden.cycles,
+            golden_instructions=golden.instructions,
+        ))
+        if self.root:
+            self.tracer.emit(SpanEnd(
+                span=self.root, status="ok", count=campaign.n_trials
+            ))
+
+
+def run_plan(
     campaign: Campaign,
-    golden: ExecutionResult,
-    counts: OutcomeCounts,
-) -> None:
-    tracer.emit(CampaignEnd(
-        program=campaign.module.name,
-        func=campaign.func_name,
-        counts=counts.as_dict(),
-        golden_cycles=golden.cycles,
-        golden_instructions=golden.instructions,
-    ))
+    plan: list[PlannedTrial],
+    emitter: CampaignEmitter,
+    workers: int | None = None,
+    trace_blocks: bool = False,
+    supervisor_config=None,
+    chunk_size: int | None = None,
+) -> tuple[CampaignResult, list]:
+    """Execute ``plan`` and emit it: the pipeline every flavour shares.
+
+    Hands the unpruned trials to the executor (the warm pool when
+    ``workers`` > 1), rebuilds the pruned ones from the golden run and
+    emits everything in trial order.  Returns the campaign result and one
+    recovery record per trial (None unless supervised and failing).
+    """
+    from repro.faults.parallel import execute
+
+    tracer = emitter.tracer
+    emitter.start(supervised=supervisor_config is not None)
+    golden = run_golden(campaign, tracer=tracer)
+    rows = execute(
+        campaign, golden,
+        [(index, planned) for index, planned in enumerate(plan)
+         if not planned.pruned],
+        workers, traced=tracer is not None, trace_blocks=trace_blocks,
+        span_root=emitter.root, supervisor_config=supervisor_config,
+        chunk_size=chunk_size,
+    )
+    counts = OutcomeCounts()
+    trials: list[TrialResult] = []
+    records: list = []
+    for index, planned in enumerate(plan):
+        if planned.pruned:
+            row = (reconstruct_pruned_trial(golden, planned), None, None)
+        else:
+            row = next(rows)
+        trial, record, events = row
+        emitter.trial(index, trial, planned, events)
+        counts.record(trial.outcome)
+        trials.append(trial)
+        records.append(record)
+    emitter.end(golden, counts)
+    return CampaignResult(golden=golden, counts=counts, trials=trials), records
+
+
+def run_campaign(
+    campaign: Campaign,
+    seed: int | np.random.Generator | None = None,
+    workers: int | None = None,
+    tracer: Tracer | None = None,
+    trace_blocks: bool = False,
+    trace_spans: bool = False,
+) -> CampaignResult:
+    """Execute ``campaign`` and classify every trial.
+
+    With ``workers`` > 1, trials fan out across the warm worker pool,
+    byte-identical to the inline run for the same seed.  A ``tracer``
+    receives the event stream (campaign bounds, cache lookups, per-trial
+    start / injection / end; per-block transitions when
+    ``trace_blocks``), identical at every worker count; ``trace_spans``
+    adds deterministic causal spans (:mod:`repro.obs.spans`).
+    """
+    emitter = CampaignEmitter(tracer, campaign, seed, trace_spans)
+    result, _records = run_plan(
+        campaign, plan_trials(campaign, seed), emitter, workers,
+        trace_blocks=trace_blocks,
+    )
+    return result
 
 
 @dataclass
@@ -486,12 +590,8 @@ def sample_trial_arrivals(
 ) -> np.ndarray:
     """Draw one campaign's fault arrival times from a timeline.
 
-    Thin wrapper over :func:`repro.radiation.schedule.sample_arrivals`
-    (non-homogeneous Poisson thinning) kept here so both the serial and
-    parallel engines draw arrivals through the same entry point — the
-    draw happens once, in the parent, *before* per-trial generators are
-    forked, which is what keeps serial and parallel timeline campaigns
-    byte-identical.
+    :func:`repro.radiation.schedule.sample_arrivals` (non-homogeneous
+    Poisson thinning), drawn before the per-trial generators are forked.
     """
     from repro.radiation.schedule import sample_arrivals
 
@@ -519,11 +619,11 @@ def run_timeline_campaign(
     come from non-homogeneous Poisson thinning of the timeline's
     ``subsystem`` multiplier over ``[t0, t1)``: SAA passes and solar
     particle events concentrate trials exactly where the environment
-    concentrates upsets.  The arrival draw consumes the master generator
-    first; the per-trial generators are then forked from the same
-    generator exactly as in :func:`run_campaign`, so for a fixed seed the
-    result is byte-identical at any worker count (the property the
-    E16 gate asserts).
+    concentrates upsets.  The timeline planner is the plain one after the
+    arrival draw: the draw consumes the master generator first, then
+    :func:`run_campaign` forks the per-trial generators from it, so for a
+    fixed seed the result is byte-identical at any worker count (the
+    property the E16 gate asserts).
     """
     rng = make_rng(seed)
     arrivals = sample_trial_arrivals(
@@ -545,99 +645,7 @@ def run_timeline_campaign(
     )
 
 
-def run_campaign(
-    campaign: Campaign,
-    seed: int | np.random.Generator | None = None,
-    workers: int | None = None,
-    tracer: Tracer | None = None,
-    trace_blocks: bool = False,
-    trace_spans: bool = False,
-) -> CampaignResult:
-    """Execute ``campaign`` and classify every trial.
-
-    With ``workers`` > 1, trials fan out across a process pool (see
-    :func:`repro.faults.parallel.run_campaign_parallel`); the result is
-    byte-identical to the serial loop for the same seed, traced or not.
-    A ``tracer`` receives the structured event stream (campaign bounds,
-    cache lookups, per-trial start / injection / end; per-block
-    transitions when ``trace_blocks``); parallel runs merge their
-    workers' per-trial events back in trial order so the traced stream is
-    identical at every worker count.  ``trace_spans`` additionally
-    brackets the campaign and every trial with deterministic causal
-    spans (:mod:`repro.obs.spans`) — still byte-identical across modes,
-    because span ids derive from seed + index, never from a clock.
-    """
-    if workers is not None and workers > 1:
-        from repro.faults.parallel import run_campaign_parallel
-
-        return run_campaign_parallel(
-            campaign, seed=seed, workers=workers, tracer=tracer,
-            trace_blocks=trace_blocks, trace_spans=trace_spans,
-        )
-    span_root = ""
-    if tracer is not None and trace_spans:
-        span_root = begin_campaign_span(tracer, campaign, seed)
-    rng = make_rng(seed)
-    if tracer is not None:
-        emit_campaign_start(tracer, campaign)
-    golden = run_golden(campaign, tracer=tracer)
-    trial_fuel = trial_fuel_for(campaign, golden)
-
-    counts = OutcomeCounts()
-    trials: list[TrialResult] = []
-    code_cache: dict = {}
-    for index, trial_rng in enumerate(fork(rng, campaign.n_trials)):
-        trial = run_trial(
-            campaign, golden, trial_fuel, trial_rng, code_cache,
-            tracer=tracer, trial_index=index, trace_blocks=trace_blocks,
-            span_root=span_root,
-        )
-        counts.record(trial.outcome)
-        trials.append(trial)
-    if tracer is not None:
-        emit_campaign_end(tracer, campaign, golden, counts)
-        if span_root:
-            end_campaign_span(tracer, span_root, campaign)
-    return CampaignResult(golden=golden, counts=counts, trials=trials)
-
-
 # -- provably-benign trial pruning ---------------------------------------------
-#
-# A pruned campaign resolves every trial's fault (site, bit, firing point)
-# with a single replay of the golden run, asks the masking analysis
-# (repro.analysis.masking) which faults are EXACT_BENIGN — provably
-# reproducing the golden run bit for bit — and reconstructs those trial
-# records instead of executing them.  Only the prunable subset is skipped:
-# CHECK_MASKED faults are proven benign-or-detected, but which of the two
-# depends on dynamic values, so they still run.
-
-
-@dataclass(frozen=True)
-class PlannedTrial:
-    """One trial of a pruned campaign, fully resolved before execution.
-
-    Attributes:
-        spec: the resolved fault (dynamic index = firing point, location
-            and bit fixed) — or the unresolved request when the fault
-            never fired.
-        fired: whether the fault lands at all.
-        func: function executing at the firing point ("" when unfired).
-        block: basic block of the firing point.
-        body_index: index into ``block.body`` of the instruction the hook
-            fired before (-1 when unfired).
-        mask_class: the masking analysis verdict
-            (:class:`repro.analysis.masking.MaskClass`; None when unfired).
-        pruned: True when the trial record can be reconstructed without
-            execution (EXACT_BENIGN verdict, or the fault never fired).
-    """
-
-    spec: FaultSpec
-    fired: bool
-    func: str
-    block: str
-    body_index: int
-    mask_class: "MaskClass | None"  # noqa: F821 - analysis import is lazy
-    pruned: bool
 
 
 @dataclass
@@ -747,11 +755,14 @@ def prune_masked_trials(
 ) -> PrunedTrials:
     """Plan a pruned campaign: resolve every trial, classify, mark prunable.
 
-    Consumes the campaign RNG exactly as :func:`run_campaign` would (fork
-    per trial, then the injector's index/site/bit draws), so the resolved
-    specs equal the ones the unpruned campaign's injectors would resolve.
-    Faults classified EXACT_BENIGN by the masking analysis — plus faults
-    that never fire — are marked ``pruned``; the rest must execute.
+    One replay of the golden run resolves every trial's fault (site, bit,
+    firing point), consuming the campaign RNG exactly as
+    :func:`run_campaign` would (fork per trial, then the injector's
+    index/site/bit draws), so the resolved specs equal the unpruned
+    campaign's.  Faults the masking analysis classifies EXACT_BENIGN —
+    provably reproducing the golden run bit for bit — plus faults that
+    never fire are marked ``pruned``; the rest, CHECK_MASKED included
+    (benign or detected depending on dynamic values), must execute.
 
     Register campaigns only: heap faults have no masking analysis.
     """
@@ -764,11 +775,10 @@ def prune_masked_trials(
             f"register faults benign, not heap faults"
         )
     golden = run_golden(campaign)
-    rng = make_rng(seed)
-    requests: list[tuple[int, np.random.Generator]] = []
-    for trial_rng in fork(rng, campaign.n_trials):
-        index = int(trial_rng.integers(golden.instructions))
-        requests.append((index, trial_rng))
+    requests = [
+        (int(planned.rng.integers(golden.instructions)), planned.rng)
+        for planned in plan_trials(campaign, seed)
+    ]
 
     planner = _TrialPlanner(campaign.module, requests)
     replay = Interpreter(
@@ -797,18 +807,14 @@ def prune_masked_trials(
             # The fault never fired: the trial re-runs the golden path
             # untouched and classifies BENIGN — reconstructible exactly.
             trials.append(PlannedTrial(
-                spec=FaultSpec(
-                    target=campaign.target, dynamic_index=index
-                ),
-                fired=False, func="", block="", body_index=-1,
-                mask_class=None, pruned=True,
+                spec=FaultSpec(target=campaign.target, dynamic_index=index),
+                fired=False, pruned=True,
             ))
             continue
         spec, point = resolution
         if point is None:  # pragma: no cover - hook always passes body instrs
             trials.append(PlannedTrial(
-                spec=spec, fired=True, func="", block="", body_index=-1,
-                mask_class=MaskClass.POSSIBLY_ACE, pruned=False,
+                spec=spec, mask_class=MaskClass.POSSIBLY_ACE
             ))
             continue
         func_name, block, body_index = point
@@ -818,9 +824,8 @@ def prune_masked_trials(
             if masking is not None else MaskClass.POSSIBLY_ACE
         )
         trials.append(PlannedTrial(
-            spec=spec, fired=True, func=func_name, block=block,
-            body_index=body_index, mask_class=mask_class,
-            pruned=mask_class in EXACT_BENIGN,
+            spec=spec, func=func_name, block=block, body_index=body_index,
+            mask_class=mask_class, pruned=mask_class in EXACT_BENIGN,
         ))
     return PrunedTrials(golden=golden, report=report, trials=trials)
 
@@ -843,31 +848,10 @@ def reconstruct_pruned_trial(
     )
 
 
-def emit_pruned_trial(
-    tracer: Tracer,
-    index: int,
-    trial: TrialResult,
-    planned: PlannedTrial,
-    span_root: str = "",
-) -> None:
-    """Emit a reconstructed trial's event stream (injection flagged pruned)."""
-    trial_span = ""
-    if span_root:
-        trial_span = begin_trial_span(tracer, span_root, index)
-    tracer.emit(TrialStart(trial=index))
-    emit_trial_events(
-        tracer, index, trial, fired=planned.fired, pruned=True
-    )
-    if trial_span:
-        end_trial_span(tracer, trial_span, trial)
-
-
 def run_campaign_pruned(
     campaign: Campaign,
     seed: int | np.random.Generator | None = None,
     workers: int | None = None,
-    lockstep: bool = False,
-    lockstep_batch: int = 32,
     plan: PrunedTrials | None = None,
     report: "MaskingReport | None" = None,  # noqa: F821
     tracer: Tracer | None = None,
@@ -882,86 +866,16 @@ def run_campaign_pruned(
     EXACT_BENIGN.  Pruned trial records are reconstructed from the golden
     run; executed trials run with pre-resolved injectors (same site, bit
     and firing point the unpruned campaign would draw).  ``workers > 1``
-    fans the executed subset across the warm pool; ``lockstep=True`` runs
-    it through the batched lockstep engine — both still byte-identical.
+    fans the executed subset across the warm pool, still byte-identical.
 
     Pass a precomputed ``plan`` (from :func:`prune_masked_trials`) to
     amortize planning across repeat campaigns, or a ``report`` to reuse
     one module's masking analysis.
     """
-    span_root = ""
-    if tracer is not None and trace_spans:
-        span_root = begin_campaign_span(tracer, campaign, seed)
+    emitter = CampaignEmitter(tracer, campaign, seed, trace_spans)
     if plan is None:
         plan = prune_masked_trials(campaign, seed, report=report)
-    if tracer is not None:
-        emit_campaign_start(tracer, campaign)
-    golden = run_golden(campaign, tracer=tracer)
-    trial_fuel = trial_fuel_for(campaign, golden)
-
-    trials: list[TrialResult] | None = None
-    if workers is not None and workers > 1:
-        from repro.faults.parallel import planned_trials_parallel
-
-        trials = planned_trials_parallel(
-            campaign, golden, plan, workers,
-            lockstep=lockstep, lockstep_batch=lockstep_batch,
-            tracer=tracer, trace_blocks=trace_blocks, span_root=span_root,
-        )
-    if trials is None:
-        code_cache: dict = {}
-        trials = []
-        if lockstep:
-            from repro.faults.lockstep import run_planned_lockstep_trials
-
-            indexed = [
-                (i, p.spec) for i, p in enumerate(plan.trials)
-                if not p.pruned
-            ]
-            rows = iter(run_planned_lockstep_trials(
-                campaign, golden, trial_fuel, indexed, code_cache,
-                batch=lockstep_batch,
-                record_trace=tracer is not None and trace_blocks,
-            ))
-            for index, planned in enumerate(plan.trials):
-                if planned.pruned:
-                    trial = reconstruct_pruned_trial(golden, planned)
-                    if tracer is not None:
-                        emit_pruned_trial(
-                            tracer, index, trial, planned,
-                            span_root=span_root,
-                        )
-                else:
-                    trial, fired, block_trace = next(rows)
-                    if tracer is not None:
-                        emit_lockstep_trial(
-                            tracer, index, trial, fired, block_trace,
-                            span_root=span_root,
-                        )
-                trials.append(trial)
-        else:
-            for index, planned in enumerate(plan.trials):
-                if planned.pruned:
-                    trial = reconstruct_pruned_trial(golden, planned)
-                    if tracer is not None:
-                        emit_pruned_trial(
-                            tracer, index, trial, planned,
-                            span_root=span_root,
-                        )
-                else:
-                    trial = run_trial(
-                        campaign, golden, trial_fuel, None, code_cache,
-                        tracer=tracer, trial_index=index,
-                        trace_blocks=trace_blocks, span_root=span_root,
-                        injector=RegisterFaultInjector(planned.spec),
-                    )
-                trials.append(trial)
-
-    counts = OutcomeCounts()
-    for trial in trials:
-        counts.record(trial.outcome)
-    if tracer is not None:
-        emit_campaign_end(tracer, campaign, golden, counts)
-        if span_root:
-            end_campaign_span(tracer, span_root, campaign)
-    return CampaignResult(golden=golden, counts=counts, trials=trials)
+    result, _records = run_plan(
+        campaign, plan.trials, emitter, workers, trace_blocks=trace_blocks,
+    )
+    return result

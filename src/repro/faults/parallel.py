@@ -1,97 +1,55 @@
-"""Parallel fault-injection campaigns: warm worker pools, shared-memory results.
+"""The execute stage: run planned trials inline or on the warm worker pool.
 
-Campaign trials are embarrassingly parallel — each trial re-executes the
-module with one injected SEU drawn from its own forked generator — so the
-engine here fans them out across a process pool while keeping the results
-**byte-identical** to the serial loop:
+:func:`execute` takes the trials a planner did not prune, as
+``(index, PlannedTrial)`` work items, and yields one ``(trial, record,
+events)`` row per item, in order: the classified :class:`TrialResult`,
+the supervisor's recovery record (None unsupervised) and the trial's
+event batch when traced.  Both implementations run every item through
+:meth:`TrialContext.run`:
 
-* **fork-before-dispatch**: the parent forks the campaign RNG into one
-  child generator per trial with the exact ``repro.rng.fork`` spawn-key
-  scheme the serial loop uses, then ships the pre-forked generators to the
-  workers.  Trial *i* sees the same generator state no matter which worker
-  runs it or how many workers exist.
-* **order-stable merge**: trials are dispatched as contiguous index chunks
-  via ``pool.map``, whose results come back in submission order; outcome
-  counts are re-tallied from the merged trial list in index order.
-* **per-worker warm start**: the module is serialized once in the parent
-  via the IR printer; each worker parses it once in the pool initializer,
-  re-derives and validates the golden run (cross-checking value and
-  instruction count against the parent's), and compiles blocks into a
-  worker-local code cache reused by every trial it executes.
+* **inline** — a generator in the calling process, so a traced campaign
+  holds one trial's events at a time;
+* **warm pool** — contiguous chunks on a persistent process pool
+  (:data:`repro.perf.pool.POOL_REGISTRY`) kept alive across campaigns of
+  the same shape.  Each worker parses the printed IR once, re-derives
+  and cross-checks the golden run, and keeps one :class:`TrialContext`
+  (with its compiled-block cache); one chunk function returns pickled
+  rows.  Chunk sizes follow the CPUs actually available.
 
-The pool itself is **persistent** (:data:`repro.perf.pool.POOL_REGISTRY`):
-it is forked and warm-started once per campaign *shape* — module
-fingerprint, entry + args, cost model, fuel, supervisor config, worker
-count — and stays alive across campaigns, so repeat campaigns skip fork,
-re-parse, golden re-validation and block compilation entirely and pay
-only queue traffic.  Untraced unsupervised results return through a
-preallocated shared-memory buffer of fixed-width records
-(:data:`repro.perf.pool.TRIAL_DTYPE`) written in place at each trial's
-global index — no per-trial pickling — with a pickled per-trial override
-escape hatch for values a fixed-width row cannot carry (integers beyond
-int64, unknown sites).  Chunk sizes adapt to the CPUs actually available
-(:func:`available_cpus`), not the requested worker count, so
-oversubscribed pools on small hosts stop producing straggler-heavy tiny
-chunks.
+Results are **byte-identical** however the trials ran: trial *i* is a
+pure function of its work item (a generator forked in the parent, or a
+fault spec resolved by the planner), and ``pool.map`` keeps chunk order.
+That is also the worker-loss contract: when a worker dies mid-dispatch
+(OOM kill, SIGKILL) the pool is discarded and the dispatch re-runs
+inline with the same result.  An exception raised in a worker — a trial
+bug, or a golden run that does not reproduce the parent's
+(``FaultInjectionError``) — discards the pool and reaches the caller.
 
-When the pool cannot be created (sandboxes without POSIX semaphores,
-``workers=1``, trivial campaigns) the engine falls back to an in-process
-loop over the same pre-forked generators — still byte-identical.
-
-The same machinery drives supervised campaigns
-(:func:`run_supervised_campaign_parallel`): recovery trials are equally
-independent, each drawing its injector, checkpoint corruption and
-persistence class from its own child generator.  Their richer results
-(attempt records) stay on the pickled return path.
-
-**Lockstep campaigns** (``lockstep=True``, see
-:mod:`repro.faults.lockstep`) run each worker's chunk as a batch of
-lanes advancing through shared compiled superblocks; classification is
-byte-identical to the per-trial loop, so serial, parallel, and lockstep
-campaigns all agree at every worker count.
-
-**Timeline campaigns** (:func:`run_timeline_campaign_parallel`) stay
-byte-identical too, by construction: the non-homogeneous Poisson arrival
-draw consumes the master generator *in the parent*, before the per-trial
-generators are forked, so the trial count, the arrival times and every
-child generator's state are fixed before any worker exists.
-
-**Traced campaigns** stay order-stable too: each worker runs its trials
-against a private in-memory collector, ships the per-trial event batches
-back with the results, and the parent re-emits every batch through its
-own tracer in trial-index order.  Because sequence numbers are stamped
-at (re-)emit time and every execution mode shares the same per-trial
-emission code, the merged event stream is byte-identical to the serial
-one at any worker count.
+Trials run inline when ``workers`` <= 1, for fewer than
+:data:`MIN_PARALLEL_TRIALS` items, or when no pool can be created.
 """
 
 from __future__ import annotations
 
-import math
 import os
-from dataclasses import dataclass, replace
+from collections.abc import Iterator
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from repro.errors import FaultInjectionError
+import repro.faults.campaign as engine
+from repro.errors import FaultInjectionError, WorkerLost
 from repro.faults.campaign import (
     Campaign,
+    CampaignEmitter,
     CampaignResult,
-    PrunedTrials,
-    begin_campaign_span,
-    emit_campaign_end,
-    emit_campaign_start,
-    emit_lockstep_trial,
-    emit_pruned_trial,
-    end_campaign_span,
-    reconstruct_pruned_trial,
-    run_golden,
-    run_trial,
-    trial_fuel_for,
+    PlannedTrial,
+    plan_trials,
+    run_plan,
 )
-from repro.faults.model import FaultSpec, FaultTarget
+from repro.faults.model import FaultTarget
+from repro.faults.outcomes import TrialResult
 from repro.faults.seu import RegisterFaultInjector
-from repro.faults.outcomes import OutcomeCounts, TrialResult
 from repro.ir.costmodel import CostModel
 from repro.ir.interp import ExecutionResult
 from repro.ir.parser import parse_module
@@ -99,19 +57,13 @@ from repro.ir.printer import print_module
 from repro.obs.events import Event, InMemorySink, Tracer
 from repro.obs.spans import profile_stage
 from repro.perf.cache import cost_model_key
-from repro.perf.pool import (
-    POOL_REGISTRY,
-    TrialBuffer,
-    WarmPool,
-    chunk_offsets,
-    decode_trial,
-    encode_trial,
-    site_table,
-)
-from repro.rng import fork, make_rng
+from repro.perf.pool import POOL_REGISTRY, WarmPool
 
 #: Trials below this count never amortize pool startup; stay in-process.
 MIN_PARALLEL_TRIALS = 8
+
+#: One executed trial: result, recovery record, event batch.
+Row = tuple[TrialResult, object, "list[Event] | None"]
 
 
 def available_cpus() -> int:
@@ -128,15 +80,25 @@ def available_cpus() -> int:
         return os.cpu_count() or 1
 
 
+def resolve_workers(workers: int | None) -> int:
+    """Effective worker count: explicit, or one per available CPU (<=16)."""
+    if workers is not None:
+        if workers < 1:
+            raise FaultInjectionError(
+                f"worker count must be >= 1, got {workers}"
+            )
+        return workers
+    return max(1, min(available_cpus(), 16))
+
+
 @dataclass(frozen=True)
 class WireCampaign:
     """A campaign serialized for worker processes.
 
-    The module travels as printed IR text (its canonical serialization);
-    the golden value and instruction count travel along so each worker can
-    cross-check that its parsed module reproduces the parent's reference
-    run exactly — a print/parse infidelity must fail loudly, not skew the
-    campaign.
+    The module travels as printed IR text, with the golden value and
+    instruction count, so each worker can check that its parsed module
+    reproduces the parent's reference run — a print/parse infidelity
+    must fail loudly, not skew the campaign.
     """
 
     ir_text: str
@@ -182,438 +144,176 @@ class WireCampaign:
         )
 
 
-def _values_match(a: int | float | None, b: int | float | None) -> bool:
-    if isinstance(a, float) and isinstance(b, float):
-        if math.isnan(a) and math.isnan(b):
-            return True
-    return a == b
-
-
-# -- worker side ---------------------------------------------------------------
-#
-# One warm-started state per worker process, built by the pool initializer
-# and reused by every chunk the worker executes — across campaigns, for as
-# long as the pool lives in the registry.
-
-_WORKER_STATE: "_WorkerState | None" = None
-
-
 @dataclass
-class _WorkerState:
+class TrialContext:
+    """Everything a trial needs besides its work item.
+
+    Built once per campaign inline, and once per worker on the pool.
+    """
+
     campaign: Campaign
     golden: ExecutionResult
     trial_fuel: int
-    code_cache: dict
-    site_index: dict[str, int]
     supervisor: object | None  # repro.recover.supervisor.Supervisor
+    code_cache: dict = field(default_factory=dict)
+
+    @classmethod
+    def build(
+        cls, campaign: Campaign, golden: ExecutionResult, supervisor_config
+    ) -> "TrialContext":
+        supervisor = None
+        if supervisor_config is not None:
+            from repro.recover.supervisor import Supervisor
+
+            supervisor = Supervisor(campaign, golden, supervisor_config)
+        trial_fuel = engine.trial_fuel_for(campaign, golden)
+        return cls(campaign, golden, trial_fuel, supervisor)
+
+    def run(
+        self,
+        index: int,
+        planned: PlannedTrial,
+        traced: bool,
+        trace_blocks: bool,
+        span_root: str,
+    ) -> Row:
+        """Execute one work item; events go to a private per-trial sink."""
+        sink = InMemorySink() if traced else None
+        tracer = None if sink is None else Tracer(sink)
+        record = None
+        if self.supervisor is not None:
+            trial, record = self.supervisor.run_trial(
+                planned.rng, tracer=tracer, trial_index=index,
+                span_root=span_root,
+            )
+        else:
+            trial = engine.run_trial(
+                self.campaign, self.golden, self.trial_fuel, planned.rng,
+                self.code_cache, tracer=tracer, trial_index=index,
+                trace_blocks=trace_blocks, span_root=span_root,
+                injector=(
+                    None if planned.spec is None
+                    else RegisterFaultInjector(planned.spec)
+                ),
+            )
+        return trial, record, None if sink is None else sink.events
+
+
+# -- worker side ---------------------------------------------------------------
+
+#: The worker's warm context, or the exception its warm start raised.
+_WORKER: TrialContext | Exception | None = None
 
 
 def _init_worker(wire: WireCampaign, supervisor_config) -> None:
-    """Pool initializer: parse the module once, validate the golden run."""
-    global _WORKER_STATE
-    campaign = wire.to_campaign()
-    golden = run_golden(campaign)
-    if (
-        not _values_match(golden.value, wire.golden_value)
-        or golden.instructions != wire.golden_instructions
-    ):
-        raise FaultInjectionError(
-            f"parallel warm start diverged for @{wire.func_name}: worker "
-            f"golden (value={golden.value!r}, "
-            f"instructions={golden.instructions}) != parent golden "
-            f"(value={wire.golden_value!r}, "
-            f"instructions={wire.golden_instructions}) — printed-IR "
-            f"round-trip is not faithful for this module"
-        )
-    supervisor = None
-    if supervisor_config is not None:
-        from repro.recover.supervisor import Supervisor
+    """Pool initializer: parse the module once, cross-check the golden run.
 
-        supervisor = Supervisor(campaign, golden, supervisor_config)
-    _WORKER_STATE = _WorkerState(
-        campaign=campaign,
-        golden=golden,
-        trial_fuel=trial_fuel_for(campaign, golden),
-        code_cache={},
-        site_index={
-            name: i for i, name in enumerate(site_table(campaign.module))
-        },
-        supervisor=supervisor,
-    )
-
-
-def _worker_trials(
-    trial_rngs: list[np.random.Generator], lockstep: bool, batch: int
-) -> list[TrialResult]:
-    """One chunk's trials via the per-trial loop or the lockstep engine."""
-    state = _WORKER_STATE
-    assert state is not None, "worker used before initialization"
-    if lockstep:
-        from repro.faults.lockstep import run_lockstep_trials
-
-        rows = run_lockstep_trials(
-            state.campaign, state.golden, state.trial_fuel, trial_rngs,
-            state.code_cache, batch=batch,
-        )
-        return [trial for trial, _fired, _trace in rows]
-    return [
-        run_trial(
-            state.campaign, state.golden, state.trial_fuel, rng,
-            state.code_cache,
-        )
-        for rng in trial_rngs
-    ]
-
-
-def _run_trial_chunk(payload: tuple) -> list[TrialResult]:
-    """Pickled-return chunk body (fallback when shared memory is absent)."""
-    trial_rngs, lockstep, batch = payload
-    return _worker_trials(trial_rngs, lockstep, batch)
-
-
-def _run_trial_chunk_shm(payload: tuple) -> list[tuple[int, TrialResult]]:
-    """Shared-memory chunk body: results written in place at global indices.
-
-    Returns only the trials the fixed-width row could not carry, as
-    ``(global_index, trial)`` overrides.
+    A failure is kept and raised by the first chunk instead: a raising
+    initializer kills its worker, and the pool would respawn it forever.
     """
-    shm_name, offset, trial_rngs, lockstep, batch = payload
-    state = _WORKER_STATE
-    assert state is not None, "worker used before initialization"
-    trials = _worker_trials(trial_rngs, lockstep, batch)
-    buffer = TrialBuffer.attach(shm_name, offset + len(trials))
-    overrides: list[tuple[int, TrialResult]] = []
+    global _WORKER
     try:
-        rows = buffer.array
-        site_index = state.site_index
-        for i, trial in enumerate(trials):
-            if not encode_trial(rows[offset + i], trial, site_index):
-                overrides.append((offset + i, trial))
-    finally:
-        buffer.close()
-    return overrides
-
-
-def _run_trial_chunk_traced(payload: tuple) -> list[tuple[TrialResult, list[Event]]]:
-    """Traced chunk body: each trial's events collected for forwarding.
-
-    Every trial gets a private collector so the parent can re-emit the
-    batches in trial order regardless of which worker ran them.  With a
-    ``span_root``, each trial's batch is bracketed by its deterministic
-    trial span — the worker derives the exact id the serial loop would.
-    """
-    indexed_rngs, trace_blocks, lockstep, batch, span_root = payload
-    state = _WORKER_STATE
-    assert state is not None, "worker used before initialization"
-    if lockstep:
-        from repro.faults.lockstep import run_lockstep_trials
-
-        rows = run_lockstep_trials(
-            state.campaign, state.golden, state.trial_fuel,
-            [rng for _i, rng in indexed_rngs], state.code_cache,
-            batch=batch, record_trace=trace_blocks,
-        )
-        out: list[tuple[TrialResult, list[Event]]] = []
-        for (index, _rng), (trial, fired, block_trace) in zip(
-            indexed_rngs, rows
+        campaign = wire.to_campaign()
+        golden = engine.run_golden(campaign)
+        if (
+            repr(golden.value) != repr(wire.golden_value)
+            or golden.instructions != wire.golden_instructions
         ):
-            sink = InMemorySink()
-            emit_lockstep_trial(
-                Tracer(sink), index, trial, fired, block_trace,
-                span_root=span_root,
+            raise FaultInjectionError(
+                f"parallel warm start diverged for @{wire.func_name}: "
+                f"worker golden (value={golden.value!r}, "
+                f"instructions={golden.instructions}) != parent golden "
+                f"(value={wire.golden_value!r}, "
+                f"instructions={wire.golden_instructions}) — printed-IR "
+                f"round-trip is not faithful for this module"
             )
-            out.append((trial, sink.events))
-        return out
-    out = []
-    for index, rng in indexed_rngs:
-        sink = InMemorySink()
-        trial = run_trial(
-            state.campaign, state.golden, state.trial_fuel, rng,
-            state.code_cache, tracer=Tracer(sink), trial_index=index,
-            trace_blocks=trace_blocks, span_root=span_root,
-        )
-        out.append((trial, sink.events))
-    return out
+        _WORKER = TrialContext.build(campaign, golden, supervisor_config)
+    except Exception as exc:
+        _WORKER = exc
 
 
-def _run_planned_chunk(payload: tuple) -> list[TrialResult]:
-    """Pruned-campaign chunk body: pre-resolved specs, no RNG traffic.
-
-    Each item is ``(global_trial_index, resolved_spec)``; the worker
-    builds an injector from the spec (location and bit already fixed), so
-    results are byte-identical to the serial pruned loop's.
-    """
-    indexed_specs, lockstep, batch = payload
-    state = _WORKER_STATE
-    assert state is not None, "worker used before initialization"
-    if lockstep:
-        from repro.faults.lockstep import run_planned_lockstep_trials
-
-        rows = run_planned_lockstep_trials(
-            state.campaign, state.golden, state.trial_fuel, indexed_specs,
-            state.code_cache, batch=batch,
-        )
-        return [trial for trial, _fired, _trace in rows]
+def _run_chunk(payload: tuple) -> list[Row]:
+    """The pool's one chunk function: run work items, return their rows."""
+    items, traced, trace_blocks, span_root = payload
+    context = _WORKER
+    if isinstance(context, Exception):
+        raise context
+    assert context is not None, "worker used before initialization"
     return [
-        run_trial(
-            state.campaign, state.golden, state.trial_fuel, None,
-            state.code_cache, injector=RegisterFaultInjector(spec),
-        )
-        for _index, spec in indexed_specs
+        context.run(index, planned, traced, trace_blocks, span_root)
+        for index, planned in items
     ]
-
-
-def _run_planned_chunk_traced(
-    payload: tuple,
-) -> list[tuple[TrialResult, list[Event]]]:
-    """Traced pruned chunk: per-trial event batches for order-stable merge."""
-    indexed_specs, trace_blocks, lockstep, batch, span_root = payload
-    state = _WORKER_STATE
-    assert state is not None, "worker used before initialization"
-    if lockstep:
-        from repro.faults.lockstep import run_planned_lockstep_trials
-
-        rows = run_planned_lockstep_trials(
-            state.campaign, state.golden, state.trial_fuel, indexed_specs,
-            state.code_cache, batch=batch, record_trace=trace_blocks,
-        )
-        out: list[tuple[TrialResult, list[Event]]] = []
-        for (index, _spec), (trial, fired, block_trace) in zip(
-            indexed_specs, rows
-        ):
-            sink = InMemorySink()
-            emit_lockstep_trial(
-                Tracer(sink), index, trial, fired, block_trace,
-                span_root=span_root,
-            )
-            out.append((trial, sink.events))
-        return out
-    out = []
-    for index, spec in indexed_specs:
-        sink = InMemorySink()
-        trial = run_trial(
-            state.campaign, state.golden, state.trial_fuel, None,
-            state.code_cache, tracer=Tracer(sink), trial_index=index,
-            trace_blocks=trace_blocks, span_root=span_root,
-            injector=RegisterFaultInjector(spec),
-        )
-        out.append((trial, sink.events))
-    return out
-
-
-def _run_supervised_chunk(trial_rngs: list[np.random.Generator]) -> list[tuple]:
-    state = _WORKER_STATE
-    assert state is not None, "worker used before initialization"
-    assert state.supervisor is not None
-    return [state.supervisor.run_trial(rng) for rng in trial_rngs]
-
-
-def _run_supervised_chunk_traced(payload: tuple) -> list[tuple]:
-    indexed_rngs, span_root = payload
-    state = _WORKER_STATE
-    assert state is not None, "worker used before initialization"
-    assert state.supervisor is not None
-    out = []
-    for index, rng in indexed_rngs:
-        sink = InMemorySink()
-        trial, record = state.supervisor.run_trial(
-            rng, tracer=Tracer(sink), trial_index=index,
-            span_root=span_root,
-        )
-        out.append((trial, record, sink.events))
-    return out
 
 
 # -- parent side ---------------------------------------------------------------
 
 
-def resolve_workers(workers: int | None) -> int:
-    """Effective worker count: explicit, or one per available CPU (<=16)."""
-    if workers is not None:
-        if workers < 1:
-            raise FaultInjectionError(
-                f"worker count must be >= 1, got {workers}"
-            )
-        return workers
-    return max(1, min(available_cpus(), 16))
-
-
-def _chunk_rngs(
-    trial_rngs: list, workers: int, chunk_size: int | None
-) -> list[list]:
-    """Contiguous index chunks (order-stable under ``pool.map``).
-
-    Accepts bare generators (untraced path) or ``(index, generator)``
-    pairs (traced path, where workers need the global trial index).
-    Sizing keys off the *effective* parallelism — the smaller of the
-    requested worker count and the CPUs actually available — so an
-    oversubscribed pool on a small host gets fewer, larger chunks
-    instead of straggler-heavy slivers.
-    """
-    n = len(trial_rngs)
+def _chunks(items: list, workers: int, chunk_size: int | None) -> list[list]:
+    """Contiguous chunks, ~4 per *effective* worker (the smaller of the
+    requested count and the CPUs available): fewer, larger chunks on an
+    oversubscribed small host instead of straggler-heavy slivers."""
+    n = len(items)
     if chunk_size is None:
-        # ~4 chunks per effective worker balances stragglers against IPC.
         effective = max(1, min(workers, available_cpus()))
         chunk_size = max(1, -(-n // (effective * 4)))
-    return [
-        trial_rngs[i:i + chunk_size] for i in range(0, n, chunk_size)
-    ]
-
-
-def _pool_key(
-    wire: WireCampaign, supervisor_config, workers: int
-) -> tuple:
-    """Registry key: everything the worker warm-start depends on.
-
-    ``n_trials`` is normalized out — a pool warmed for 60 trials serves
-    a 6000-trial campaign of the same shape unchanged.
-    """
-    return (
-        wire.ir_text,
-        wire.module_name,
-        wire.func_name,
-        wire.args,
-        wire.target.value,
-        wire.sdc_tolerance,
-        wire.fuel,
-        cost_model_key(wire.cost_model),
-        repr(supervisor_config),
-        workers,
-    )
+    return [items[i:i + chunk_size] for i in range(0, n, chunk_size)]
 
 
 def _get_pool(
     wire: WireCampaign, supervisor_config, workers: int
 ) -> WarmPool | None:
-    """Fetch (or fork + warm-start) the persistent pool for this shape."""
+    """Fetch (or fork + warm-start) the persistent pool for this shape.
+
+    The key is everything the worker warm-start depends on; ``n_trials``
+    is normalized out, so a pool warmed for 60 trials serves a
+    6000-trial campaign of the same shape unchanged.
+    """
     wire = replace(wire, n_trials=0)
+    key = (
+        wire.ir_text, wire.module_name, wire.func_name, wire.args,
+        wire.target.value, wire.sdc_tolerance, wire.fuel,
+        cost_model_key(wire.cost_model), repr(supervisor_config), workers,
+    )
     return POOL_REGISTRY.get(
-        _pool_key(wire, supervisor_config, workers),
-        workers,
-        _init_worker,
-        (wire, supervisor_config),
+        key, workers, _init_worker, (wire, supervisor_config)
     )
 
 
-def _pool_map(pool: WarmPool, chunk_fn, chunks: list) -> list:
-    """Dispatch chunks on a warm pool; a failing pool is evicted first.
-
-    Worker-side errors (warm-start divergence, trial bugs) surface here;
-    the broken pool must not stay registered or every later campaign of
-    the same shape would re-hit the corpse.
-    """
-    try:
-        return pool.map(chunk_fn, chunks)
-    except BaseException:
-        POOL_REGISTRY.discard(pool)
-        raise
-
-
-def _trials_via_shm(
-    pool: WarmPool,
-    campaign: Campaign,
-    chunks: list[list],
-    lockstep: bool,
-    batch: int,
-) -> list[TrialResult] | None:
-    """Untraced fan-out through the shared-memory result buffer.
-
-    None when shared memory is unavailable on this host (caller falls
-    back to pickled returns).
-    """
-    n = sum(len(c) for c in chunks)
-    buffer = TrialBuffer.create(n)
-    if buffer is None:
-        return None
-    try:
-        payloads = [
-            (buffer.name, offset, chunk, lockstep, batch)
-            for offset, chunk in zip(chunk_offsets(chunks), chunks)
-        ]
-        override_lists = _pool_map(pool, _run_trial_chunk_shm, payloads)
-        sites = site_table(campaign.module)
-        trials = [decode_trial(buffer.array[i], sites) for i in range(n)]
-        for overrides in override_lists:
-            for index, trial in overrides:
-                trials[index] = trial
-        return trials
-    finally:
-        buffer.close()
-        buffer.unlink()
-
-
-def planned_trials_parallel(
+def execute(
     campaign: Campaign,
     golden: ExecutionResult,
-    plan: PrunedTrials,
-    workers: int | None,
-    chunk_size: int | None = None,
-    lockstep: bool = False,
-    lockstep_batch: int = 32,
-    tracer: Tracer | None = None,
+    work: list[tuple[int, PlannedTrial]],
+    workers: int | None = None,
+    traced: bool = False,
     trace_blocks: bool = False,
     span_root: str = "",
-) -> list[TrialResult] | None:
-    """Fan a pruned campaign's executed trials across the warm pool.
-
-    Ships ``(global_index, resolved_spec)`` pairs — specs are plain
-    frozen dataclasses, so no generator state crosses the process
-    boundary — and merges worker results back with the reconstructed
-    pruned trials in global trial-index order.  Returns the full merged
-    trial list, or None when the pool is unavailable or the executed
-    subset is too small to amortize dispatch (caller falls back to the
-    serial pruned loop; results are byte-identical either way).
-    """
-    workers = resolve_workers(workers)
-    executed: list[tuple[int, FaultSpec]] = [
-        (index, planned.spec)
-        for index, planned in enumerate(plan.trials)
-        if not planned.pruned
-    ]
-    if workers <= 1 or len(executed) < MIN_PARALLEL_TRIALS:
-        return None
-    wire = WireCampaign.from_campaign(campaign, golden)
-    with profile_stage("fork"):
-        pool = _get_pool(wire, None, workers)
-    if pool is None:
-        return None
-    chunks = _chunk_rngs(executed, workers, chunk_size)
-    trials: list[TrialResult] = []
-    if tracer is not None:
-        payloads = [
-            (chunk, trace_blocks, lockstep, lockstep_batch, span_root)
-            for chunk in chunks
-        ]
-        with profile_stage("dispatch"):
-            chunk_results = _pool_map(
-                pool, _run_planned_chunk_traced, payloads
-            )
-        stream = iter(
-            pair for chunk in chunk_results for pair in chunk
-        )
-        with profile_stage("merge"):
-            for index, planned in enumerate(plan.trials):
-                if planned.pruned:
-                    trial = reconstruct_pruned_trial(golden, planned)
-                    emit_pruned_trial(
-                        tracer, index, trial, planned, span_root=span_root
-                    )
-                else:
-                    trial, events = next(stream)
-                    tracer.emit_all(events)
-                trials.append(trial)
-        return trials
-    payloads = [(chunk, lockstep, lockstep_batch) for chunk in chunks]
-    with profile_stage("dispatch"):
-        chunk_results = _pool_map(pool, _run_planned_chunk, payloads)
-    stream = iter(t for chunk in chunk_results for t in chunk)
-    with profile_stage("merge"):
-        for planned in plan.trials:
-            trials.append(
-                reconstruct_pruned_trial(golden, planned)
-                if planned.pruned else next(stream)
-            )
-    return trials
+    supervisor_config=None,
+    chunk_size: int | None = None,
+) -> Iterator[Row]:
+    """Run ``work`` and yield one row per item, in order (see module doc)."""
+    options = (traced, trace_blocks, span_root)
+    if workers is not None and workers > 1 and len(work) >= MIN_PARALLEL_TRIALS:
+        wire = WireCampaign.from_campaign(campaign, golden)
+        with profile_stage("fork"):
+            pool = _get_pool(wire, supervisor_config, workers)
+        if pool is not None:
+            payloads = [
+                (chunk, *options)
+                for chunk in _chunks(work, workers, chunk_size)
+            ]
+            # A broken pool must not stay registered, or every later
+            # campaign of the same shape would hit it again.
+            try:
+                with profile_stage("dispatch"):
+                    chunk_rows = pool.map(_run_chunk, payloads)
+                return iter([row for rows in chunk_rows for row in rows])
+            except WorkerLost:
+                POOL_REGISTRY.discard(pool)  # re-run the dispatch inline
+            except BaseException:
+                POOL_REGISTRY.discard(pool)
+                raise
+    context = TrialContext.build(campaign, golden, supervisor_config)
+    return (context.run(index, planned, *options) for index, planned in work)
 
 
 def run_campaign_parallel(
@@ -624,110 +324,20 @@ def run_campaign_parallel(
     tracer: Tracer | None = None,
     trace_blocks: bool = False,
     trace_spans: bool = False,
-    lockstep: bool = False,
-    lockstep_batch: int = 32,
 ) -> CampaignResult:
-    """Execute ``campaign`` on the persistent warm pool.
+    """:func:`repro.faults.campaign.run_campaign` on the warm pool.
 
-    Byte-identical to ``run_campaign(campaign, seed)`` for every worker
-    count: same ``TrialResult`` sequence, same ``OutcomeCounts``, same
-    golden run.  Falls back to an in-process loop when the pool is
-    unavailable or the campaign is too small to amortize dispatch.
-
-    With a ``tracer``, workers collect each trial's events and the parent
-    re-emits the batches in trial-index order, reproducing the serial
-    event stream exactly (sequence numbers included) — including the
-    deterministic causal spans under ``trace_spans``, whose ids workers
-    derive from the shipped root + trial index.  ``lockstep=True`` runs
-    each worker's chunk through the batched lockstep engine — results
-    unchanged.  Engine stages (pool fork, chunk dispatch, result merge)
-    are profiled into :data:`~repro.obs.metrics.ENGINE_METRICS` — never
-    into the campaign trace, which stays clock-free.
+    Pool stages (fork, dispatch) are profiled into
+    :data:`~repro.obs.metrics.ENGINE_METRICS`, never into the clock-free
+    campaign trace.
     """
-    workers = resolve_workers(workers)
-    span_root = ""
-    if tracer is not None and trace_spans:
-        span_root = begin_campaign_span(tracer, campaign, seed)
-    rng = make_rng(seed)
-    if tracer is not None:
-        emit_campaign_start(tracer, campaign)
-    golden = run_golden(campaign, tracer=tracer)
-    trial_fuel = trial_fuel_for(campaign, golden)
-    trial_rngs = fork(rng, campaign.n_trials)
-
-    trials: list[TrialResult] | None = None
-    if workers > 1 and campaign.n_trials >= MIN_PARALLEL_TRIALS:
-        wire = WireCampaign.from_campaign(campaign, golden)
-        with profile_stage("fork"):
-            pool = _get_pool(wire, None, workers)
-        if pool is not None and tracer is not None:
-            chunks = _chunk_rngs(
-                list(enumerate(trial_rngs)), workers, chunk_size
-            )
-            payloads = [
-                (chunk, trace_blocks, lockstep, lockstep_batch, span_root)
-                for chunk in chunks
-            ]
-            with profile_stage("dispatch"):
-                chunk_results = _pool_map(
-                    pool, _run_trial_chunk_traced, payloads
-                )
-            trials = []
-            with profile_stage("merge"):
-                for trial, events in (p for c in chunk_results for p in c):
-                    trials.append(trial)
-                    tracer.emit_all(events)
-        elif pool is not None:
-            chunks = _chunk_rngs(trial_rngs, workers, chunk_size)
-            with profile_stage("dispatch"):
-                trials = _trials_via_shm(
-                    pool, campaign, chunks, lockstep, lockstep_batch
-                )
-            if trials is None:
-                payloads = [
-                    (chunk, lockstep, lockstep_batch) for chunk in chunks
-                ]
-                with profile_stage("dispatch"):
-                    chunk_results = _pool_map(
-                        pool, _run_trial_chunk, payloads
-                    )
-                trials = [t for chunk in chunk_results for t in chunk]
-    if trials is None:
-        code_cache: dict = {}
-        if lockstep:
-            from repro.faults.lockstep import run_lockstep_trials
-
-            rows = run_lockstep_trials(
-                campaign, golden, trial_fuel, trial_rngs, code_cache,
-                batch=lockstep_batch,
-                record_trace=tracer is not None and trace_blocks,
-            )
-            trials = []
-            for index, (trial, fired, block_trace) in enumerate(rows):
-                trials.append(trial)
-                if tracer is not None:
-                    emit_lockstep_trial(
-                        tracer, index, trial, fired, block_trace,
-                        span_root=span_root,
-                    )
-        else:
-            trials = [
-                run_trial(
-                    campaign, golden, trial_fuel, rng_i, code_cache,
-                    tracer=tracer, trial_index=index,
-                    trace_blocks=trace_blocks, span_root=span_root,
-                )
-                for index, rng_i in enumerate(trial_rngs)
-            ]
-
-    counts = OutcomeCounts()
-    for trial in trials:
-        counts.record(trial.outcome)
-    if tracer is not None:
-        emit_campaign_end(tracer, campaign, golden, counts)
-        if span_root:
-            end_campaign_span(tracer, span_root, campaign)
-    return CampaignResult(golden=golden, counts=counts, trials=trials)
+    emitter = CampaignEmitter(tracer, campaign, seed, trace_spans)
+    result, _records = run_plan(
+        campaign, plan_trials(campaign, seed), emitter,
+        resolve_workers(workers), trace_blocks=trace_blocks,
+        chunk_size=chunk_size,
+    )
+    return result
 
 
 def run_timeline_campaign_parallel(
@@ -741,18 +351,8 @@ def run_timeline_campaign_parallel(
     tracer: Tracer | None = None,
     subsystem: str = "register",
 ):
-    """Timeline-driven campaign on a process pool.
-
-    Convenience mirror of :func:`run_supervised_campaign_parallel` for
-    :func:`repro.faults.campaign.run_timeline_campaign`: resolves the
-    worker count (one per CPU by default) and fans the thinned trials
-    out.  Byte-identical to the serial timeline campaign for the same
-    seed — the arrival draw happens in the parent before the per-trial
-    fork, so the E16 serial==parallel gate holds by construction.
-    """
-    from repro.faults.campaign import run_timeline_campaign
-
-    return run_timeline_campaign(
+    """:func:`repro.faults.campaign.run_timeline_campaign` on the pool."""
+    return engine.run_timeline_campaign(
         campaign, timeline, t0, t1, arrival_rate_per_s,
         seed=seed, workers=resolve_workers(workers), tracer=tracer,
         subsystem=subsystem,
@@ -768,88 +368,19 @@ def run_supervised_campaign_parallel(
     tracer: Tracer | None = None,
     trace_spans: bool = False,
 ):
-    """Supervised campaign on the warm pool (see ``recover.supervisor``).
-
-    Each trial's injector, checkpoint corruption and persistence draws all
-    come from its pre-forked child generator, so results are byte-identical
-    to ``run_supervised_campaign(campaign, config, seed)`` at any worker
-    count.  Falls back to the in-process supervisor loop when no pool is
-    available.  Traced runs forward worker events exactly like
-    :func:`run_campaign_parallel`.  Supervised results carry attempt
-    records, so they stay on the pickled return path; the pool itself is
-    still persistent (keyed by the supervisor config).
-    """
+    """:func:`repro.recover.supervisor.run_supervised_campaign` on the pool."""
     from repro.recover.supervisor import (
         SupervisedCampaignResult,
-        Supervisor,
         SupervisorConfig,
     )
 
-    if config is None:
-        config = SupervisorConfig()
-    workers = resolve_workers(workers)
-    span_root = ""
-    if tracer is not None and trace_spans:
-        span_root = begin_campaign_span(tracer, campaign, seed)
-    rng = make_rng(seed)
-    if tracer is not None:
-        emit_campaign_start(tracer, campaign, supervised=True)
-    golden = run_golden(campaign, tracer=tracer)
-    trial_rngs = fork(rng, campaign.n_trials)
-
-    results: list[tuple] | None = None
-    if workers > 1 and campaign.n_trials >= MIN_PARALLEL_TRIALS:
-        wire = WireCampaign.from_campaign(campaign, golden)
-        with profile_stage("fork"):
-            pool = _get_pool(wire, config, workers)
-        if pool is not None and tracer is not None:
-            chunks = _chunk_rngs(
-                list(enumerate(trial_rngs)), workers, chunk_size
-            )
-            payloads = [(chunk, span_root) for chunk in chunks]
-            with profile_stage("dispatch"):
-                chunk_results = _pool_map(
-                    pool, _run_supervised_chunk_traced, payloads
-                )
-            results = []
-            with profile_stage("merge"):
-                for trial, record, events in (
-                    r for chunk in chunk_results for r in chunk
-                ):
-                    results.append((trial, record))
-                    tracer.emit_all(events)
-        elif pool is not None:
-            chunks = _chunk_rngs(trial_rngs, workers, chunk_size)
-            with profile_stage("dispatch"):
-                chunk_results = _pool_map(
-                    pool, _run_supervised_chunk, chunks
-                )
-            results = [r for chunk in chunk_results for r in chunk]
-    if results is None:
-        supervisor = Supervisor(campaign, golden, config)
-        results = [
-            supervisor.run_trial(
-                rng_i, tracer=tracer, trial_index=index,
-                span_root=span_root,
-            )
-            for index, rng_i in enumerate(trial_rngs)
-        ]
-
-    counts = OutcomeCounts()
-    trials = []
-    records = []
-    for trial, record in results:
-        counts.record(trial.outcome)
-        trials.append(trial)
-        records.append(record)
-    if tracer is not None:
-        emit_campaign_end(tracer, campaign, golden, counts)
-        if span_root:
-            end_campaign_span(tracer, span_root, campaign)
+    config = config or SupervisorConfig()
+    emitter = CampaignEmitter(tracer, campaign, seed, trace_spans)
+    result, records = run_plan(
+        campaign, plan_trials(campaign, seed), emitter,
+        resolve_workers(workers), supervisor_config=config,
+        chunk_size=chunk_size,
+    )
     return SupervisedCampaignResult(
-        golden=golden,
-        counts=counts,
-        trials=trials,
-        records=records,
-        config=config,
+        result.golden, result.counts, result.trials, records, config
     )

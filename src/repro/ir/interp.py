@@ -43,9 +43,7 @@ hook dispatch for every (super)block that ends before the window opens
 and for everything after the hook has fired — the hook is called for
 every instruction inside the live window, exactly like the reference
 semantics.  :class:`repro.ir.refinterp.ReferenceInterpreter` keeps the
-original dispatch loop as a differential oracle and perf baseline, and
-:mod:`repro.ir.lockstep` advances many faulted trials through these same
-compiled superblocks in lockstep.
+original dispatch loop as a differential oracle and perf baseline.
 """
 
 from __future__ import annotations
@@ -433,7 +431,7 @@ class Interpreter:
                 continue
             return result.value  # type: ignore[union-attr]
 
-    def _advance_plain(self, frame: Frame, sb: _SuperCode | None = None):
+    def _advance_plain(self, frame: Frame):
         """Execute one superblock (or one exact block) of ``frame``.
 
         Returns ``_CONTINUE`` or a ``_Return`` like the step closures.
@@ -443,11 +441,9 @@ class Interpreter:
         exact per-step path.  Callers must guarantee that per-block
         tracing is disabled (``record_trace`` off, no ``trace_hook``).
         """
-        if sb is None or sb.head is not frame.block:
-            block = frame.block
-            sb = self._supers.get(block)
-            if sb is None:
-                sb = self._compile_super(block)
+        sb = self._supers.get(frame.block)
+        if sb is None:
+            sb = self._compile_super(frame.block)
         if sb.fast_ok and self.instructions + sb.weight <= self.fuel:
             hook = self.step_hook
             if hook is None or (

@@ -12,8 +12,8 @@ BLAKE2b digest of ``(parent_id, name, index)`` — see :func:`span_id` —
 seeded at the root from the campaign's identity and integer seed.  No
 ``time.time()``, no global counter, no RNG: worker processes compute the
 exact id the serial loop would have computed for the same trial, which
-is what lets span-traced serial, parallel (any worker count) and
-lockstep campaigns produce **byte-identical** trace streams.  The same
+is what lets span-traced inline and pooled (any worker count) campaigns
+produce **byte-identical** trace streams.  The same
 derivation means a reader can *predict* ids: trial 7 of a campaign root
 ``r`` is always ``span_id(r, "trial", 7)``.
 
@@ -108,8 +108,8 @@ def span_id(parent: str, name: str, index: int) -> str:
     """Deterministic id of the ``index``-th ``name`` span under ``parent``.
 
     Pure function of its inputs — no clock, no RNG, no process state —
-    so every execution mode (serial loop, warm-pool worker, lockstep
-    lane batch) derives the identical id for the same logical span.
+    so every execution mode (inline or warm-pool worker) derives the
+    identical id for the same logical span.
     """
     digest = blake2b(
         f"{parent}|{name}|{index}".encode(), digest_size=SPAN_ID_BYTES

@@ -7,14 +7,15 @@ ROADMAP).  This package holds the cross-cutting perf machinery:
 * :mod:`repro.perf.cache` — a process-global golden-run cache keyed by a
   module fingerprint (hash of the printed IR) + entry function + args +
   cost model, so multi-level sweeps stop re-deriving identical golden runs;
-* :mod:`repro.perf.pool` — the persistent warm worker-pool registry and
-  the shared-memory trial-result buffers used by the parallel campaign
-  engine, so repeat campaigns skip fork/parse/golden-validate entirely;
+* :mod:`repro.perf.pool` — the persistent warm worker-pool registry used
+  by the campaign executor, so repeat campaigns skip
+  fork/parse/golden-validate entirely, and a lost worker raises instead
+  of hanging;
 * :mod:`repro.perf.report` — the machine-readable ``BENCH_perf.json``
   writer that gives subsequent PRs a perf trajectory to regress against,
   plus the ``python -m repro.perf.report`` summary CLI.
 
-The parallel campaign engine itself lives in :mod:`repro.faults.parallel`.
+The campaign executor itself lives in :mod:`repro.faults.parallel`.
 """
 
 from repro.perf.cache import (
@@ -24,17 +25,7 @@ from repro.perf.cache import (
     cost_model_key,
     module_fingerprint,
 )
-from repro.perf.pool import (
-    POOL_REGISTRY,
-    PoolRegistry,
-    TRIAL_DTYPE,
-    TrialBuffer,
-    WarmPool,
-    adaptive_chunk_size,
-    decode_trial,
-    encode_trial,
-    site_table,
-)
+from repro.perf.pool import POOL_REGISTRY, PoolRegistry, WarmPool
 from repro.perf.report import (
     format_report,
     load_perf_report,
@@ -49,13 +40,7 @@ __all__ = [
     "module_fingerprint",
     "POOL_REGISTRY",
     "PoolRegistry",
-    "TRIAL_DTYPE",
-    "TrialBuffer",
     "WarmPool",
-    "adaptive_chunk_size",
-    "decode_trial",
-    "encode_trial",
-    "site_table",
     "format_report",
     "load_perf_report",
     "write_perf_report",

@@ -1,54 +1,42 @@
-"""Persistent warm worker pools + shared-memory trial result buffers.
+"""Persistent warm worker pools that notice a lost worker.
 
 The fork-per-campaign pool of the original parallel engine paid its full
 setup cost — fork, module re-parse, golden re-validation, block
-compilation — on **every** campaign, which is why ``parallel_vs_serial``
-sat below 1.0 on small hosts.  This module keeps pools *alive across
-campaigns*:
+compilation — on **every** campaign.  :class:`PoolRegistry` keeps pools
+*alive across campaigns*: an LRU of named :class:`WarmPool`s keyed by
+everything the worker warm-start depends on (module fingerprint via
+printed IR, entry + args, cost model, fuel, supervisor config, worker
+count).  The first campaign for a key forks and warm-starts the pool;
+later campaigns of the same shape reuse the hot workers, whose parsed
+module, validated golden run and compiled ``code_cache`` are already in
+place, so dispatch costs only queue traffic.
 
-* :class:`PoolRegistry` — an LRU of named :class:`WarmPool`s keyed by
-  everything the worker warm-start depends on (module fingerprint via
-  printed IR, entry + args, cost model, fuel, supervisor config, tracing
-  mode, worker count).  The first campaign for a key forks and
-  warm-starts the pool; subsequent campaigns with the same shape reuse
-  the hot workers — their parsed module, validated golden run and
-  compiled ``code_cache`` are already in place, so dispatch cost drops
-  to queue traffic.
-* :class:`TrialBuffer` — a preallocated ``multiprocessing.shared_memory``
-  segment holding one fixed-width record per trial
-  (:data:`TRIAL_DTYPE`).  Workers write their chunk's classified results
-  straight into the segment at the trial's global index; the parent
-  reconstructs the ``TrialResult`` list without unpickling per-trial
-  objects.  Values that cannot be represented in the fixed-width row
-  (integers beyond int64 — e.g. a pointer return with a flipped high
-  bit — or unknown injection sites) fall back to a tiny pickled
-  per-trial override list, so the fast path never bends correctness.
+``multiprocessing.Pool`` replaces a worker that dies (OOM kill,
+SIGKILL) but never finishes the chunk that worker held, so a plain
+``Pool.map`` would wait forever.  :meth:`WarmPool.map` watches the
+workers that were alive at dispatch and raises
+:class:`repro.errors.WorkerLost` as soon as one of them exits with
+chunks outstanding.
 
 Lifecycle stats are published to
 :data:`repro.obs.metrics.ENGINE_METRICS`: ``warm_pool.created`` /
-``warm_pool.reused`` counters, a ``warm_pool.workers_alive`` gauge and a
-``warm_pool.chunks_dispatched`` counter, surfaced by
-``python -m repro.perf.report``.
+``warm_pool.reused`` / ``warm_pool.workers_lost`` counters, a
+``warm_pool.workers_alive`` gauge and a ``warm_pool.chunks_dispatched``
+counter, surfaced by ``python -m repro.perf.report``.
 """
 
 from __future__ import annotations
 
 import atexit
-import math
 import threading
 from collections import OrderedDict
 from multiprocessing import get_context
-from multiprocessing import shared_memory
 
-import numpy as np
-
-from repro.ir.module import Module
+from repro.errors import WorkerLost
 from repro.obs.metrics import ENGINE_METRICS
 
-# NOTE: repro.faults imports are deferred to call sites — this module is
-# imported by repro.faults.parallel during repro.faults package init, so
-# a top-level import back into repro.faults would re-enter the partially
-# initialized package.
+#: Seconds between checks for a lost worker while chunks are outstanding.
+LOSS_POLL_S = 0.05
 
 
 def _pool_context():
@@ -67,8 +55,24 @@ class WarmPool:
         self.workers = workers
 
     def map(self, fn, chunks: list) -> list:
+        """``fn`` over ``chunks`` in order; raises ``WorkerLost``.
+
+        An exception raised by ``fn`` in a worker is re-raised here.  A
+        worker alive at dispatch that exits before every chunk is back
+        raises :class:`repro.errors.WorkerLost` instead of waiting forever.
+        """
         ENGINE_METRICS.counter("warm_pool.chunks_dispatched").inc(len(chunks))
-        return self.pool.map(fn, chunks)
+        workers = list(self.pool._pool)
+        pending = self.pool.map_async(fn, chunks)
+        while not pending.ready():
+            pending.wait(LOSS_POLL_S)
+            lost = [w.pid for w in workers if w.exitcode is not None]
+            if lost and not pending.ready():
+                ENGINE_METRICS.counter("warm_pool.workers_lost").inc()
+                raise WorkerLost(
+                    f"pool worker(s) {lost} exited with chunks outstanding"
+                )
+        return pending.get()
 
     def shutdown(self) -> None:
         self.pool.terminate()
@@ -129,7 +133,7 @@ class PoolRegistry:
         return pool
 
     def discard(self, pool: WarmPool) -> None:
-        """Drop a pool that turned out broken (worker init raised)."""
+        """Drop a pool that turned out broken (a worker raised or died)."""
         with self._lock:
             if self._pools.get(pool.key) is pool:
                 del self._pools[pool.key]
@@ -154,199 +158,3 @@ class PoolRegistry:
 #: Process-global pool registry used by :mod:`repro.faults.parallel`.
 POOL_REGISTRY = PoolRegistry()
 atexit.register(POOL_REGISTRY.clear)
-
-
-# -- shared-memory trial records -----------------------------------------------
-
-#: Fixed-width wire form of one classified trial.  ``*_kind`` columns
-#: disambiguate the unions (None / str site / int address; None / int /
-#: float value); anything unrepresentable ships as a pickled override.
-TRIAL_DTYPE = np.dtype([
-    ("outcome", "u1"),
-    ("target", "u1"),
-    ("loc_kind", "u1"),      # 0 = None, 1 = site-table index, 2 = address
-    ("value_kind", "u1"),    # 0 = None, 1 = int, 2 = float
-    ("dynamic_index", "<i8"),
-    ("location", "<i8"),
-    ("bit", "<i8"),          # -1 = None
-    ("value_int", "<i8"),
-    ("value_float", "<f8"),
-    ("rel_error", "<f8"),
-    ("cycles", "<i8"),
-])
-
-_INT64_MIN, _INT64_MAX = -(1 << 63), (1 << 63) - 1
-
-_ENUM_CACHE: tuple[list, list] | None = None
-
-
-def _enums() -> tuple[list, list]:
-    """``(outcomes, targets)`` in stable declaration order (lazy import)."""
-    global _ENUM_CACHE
-    if _ENUM_CACHE is None:
-        from repro.faults.model import FaultTarget
-        from repro.faults.outcomes import FaultOutcome
-
-        _ENUM_CACHE = (list(FaultOutcome), list(FaultTarget))
-    return _ENUM_CACHE
-
-
-def site_table(module: Module) -> list[str]:
-    """Deterministic table of every named SSA value in ``module``.
-
-    Register injection sites are SSA value names; both the parent and
-    each worker derive this table from their own copy of the module
-    (printed-IR round-trips preserve names), so an index written by a
-    worker decodes to the identical string in the parent.
-    """
-    names: set[str] = set()
-    for func in module.functions:
-        for arg in func.args:
-            names.add(arg.name)
-        for instr in func.instructions():
-            if instr.defines_value:
-                names.add(instr.name)
-    return sorted(names)
-
-
-def encode_trial(row: np.ndarray, trial, site_index: dict[str, int]) -> bool:
-    """Encode one trial into ``row``; False when it needs the override path."""
-    outcomes, targets = _enums()
-    spec = trial.spec
-    location = spec.location
-    if location is None:
-        loc_kind, loc = 0, 0
-    elif isinstance(location, str):
-        idx = site_index.get(location)
-        if idx is None:
-            return False
-        loc_kind, loc = 1, idx
-    else:
-        loc = int(location)
-        if not _INT64_MIN <= loc <= _INT64_MAX:
-            return False
-        loc_kind = 2
-    value = trial.value
-    if value is None:
-        value_kind, value_int, value_float = 0, 0, 0.0
-    elif isinstance(value, float):
-        value_kind, value_int, value_float = 2, 0, value
-    else:
-        value_int = int(value)
-        if not _INT64_MIN <= value_int <= _INT64_MAX:
-            return False
-        value_kind, value_float = 1, 0.0
-    row["outcome"] = outcomes.index(trial.outcome)
-    row["target"] = targets.index(spec.target)
-    row["loc_kind"] = loc_kind
-    row["value_kind"] = value_kind
-    row["dynamic_index"] = spec.dynamic_index
-    row["location"] = loc
-    row["bit"] = -1 if spec.bit is None else spec.bit
-    row["value_int"] = value_int
-    row["value_float"] = value_float
-    row["rel_error"] = trial.rel_error
-    row["cycles"] = trial.cycles
-    return True
-
-
-def decode_trial(row: np.ndarray, sites: list[str]):
-    """Rebuild one :class:`~repro.faults.outcomes.TrialResult` from a row."""
-    from repro.faults.model import FaultSpec
-    from repro.faults.outcomes import TrialResult
-
-    outcomes, targets = _enums()
-    loc_kind = int(row["loc_kind"])
-    if loc_kind == 0:
-        location: str | int | None = None
-    elif loc_kind == 1:
-        location = sites[int(row["location"])]
-    else:
-        location = int(row["location"])
-    value_kind = int(row["value_kind"])
-    if value_kind == 0:
-        value: int | float | None = None
-    elif value_kind == 1:
-        value = int(row["value_int"])
-    else:
-        value = float(row["value_float"])
-    bit = int(row["bit"])
-    spec = FaultSpec(
-        target=targets[int(row["target"])],
-        dynamic_index=int(row["dynamic_index"]),
-        location=location,
-        bit=None if bit < 0 else bit,
-    )
-    return TrialResult(
-        spec=spec,
-        outcome=outcomes[int(row["outcome"])],
-        value=value,
-        rel_error=float(row["rel_error"]),
-        cycles=int(row["cycles"]),
-    )
-
-
-class TrialBuffer:
-    """A shared-memory array of ``n`` encoded trial rows.
-
-    The parent ``create``s it and passes :attr:`name` to workers, which
-    ``attach`` and write rows in place; ``close``/``unlink`` follow the
-    usual shared-memory ownership split (everyone closes, the creator
-    unlinks).
-    """
-
-    def __init__(self, shm: shared_memory.SharedMemory, n: int) -> None:
-        self._shm = shm
-        self.array = np.ndarray((n,), dtype=TRIAL_DTYPE, buffer=shm.buf)
-        self.name = shm.name
-
-    @classmethod
-    def create(cls, n: int) -> "TrialBuffer | None":
-        """Allocate a zeroed buffer; None when shared memory is unavailable."""
-        size = max(1, n) * TRIAL_DTYPE.itemsize
-        try:
-            shm = shared_memory.SharedMemory(create=True, size=size)
-        except (OSError, PermissionError):
-            return None
-        buf = cls(shm, n)
-        buf.array[:] = np.zeros(n, dtype=TRIAL_DTYPE)
-        return buf
-
-    @classmethod
-    def attach(cls, name: str, n: int) -> "TrialBuffer":
-        shm = shared_memory.SharedMemory(name=name)
-        # Attaching registers the segment with this process's resource
-        # tracker, which would later (wrongly) warn about / unlink the
-        # parent-owned segment.  Ownership stays with the creator.
-        try:
-            from multiprocessing.resource_tracker import unregister
-
-            unregister(shm._name, "shared_memory")
-        except Exception:  # pragma: no cover - tracker API unavailable
-            pass
-        return cls(shm, n)
-
-    def close(self) -> None:
-        del self.array  # release the exported buffer before closing
-        self._shm.close()
-
-    def unlink(self) -> None:
-        try:
-            self._shm.unlink()
-        except FileNotFoundError:  # pragma: no cover - already gone
-            pass
-
-
-def chunk_offsets(chunks: list[list]) -> list[int]:
-    """Global start index of each contiguous chunk."""
-    offsets = []
-    total = 0
-    for chunk in chunks:
-        offsets.append(total)
-        total += len(chunk)
-    return offsets
-
-
-def adaptive_chunk_size(n: int, effective_workers: int) -> int:
-    """~4 chunks per *effective* worker: straggler/IPC balance."""
-    return max(1, math.ceil(n / (effective_workers * 4)))

@@ -81,7 +81,6 @@ _HEADLINES = (
     ("min_speedup", "fast-path speedup vs reference (min)", "x"),
     ("target_speedup", "fast-path speedup target", "x"),
     ("parallel_vs_serial", "parallel vs serial throughput", "x"),
-    ("lockstep_vs_serial", "lockstep vs serial throughput", "x"),
     ("serial_trials_per_s", "serial campaign throughput", " trials/s"),
     ("parallel_trials_per_s", "parallel campaign throughput", " trials/s"),
     ("available_cpus", "CPUs available to the bench run", ""),

@@ -33,23 +33,17 @@ import numpy as np
 from repro.errors import ConfigError
 from repro.faults.campaign import (
     Campaign,
-    begin_campaign_span,
+    CampaignEmitter,
     begin_trial_span,
-    emit_campaign_end,
-    emit_campaign_start,
+    classify_trial,
     emit_trial_events,
-    end_campaign_span,
     end_trial_span,
     make_injector,
-    run_golden,
+    plan_trials,
+    run_plan,
     trial_fuel_for,
 )
-from repro.faults.outcomes import (
-    FaultOutcome,
-    OutcomeCounts,
-    TrialResult,
-    classify,
-)
+from repro.faults.outcomes import FaultOutcome, OutcomeCounts, TrialResult
 from repro.ir.interp import ExecutionResult, Interpreter
 from repro.recover.checkpoint import (
     CheckpointHook,
@@ -71,7 +65,6 @@ from repro.obs.events import (
 )
 from repro.obs.spans import SpanEnd, SpanStart, span_id
 from repro.recover.watchdog import InterpWatchdog, chain_step_hooks
-from repro.rng import fork, make_rng
 
 #: Failure outcomes a supervisor can observe and react to.
 RECOVERABLE_OUTCOMES = frozenset({
@@ -329,14 +322,10 @@ class Supervisor:
     ) -> tuple[TrialResult, RecoveryRecord | None]:
         """One supervised trial: inject, classify, recover if observable.
 
-        With a tracer, the trial emits the same start / injection / end
-        events as an unsupervised trial, interleaved with checkpoint and
-        watchdog events during execution and followed by one
-        ladder-attempt event per rung climbed plus the recovery verdict.
-        A ``span_root`` additionally brackets the trial with its
-        deterministic span and each ladder attempt with a child span —
-        derived ids only, so supervised traces merge byte-identically
-        across worker counts too.
+        Traced, it emits an unsupervised trial's events with checkpoint
+        and watchdog events interleaved, then one event per ladder rung
+        climbed and the recovery verdict; a ``span_root`` brackets the
+        trial and each attempt with deterministic spans.
         """
         trial_span = ""
         if tracer is not None:
@@ -367,37 +356,24 @@ class Supervisor:
             tracer.emit(WatchdogFire(
                 trial=trial_index, budget=watchdog.budget
             ))
-        outcome, rel_error = classify(
-            result, golden.value, campaign.sdc_tolerance
-        )
-        if not injector.fired:
-            outcome, rel_error = FaultOutcome.BENIGN, 0.0
-        trial = TrialResult(
-            spec=injector.resolved or injector.spec,
-            outcome=outcome,
-            value=result.value,
-            rel_error=rel_error,
-            cycles=result.cycles,
-        )
+        trial = classify_trial(campaign, golden, injector, result)
         if tracer is not None:
             emit_trial_events(tracer, trial_index, trial, fired=injector.fired)
-        if outcome not in RECOVERABLE_OUTCOMES:
-            if tracer is not None and trial_span:
-                end_trial_span(tracer, trial_span, trial)
-            return trial, None
-        record = self.recover(
-            outcome, result, manager, trial_rng,
-            tracer=tracer, trial_index=trial_index, span=trial_span,
-        )
-        trial = replace(
-            trial,
-            recovery_latency_s=record.recovery_latency_s,
-            attempt_latencies_s=tuple(
-                a.latency_s for a in record.attempts
-            ),
-            backoff_charged_s=sum(a.backoff_s for a in record.attempts),
-        )
-        if tracer is not None and trial_span:
+        record = None
+        if trial.outcome in RECOVERABLE_OUTCOMES:
+            record = self.recover(
+                trial.outcome, result, manager, trial_rng,
+                tracer=tracer, trial_index=trial_index, span=trial_span,
+            )
+            trial = replace(
+                trial,
+                recovery_latency_s=record.recovery_latency_s,
+                attempt_latencies_s=tuple(
+                    a.latency_s for a in record.attempts
+                ),
+                backoff_charged_s=sum(a.backoff_s for a in record.attempts),
+            )
+        if trial_span:
             end_trial_span(tracer, trial_span, trial)
         return trial, record
 
@@ -602,48 +578,16 @@ def run_supervised_campaign(
 ) -> SupervisedCampaignResult:
     """Execute ``campaign`` with the supervisor in the loop.
 
-    Deterministic under a fixed seed: every trial's injector, checkpoint
-    corruption, and persistence draw come from one forked child generator.
-    With ``workers`` > 1, trials fan out across a process pool (see
-    :func:`repro.faults.parallel.run_supervised_campaign_parallel`) with
-    byte-identical results, traced or not (worker event batches are
-    merged back in trial order; ``trace_spans`` adds the deterministic
-    campaign → trial → attempt span hierarchy).
+    The plain plan run by the campaign pipeline, whose executor hands each
+    trial's forked generator to :meth:`Supervisor.run_trial` under
+    ``config``; byte-identical at any worker count, traced or not
+    (``trace_spans`` adds the campaign → trial → attempt span hierarchy).
     """
-    if workers is not None and workers > 1:
-        from repro.faults.parallel import run_supervised_campaign_parallel
-
-        return run_supervised_campaign_parallel(
-            campaign, config=config, seed=seed, workers=workers,
-            tracer=tracer, trace_spans=trace_spans,
-        )
-    span_root = ""
-    if tracer is not None and trace_spans:
-        span_root = begin_campaign_span(tracer, campaign, seed)
-    rng = make_rng(seed)
-    if tracer is not None:
-        emit_campaign_start(tracer, campaign, supervised=True)
-    golden = run_golden(campaign, tracer=tracer)
-    supervisor = Supervisor(campaign, golden, config)
-    counts = OutcomeCounts()
-    trials: list[TrialResult] = []
-    records: list[RecoveryRecord | None] = []
-    for index, trial_rng in enumerate(fork(rng, campaign.n_trials)):
-        trial, record = supervisor.run_trial(
-            trial_rng, tracer=tracer, trial_index=index,
-            span_root=span_root,
-        )
-        counts.record(trial.outcome)
-        trials.append(trial)
-        records.append(record)
-    if tracer is not None:
-        emit_campaign_end(tracer, campaign, golden, counts)
-        if span_root:
-            end_campaign_span(tracer, span_root, campaign)
+    emitter = CampaignEmitter(tracer, campaign, seed, trace_spans)
+    result, records = run_plan(
+        campaign, plan_trials(campaign, seed), emitter, workers,
+        supervisor_config=config,
+    )
     return SupervisedCampaignResult(
-        golden=golden,
-        counts=counts,
-        trials=trials,
-        records=records,
-        config=config,
+        result.golden, result.counts, result.trials, records, config
     )

@@ -3,7 +3,7 @@
 Sharded, backpressured fleet ingestion with byte-identical decisions:
 an asyncio front-end (:class:`AsyncFleetService`) over bounded
 per-board queues, a deterministic shard router, pluggable execution
-backends (sequential / thread / forked process workers), a supervisor
+backends (sequential / forked process workers), a supervisor
 owning escalation and crash recovery across shard boundaries, and a
 seeded load generator for saturation benchmarks — all gated to produce
 per-board alarm/escalation histories byte-identical to the synchronous

@@ -1,6 +1,6 @@
 """Execution backends: where a shard's scoring actually runs.
 
-Three strategies, one contract.  A backend owns ``n_shards`` scoring
+Two strategies, one contract.  A backend owns ``n_shards`` scoring
 workers; the service calls :meth:`ShardBackend.step` with one tick's
 rows and gets a :class:`~repro.service.shard.ShardStepResult` back, and
 the per-shard call sequence is strictly ordered (the service never
@@ -8,9 +8,6 @@ pipelines two ticks of the *same* shard).  Strategies:
 
 - ``sequential`` — scorers live in-process, steps run inline on the
   event loop.  The determinism baseline.
-- ``thread`` — same in-process scorers, but the service runs each step
-  in a thread-pool executor so shards overlap during numpy sections
-  that release the GIL.
 - ``process`` — one long-lived worker process per shard (forked once,
   like the PR 7 warm pool), each holding its shard's scorer with the
   shared fitted detector copied at fork.  Tick rows travel through a
@@ -37,7 +34,7 @@ from repro.errors import ConfigError, ServiceError, ShardCrashed
 from repro.service.shard import ShardScorer, ShardState, ShardStepResult
 
 #: Recognized execution strategies.
-STRATEGIES = ("sequential", "thread", "process")
+STRATEGIES = ("sequential", "process")
 
 
 def _fork_context():
@@ -85,19 +82,14 @@ class ShardBackend:
 
 
 class InProcessBackend(ShardBackend):
-    """Scorers in this process; ``sequential`` and ``thread`` strategies
-    share it (the service decides whether steps run on an executor)."""
+    """Scorers in this process, stepped inline (``sequential``)."""
+
+    strategy = "sequential"
 
     def __init__(
-        self,
-        make_scorer: Callable[[int], ShardScorer],
-        n_shards: int,
-        strategy: str = "sequential",
+        self, make_scorer: Callable[[int], ShardScorer], n_shards: int
     ) -> None:
         super().__init__(make_scorer, n_shards)
-        if strategy not in ("sequential", "thread"):
-            raise ConfigError(f"unknown in-process strategy {strategy!r}")
-        self.strategy = strategy
         self._scorers: list[ShardScorer | None] = [None] * n_shards
 
     def start(self) -> None:
@@ -317,8 +309,8 @@ def make_backend(
     n_shards: int,
 ) -> ShardBackend:
     """Backend factory keyed by strategy name."""
-    if strategy in ("sequential", "thread"):
-        return InProcessBackend(make_scorer, n_shards, strategy=strategy)
+    if strategy == "sequential":
+        return InProcessBackend(make_scorer, n_shards)
     if strategy == "process":
         return ProcessBackend(make_scorer, n_shards)
     raise ConfigError(

@@ -64,7 +64,7 @@ class ServiceConfig:
 
     Attributes:
         n_shards: worker shards requested (clamped to fleet size).
-        strategy: execution backend — sequential | thread | process.
+        strategy: execution backend — sequential | process.
         queue_capacity: bounded per-board queue depth.
         shed_policy: what a full queue does with the next arrival.
         max_inflight_ticks: per-shard ticks sampled ahead of the
@@ -280,7 +280,7 @@ class AsyncFleetService:
         self, n_ticks: int, rate_hz: float, t_start: float
     ) -> None:
         executor = None
-        if self.service.strategy in ("thread", "process"):
+        if self.service.strategy == "process":
             executor = ThreadPoolExecutor(
                 max_workers=self.n_shards,
                 thread_name_prefix="shard-step",

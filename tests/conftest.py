@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import signal
+from contextlib import contextmanager
+
 import pytest
 
 from repro.ir.builder import IRBuilder
@@ -83,3 +86,24 @@ def fp_chain_module() -> Module:
     b.ret(out)
     verify_module(module)
     return module
+
+
+@contextmanager
+def _deadline(seconds: int):
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.fixture
+def deadline():
+    """``with deadline(s):`` fails the test, instead of hanging the suite,
+    when the body runs longer than ``s`` seconds (SIGALRM, main thread)."""
+    return _deadline

@@ -1,15 +1,24 @@
-"""Parallel campaign engine: byte-identity with the serial loop.
+"""Campaign executor: byte-identity with the inline run, and failures.
 
 The acceptance property of :mod:`repro.faults.parallel` is not "roughly
 the same counts" but **byte-identical trial sequences**: same resolved
 fault specs, same faulted values, same cycle counts, same tallies, for
-every worker count — including the ``workers=1`` in-process fallback.
+every worker count — including the ``workers=1`` in-process fallback —
+and after a pool worker dies mid-campaign.
 """
 
-import math
+import os
+import subprocess
+import sys
+import textwrap
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
+import repro
+import repro.faults.campaign as engine
+import repro.faults.parallel as par
 from repro.errors import FaultInjectionError
 from repro.faults.campaign import Campaign, run_campaign, run_golden
 from repro.faults.model import FaultTarget
@@ -20,8 +29,14 @@ from repro.faults.parallel import (
     run_campaign_parallel,
     run_supervised_campaign_parallel,
 )
+from repro.obs.events import InMemorySink, Tracer
+from repro.obs.metrics import ENGINE_METRICS
+from repro.perf.cache import GOLDEN_CACHE
+from repro.perf.pool import POOL_REGISTRY
 from repro.recover.supervisor import SupervisorConfig, run_supervised_campaign
 from repro.workloads.irprograms import PROGRAMS, build_program
+
+from tests.identity import assert_identical, stream_digest
 
 
 def _campaign(name, **kwargs):
@@ -34,23 +49,13 @@ def _campaign(name, **kwargs):
     )
 
 
-def _assert_byte_identical(a, b):
-    assert a.golden.value == b.golden.value or (
-        isinstance(a.golden.value, float) and math.isnan(a.golden.value)
-        and math.isnan(b.golden.value)
-    )
-    assert a.golden.instructions == b.golden.instructions
-    assert a.counts.counts == b.counts.counts
-    assert a.trials == b.trials
-
-
 class TestParallelDeterminism:
     @pytest.mark.parametrize("workers", [1, 2, 4])
     def test_register_target_identical(self, workers):
         campaign = _campaign("isort", n_trials=40)
         serial = run_campaign(campaign, seed=7)
         parallel = run_campaign_parallel(campaign, seed=7, workers=workers)
-        _assert_byte_identical(serial, parallel)
+        assert_identical(serial, parallel)
 
     @pytest.mark.parametrize("workers", [1, 2, 4])
     def test_memory_target_identical(self, workers):
@@ -59,7 +64,7 @@ class TestParallelDeterminism:
         )
         serial = run_campaign(campaign, seed=13)
         parallel = run_campaign_parallel(campaign, seed=13, workers=workers)
-        _assert_byte_identical(serial, parallel)
+        assert_identical(serial, parallel)
 
     def test_instrumented_module_identical(self):
         # The wire format round-trips instrumented (DMR) modules too.
@@ -76,7 +81,7 @@ class TestParallelDeterminism:
         )
         serial = run_campaign(campaign, seed=3)
         parallel = run_campaign_parallel(campaign, seed=3, workers=2)
-        _assert_byte_identical(serial, parallel)
+        assert_identical(serial, parallel)
 
     def test_explicit_chunk_size_identical(self):
         campaign = _campaign("collatz", n_trials=25)
@@ -85,13 +90,13 @@ class TestParallelDeterminism:
             parallel = run_campaign_parallel(
                 campaign, seed=5, workers=2, chunk_size=chunk_size
             )
-            _assert_byte_identical(serial, parallel)
+            assert_identical(serial, parallel)
 
     def test_run_campaign_workers_kwarg_delegates(self):
         campaign = _campaign("fib", n_trials=30)
         serial = run_campaign(campaign, seed=9)
         threaded = run_campaign(campaign, seed=9, workers=4)
-        _assert_byte_identical(serial, threaded)
+        assert_identical(serial, threaded)
 
     def test_small_campaign_uses_fallback(self):
         # Below MIN_PARALLEL_TRIALS the pool is skipped entirely, but the
@@ -100,7 +105,7 @@ class TestParallelDeterminism:
         campaign = _campaign("gcd", n_trials=n)
         serial = run_campaign(campaign, seed=2)
         parallel = run_campaign_parallel(campaign, seed=2, workers=4)
-        _assert_byte_identical(serial, parallel)
+        assert_identical(serial, parallel)
 
 
 class TestSupervisedParallel:
@@ -111,11 +116,7 @@ class TestSupervisedParallel:
         parallel = run_supervised_campaign_parallel(
             campaign, config, seed=21, workers=2
         )
-        assert serial.counts.counts == parallel.counts.counts
-        assert serial.trials == parallel.trials
-        assert len(serial.records) == len(parallel.records)
-        for a, b in zip(serial.records, parallel.records):
-            assert a == b
+        assert_identical(serial, parallel)
 
 
 class TestWireFormat:
@@ -139,33 +140,25 @@ class TestChunkHeuristic:
     def test_chunks_key_off_available_cpus_not_requested_workers(
         self, monkeypatch
     ):
-        import repro.faults.parallel as par
-
         monkeypatch.setattr(par, "available_cpus", lambda: 2)
-        rngs = list(range(64))
+        items = list(range(64))
         # 16 requested workers on a 2-CPU host: sizing must use the 2
         # effective CPUs (~4 chunks each), not 64 slivers of one.
-        chunks = par._chunk_rngs(rngs, workers=16, chunk_size=None)
+        chunks = par._chunks(items, workers=16, chunk_size=None)
         assert len(chunks) == 8
-        assert [x for chunk in chunks for x in chunk] == rngs
+        assert [x for chunk in chunks for x in chunk] == items
 
     def test_plenty_of_cpus_uses_requested_workers(self, monkeypatch):
-        import repro.faults.parallel as par
-
         monkeypatch.setattr(par, "available_cpus", lambda: 64)
-        chunks = par._chunk_rngs(list(range(64)), workers=4, chunk_size=None)
+        chunks = par._chunks(list(range(64)), workers=4, chunk_size=None)
         assert len(chunks) == 16
 
     def test_explicit_chunk_size_wins(self):
-        from repro.faults.parallel import _chunk_rngs
-
-        chunks = _chunk_rngs(list(range(10)), workers=4, chunk_size=3)
+        chunks = par._chunks(list(range(10)), workers=4, chunk_size=3)
         assert [len(c) for c in chunks] == [3, 3, 3, 1]
 
     def test_available_cpus_positive(self):
-        from repro.faults.parallel import available_cpus
-
-        assert available_cpus() >= 1
+        assert par.available_cpus() >= 1
 
 
 class TestWarmPoolReuse:
@@ -176,12 +169,101 @@ class TestWarmPoolReuse:
         first = run_campaign_parallel(campaign, seed=31, workers=2)
         reused_before = ENGINE_METRICS.counter("warm_pool.reused").value
         second = run_campaign_parallel(campaign, seed=31, workers=2)
-        _assert_byte_identical(first, second)
+        assert_identical(first, second)
         reused_after = ENGINE_METRICS.counter("warm_pool.reused").value
         if reused_after == reused_before:
             # Pool creation failed on this host (no semaphores): the
             # in-process fallback must still have produced identical
             # results above; nothing more to assert.
-            from repro.perf.pool import POOL_REGISTRY
-
             assert len(POOL_REGISTRY) == 0
+
+
+def _traced(campaign, **kwargs):
+    GOLDEN_CACHE.clear()  # golden-cache hits are part of the stream
+    sink = InMemorySink()
+    result = run_campaign(
+        campaign, seed=1, tracer=Tracer(sink), trace_spans=True, **kwargs
+    )
+    return result, stream_digest(sink.records)
+
+
+class TestWorkerFailures:
+    """A lost worker recovers byte-identically; a raising one surfaces."""
+
+    def test_killed_worker_reruns_dispatch_inline(self, monkeypatch, deadline):
+        campaign = _campaign("dot", n_trials=400)
+        expected, expected_stream = _traced(campaign)
+        # The next pool forks with the patch in place; the parent's own
+        # (inline) re-run is exempt.
+        POOL_REGISTRY.clear()
+        parent, real = os.getpid(), engine.run_trial
+
+        def dies_in_worker(*args, **kwargs):
+            if kwargs.get("trial_index") == 201 and os.getpid() != parent:
+                os._exit(9)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(engine, "run_trial", dies_in_worker)
+        created = ENGINE_METRICS.counter("warm_pool.created").value
+        lost = ENGINE_METRICS.counter("warm_pool.workers_lost").value
+        with deadline(60):
+            result, stream = _traced(campaign, workers=2)
+        assert_identical(result, expected)
+        assert stream == expected_stream
+        assert len(POOL_REGISTRY) == 0  # the broken pool was discarded
+        pooled = ENGINE_METRICS.counter("warm_pool.created").value > created
+        lost_now = ENGINE_METRICS.counter("warm_pool.workers_lost").value
+        assert lost_now == lost + pooled
+
+    @pytest.mark.parametrize("where", ["warm-start", "trial"])
+    def test_worker_exception_surfaces(self, where, monkeypatch, deadline):
+        POOL_REGISTRY.clear()
+        if where == "warm-start":
+            # A golden run the worker cannot reproduce.
+            real_wire = WireCampaign.from_campaign
+            monkeypatch.setattr(WireCampaign, "from_campaign", classmethod(
+                lambda cls, c, g: replace(
+                    real_wire(c, g), golden_instructions=g.instructions + 1
+                )
+            ))
+        else:
+            parent, real = os.getpid(), engine.run_trial
+
+            def raises_in_worker(*args, **kwargs):
+                if os.getpid() != parent:
+                    raise FaultInjectionError("trial failed in a worker")
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(engine, "run_trial", raises_in_worker)
+        created = ENGINE_METRICS.counter("warm_pool.created").value
+        try:
+            with deadline(60):
+                run_campaign(_campaign("gcd", n_trials=40), seed=3, workers=2)
+            raised = False
+        except FaultInjectionError:
+            raised = True
+        # Hosts that cannot fork a pool run inline, where nothing fails.
+        pooled = ENGINE_METRICS.counter("warm_pool.created").value > created
+        assert raised == pooled
+        assert len(POOL_REGISTRY) == 0
+
+    def test_pooled_campaigns_leave_stderr_empty(self):
+        code = textwrap.dedent("""
+            from repro.faults.campaign import Campaign, run_campaign
+            from repro.workloads.irprograms import PROGRAMS, build_program
+
+            for name in ("gcd", "fact", "dot", "gcd"):
+                campaign = Campaign(
+                    module=build_program(name), func_name=name,
+                    args=PROGRAMS[name].default_args, n_trials=40,
+                )
+                run_campaign(campaign, seed=5, workers=2)
+        """)
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True,
+            text=True, timeout=120,
+        )
+        assert proc.returncode == 0
+        assert proc.stderr == ""

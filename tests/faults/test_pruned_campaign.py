@@ -3,8 +3,8 @@
 ``run_campaign_pruned`` skips trials the masking analysis proves
 bit-identical to the golden run and reconstructs their records.  The
 contract is *exact* equality with ``run_campaign`` at the same seed —
-trial by trial, count by count — across the serial, lockstep, parallel
-and traced execution paths.
+trial by trial, count by count — across the inline, parallel and traced
+execution paths.  Trials are compared bitwise (:mod:`tests.identity`).
 """
 
 from __future__ import annotations
@@ -26,6 +26,12 @@ from repro.faults.outcomes import FaultOutcome
 from repro.obs.events import InMemorySink, Tracer
 from repro.obs.report import summarize
 from repro.workloads.irprograms import build_program
+
+from tests.identity import (
+    assert_identical,
+    assert_trials_identical,
+    stream_digest,
+)
 
 SEED = 11
 N_TRIALS = 80
@@ -54,10 +60,7 @@ def test_pruned_equals_full_serial(name, level):
     campaign = _campaign(name, level)
     base = run_campaign(campaign, seed=SEED)
     pruned = run_campaign_pruned(campaign, seed=SEED)
-    assert pruned.trials == base.trials
-    assert pruned.counts.as_dict() == base.counts.as_dict()
-    assert pruned.golden.value == base.golden.value
-    assert pruned.golden.cycles == base.golden.cycles
+    assert_identical(pruned, base)
 
 
 def test_prune_rate_is_substantial():
@@ -88,24 +91,11 @@ def test_pruned_trials_reconstruct_golden_records():
             assert trial.cycles == result.golden.cycles
 
 
-def test_pruned_lockstep_equals_serial():
-    campaign = _campaign("gcd", ProtectionLevel.FULL_DMR)
-    base = run_campaign(campaign, seed=SEED)
-    pruned = run_campaign_pruned(campaign, seed=SEED, lockstep=True)
-    assert pruned.trials == base.trials
-    assert pruned.counts.as_dict() == base.counts.as_dict()
-
-
 def test_pruned_parallel_equals_serial():
     campaign = _campaign("gcd", ProtectionLevel.FULL_DMR)
     serial = run_campaign_pruned(campaign, seed=SEED)
     parallel = run_campaign_pruned(campaign, seed=SEED, workers=2)
-    assert parallel.trials == serial.trials
-    assert parallel.counts.as_dict() == serial.counts.as_dict()
-    lockstep = run_campaign_pruned(
-        campaign, seed=SEED, workers=2, lockstep=True
-    )
-    assert lockstep.trials == serial.trials
+    assert_identical(parallel, serial)
 
 
 def test_precomputed_plan_and_report_are_honored():
@@ -116,7 +106,7 @@ def test_precomputed_plan_and_report_are_honored():
     assert plan.trials == fresh.trials
     result = run_campaign_pruned(campaign, seed=SEED, plan=plan)
     base = run_campaign(campaign, seed=SEED)
-    assert result.trials == base.trials
+    assert_trials_identical(result.trials, base.trials)
 
 
 def test_traced_pruned_campaign_emits_identical_tallies():
@@ -147,7 +137,7 @@ def test_traced_pruned_campaign_emits_identical_tallies():
         run_campaign_pruned(
             campaign, seed=SEED, plan=plan, tracer=tracer, workers=2
         )
-    assert sink2.events == sink.events
+    assert stream_digest(sink2.records) == stream_digest(sink.records)
 
 
 def test_memory_target_is_rejected():

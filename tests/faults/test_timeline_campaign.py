@@ -19,6 +19,8 @@ from repro.radiation.schedule import (
 from repro.rng import make_rng
 from repro.workloads.irprograms import PROGRAMS, build_program
 
+from tests.identity import assert_identical
+
 WINDOW_S = 1_800.0
 ONSET_S = 600.0
 
@@ -120,6 +122,4 @@ class TestSerialParallelByteIdentity:
         )
         assert np.array_equal(serial.arrivals, parallel.arrivals)
         assert serial.phases == parallel.phases
-        assert serial.result.golden.value == parallel.result.golden.value
-        assert serial.result.counts.counts == parallel.result.counts.counts
-        assert serial.result.trials == parallel.result.trials
+        assert_identical(serial.result, parallel.result)

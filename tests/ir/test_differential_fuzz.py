@@ -1,14 +1,13 @@
 """Property-based differential testing of every execution tier.
 
 Hypothesis generates random programs and random SEUs, then routes each
-case through all four execution engines:
+case through every execution tier:
 
 1. :class:`repro.ir.refinterp.ReferenceInterpreter` — the oracle;
 2. the fast path (per-step dispatch, hook always consulted);
-3. the superblock path (``hook_index`` lets pre-window blocks batch);
-4. batched lockstep lanes (:mod:`repro.ir.lockstep`).
+3. the superblock path (``hook_index`` lets pre-window blocks batch).
 
-All four must agree exactly on outcome (status, value, trap reason),
+All three must agree exactly on outcome (status, value, trap reason),
 fuel (dynamic instruction and cycle counts) and live register state —
 the environment snapshot probed at a random dynamic index.
 """
@@ -22,7 +21,6 @@ from hypothesis import given, settings, strategies as st
 from repro.faults.model import FaultSpec, FaultTarget
 from repro.faults.seu import RegisterFaultInjector
 from repro.ir.interp import Interpreter
-from repro.ir.lockstep import run_lockstep, start_lane
 from repro.ir.refinterp import ReferenceInterpreter
 from repro.rng import make_rng
 
@@ -81,16 +79,9 @@ def test_random_seu_agrees_across_all_tiers(case, seed):
     batched = Interpreter(
         module, fuel=fuel, step_hook=injector(), hook_index=index
     ).run("f", args)
-    (lane_result,) = run_lockstep([
-        start_lane(
-            module, "f", args, fuel=fuel, step_hook=injector(),
-            hook_index=index,
-        )
-    ])
 
     _assert_same_execution(fast, oracle)
     _assert_same_execution(batched, oracle)
-    _assert_same_execution(lane_result, oracle)
 
 
 @settings(max_examples=25, deadline=None)
@@ -100,21 +91,15 @@ def test_register_state_agrees_at_random_probe_point(case, seed):
     golden = ReferenceInterpreter(module).run("f", args)
     index = int(make_rng(seed).integers(max(1, golden.instructions)))
 
-    probes = [_EnvProbe(index) for _ in range(4)]
+    probes = [_EnvProbe(index) for _ in range(3)]
     oracle = ReferenceInterpreter(module, step_hook=probes[0]).run("f", args)
     fast = Interpreter(module, step_hook=probes[1]).run("f", args)
     batched = Interpreter(
         module, step_hook=probes[2], hook_index=index
     ).run("f", args)
-    (lane_result,) = run_lockstep([
-        start_lane(
-            module, "f", args, step_hook=probes[3], hook_index=index
-        )
-    ])
 
     _assert_same_execution(fast, oracle)
     _assert_same_execution(batched, oracle)
-    _assert_same_execution(lane_result, oracle)
     assert probes[0].env is not None
     for probe in probes[1:]:
         assert probe.env == probes[0].env
@@ -126,39 +111,4 @@ def test_fuel_exhaustion_agrees_across_all_tiers(case, fuel):
     module, args = case
     oracle = ReferenceInterpreter(module, fuel=fuel).run("f", args)
     fast = Interpreter(module, fuel=fuel).run("f", args)
-    (lane_result,) = run_lockstep([
-        start_lane(module, "f", args, fuel=fuel)
-    ])
     _assert_same_execution(fast, oracle)
-    _assert_same_execution(lane_result, oracle)
-
-
-@settings(max_examples=20, deadline=None)
-@given(PROGRAMS, st.integers(0, 2**32 - 1), st.integers(2, 8))
-def test_lockstep_batch_equals_standalone_runs(case, seed, width):
-    """A whole batch of distinct SEUs: every lane equals its solo run."""
-    module, args = case
-    golden = ReferenceInterpreter(module).run("f", args)
-    fuel = golden.instructions * 50 + 2_000
-    rng = make_rng(seed)
-    indices = [
-        int(rng.integers(max(1, golden.instructions))) for _ in range(width)
-    ]
-
-    solos = []
-    for lane_no, index in enumerate(indices):
-        spec = FaultSpec(target=FaultTarget.REGISTER, dynamic_index=index)
-        hook = RegisterFaultInjector(spec, seed=make_rng(seed * 1009 + lane_no))
-        solos.append(Interpreter(
-            module, fuel=fuel, step_hook=hook, hook_index=index
-        ).run("f", args))
-
-    lanes = []
-    for lane_no, index in enumerate(indices):
-        spec = FaultSpec(target=FaultTarget.REGISTER, dynamic_index=index)
-        hook = RegisterFaultInjector(spec, seed=make_rng(seed * 1009 + lane_no))
-        lanes.append(start_lane(
-            module, "f", args, fuel=fuel, step_hook=hook, hook_index=index
-        ))
-    for lane_result, solo in zip(run_lockstep(lanes), solos):
-        _assert_same_execution(lane_result, solo)

@@ -1,25 +1,13 @@
-"""Warm-pool registry, trial codec and shared-memory buffers."""
+"""Warm-pool registry and lost-worker detection."""
 
-import math
+import os
 
-import numpy as np
 import pytest
 
 import repro.perf.pool as pool_mod
-from repro.faults.model import FaultSpec, FaultTarget
-from repro.faults.outcomes import FaultOutcome, TrialResult
+from repro.errors import WorkerLost
 from repro.obs.metrics import ENGINE_METRICS
-from repro.perf.pool import (
-    PoolRegistry,
-    TRIAL_DTYPE,
-    TrialBuffer,
-    adaptive_chunk_size,
-    chunk_offsets,
-    decode_trial,
-    encode_trial,
-    site_table,
-)
-from repro.workloads.irprograms import build_program
+from repro.perf.pool import PoolRegistry
 
 
 class _FakePool:
@@ -101,140 +89,27 @@ class TestPoolRegistry:
             PoolRegistry(max_pools=0)
 
 
-def _trial(**overrides):
-    base = dict(
-        spec=FaultSpec(
-            target=FaultTarget.REGISTER, dynamic_index=123,
-            location="v7", bit=13,
-        ),
-        outcome=FaultOutcome.SDC,
-        value=42,
-        rel_error=0.5,
-        cycles=9001,
-    )
-    base.update(overrides)
-    return TrialResult(**base)
+def _double(chunk):
+    return [2 * x for x in chunk]
 
 
-class TestTrialCodec:
-    SITES = ["a", "b", "v7"]
-
-    def _round_trip(self, trial):
-        row = np.zeros(1, dtype=TRIAL_DTYPE)[0]
-        site_index = {name: i for i, name in enumerate(self.SITES)}
-        assert encode_trial(row, trial, site_index)
-        return decode_trial(row, self.SITES)
-
-    def test_register_trial_round_trips(self):
-        trial = _trial()
-        assert self._round_trip(trial) == trial
-
-    def test_memory_trial_with_address_location(self):
-        trial = _trial(spec=FaultSpec(
-            target=FaultTarget.MEMORY, dynamic_index=7, location=100, bit=3,
-        ))
-        assert self._round_trip(trial) == trial
-
-    def test_none_fields_round_trip(self):
-        trial = _trial(
-            spec=FaultSpec(target=FaultTarget.REGISTER, dynamic_index=0),
-            value=None, outcome=FaultOutcome.HANG,
-        )
-        assert self._round_trip(trial) == trial
-
-    def test_float_value_round_trips(self):
-        trial = _trial(value=math.pi, outcome=FaultOutcome.BENIGN)
-        assert self._round_trip(trial) == trial
-
-    def test_nan_and_inf_round_trip(self):
-        for value in (math.nan, math.inf, -math.inf):
-            decoded = self._round_trip(_trial(value=value))
-            if math.isnan(value):
-                assert math.isnan(decoded.value)
-            else:
-                assert decoded.value == value
-
-    def test_inf_rel_error_round_trips(self):
-        decoded = self._round_trip(_trial(rel_error=math.inf))
-        assert decoded.rel_error == math.inf
-
-    def test_every_outcome_and_target_round_trips(self):
-        for outcome in FaultOutcome:
-            for target in FaultTarget:
-                trial = _trial(
-                    spec=FaultSpec(target=target, dynamic_index=1),
-                    outcome=outcome,
-                )
-                assert self._round_trip(trial) == trial
-
-    def test_int64_overflow_needs_override(self):
-        row = np.zeros(1, dtype=TRIAL_DTYPE)[0]
-        assert not encode_trial(row, _trial(value=1 << 63), {"v7": 2})
-
-    def test_unknown_site_needs_override(self):
-        row = np.zeros(1, dtype=TRIAL_DTYPE)[0]
-        trial = _trial(spec=FaultSpec(
-            target=FaultTarget.REGISTER, dynamic_index=1, location="ghost",
-        ))
-        assert not encode_trial(row, trial, {"v7": 2})
-
-    def test_int64_boundaries_round_trip(self):
-        for value in (-(1 << 63), (1 << 63) - 1):
-            assert self._round_trip(_trial(value=value)).value == value
+def _exit_in_worker(chunk):
+    os._exit(3)
 
 
-class TestSiteTable:
-    def test_table_is_sorted_and_stable_across_round_trip(self):
-        from repro.ir.parser import parse_module
-        from repro.ir.printer import print_module
-
-        module = build_program("isort")
-        table = site_table(module)
-        assert table == sorted(table)
-        reparsed = parse_module(print_module(module), name=module.name)
-        assert site_table(reparsed) == table
-
-    def test_table_covers_args(self):
-        module = build_program("fact")
-        args = [a.name for a in module.function("fact").args]
-        assert set(args) <= set(site_table(module))
-
-
-class TestTrialBuffer:
-    def test_create_attach_round_trip(self):
-        buffer = TrialBuffer.create(4)
-        if buffer is None:
-            pytest.skip("shared memory unavailable on this host")
+class TestWorkerLoss:
+    def test_map_raises_instead_of_hanging_when_a_worker_dies(
+        self, deadline
+    ):
+        registry = PoolRegistry(max_pools=1)
+        pool = registry.get(("loss",), 2, None, ())
+        if pool is None:
+            pytest.skip("process pools unavailable on this host")
+        lost = ENGINE_METRICS.counter("warm_pool.workers_lost").value
         try:
-            trial = _trial(spec=FaultSpec(
-                target=FaultTarget.MEMORY, dynamic_index=5, location=9, bit=1,
-            ))
-            assert encode_trial(buffer.array[2], trial, {})
-            attached = TrialBuffer.attach(buffer.name, 4)
-            decoded = decode_trial(attached.array[2], [])
-            attached.close()
-            assert decoded == trial
+            assert pool.map(_double, [[1], [2, 3]]) == [[2], [4, 6]]
+            with deadline(10), pytest.raises(WorkerLost):
+                pool.map(_exit_in_worker, [[1], [2]])
         finally:
-            buffer.close()
-            buffer.unlink()
-
-    def test_zero_trials_buffer(self):
-        buffer = TrialBuffer.create(0)
-        if buffer is None:
-            pytest.skip("shared memory unavailable on this host")
-        assert len(buffer.array) == 0
-        buffer.close()
-        buffer.unlink()
-
-
-class TestChunkHelpers:
-    def test_chunk_offsets(self):
-        assert chunk_offsets([[1, 2], [3], [], [4, 5, 6]]) == [0, 2, 3, 3]
-
-    def test_adaptive_chunk_size_targets_four_per_worker(self):
-        assert adaptive_chunk_size(100, 5) == 5
-        assert adaptive_chunk_size(7, 4) == 1
-        assert adaptive_chunk_size(1000, 1) == 250
-
-    def test_adaptive_chunk_size_never_zero(self):
-        assert adaptive_chunk_size(0, 8) == 1
+            registry.clear()
+        assert ENGINE_METRICS.counter("warm_pool.workers_lost").value > lost

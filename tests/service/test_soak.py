@@ -133,13 +133,6 @@ class TestShardedByteIdentity:
         assert service.alarm_times() == alarms
         assert service.reboot_times() == reboots
 
-    def test_thread_backend_identity(self, detector, reference):
-        _, alarms, reboots = reference
-        service = _async_service(detector, n_shards=4, strategy="thread")
-        service.run(duration_s=DURATION_S, rate_hz=RATE_HZ)
-        assert service.alarm_times() == alarms
-        assert service.reboot_times() == reboots
-
 
 class TestCrashRecovery:
     @pytest.mark.parametrize("strategy", ["sequential", "process"])

@@ -7,7 +7,9 @@ measures, per workload × protection level:
 
 * the static proven-benign mass and the AVF upper bound;
 * the realized prune rate over an actual campaign's trial draws;
-* wall-clock speedup of the pruned campaign;
+* wall-clock speedup of the pruned campaign, its planning (masking
+  analysis and golden replay) included, as ``run_campaign_pruned``
+  callers pay it;
 
 and asserts the contract that makes pruning admissible at all — the
 pruned campaign's outcome counts are *byte-identical* to the full
@@ -72,8 +74,9 @@ def measurements():
     for name in WORKLOADS:
         for level in LEVELS:
             campaign = _campaign(name, level)
-            report = analyze_masking(campaign.module)
-            fm = report.for_function(name)
+            # Untimed: the census behind these numbers is computed on
+            # first read, which pruning never does.
+            fm = analyze_masking(campaign.module).for_function(name)
             total = sum(fm.counts.values())
             proven = sum(
                 n for cls, n in fm.counts.items() if cls in PROVEN_BENIGN
@@ -83,8 +86,10 @@ def measurements():
             base = run_campaign(campaign, seed=SEED)
             t_full = time.perf_counter() - t0
 
+            # Planning analyses the module itself, as in a campaign
+            # called without a report or plan.
             t0 = time.perf_counter()
-            plan = prune_masked_trials(campaign, seed=SEED, report=report)
+            plan = prune_masked_trials(campaign, seed=SEED)
             pruned = run_campaign_pruned(campaign, seed=SEED, plan=plan)
             t_pruned = time.perf_counter() - t0
 
@@ -106,7 +111,8 @@ def measurements():
 
 def test_e17_masking_prune_rates(measurements, benchmark):
     campaign = _campaign("gcd", ProtectionLevel.FULL_DMR)
-    benchmark(analyze_masking, campaign.module)
+    # The full report: the dataflow plus the census it renders.
+    benchmark(lambda: analyze_masking(campaign.module).as_dict())
 
     table = fmt_table(
         ["program", "level", "static proven", "avf ub", "prune rate",

@@ -38,13 +38,13 @@ positions, floats and pointers a full 64-bit register.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 from repro.analysis.bitclass import demanded_bits, known_bits
 from repro.analysis.liveness import liveness
 from repro.analysis.reaching import reaching_definitions
 from repro.core.dmr.instrument import _DUP_SUFFIX
-from repro.ir.block import BasicBlock
 from repro.ir.cfg import successors
 from repro.ir.function import Function
 from repro.ir.instructions import (
@@ -326,11 +326,50 @@ class FunctionMasking:
     windows: dict[str, _Window]
     phi_names: frozenset[str]
     reach_at: dict[tuple[str, int], frozenset[str]]
-    #: (mask class -> count) over the full static enumeration.
-    counts: dict[MaskClass, int] = field(default_factory=dict)
-    #: bit-class string -> (mask class -> count).
-    class_counts: dict[str, dict[MaskClass, int]] = field(default_factory=dict)
-    avf_upper_bound: float = 1.0
+
+    @cached_property
+    def _census(
+        self,
+    ) -> tuple[dict[MaskClass, int], dict[str, dict[MaskClass, int]]]:
+        """Classify every (point, reaching site, bit) once, on first read.
+
+        The campaign planner asks :meth:`classify` about single trials and
+        never reads these totals, so it never pays for the enumeration.
+        """
+        counts: dict[MaskClass, int] = {cls: 0 for cls in MaskClass}
+        class_counts: dict[str, dict[MaskClass, int]] = {}
+        for (block, body_index), sites in self.reach_at.items():
+            for site in sorted(sites):
+                type_ = self.types.get(site)
+                if type_ is None:
+                    continue
+                for bit in range(injectable_width(type_)):
+                    verdict = self.classify(block, body_index, site, bit)
+                    counts[verdict] += 1
+                    key = bit_class(type_, bit)
+                    bucket = class_counts.get(key)
+                    if bucket is None:
+                        bucket = class_counts[key] = {
+                            cls: 0 for cls in MaskClass
+                        }
+                    bucket[verdict] += 1
+        return counts, class_counts
+
+    @property
+    def counts(self) -> dict[MaskClass, int]:
+        """(mask class -> count) over the full static enumeration."""
+        return self._census[0]
+
+    @property
+    def class_counts(self) -> dict[str, dict[MaskClass, int]]:
+        """bit-class string -> (mask class -> count)."""
+        return self._census[1]
+
+    @property
+    def avf_upper_bound(self) -> float:
+        """Fraction of enumerated site-bits not proven benign."""
+        total = sum(self.counts.values())
+        return self.counts[MaskClass.POSSIBLY_ACE] / total if total else 0.0
 
     def width_of(self, site: str) -> int:
         return injectable_width(self.types[site])
@@ -410,7 +449,7 @@ def _analyze_function(func: Function) -> FunctionMasking:
         phi.name for block in func.blocks for phi in block.phis
     )
 
-    masking = FunctionMasking(
+    return FunctionMasking(
         func=func,
         types=types,
         live_before=live_before,
@@ -420,29 +459,6 @@ def _analyze_function(func: Function) -> FunctionMasking:
         phi_names=phi_names,
         reach_at=reach_at,
     )
-
-    counts: dict[MaskClass, int] = {cls: 0 for cls in MaskClass}
-    class_counts: dict[str, dict[MaskClass, int]] = {}
-    for (block, body_index), sites in reach_at.items():
-        for site in sorted(sites):
-            type_ = types.get(site)
-            if type_ is None:
-                continue
-            width = injectable_width(type_)
-            for bit in range(width):
-                verdict = masking.classify(block, body_index, site, bit)
-                counts[verdict] += 1
-                bucket = class_counts.setdefault(
-                    bit_class(type_, bit), {cls: 0 for cls in MaskClass}
-                )
-                bucket[verdict] += 1
-    total = sum(counts.values())
-    masking.counts = counts
-    masking.class_counts = class_counts
-    masking.avf_upper_bound = (
-        counts[MaskClass.POSSIBLY_ACE] / total if total else 0.0
-    )
-    return masking
 
 
 @dataclass

@@ -54,7 +54,7 @@ from repro.obs.events import (
     TrialStart,
 )
 from repro.obs.spans import ROOT, SpanEnd, SpanStart, campaign_root, span_id
-from repro.perf.cache import GOLDEN_CACHE
+from repro.perf.cache import GOLDEN_CACHE, module_fingerprint
 from repro.rng import fork, make_rng
 
 
@@ -674,6 +674,25 @@ class PrunedTrials:
         return self.n_pruned / len(self.trials)
 
 
+def _check_report_module(
+    campaign: Campaign, report: "MaskingReport"  # noqa: F821
+) -> None:
+    """Refuse a masking report built for a module other than the campaign's.
+
+    Its verdicts name blocks and registers of that other module, so
+    pruning with them would skip trials that can fail.  A report of a
+    clone with identical printed IR classifies every point the same way
+    and is accepted.
+    """
+    if report.module is campaign.module:
+        return
+    if module_fingerprint(report.module) != module_fingerprint(campaign.module):
+        raise FaultInjectionError(
+            f"masking report of module {report.module.name!r} does not "
+            f"match the IR of campaign module {campaign.module.name!r}"
+        )
+
+
 class _TrialPlanner:
     """Step hook that resolves every trial's fault in one golden replay.
 
@@ -764,6 +783,9 @@ def prune_masked_trials(
     never fire are marked ``pruned``; the rest, CHECK_MASKED included
     (benign or detected depending on dynamic values), must execute.
 
+    A passed ``report`` must analyse the campaign's module or a clone
+    with identical printed IR; another module's report raises
+    :class:`~repro.errors.FaultInjectionError` instead of mis-pruning.
     Register campaigns only: heap faults have no masking analysis.
     """
     from repro.analysis.masking import EXACT_BENIGN, MaskClass, analyze_masking
@@ -774,6 +796,8 @@ def prune_masked_trials(
             f"{campaign.target.value} — the masking analysis proves "
             f"register faults benign, not heap faults"
         )
+    if report is not None:
+        _check_report_module(campaign, report)
     golden = run_golden(campaign)
     requests = [
         (int(planned.rng.integers(golden.instructions)), planned.rng)
@@ -870,8 +894,18 @@ def run_campaign_pruned(
 
     Pass a precomputed ``plan`` (from :func:`prune_masked_trials`) to
     amortize planning across repeat campaigns, or a ``report`` to reuse
-    one module's masking analysis.
+    one module's masking analysis.  Either must come from this
+    campaign's module (or an identical-IR clone of it), and a plan must
+    hold ``campaign.n_trials`` trials; otherwise
+    :class:`~repro.errors.FaultInjectionError` is raised.
     """
+    if plan is not None:
+        _check_report_module(campaign, plan.report)
+        if len(plan.trials) != campaign.n_trials:
+            raise FaultInjectionError(
+                f"pruning plan holds {len(plan.trials)} trials, campaign "
+                f"@{campaign.func_name} asks for {campaign.n_trials}"
+            )
     emitter = CampaignEmitter(tracer, campaign, seed, trace_spans)
     if plan is None:
         plan = prune_masked_trials(campaign, seed, report=report)

@@ -15,6 +15,9 @@ run (same value, cycles and instruction count) — that is what lets
 
 from __future__ import annotations
 
+import hashlib
+import json
+
 import pytest
 
 from repro.analysis.masking import (
@@ -225,3 +228,38 @@ def test_report_shapes():
         assert 0.0 <= entry["avf_upper_bound"] <= 1.0
     text = report.render()
     assert "gcd" in text and "avf" in text.lower()
+
+
+#: SHA-256 of ``json.dumps(report.as_dict(), sort_keys=True)`` for E17's
+#: programs at each of its levels, taken before the census (counts,
+#: class_counts, AVF bound) moved to first read.  Computing it lazily
+#: must not change a single number.
+CENSUS_DIGESTS = [
+    ("fact", "none", "dd30e77e7296736b3ec8bea859a207810b581fe5f74b8286e02e3421222af6b5"),
+    ("fact", "bb-cfi", "1b49136c720259bdfbd4007df41770c7b938c0449b173d8340538d14aae4f50f"),
+    ("fact", "full-dmr", "d7399865d4a00ee77ffdcb5e77b57bfff6823c8290e2e05378322f2c518ea042"),
+    ("gcd", "none", "ae5ef7731ae6ccc35e81739ab5beaa6492c30eaf24b4d28215be960efe43c1b3"),
+    ("gcd", "bb-cfi", "6d68a197d876662223fd0c7566dba43d6191da5fa682d6320924cda64f16de1f"),
+    ("gcd", "full-dmr", "1b855b9cf87f0e41ae40a35adbcca91f18056720ff91e84180d2bd6ee5b80c23"),
+    ("checksum", "none", "55e28b0ddc8f406aa5cf06cdf66b69cdbe990cdc60b1dd65fd8101d98a83b516"),
+    ("checksum", "bb-cfi", "bc87c66a88f22a033cb2628431cab701397b3ae17b0d9f39822b478573f7f740"),
+    ("checksum", "full-dmr", "9ea87ed427f27b928fac2e7bac8c5e462817186e026885c3f902041b0f2107f0"),
+    ("dot", "none", "926d73cf92baa8e4b503d0780791e2e37f99388dc194cac17cecd8dac451ba84"),
+    ("dot", "bb-cfi", "a3f0ef2d2f9b43ccc655970261e44148fb2c6391f12da7ac7ee889cc5f1f6b61"),
+    ("dot", "full-dmr", "26f58b508ce9d828713269f1b4b96099022773e6de09fb5e17623f0a75ad297f"),
+    ("horner", "none", "fadcd45d567be277eac2bde56072bac1cbd0648da985e6349ca6ce0855671514"),
+    ("horner", "bb-cfi", "28ceb52d5425e375183ec53079b0e3196a8adbb988447817c2d26d7b7dedb16e"),
+    ("horner", "full-dmr", "0047d57b242ed1c5ce80ba815c503b3a7bdb12a76f9a7b0537d251698a3dbde6"),
+    ("fmul_chain", "none", "2c51a6873169dcb4f74d15bd65ed0eaa73618d5a8ff1a0509f54681ca4d71277"),
+    ("fmul_chain", "bb-cfi", "c69b954e12d61612f951df15652d6d4077faf0832c0510c576bfd93eac28b412"),
+    ("fmul_chain", "full-dmr", "992db53e68c401601bd26cd73aef9ef8147906483c5be0cc44911398dabb7a20"),
+]
+
+
+@pytest.mark.parametrize("name,level,digest", CENSUS_DIGESTS)
+def test_census_is_pinned(name, level, digest):
+    module = build_program(name)
+    if level != ProtectionLevel.NONE.value:
+        module, _plans = instrument_module(module, ProtectionLevel(level))
+    data = json.dumps(analyze_masking(module).as_dict(), sort_keys=True)
+    assert hashlib.sha256(data.encode()).hexdigest() == digest

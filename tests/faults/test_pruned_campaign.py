@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.analysis.masking import MaskClass, analyze_masking
+from repro.analysis.masking import FunctionMasking, MaskClass, analyze_masking
 from repro.core.dmr import ProtectionLevel, instrument_module
 from repro.errors import FaultInjectionError
 from repro.faults.campaign import (
@@ -23,6 +23,8 @@ from repro.faults.campaign import (
 )
 from repro.faults.model import FaultTarget
 from repro.faults.outcomes import FaultOutcome
+from repro.ir.parser import parse_module
+from repro.ir.printer import print_module
 from repro.obs.events import InMemorySink, Tracer
 from repro.obs.report import summarize
 from repro.workloads.irprograms import build_program
@@ -31,6 +33,7 @@ from tests.identity import (
     assert_identical,
     assert_trials_identical,
     stream_digest,
+    trials_digest,
 )
 
 SEED = 11
@@ -107,6 +110,76 @@ def test_precomputed_plan_and_report_are_honored():
     result = run_campaign_pruned(campaign, seed=SEED, plan=plan)
     base = run_campaign(campaign, seed=SEED)
     assert_trials_identical(result.trials, base.trials)
+
+
+@pytest.mark.parametrize(
+    "campaign_level,report_level",
+    [
+        (ProtectionLevel.NONE, ProtectionLevel.FULL_DMR),
+        (ProtectionLevel.FULL_DMR, ProtectionLevel.NONE),
+    ],
+)
+def test_report_of_another_module_is_rejected(campaign_level, report_level):
+    campaign = _campaign("gcd", campaign_level)
+    report = analyze_masking(_campaign("gcd", report_level).module)
+    with pytest.raises(FaultInjectionError, match="does not match"):
+        prune_masked_trials(campaign, seed=SEED, report=report)
+    with pytest.raises(FaultInjectionError, match="does not match"):
+        run_campaign_pruned(campaign, seed=SEED, report=report)
+
+
+def test_plan_of_another_campaign_is_rejected():
+    campaign = _campaign("gcd", ProtectionLevel.FULL_DMR)
+    other = prune_masked_trials(
+        _campaign("gcd", ProtectionLevel.NONE), seed=SEED
+    )
+    with pytest.raises(FaultInjectionError, match="does not match"):
+        run_campaign_pruned(campaign, seed=SEED, plan=other)
+    short = prune_masked_trials(
+        _campaign("gcd", ProtectionLevel.FULL_DMR, n_trials=N_TRIALS // 2),
+        seed=SEED,
+    )
+    with pytest.raises(FaultInjectionError, match="trials"):
+        run_campaign_pruned(campaign, seed=SEED, plan=short)
+
+
+def test_report_and_plan_of_an_equal_ir_clone_are_accepted():
+    campaign = _campaign("gcd", ProtectionLevel.FULL_DMR)
+    clone = parse_module(print_module(campaign.module), name="clone")
+    assert clone is not campaign.module
+    base = trials_digest(run_campaign(campaign, seed=SEED))
+    report = analyze_masking(clone)
+    assert trials_digest(
+        run_campaign_pruned(campaign, seed=SEED, report=report)
+    ) == base
+    plan = prune_masked_trials(
+        Campaign(module=clone, func_name=campaign.func_name,
+                 args=campaign.args, n_trials=campaign.n_trials),
+        seed=SEED,
+    )
+    assert trials_digest(
+        run_campaign_pruned(campaign, seed=SEED, plan=plan)
+    ) == base
+
+
+@pytest.mark.parametrize(
+    "level",
+    [ProtectionLevel.NONE, ProtectionLevel.BB_CFI, ProtectionLevel.FULL_DMR],
+)
+def test_pruning_never_computes_the_census(monkeypatch, level):
+    """Planning reads ``classify`` only; the per-(point, site, bit) census
+    behind ``counts``/``class_counts``/``avf_upper_bound`` stays unpaid."""
+    def census(_self):
+        raise AssertionError("pruning computed the masking census")
+
+    monkeypatch.setattr(FunctionMasking, "_census", property(census))
+    campaign = _campaign("gcd", level)
+    pruned = run_campaign_pruned(campaign, seed=SEED)
+    assert trials_digest(pruned) == trials_digest(
+        run_campaign(campaign, seed=SEED)
+    )
+    with pytest.raises(AssertionError, match="census"):
+        analyze_masking(campaign.module).as_dict()
 
 
 def test_traced_pruned_campaign_emits_identical_tallies():

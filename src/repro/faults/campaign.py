@@ -37,11 +37,12 @@ import numpy as np
 from repro.errors import FaultInjectionError
 from repro.faults.model import FaultSpec, FaultTarget
 from repro.faults.outcomes import FaultOutcome, OutcomeCounts, TrialResult, classify
-from repro.faults.seu import HeapFaultInjector, RegisterFaultInjector, _value_types
+from repro.faults.seu import (
+    HeapFaultInjector, RegisterFaultInjector, _value_types, draw_register_fault,
+)
 from repro.ir.costmodel import CORTEX_A53, CostModel
 from repro.ir.interp import ExecutionResult, ExecutionStatus, Interpreter
 from repro.ir.module import Module
-from repro.ir.types import F64, INT64, injectable_width
 from repro.obs.events import (
     BlockTransition,
     CampaignEnd,
@@ -309,7 +310,7 @@ def run_trial(
         trace_hook=trace_hook,
         # Both SEU injectors are pure no-ops before their drawn dynamic
         # index and after firing, so the interpreter may run batched
-        # superblocks outside the live injection window.
+        # blocks outside the live injection window.
         hook_index=injector.spec.dynamic_index,
     )
     result = interp.run(campaign.func_name, list(campaign.args))
@@ -696,14 +697,15 @@ def _check_report_module(
 class _TrialPlanner:
     """Step hook that resolves every trial's fault in one golden replay.
 
-    Replicates :class:`repro.faults.seu.RegisterFaultInjector`'s draw
-    sequence exactly — each trial's own forked generator draws the site
-    name from the sorted live environment, then the bit from the site's
-    injectable width, at the first hook call at or past its drawn dynamic
-    index with a non-empty environment.  The planner only *reads* the
-    frame; the replay stays fault-free, which is precisely why the
-    environments it observes equal the ones each faulted trial's injector
-    would have seen (the fault has not fired yet at its own firing point).
+    Draws exactly as :class:`repro.faults.seu.RegisterFaultInjector`
+    does: each trial's own forked generator goes through
+    :func:`repro.faults.seu.draw_register_fault` (site from the sorted
+    live environment, then bit) at the first hook call at or past its
+    drawn dynamic index with a non-empty environment.  The planner only
+    *reads* the frame; the replay stays fault-free, which is precisely
+    why the environments it observes equal the ones each faulted trial's
+    injector would have seen (the fault has not fired yet at its own
+    firing point).
     """
 
     def __init__(
@@ -739,7 +741,6 @@ class _TrialPlanner:
             return  # injectors wait for live state; so does the planner
         if self.requests[self._order[self._next]][0] > dynamic_index:
             return
-        names = sorted(env)
         types = self._type_cache.get(frame.func.name)
         if types is None:
             types = _value_types(frame.func)
@@ -749,14 +750,9 @@ class _TrialPlanner:
             number = self._order[self._next]
             if self.requests[number][0] > dynamic_index:
                 return
-            rng = self.requests[number][1]
-            name = names[int(rng.integers(len(names)))]
-            type_ = types.get(
-                name, F64 if isinstance(env[name], float) else None
+            name, _type, bit = draw_register_fault(
+                env, types, self.requests[number][1]
             )
-            if type_ is None:
-                type_ = INT64
-            bit = int(rng.integers(injectable_width(type_)))
             spec = FaultSpec(
                 target=FaultTarget.REGISTER,
                 dynamic_index=dynamic_index,

@@ -17,7 +17,7 @@ from repro.faults.model import FaultSpec, FaultTarget, flip_value_bit, flip_int_
 from repro.ir.function import Function
 from repro.ir.instructions import Instruction
 from repro.ir.interp import Frame, Interpreter
-from repro.ir.types import F64, Type, injectable_width
+from repro.ir.types import F64, INT64, Type, injectable_width
 from repro.rng import make_rng
 
 
@@ -28,6 +28,32 @@ def _value_types(func: Function) -> dict[str, Type]:
         if instr.defines_value:
             types[instr.name] = instr.type
     return types
+
+
+def draw_register_fault(
+    env: dict[str, int | float],
+    types: dict[str, Type],
+    rng: np.random.Generator,
+    location: str | None = None,
+    bit: int | None = None,
+) -> tuple[str, Type, int]:
+    """Resolve one register fault against the live ``env``: (name, type, bit).
+
+    Unless given, the site is drawn uniformly from the sorted live names,
+    then the bit from the site's injectable width.  A site without a
+    declared type is typed by its runtime value (F64 or INT64).  The
+    injector and the pruned-campaign planner both draw through here, so
+    a planned trial consumes ``rng`` exactly like the trial it stands for.
+    """
+    if location is None:
+        names = sorted(env)
+        location = names[int(rng.integers(len(names)))]
+    type_ = types.get(location)
+    if type_ is None:
+        type_ = F64 if isinstance(env[location], float) else INT64
+    if bit is None:
+        bit = int(rng.integers(injectable_width(type_)))
+    return location, type_, bit
 
 
 class RegisterFaultInjector:
@@ -71,24 +97,13 @@ class RegisterFaultInjector:
             types = _value_types(frame.func)
             self._type_cache[frame.func.name] = types
 
-        if self.spec.location is not None:
-            name = str(self.spec.location)
-            if name not in env:
+        location = self.spec.location
+        if location is not None:
+            location = str(location)
+            if location not in env:
                 return  # requested register not live yet; wait
-        else:
-            names = sorted(env)
-            name = names[int(self.rng.integers(len(names)))]
-
-        type_ = types.get(name, F64 if isinstance(env[name], float) else None)
-        if type_ is None:
-            from repro.ir.types import INT64
-
-            type_ = INT64
-        width = injectable_width(type_)
-        bit = (
-            self.spec.bit
-            if self.spec.bit is not None
-            else int(self.rng.integers(width))
+        name, type_, bit = draw_register_fault(
+            env, types, self.rng, location, self.spec.bit
         )
         env[name] = flip_value_bit(env[name], type_, bit)
         self.resolved = FaultSpec(

@@ -16,32 +16,24 @@ chains.  Compiled blocks can be shared across interpreter instances via the
 ``code_cache`` argument (one cache per module + cost model), which is how
 fault-injection campaigns amortize compilation across hundreds of trials.
 
-On top of per-block compilation sit two further tiers:
+On top of per-block compilation sits one batched tier: when no trace hook
+or trace recording is active, a block runs in a bare loop with the
+instruction/cycle counters and the fuel check hoisted out (one fuel
+precheck per block, counters added in bulk).  A block batches when it
+contains no call (calls re-enter the interpreter and must see exact
+counters), cannot cross the fuel ceiling (so HANG trips at the identical
+dynamic instruction on the per-step loop), and the step hook is absent or
+quiescent for the block's whole span.  Exactness is preserved: a
+mid-block trap re-charges exactly the instructions executed up to and
+including the trapping one (prefix-summed cycle tables).
 
-* **batched block execution** — when no step hook, trace hook or trace
-  recording is active for a block, its steps run in a bare loop with the
-  instruction/cycle counters and the fuel check hoisted out (one fuel
-  precheck per block, counters added in bulk).  Exactness is preserved:
-  a mid-block trap re-charges exactly the instructions executed up to and
-  including the trapping one (prefix-summed cycle tables), and a block
-  that could cross the fuel ceiling falls back to the per-step loop so
-  HANG trips at the identical dynamic instruction.
-* **superblock compilation** — chains of blocks linked by unconditional
-  jumps into single-predecessor, phi-free successors are fused into one
-  flat step sequence, so straight-line regions spanning several blocks
-  pay one dispatch, one fuel precheck and one counter update.  Formation
-  rules: the chain extends from a head block across ``jmp`` terminators
-  only, each appended block must have exactly one predecessor, no phis,
-  not be the function entry, not already be in the chain, and contain no
-  calls (calls re-enter the interpreter and must see exact counters).
-
-Fault-injection trials keep the batched tiers almost everywhere via the
+Fault-injection trials keep the batched tier almost everywhere via the
 ``hook_index`` contract: a ``step_hook`` whose observable effects are
 confined to dynamic indices ``>= hook_index`` until its ``fired`` property
 turns True (both SEU injectors satisfy this) lets the interpreter skip
-hook dispatch for every (super)block that ends before the window opens
-and for everything after the hook has fired — the hook is called for
-every instruction inside the live window, exactly like the reference
+hook dispatch for every block that ends before the window opens and for
+everything after the hook has fired — the hook is called for every
+instruction inside the live window, exactly like the reference
 semantics.  :class:`repro.ir.refinterp.ReferenceInterpreter` keeps the
 original dispatch loop as a differential oracle and perf baseline.
 """
@@ -52,9 +44,12 @@ import enum
 import math
 import operator
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Callable
 
-from repro.errors import DetectionTrap, FuelExhausted, InterpreterError, TrapError
+from repro.errors import (
+    DetectionTrap, FuelExhausted, InterpreterError, IRError, TrapError,
+)
 from repro.ir.block import BasicBlock
 from repro.ir.costmodel import CORTEX_A53, CostModel
 from repro.ir.function import Function
@@ -140,9 +135,22 @@ class _BlockCode:
         has_call: whether any body instruction is a call.  Calls re-enter
             the interpreter, which must observe exact counters, so blocks
             with calls never run in batched mode.
+
+    Exact accounting data for batched execution:
+
+    * ``body`` — the bare steps before the terminator, whose step is
+      ``term``;
+    * ``phi_prefix[j]`` — cycles of the first ``j`` phis;
+    * ``body_prefix[k]`` — cycles of the first ``k`` body steps;
+    * ``weight`` — dynamic instructions of a full pass (phis + body +
+      terminator);
+    * ``total_cycles`` — cycles of a full pass.
     """
 
-    __slots__ = ("phis", "steps", "has_call")
+    __slots__ = (
+        "phis", "steps", "has_call", "n_phis", "phi_prefix", "body",
+        "body_prefix", "term", "weight", "total_cycles",
+    )
 
     def __init__(
         self,
@@ -153,61 +161,19 @@ class _BlockCode:
         self.phis = phis
         self.steps = steps
         self.has_call = has_call
-
-
-class _SuperCode:
-    """Compiled form of one superblock: a fused chain of basic blocks.
-
-    The chain starts at ``head`` and extends across unconditional jumps
-    into phi-free single-predecessor successors.  ``body`` is the flat
-    bare-step sequence of every chain member (intermediate ``jmp``
-    terminators included — they keep ``frame.block``/``prev_block``
-    honest and cost cycles like any instruction); ``term`` is the final
-    block's terminator step.
-
-    Exact accounting data for batched execution:
-
-    * ``phi_prefix[j]`` — cycles of the head's first ``j`` phis;
-    * ``body_prefix[k]`` — cycles of the first ``k`` body steps;
-    * ``weight`` — total dynamic instructions (phis + body + terminator);
-    * ``total_cycles`` — total cycles of a full pass through the chain;
-    * ``fast_ok`` — False when the head block contains a call (the chain
-      never *extends* into call blocks, but a call in the head itself
-      means this superblock must always run on the per-step path).
-    """
-
-    __slots__ = (
-        "head", "blocks", "phis", "n_phis", "phi_prefix", "body",
-        "body_prefix", "term", "weight", "total_cycles", "fast_ok",
-    )
-
-    def __init__(
-        self,
-        head: BasicBlock,
-        blocks: tuple[BasicBlock, ...],
-        phis: list[tuple[Instruction, int, dict[BasicBlock, Callable]]],
-        body: tuple[_Step, ...],
-        body_prefix: tuple[int, ...],
-        term: _Step,
-        term_cost: int,
-        fast_ok: bool,
-    ) -> None:
-        self.head = head
-        self.blocks = blocks
-        self.phis = phis
         self.n_phis = len(phis)
-        prefix = [0]
-        for _phi, cost, _incoming in phis:
-            prefix.append(prefix[-1] + cost)
-        self.phi_prefix = tuple(prefix)
-        self.body = body
-        self.body_prefix = body_prefix
-        self.term = term
-        self.weight = self.n_phis + len(body) + 1
-        self.total_cycles = (
-            self.phi_prefix[-1] + body_prefix[-1] + term_cost
+        self.phi_prefix = tuple(
+            accumulate((cost for _phi, cost, _incoming in phis), initial=0)
         )
-        self.fast_ok = fast_ok
+        *body, (_term_instr, term_cost, self.term) = steps
+        self.body = tuple(step for _instr, _cost, step in body)
+        self.body_prefix = tuple(
+            accumulate((cost for _instr, cost, _step in body), initial=0)
+        )
+        self.weight = self.n_phis + len(steps)
+        self.total_cycles = (
+            self.phi_prefix[-1] + self.body_prefix[-1] + term_cost
+        )
 
 
 class Interpreter:
@@ -233,8 +199,8 @@ class Interpreter:
             ``hook_index`` and, once its ``fired`` property is True, for
             every index after.  With this promise the interpreter skips
             hook dispatch outside the live window and runs batched
-            (super)blocks there; inside the window the hook is called for
-            every instruction, exactly like the reference loop.  Leave
+            blocks there; inside the window the hook is called for every
+            instruction, exactly like the reference loop.  Leave
             None for hooks without the contract (checkpoints, watchdogs)
             — they are then called on every instruction.
     """
@@ -262,21 +228,9 @@ class Interpreter:
         self.instructions = 0
         self.block_trace: list[tuple[str, str]] = []
         self.frames: list[Frame] = []
-        self._code: dict = (
+        self._code: dict[BasicBlock, _BlockCode] = (
             code_cache if code_cache is not None else {}
         )
-        # Superblocks and predecessor counts live in nested maps under
-        # reserved string keys so a shared ``code_cache`` carries all
-        # three compilation tiers (block lookups stay keyed by the
-        # BasicBlock itself, with no per-dispatch tuple allocation).
-        supers = self._code.get("__supers__")
-        if supers is None:
-            supers = self._code["__supers__"] = {}
-        self._supers: dict[BasicBlock, _SuperCode] = supers
-        preds = self._code.get("__preds__")
-        if preds is None:
-            preds = self._code["__preds__"] = {}
-        self._preds: dict[Function, dict[BasicBlock, int]] = preds
 
     # -- public API -----------------------------------------------------------
 
@@ -392,31 +346,31 @@ class Interpreter:
         self, frame: Frame, skip_phis_once: bool = False
     ) -> int | float | None:
         trace_hook = self.trace_hook
-        plain = not self.record_trace and trace_hook is None
-        if plain and not skip_phis_once:
-            # Hot path: no per-block observability, so whole superblocks
-            # can run batched (counter updates and fuel checks hoisted).
-            if self.step_hook is None:
-                # Hottest path (golden runs): dispatch inlined, no hook
-                # checks at all.
-                supers = self._supers
-                fuel = self.fuel
-                run_super = self._run_super
-                run_block = self._run_block
-                while True:
-                    sb = supers.get(frame.block)
-                    if sb is None:
-                        sb = self._compile_super(frame.block)
-                    if sb.fast_ok and self.instructions + sb.weight <= fuel:
-                        result = run_super(frame, sb)
-                    else:
-                        result = run_block(frame)
-                    if result is _CONTINUE:
-                        continue
-                    return result.value  # type: ignore[union-attr]
-            advance = self._advance_plain
+        if not self.record_trace and trace_hook is None and not skip_phis_once:
+            # Hot path: no per-block observability.  A block runs batched
+            # (counter updates and fuel check hoisted) when it has no
+            # call, cannot cross the fuel ceiling, and the step hook is
+            # absent or quiescent for its whole span under ``hook_index``;
+            # otherwise it runs on the exact per-step path.
+            code_cache = self._code
+            fuel = self.fuel
+            hook = self.step_hook
+            hook_index = self.hook_index
+            run_batched = self._run_batched
+            run_block = self._run_block
             while True:
-                result = advance(frame)
+                code = code_cache.get(frame.block)
+                if code is None:
+                    code = self._compile_block(frame.block)
+                end = self.instructions + code.weight
+                if not code.has_call and end <= fuel and (
+                    hook is None
+                    or (hook_index is not None
+                        and (end <= hook_index or hook.fired))
+                ):
+                    result = run_batched(frame, code)
+                else:
+                    result = run_block(frame)
                 if result is _CONTINUE:
                     continue
                 return result.value  # type: ignore[union-attr]
@@ -431,43 +385,20 @@ class Interpreter:
                 continue
             return result.value  # type: ignore[union-attr]
 
-    def _advance_plain(self, frame: Frame):
-        """Execute one superblock (or one exact block) of ``frame``.
+    def _run_batched(self, frame: Frame, code: _BlockCode) -> object:
+        """Batched execution of one block (hook quiescent, fuel prefits).
 
-        Returns ``_CONTINUE`` or a ``_Return`` like the step closures.
-        Chooses the batched superblock runner when the fuel ceiling
-        cannot be crossed and the step hook is provably quiescent for
-        the superblock's whole span; otherwise runs one block on the
-        exact per-step path.  Callers must guarantee that per-block
-        tracing is disabled (``record_trace`` off, no ``trace_hook``).
-        """
-        sb = self._supers.get(frame.block)
-        if sb is None:
-            sb = self._compile_super(frame.block)
-        if sb.fast_ok and self.instructions + sb.weight <= self.fuel:
-            hook = self.step_hook
-            if hook is None or (
-                self.hook_index is not None
-                and (hook.fired
-                     or self.instructions + sb.weight <= self.hook_index)
-            ):
-                return self._run_super(frame, sb)
-        return self._run_block(frame)
-
-    def _run_super(self, frame: Frame, sb: _SuperCode) -> object:
-        """Batched execution of one superblock (no hooks, fuel prefits).
-
-        Counters are charged in bulk after the chain completes; a step
+        Counters are charged in bulk after the block completes; a step
         that traps is re-charged exactly: the reference loop increments
         counters *before* executing a step (so a trapping instruction is
         counted) but evaluates a phi's incoming operand before counting
         it (so a trapping phi read is not).
         """
         env = frame.env
-        phis = sb.phis
+        phis = code.phis
         if phis:
             prev = frame.prev_block
-            if sb.n_phis == 1:
+            if code.n_phis == 1:
                 # One phi needs no parallel staging; a trapping incoming
                 # read charges nothing, same as j == 0 below.
                 phi, _cost, incoming = phis[0]
@@ -483,7 +414,7 @@ class Interpreter:
                         f"from ^{prev.name} (control-flow corruption?)"
                     )
                 env[phi.name] = get(env)
-                return self._run_super_body(frame, sb)
+                return self._run_batched_body(frame, code)
             staged: dict[str, int | float] = {}
             j = 0
             try:
@@ -503,25 +434,25 @@ class Interpreter:
                     j += 1
             except BaseException:
                 self.instructions += j
-                self.cycles += sb.phi_prefix[j]
+                self.cycles += code.phi_prefix[j]
                 raise
             env.update(staged)
-        return self._run_super_body(frame, sb)
+        return self._run_batched_body(frame, code)
 
-    def _run_super_body(self, frame: Frame, sb: _SuperCode) -> object:
-        """Run a superblock's flat body + terminator, phis already applied."""
+    def _run_batched_body(self, frame: Frame, code: _BlockCode) -> object:
+        """Run a block's body + terminator in bulk, phis already applied."""
         i = 0
         try:
-            for step in sb.body:
+            for step in code.body:
                 step(self, frame)
                 i += 1
         except BaseException:
-            self.instructions += sb.n_phis + i + 1
-            self.cycles += sb.phi_prefix[-1] + sb.body_prefix[i + 1]
+            self.instructions += code.n_phis + i + 1
+            self.cycles += code.phi_prefix[-1] + code.body_prefix[i + 1]
             raise
-        self.instructions += sb.weight
-        self.cycles += sb.total_cycles
-        return sb.term(self, frame)
+        self.instructions += code.weight
+        self.cycles += code.total_cycles
+        return code.term(self, frame)
 
     def _run_block(self, frame: Frame, skip_phis: bool = False) -> object:
         block = frame.block
@@ -575,6 +506,10 @@ class Interpreter:
     # -- block compilation -----------------------------------------------------
 
     def _compile_block(self, block: BasicBlock) -> _BlockCode:
+        # Batched runs split the terminator off the body; the verifier
+        # rejects unterminated blocks, and so does this, before they run.
+        if not block.is_terminated:
+            raise IRError(f"block ^{block.name} has no terminator")
         cost = self.cost_model.cost
         phis: list[tuple[Instruction, int, dict[BasicBlock, Callable]]] = []
         for phi in block.phis:
@@ -594,84 +529,6 @@ class Interpreter:
         code = _BlockCode(phis, steps, has_call)
         self._code[block] = code
         return code
-
-    # -- superblock formation --------------------------------------------------
-
-    def _pred_counts(self, func: Function) -> dict[BasicBlock, int]:
-        """Predecessor-edge counts per block, cached per function."""
-        counts = self._preds.get(func)
-        if counts is None:
-            counts = {block: 0 for block in func.blocks}
-            for block in func.blocks:
-                if block.is_terminated:
-                    for target in block.terminator.block_targets:
-                        counts[target] = counts.get(target, 0) + 1
-            self._preds[func] = counts
-        return counts
-
-    def _compile_super(self, head: BasicBlock) -> _SuperCode:
-        """Fuse the jmp-chain starting at ``head`` into one superblock.
-
-        Formation rules (see module docstring): extend across ``jmp``
-        terminators into successors that have exactly one predecessor,
-        no phis, no calls, are not the function entry and are not
-        already part of the chain.
-        """
-        func = head.parent
-        assert func is not None
-        preds = self._pred_counts(func)
-        chain = [head]
-        seen = {head}
-        current = head
-        while True:
-            code = self._code.get(current)
-            if code is None:
-                code = self._compile_block(current)
-            term = current.terminator
-            if term.opcode is not Opcode.JMP:
-                break
-            target = term.block_targets[0]
-            if (
-                target in seen
-                or target is func.entry
-                or preds.get(target, 0) != 1
-                or target.phis
-            ):
-                break
-            target_code = self._code.get(target)
-            if target_code is None:
-                target_code = self._compile_block(target)
-            if target_code.has_call:
-                break
-            chain.append(target)
-            seen.add(target)
-            current = target
-
-        head_code = self._code[head]
-        body: list[_Step] = []
-        prefix = [0]
-        for block in chain:
-            code = self._code[block]
-            # All but the final block contribute every step (their jmp
-            # terminators included); the final block keeps its terminator
-            # out of the flat body so its result is returned.
-            last = code.steps[:-1] if block is chain[-1] else code.steps
-            for _instr, cost, step in last:
-                body.append(step)
-                prefix.append(prefix[-1] + cost)
-        _term_instr, term_cost, term_step = self._code[chain[-1]].steps[-1]
-        sb = _SuperCode(
-            head=head,
-            blocks=tuple(chain),
-            phis=head_code.phis,
-            body=tuple(body),
-            body_prefix=tuple(prefix),
-            term=term_step,
-            term_cost=term_cost,
-            fast_ok=not head_code.has_call,
-        )
-        self._supers[head] = sb
-        return sb
 
     def _compile_step(self, block: BasicBlock, instr: Instruction) -> _Step:
         op = instr.opcode

@@ -11,10 +11,10 @@ Percentiles use the nearest-rank definition (ceil(p/100 * n)), so every
 reported quantile is an actually-observed sample, and the edge cases
 are NaN-free by contract:
 
-- an **empty** window reports ``count == 0`` and the explicit
+- an **empty** summary reports ``count == 0`` and the explicit
   ``0.0`` sentinel for mean/max and every percentile (consumers must
   key off ``count``, not the values);
-- a **single-sample** window reports that sample for every percentile
+- a **single-sample** summary reports that sample for every percentile
   (nearest-rank of one value is that value — no interpolation, no NaN).
 
 ``tests/service/test_metrics_edge.py`` pins both contracts.
@@ -25,9 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from repro.obs.aggregate import latency_histogram
-
-#: Value reported for mean/max/percentiles of an empty window.  Chosen
+#: Value reported for mean/max/percentiles of an empty summary.  Chosen
 #: over NaN so summaries stay JSON-round-trippable and comparable; the
 #: paired ``count == 0`` disambiguates "no data" from "zero latency".
 EMPTY_SENTINEL = 0.0
@@ -55,7 +53,7 @@ def latency_summary(
     values: list[float],
     percentiles: tuple[float, ...] = DEFAULT_PERCENTILES,
 ) -> dict[str, float]:
-    """NaN-free summary of a latency window (seconds).
+    """NaN-free summary of latency samples (seconds).
 
     Non-finite samples are excluded from the statistics but reported in
     ``dropped`` so the accounting stays exact.
@@ -79,56 +77,21 @@ def latency_summary(
 
 @dataclass
 class DecisionLatencyTracker:
-    """Accumulates enqueue-to-decision latencies, optionally windowed.
+    """Accumulates enqueue-to-decision latencies (seconds)."""
 
-    Attributes:
-        window_s: simulated-time width of summary windows (None keeps
-            one global window).
-        histogram: canonical fixed-bucket latency histogram (same
-            bounds as ``fleet.score_latency_s``), mergeable with the
-            rest of the observability stack.
-    """
-
-    window_s: float | None = None
-    _samples: list[tuple[float, float]] = field(default_factory=list)
-
-    def __post_init__(self) -> None:
-        if self.window_s is not None and self.window_s <= 0:
-            raise ValueError("window_s must be positive when set")
-        self.histogram = latency_histogram()
+    _samples: list[float] = field(default_factory=list)
 
     @property
     def count(self) -> int:
         return len(self._samples)
 
-    def record(self, t: float, latency_s: float) -> None:
-        """Record one decision latency observed at simulated time ``t``."""
-        self._samples.append((t, latency_s))
-        if math.isfinite(latency_s):
-            self.histogram.record(latency_s)
+    def record(self, latency_s: float) -> None:
+        """Record one decision latency."""
+        self._samples.append(latency_s)
 
     def summary(self) -> dict[str, float]:
         """Summary over every recorded sample."""
-        return latency_summary([lat for _, lat in self._samples])
-
-    def window_summaries(self) -> dict[int, dict[str, float]]:
-        """Per-window summaries keyed by window index (floor(t / width)).
-
-        Without a configured window everything lands in window 0.
-        Windows that received no samples are simply absent — callers
-        probing a missing window get the same empty-window sentinel
-        contract via :func:`latency_summary` on an empty list.
-        """
-        buckets: dict[int, list[float]] = {}
-        for t, lat in self._samples:
-            index = (
-                0 if self.window_s is None else int(t // self.window_s)
-            )
-            buckets.setdefault(index, []).append(lat)
-        return {
-            index: latency_summary(values)
-            for index, values in sorted(buckets.items())
-        }
+        return latency_summary(self._samples)
 
 
 def rows_per_second(n_rows: int, elapsed_s: float) -> float:

@@ -76,8 +76,6 @@ class ServiceConfig:
             frames scoring as sensor dropouts.
         snapshot_every: checkpoint cadence in ticks (the crash-recovery
             anchor; also bounds the replay buffer length).
-        latency_window_s: simulated-time window for latency summaries
-            (None = one global window).
     """
 
     n_shards: int = 1
@@ -86,7 +84,6 @@ class ServiceConfig:
     shed_policy: ShedPolicy = ShedPolicy.DROP_OLDEST
     max_inflight_ticks: int = 1
     snapshot_every: int = 50
-    latency_window_s: float | None = None
 
     def __post_init__(self) -> None:
         if self.n_shards < 1:
@@ -132,7 +129,6 @@ class ServiceRunReport:
     elapsed_s: float
     rows_per_s: float
     latency: dict = field(default_factory=dict)
-    latency_windows: dict = field(default_factory=dict)
     shard_counters: list = field(default_factory=list)
 
 
@@ -185,28 +181,32 @@ class AsyncFleetService:
             for ids in self.shard_ids
         ]
         self.supervisor = FleetSupervisor(members, tracer=tracer)
+        shard_ids = self.shard_ids
+
+        # Closes over these values, not ``self``: a backend holding a
+        # bound method would put the service in a reference cycle, so a
+        # finished service and everything it holds would stay in memory
+        # until the cyclic collector happened to run.
+        def make_scorer(shard: int) -> ShardScorer:
+            return ShardScorer(
+                shard,
+                detector,
+                shard_ids[shard],
+                config,
+                timeline=timeline,
+                threshold_scales=threshold_scales,
+            )
+
         self.backend = make_backend(
-            service.strategy, self._make_scorer, self.n_shards
+            service.strategy, make_scorer, self.n_shards
         )
-        self.latency = DecisionLatencyTracker(
-            window_s=service.latency_window_s
-        )
+        self.latency = DecisionLatencyTracker()
         self.restarts = 0
         self._rows_processed = 0
         self._ingests: list[ShardIngest] = []
         self._buffers: list[list[tuple[int, float, np.ndarray]]] = []
         self._final_states: list = []
         self._ran = False
-
-    def _make_scorer(self, shard: int) -> ShardScorer:
-        return ShardScorer(
-            shard,
-            self.detector,
-            self.shard_ids[shard],
-            self.config,
-            timeline=self.timeline,
-            threshold_scales=self.threshold_scales,
-        )
 
     # -- run -------------------------------------------------------------------
 
@@ -270,7 +270,6 @@ class AsyncFleetService:
             elapsed_s=elapsed,
             rows_per_s=rows_per_second(rows, elapsed),
             latency=self.latency.summary(),
-            latency_windows=self.latency.window_summaries(),
             shard_counters=[
                 ingest.counters() for ingest in self._ingests
             ],
@@ -341,7 +340,7 @@ class AsyncFleetService:
                 self.supervisor.apply(result)
                 done = time.perf_counter()
                 for frame in frames.values():
-                    self.latency.record(t, done - frame.enqueued_pc)
+                    self.latency.record(done - frame.enqueued_pc)
                 self._rows_processed += len(frames)
                 if (tick + 1) % self.service.snapshot_every == 0:
                     state = await self._offload(

@@ -5,7 +5,7 @@ case through every execution tier:
 
 1. :class:`repro.ir.refinterp.ReferenceInterpreter` — the oracle;
 2. the fast path (per-step dispatch, hook always consulted);
-3. the superblock path (``hook_index`` lets pre-window blocks batch).
+3. batched blocks (``hook_index`` lets pre-window blocks batch).
 
 All three must agree exactly on outcome (status, value, trap reason),
 fuel (dynamic instruction and cycle counts) and live register state —

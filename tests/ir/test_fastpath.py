@@ -14,6 +14,7 @@ import pytest
 
 from repro.faults.model import FaultSpec, FaultTarget
 from repro.faults.seu import HeapFaultInjector, RegisterFaultInjector
+from repro.ir.block import BasicBlock
 from repro.ir.interp import Interpreter
 from repro.ir.refinterp import ReferenceInterpreter
 from repro.rng import make_rng
@@ -50,10 +51,13 @@ class TestDifferentialCleanRuns:
         args = list(PROGRAMS["fib"].default_args)
         cache = {}
         first = Interpreter(module, code_cache=cache).run("fib", args)
-        warmed = len(cache)
+        warmed = dict(cache)
         second = Interpreter(module, code_cache=cache).run("fib", args)
-        assert warmed > 0
-        assert len(cache) == warmed  # fully warm: no recompilation
+        assert warmed
+        assert all(isinstance(key, BasicBlock) for key in cache)
+        # Fully warm: no recompilation, the very same compiled objects.
+        assert cache.keys() == warmed.keys()
+        assert all(cache[key] is code for key, code in warmed.items())
         assert _values_equal(first.value, second.value)
         assert first.cycles == second.cycles
 

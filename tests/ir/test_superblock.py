@@ -1,23 +1,25 @@
-"""Superblock compilation: formation rules and counter exactness.
+"""Batched block execution: the call rule and counter exactness.
 
-The batched tier of :class:`repro.ir.interp.Interpreter` fuses
-single-predecessor ``jmp`` chains into superblocks and charges fuel and
-cycles in bulk.  These tests pin the formation rules (where chains may
-and may not extend) and prove the bulk accounting is *exact* against
-:class:`repro.ir.refinterp.ReferenceInterpreter` — same instruction
-count, cycle count, fuel-exhaustion point and trap position on every
-workload, with and without step hooks in the loop.
+:class:`repro.ir.interp.Interpreter` runs a block batched — fuel and
+cycles charged in bulk — when it has no call, cannot cross the fuel
+ceiling and the step hook is quiescent.  These tests pin the call rule,
+prove the batched tier actually runs (per-step work is counted through
+``Interpreter._run_block``), and prove the bulk accounting is *exact*
+against :class:`repro.ir.refinterp.ReferenceInterpreter` — same
+instruction count, cycle count, fuel-exhaustion point and trap position
+on every workload, with and without step hooks in the loop.
 """
 
 import math
 
 import pytest
 
+from repro.core.dmr import ProtectionLevel, instrument_module
 from repro.faults.model import FaultSpec, FaultTarget
 from repro.faults.seu import RegisterFaultInjector
 from repro.ir.builder import IRBuilder
 from repro.ir.function import Function
-from repro.ir.instructions import Predicate
+from repro.ir.instructions import Opcode
 from repro.ir.interp import Interpreter
 from repro.ir.module import Module
 from repro.ir.refinterp import ReferenceInterpreter
@@ -42,7 +44,7 @@ def _assert_same_execution(fast, ref):
 
 
 def _chain_module(n_links: int = 4) -> Module:
-    """entry -> b1 -> ... -> bN, a pure jmp chain (one fusable superblock)."""
+    """entry -> b1 -> ... -> bN, a pure jmp chain of call-free blocks."""
     module = Module("chain")
     func = Function("f", [("a", INT64)], INT64)
     module.add_function(func)
@@ -60,43 +62,33 @@ def _chain_module(n_links: int = 4) -> Module:
     return module
 
 
+def _case(name: str) -> tuple[Module, str, list]:
+    """(module, entry, args) of a workload program or the jmp chain."""
+    if name == "chain":
+        return _chain_module(), "f", [5]
+    return build_program(name), name, list(PROGRAMS[name].default_args)
+
+
+def _has_call(block) -> bool:
+    return any(instr.opcode is Opcode.CALL for instr in block.body)
+
+
+@pytest.fixture
+def per_step_blocks(monkeypatch):
+    """``(block, dynamic index at entry)`` of every per-step block run."""
+    seen = []
+    run_block = Interpreter._run_block
+
+    def counting(self, frame, skip_phis=False):
+        seen.append((frame.block, self.instructions))
+        return run_block(self, frame, skip_phis)
+
+    monkeypatch.setattr(Interpreter, "_run_block", counting)
+    return seen
+
+
 class TestFormationRules:
-    def _supers(self, interp: Interpreter, func_name: str = "f"):
-        func = interp.module.function(func_name)
-        sb = interp._compile_super(func.entry)
-        return sb
-
-    def test_jmp_chain_fuses_from_entry(self):
-        module = _chain_module(4)
-        interp = Interpreter(module)
-        assert interp.run("f", [5]).status.value == "ok"
-        sb = self._supers(interp)
-        assert [blk.name for blk in sb.blocks] == [
-            "entry", "b1", "b2", "b3", "b4",
-        ]
-
-    def test_chain_stops_at_phi_blocks(self):
-        # counted_loop: entry jmps to a phi-carrying loop header; the
-        # header must stay a superblock head of its own.
-        module = build_program("fact")
-        interp = Interpreter(module)
-        interp.run("fact", list(PROGRAMS["fact"].default_args))
-        func = module.function("fact")
-        sb = interp._compile_super(func.entry)
-        assert all(not blk.phis for blk in sb.blocks[1:])
-
-    def test_chain_never_enters_multi_predecessor_block(self):
-        module = build_program("collatz")
-        interp = Interpreter(module)
-        interp.run("collatz", list(PROGRAMS["collatz"].default_args))
-        func = module.function("collatz")
-        preds = interp._pred_counts(func)
-        for head in list(interp._supers):
-            sb = interp._supers[head]
-            for blk in sb.blocks[1:]:
-                assert preds.get(blk, 0) == 1, blk.name
-
-    def test_call_blocks_are_not_batched(self):
+    def test_call_blocks_are_not_batched(self, per_step_blocks):
         # leaf: g(x) = x + 1; caller: a jmp chain whose middle block calls g.
         module = Module("callmod")
         leaf = Function("g", [("x", INT64)], INT64)
@@ -120,55 +112,60 @@ class TestFormationRules:
         b.set_block(tail)
         b.ret(b.add(y, x))
 
-        interp = Interpreter(module)
-        result = interp.run("f", [5])
+        cache = {}
+        result = Interpreter(module, code_cache=cache).run("f", [5])
         assert result.value == 5 + 2 + 1 + 5 + 2
-        saw_call_block = False
-        for sb in interp._supers.values():
-            codes = [interp._compile_block(blk) for blk in sb.blocks]
-            if any(code.has_call for code in codes):
-                saw_call_block = True
-                assert not sb.fast_ok
-            # Chains never *extend into* a call block: calls only ever
-            # appear in the head.
-            assert all(not code.has_call for code in codes[1:])
-        assert saw_call_block
+        _assert_same_execution(
+            result, ReferenceInterpreter(module).run("f", [5])
+        )
+        assert len(cache) == 4  # f's three blocks and g's entry
+        assert [blk for blk, code in cache.items() if code.has_call] == [mid]
+        # Only the call block ran per step; every other block batched.
+        assert [blk for blk, _start in per_step_blocks] == [mid]
 
-    def test_superblock_weight_matches_block_sum(self):
-        module = _chain_module(3)
-        interp = Interpreter(module)
-        result = interp.run("f", [1])
-        sb = self._supers(interp)
-        # One compiled superblock spanning the whole function: its weight
-        # must equal the run's entire dynamic instruction count.
-        assert sb.weight == result.instructions
+
+class TestBatchedTierRuns:
+    @pytest.mark.parametrize("level", ["none", "full-dmr"])
+    @pytest.mark.parametrize("name", sorted(PROGRAMS))
+    def test_unhooked_run_steps_only_call_blocks(
+        self, name, level, per_step_blocks
+    ):
+        module = build_program(name)
+        if level != "none":
+            module, _plans = instrument_module(module, ProtectionLevel(level))
+        args = list(PROGRAMS[name].default_args)
+        assert Interpreter(module).run(name, args).ok
+        assert [
+            block.name for block, _start in per_step_blocks
+            if not _has_call(block)
+        ] == []
 
 
 class TestCounterExactness:
-    @pytest.mark.parametrize("name", sorted(PROGRAMS))
+    @pytest.mark.parametrize("name", sorted(PROGRAMS) + ["chain"])
     def test_batched_matches_reference(self, name):
-        module = build_program(name)
-        args = list(PROGRAMS[name].default_args)
-        fast = Interpreter(module).run(name, args)
-        ref = ReferenceInterpreter(module).run(name, args)
+        module, entry, args = _case(name)
+        fast = Interpreter(module).run(entry, args)
+        ref = ReferenceInterpreter(module).run(entry, args)
         _assert_same_execution(fast, ref)
 
-    @pytest.mark.parametrize("name", ["isort", "orbit", "collatz"])
+    @pytest.mark.parametrize("name", ["isort", "orbit", "collatz", "chain"])
     def test_fuel_exhaustion_inside_superblock_is_exact(self, name):
-        module = build_program(name)
-        args = list(PROGRAMS[name].default_args)
-        total = ReferenceInterpreter(module).run(name, args).instructions
-        # Sweep budgets that land mid-superblock; HANG must trip at the
-        # same dynamic instruction either way.
+        module, entry, args = _case(name)
+        total = ReferenceInterpreter(module).run(entry, args).instructions
+        # Sweep budgets that land mid-block; HANG must trip at the same
+        # dynamic instruction either way.
         for fuel in (1, 2, 3, 5, total // 3, total - 1):
-            fast = Interpreter(module, fuel=fuel).run(name, args)
-            ref = ReferenceInterpreter(module, fuel=fuel).run(name, args)
+            fast = Interpreter(module, fuel=fuel).run(entry, args)
+            ref = ReferenceInterpreter(module, fuel=fuel).run(entry, args)
             _assert_same_execution(fast, ref)
             assert fast.status.value == "hang"
 
     @pytest.mark.parametrize("name", ["isort", "orbit"])
     @pytest.mark.parametrize("seed", [11, 12, 13])
-    def test_hook_window_batching_matches_reference(self, name, seed):
+    def test_hook_window_batching_matches_reference(
+        self, name, seed, per_step_blocks
+    ):
         # hook_index lets blocks before the injection window run batched;
         # the trajectory must still match the unbatched reference exactly.
         module = build_program(name)
@@ -178,16 +175,29 @@ class TestCounterExactness:
         spec = FaultSpec(target=FaultTarget.REGISTER, dynamic_index=index)
         fuel = golden.instructions * 50 + 2_000
 
+        injector = RegisterFaultInjector(spec, seed=make_rng(seed))
         fast = Interpreter(
-            module, fuel=fuel,
-            step_hook=RegisterFaultInjector(spec, seed=make_rng(seed)),
-            hook_index=index,
+            module, fuel=fuel, step_hook=injector, hook_index=index,
         ).run(name, args)
         ref = ReferenceInterpreter(
             module, fuel=fuel,
             step_hook=RegisterFaultInjector(spec, seed=make_rng(seed)),
         ).run(name, args)
         _assert_same_execution(fast, ref)
+
+        # Per step ran only call blocks, blocks that could cross the fuel
+        # ceiling, and blocks overlapping [hook_index, firing index].
+        fired_at = (
+            injector.resolved.dynamic_index if injector.fired else math.inf
+        )
+        assert per_step_blocks
+        for block, start in per_step_blocks:
+            end = start + len(block.instructions)
+            assert (
+                _has_call(block)
+                or end > fuel
+                or (start <= fired_at and end > index)
+            ), (block.name, start, index, fired_at)
 
     def test_division_trap_inside_chain_is_exact(self):
         module = Module("trap")

@@ -54,7 +54,6 @@ class TestEmptyWindow:
         summary = tracker.summary()
         assert summary["count"] == 0
         _assert_nan_free(summary)
-        assert tracker.window_summaries() == {}
 
 
 class TestSingleSample:
@@ -64,15 +63,6 @@ class TestSingleSample:
         for key in ("mean", "max", "p50", "p90", "p99"):
             assert summary[key] == pytest.approx(0.0042)
         _assert_nan_free(summary)
-
-    def test_single_tick_window_in_tracker(self):
-        tracker = DecisionLatencyTracker(window_s=10.0)
-        tracker.record(t=3.0, latency_s=0.001)
-        windows = tracker.window_summaries()
-        assert list(windows) == [0]
-        assert windows[0]["count"] == 1
-        assert windows[0]["p99"] == pytest.approx(0.001)
-        _assert_nan_free(windows[0])
 
 
 class TestNearestRank:
@@ -97,25 +87,11 @@ class TestNearestRank:
 class TestTrackerAccounting:
     def test_nonfinite_recorded_but_dropped_from_stats(self):
         tracker = DecisionLatencyTracker()
-        tracker.record(0.0, 0.002)
-        tracker.record(1.0, float("nan"))
+        tracker.record(0.002)
+        tracker.record(float("nan"))
         summary = tracker.summary()
         assert summary["count"] == 1
         assert summary["dropped"] == 1
-        assert tracker.histogram.count == 1
-
-    def test_windowing_by_simulated_time(self):
-        tracker = DecisionLatencyTracker(window_s=5.0)
-        for t, lat in ((0.0, 0.001), (4.9, 0.002), (5.0, 0.003)):
-            tracker.record(t, lat)
-        windows = tracker.window_summaries()
-        assert sorted(windows) == [0, 1]
-        assert windows[0]["count"] == 2
-        assert windows[1]["count"] == 1
-
-    def test_bad_window_rejected(self):
-        with pytest.raises(ValueError, match="window_s"):
-            DecisionLatencyTracker(window_s=0.0)
 
 
 class TestRowsPerSecond:

@@ -3,6 +3,9 @@ end-to-end: shard routing, snapshot/restore, backends, supervisor
 bookkeeping, ingestion sources, and config validation.
 """
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -310,15 +313,11 @@ class TestServiceConfigValidation:
             (dict(queue_capacity=0), "queue capacity"),
             (dict(max_inflight_ticks=0), "max_inflight_ticks"),
             (dict(snapshot_every=0), "snapshot_every"),
-            (dict(latency_window_s=None), None),
         ],
     )
     def test_bounds(self, kw, match):
-        if match is None:
+        with pytest.raises(ConfigError, match=match):
             ServiceConfig(**kw)
-        else:
-            with pytest.raises(ConfigError, match=match):
-                ServiceConfig(**kw)
 
     def test_run_is_one_shot(self):
         detector = _detector()
@@ -346,6 +345,34 @@ class TestServiceConfigValidation:
         )
         with pytest.raises(ConfigError, match="positive"):
             service.run(duration_s=0.0)
+
+
+class TestServiceLifetime:
+    @pytest.mark.parametrize("crash_at", [None, {1: 3}])
+    def test_finished_service_is_freed_by_refcount(self, crash_at):
+        """A run leaves no reference cycle through the service, so its
+        memory goes when the last reference does, not whenever the
+        cyclic collector next runs."""
+        rows = record_fleet_telemetry(
+            make_members(4, seed=830), duration_s=4.0, rate_hz=2.0,
+        )
+        gc.collect()
+        gc.disable()
+        try:
+            service = AsyncFleetService(
+                _detector(),
+                make_members(4, seed=830),
+                service=ServiceConfig(n_shards=2, max_inflight_ticks=2),
+                source=ReplaySource(rows),
+                crash_at=crash_at,
+            )
+            report = service.run(duration_s=4.0, rate_hz=2.0)
+            assert report.restarts == (1 if crash_at else 0)
+            alive = weakref.ref(service)
+            del service
+            assert alive() is None
+        finally:
+            gc.enable()
 
 
 class TestShardIngestUnits:

@@ -180,10 +180,12 @@ def run_golden(
 def trial_fuel_for(campaign: Campaign, golden: ExecutionResult) -> int:
     """Per-trial instruction budget derived from the golden run.
 
-    A fault can only lengthen a loop's trip count, not turn a terminating
-    program into one that needs unbounded fuel to *detect* as hung.  Cap
-    per-trial fuel at a generous multiple of the golden run so hang trials
-    don't dominate campaign wall time.
+    A fault can turn a terminating program into one that never ends: a
+    flipped high bit of a counted loop's bound asks for up to 2**62
+    passes.  The budget is where such a run is declared hung, so it also
+    decides the HANG record's ``cycles`` — everything charged up to the
+    first instruction past the budget.  It is a generous multiple of the
+    golden run, capped by the campaign's own fuel.
 
     The campaign's own fuel must cover the golden run: a budget below the
     golden instruction count would classify every trial as HANG (the

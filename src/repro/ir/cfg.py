@@ -84,6 +84,8 @@ def back_edges(func: Function) -> list[tuple[BasicBlock, BasicBlock]]:
     domtree = DominatorTree(func)
     edges = []
     for block in func.blocks:
+        if not domtree.is_reachable(block):
+            continue  # dominance is defined on reachable blocks only
         for succ in successors(block):
             if domtree.dominates(succ, block):
                 edges.append((block, succ))

@@ -77,6 +77,10 @@ class DominatorTree:
             return None
         return self.func.block(name)
 
+    def is_reachable(self, block: BasicBlock) -> bool:
+        """Whether ``block`` is reachable from the entry."""
+        return block.name in self._reachable
+
     def dominates(self, a: BasicBlock, b: BasicBlock) -> bool:
         """True if every path from entry to ``b`` passes through ``a``."""
         if b.name not in self._idom:

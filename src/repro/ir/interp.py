@@ -34,8 +34,21 @@ turns True (both SEU injectors satisfy this) lets the interpreter skip
 hook dispatch for every block that ends before the window opens and for
 everything after the hook has fired — the hook is called for every
 instruction inside the live window, exactly like the reference
-semantics.  :class:`repro.ir.refinterp.ReferenceInterpreter` keeps the
-original dispatch loop as a differential oracle and perf baseline.
+semantics.
+
+Hung runs end in closed form (the hang shortcut).  When a hot frame
+reaches a loop header over its back edge with the step hook absent or
+fired, the header's :class:`~repro.ir.loops.CountedLoop` — found once
+per function per code cache, its proof slice compiled then — decides
+from the live environment whether every pass the remaining fuel reaches
+keeps to the loop's path.  If so the run is charged exactly what the
+per-step loop would count at exhaustion: with ``k, r = divmod(fuel -
+instructions, W)`` for a pass of ``W`` instructions and ``C`` cycles,
+``instructions = fuel + 1`` and ``cycles += k*C + prefix[r + 1]``, then
+HANG.  The proof runs at most once per loop entry; traced runs and hooks
+without the ``hook_index`` contract never take the shortcut.
+:class:`repro.ir.refinterp.ReferenceInterpreter` keeps the original
+dispatch loop as a differential oracle and perf baseline.
 """
 
 from __future__ import annotations
@@ -54,6 +67,7 @@ from repro.ir.block import BasicBlock
 from repro.ir.costmodel import CORTEX_A53, CostModel
 from repro.ir.function import Function
 from repro.ir.instructions import Instruction, Opcode, Predicate
+from repro.ir.loops import CountedLoop, counted_loops
 from repro.ir.module import Module
 from repro.ir.types import Type
 from repro.ir.values import Argument, Constant, Value
@@ -145,11 +159,18 @@ class _BlockCode:
     * ``weight`` — dynamic instructions of a full pass (phis + body +
       terminator);
     * ``total_cycles`` — cycles of a full pass.
+
+    Hang shortcut data:
+
+    * ``loop`` — the :class:`~repro.ir.loops.CountedLoop` this block
+      heads, if any: its proof and pass accounting;
+    * ``loops`` — on a function's entry block, the function's counted
+      loops by header once they were found (None before).
     """
 
     __slots__ = (
         "phis", "steps", "has_call", "n_phis", "phi_prefix", "body",
-        "body_prefix", "term", "weight", "total_cycles",
+        "body_prefix", "term", "weight", "total_cycles", "loop", "loops",
     )
 
     def __init__(
@@ -174,6 +195,8 @@ class _BlockCode:
         self.total_cycles = (
             self.phi_prefix[-1] + self.body_prefix[-1] + term_cost
         )
+        self.loop: CountedLoop | None = None
+        self.loops: dict[BasicBlock, CountedLoop] | None = None
 
 
 class Interpreter:
@@ -199,10 +222,12 @@ class Interpreter:
             ``hook_index`` and, once its ``fired`` property is True, for
             every index after.  With this promise the interpreter skips
             hook dispatch outside the live window and runs batched
-            blocks there; inside the window the hook is called for every
-            instruction, exactly like the reference loop.  Leave
-            None for hooks without the contract (checkpoints, watchdogs)
-            — they are then called on every instruction.
+            blocks there, and once the hook has fired it may end a
+            provably hung loop in closed form; inside the window the
+            hook is called for every instruction, exactly like the
+            reference loop.  Leave None for hooks without the contract
+            (checkpoints, watchdogs) — they are then called on every
+            instruction.
     """
 
     def __init__(
@@ -358,10 +383,34 @@ class Interpreter:
             hook_index = self.hook_index
             run_batched = self._run_batched
             run_block = self._run_block
+            if hook is None or hook_index is not None:
+                self._find_loops(frame.func)
+            tried = None  # the loop whose proof ran since it was entered
             while True:
                 code = code_cache.get(frame.block)
                 if code is None:
                     code = self._compile_block(frame.block)
+                loop = code.loop
+                if loop is not None:
+                    if frame.prev_block is not loop.latch:
+                        tried = None
+                    elif loop is not tried and (
+                        hook is None
+                        or (hook_index is not None and hook.fired)
+                    ):
+                        # Hang shortcut: back at the header with the hook
+                        # quiescent for good.  If the path provably keeps
+                        # looping past the fuel, charge what the per-step
+                        # loop would: k full passes, then the first r + 1
+                        # instructions of the next, the last one tripping.
+                        tried = loop
+                        k, r = divmod(fuel - self.instructions, loop.weight)
+                        if loop.spins(frame.env, k):
+                            self.instructions = fuel + 1
+                            self.cycles += k * loop.cycles + loop.prefix[r + 1]
+                            raise FuelExhausted(
+                                f"instruction budget of {fuel} exhausted"
+                            )
                 end = self.instructions + code.weight
                 if not code.has_call and end <= fuel and (
                     hook is None
@@ -529,6 +578,20 @@ class Interpreter:
         code = _BlockCode(phis, steps, has_call)
         self._code[block] = code
         return code
+
+    def _find_loops(self, func: Function) -> None:
+        """Attach ``func``'s counted loops to their header blocks.
+
+        Once per function per code cache: the entry block's code keeps
+        the result.  Lazy, so runs that can never take the shortcut (a
+        hook without ``hook_index``, tracing) do not pay for the search.
+        """
+        entry = self._code.get(func.entry) or self._compile_block(func.entry)
+        if entry.loops is None:
+            entry.loops = counted_loops(func, self.cost_model.cost)
+            for header, loop in entry.loops.items():
+                code = self._code.get(header) or self._compile_block(header)
+                code.loop = loop
 
     def _compile_step(self, block: BasicBlock, instr: Instruction) -> _Step:
         op = instr.opcode

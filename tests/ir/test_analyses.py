@@ -3,6 +3,7 @@
 from repro.ir.cfg import (
     back_edges, predecessors, reachable_blocks, reverse_postorder, successors,
 )
+from repro.ir.builder import IRBuilder
 from repro.ir.dominators import DominatorTree
 from repro.ir.scc import (
     condensation, is_loop_component, strongly_connected_components,
@@ -39,6 +40,16 @@ class TestCfg:
 
     def test_back_edges_identify_loop(self, counted_loop_module):
         func = counted_loop_module.function("triangle")
+        edges = [(a.name, b.name) for a, b in back_edges(func)]
+        assert edges == [("loop", "loop")]
+
+    def test_back_edges_skip_unreachable_blocks(self, counted_loop_module):
+        # Dominance is undefined off the entry's reach, so a dead block
+        # jumping into the loop adds no back edge instead of raising.
+        func = counted_loop_module.function("triangle")
+        b = IRBuilder(func)
+        b.set_block(func.add_block("dead"))
+        b.jmp(func.block("loop"))
         edges = [(a.name, b.name) for a, b in back_edges(func)]
         assert edges == [("loop", "loop")]
 

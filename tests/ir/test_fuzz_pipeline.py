@@ -1,7 +1,8 @@
 """Property-based fuzzing of the whole IR pipeline.
 
-Hypothesis generates random integer programs (straight-line expression DAGs
-and counted loops with random bodies); every generated program must:
+Hypothesis generates random integer programs (straight-line expression DAGs,
+counted loops with random bodies, and hang-prone counted loops bounded by
+the argument); every generated program must:
 
 - pass the verifier;
 - survive a print -> parse -> print round trip bit-for-bit;
@@ -23,7 +24,7 @@ from repro.ir.interp import ExecutionStatus, Interpreter
 from repro.ir.module import Module
 from repro.ir.parser import parse_module
 from repro.ir.printer import print_module
-from repro.ir.types import INT64
+from repro.ir.types import INT32, INT64
 from repro.ir.verifier import verify_module
 from repro.machine.codegen import run_compiled
 from repro.machine.cpu import RunOutcome
@@ -110,7 +111,101 @@ def looped_programs(draw) -> tuple[Module, list[int]]:
     return module, args
 
 
-PROGRAMS = st.one_of(straightline_programs(), looped_programs())
+_NEGATED = {
+    Predicate.LT: Predicate.GE, Predicate.GE: Predicate.LT,
+    Predicate.LE: Predicate.GT, Predicate.GT: Predicate.LE,
+    Predicate.EQ: Predicate.NE, Predicate.NE: Predicate.EQ,
+}
+_SWAPPED = {
+    Predicate.LT: Predicate.GT, Predicate.GT: Predicate.LT,
+    Predicate.LE: Predicate.GE, Predicate.GE: Predicate.LE,
+    Predicate.EQ: Predicate.EQ, Predicate.NE: Predicate.NE,
+}
+
+
+@st.composite
+def hang_prone_loops(draw) -> tuple[Module, list[int]]:
+    """A counted loop bounded by the argument ``n``.
+
+    ``i`` starts at a constant and moves by a signed constant step; the
+    loop leaves when ``exit_pred(i + step, n)`` holds, tested as that
+    icmp or as its negation with the branch sense flipped, with the
+    operands in either order.  ``n`` is solved so the fault-free loop
+    runs ``trip`` (at most 8) passes, so an SEU in ``n`` or ``i`` is what
+    makes it spin — up to ~2**62 passes for a flipped high bit of ``n``.
+    Width i64 or i32, values optionally near the signed limits.  No
+    protection level: ``test_instrumentation_preserves_random_programs``
+    instruments every generated program itself.
+    """
+    type_ = draw(st.sampled_from((INT64, INT32)))
+    module = Module("fuzzhang")
+    func = Function("f", [("n", type_)], type_)
+    module.add_function(func)
+    b = IRBuilder(func)
+    entry = func.add_block("entry")
+    loop = func.add_block("loop")
+    done = func.add_block("done")
+
+    exit_pred = draw(st.sampled_from(_PREDICATES))
+    trip = draw(st.integers(1, 8))
+    step = draw(st.integers(1, 7))
+    if exit_pred in (Predicate.LT, Predicate.LE) or (
+        exit_pred in (Predicate.EQ, Predicate.NE) and draw(st.booleans())
+    ):
+        step = -step
+    if exit_pred is Predicate.NE:
+        trip = min(trip, 2)  # leaves as soon as i + step != n
+    # Keep start .. start + trip*step inside the type, near a limit or not.
+    span = trip * abs(step)
+    offset = draw(st.integers(0, 50))
+    start = draw(st.sampled_from((
+        draw(st.integers(-50, 50)),
+        type_.signed_min + offset + (span if step < 0 else 0),
+        type_.signed_max - offset - (span if step > 0 else 0),
+    )))
+    last = start + trip * step
+    slack = draw(st.integers(0, abs(step) - 1))
+    n = {
+        Predicate.GE: last - slack,
+        Predicate.GT: last - 1 - slack,
+        Predicate.LE: last + slack,
+        Predicate.LT: last + 1 + slack,
+        Predicate.EQ: last,
+        Predicate.NE: start + step if trip == 2 else start,
+    }[exit_pred]
+
+    b.set_block(entry)
+    b.jmp(loop)
+    b.set_block(loop)
+    i = b.phi(type_, name="i")
+    acc = b.phi(type_, name="acc")
+    op_name = draw(st.sampled_from(_SAFE_BINOPS))
+    acc2 = getattr(b, op_name)(acc, i)
+    i2 = b.add(i, b.const(type_, step))
+    exit_on_true = draw(st.booleans())
+    pred = exit_pred if exit_on_true else _NEGATED[exit_pred]
+    if draw(st.booleans()):
+        cond = b.icmp(pred, i2, func.args[0])
+    else:
+        cond = b.icmp(_SWAPPED[pred], func.args[0], i2)
+    if exit_on_true:
+        b.br(cond, done, loop)
+    else:
+        b.br(cond, loop, done)
+    i.add_phi_incoming(b.const(type_, start), entry)
+    i.add_phi_incoming(i2, loop)
+    acc.add_phi_incoming(b.const(type_, draw(st.integers(-9, 9))), entry)
+    acc.add_phi_incoming(acc2, loop)
+    b.set_block(done)
+    res = b.phi(type_, name="res")
+    res.add_phi_incoming(acc2, loop)
+    b.ret(res)
+    return module, [n]
+
+
+PROGRAMS = st.one_of(
+    straightline_programs(), looped_programs(), hang_prone_loops()
+)
 
 
 @settings(max_examples=40, deadline=None)

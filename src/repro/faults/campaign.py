@@ -41,7 +41,10 @@ from repro.faults.seu import (
     HeapFaultInjector, RegisterFaultInjector, _value_types, draw_register_fault,
 )
 from repro.ir.costmodel import CORTEX_A53, CostModel
-from repro.ir.interp import ExecutionResult, ExecutionStatus, Interpreter
+from repro.ir.interp import (
+    BoundSnapshots, ExecutionResult, ExecutionStatus, GoldenSnapshots,
+    Interpreter,
+)
 from repro.ir.module import Module
 from repro.obs.events import (
     BlockTransition,
@@ -139,6 +142,14 @@ def run_golden(
     were already golden-run with a sufficient fuel budget; pass
     ``use_cache=False`` to force re-execution.  With a tracer, the cache
     consultation is recorded as a :class:`GoldenCacheLookup` event.
+
+    The run records its block-entry snapshot table as it goes
+    (:class:`repro.ir.interp.GoldenSnapshots`, at most 65 points however
+    long the run) and returns it as ``snapshots``; the cache entry keeps
+    it.  Trials start at its latest point at or before their fault and
+    end when their state rejoins golden's.  The table names blocks, so
+    :meth:`~repro.ir.interp.GoldenSnapshots.bind` resolves it against
+    each campaign's own module.
     """
     key = None
     if use_cache:
@@ -155,7 +166,8 @@ def run_golden(
         if cached is not None:
             return cached
     golden_interp = Interpreter(
-        campaign.module, cost_model=campaign.cost_model, fuel=campaign.fuel
+        campaign.module, cost_model=campaign.cost_model, fuel=campaign.fuel,
+        snapshots=GoldenSnapshots(),
     )
     golden = golden_interp.run(campaign.func_name, list(campaign.args))
     if golden.status is ExecutionStatus.HANG:
@@ -278,6 +290,7 @@ def run_trial(
     trace_blocks: bool = False,
     span_root: str = "",
     injector: RegisterFaultInjector | HeapFaultInjector | None = None,
+    snapshots: BoundSnapshots | None = None,
 ) -> TrialResult:
     """Execute and classify one faulted trial.
 
@@ -287,7 +300,9 @@ def run_trial(
     trial's RNG stream; a ``span_root`` brackets them with the trial's
     deterministic span.  Pruned campaigns pass an ``injector`` whose spec
     the planner resolved; the trial then draws nothing and ``trial_rng``
-    may be None.
+    may be None.  ``snapshots`` (golden's table bound to the campaign's
+    module) lets the trial start late and stop early unless it traces
+    blocks; the record is the same either way.
     """
     trace_hook = None
     trial_span = ""
@@ -312,8 +327,10 @@ def run_trial(
         trace_hook=trace_hook,
         # Both SEU injectors are pure no-ops before their drawn dynamic
         # index and after firing, so the interpreter may run batched
-        # blocks outside the live injection window.
+        # blocks outside the live injection window, start at a golden
+        # snapshot and stop where the trial rejoins golden.
         hook_index=injector.spec.dynamic_index,
+        snapshots=snapshots,
     )
     result = interp.run(campaign.func_name, list(campaign.args))
     trial = classify_trial(campaign, golden, injector, result)

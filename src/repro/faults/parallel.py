@@ -51,7 +51,7 @@ from repro.faults.model import FaultTarget
 from repro.faults.outcomes import TrialResult
 from repro.faults.seu import RegisterFaultInjector
 from repro.ir.costmodel import CostModel
-from repro.ir.interp import ExecutionResult
+from repro.ir.interp import BoundSnapshots, ExecutionResult
 from repro.ir.parser import parse_module
 from repro.ir.printer import print_module
 from repro.obs.events import Event, InMemorySink, Tracer
@@ -148,13 +148,16 @@ class WireCampaign:
 class TrialContext:
     """Everything a trial needs besides its work item.
 
-    Built once per campaign inline, and once per worker on the pool.
+    Built once per campaign inline, and once per worker on the pool;
+    either way it binds golden's snapshot table to its own campaign's
+    module once.
     """
 
     campaign: Campaign
     golden: ExecutionResult
     trial_fuel: int
     supervisor: object | None  # repro.recover.supervisor.Supervisor
+    snapshots: BoundSnapshots | None = None
     code_cache: dict = field(default_factory=dict)
 
     @classmethod
@@ -167,7 +170,10 @@ class TrialContext:
 
             supervisor = Supervisor(campaign, golden, supervisor_config)
         trial_fuel = engine.trial_fuel_for(campaign, golden)
-        return cls(campaign, golden, trial_fuel, supervisor)
+        snapshots = None
+        if golden.snapshots is not None:
+            snapshots = golden.snapshots.bind(campaign.module)
+        return cls(campaign, golden, trial_fuel, supervisor, snapshots)
 
     def run(
         self,
@@ -195,6 +201,7 @@ class TrialContext:
                     None if planned.spec is None
                     else RegisterFaultInjector(planned.spec)
                 ),
+                snapshots=self.snapshots,
             )
         return trial, record, None if sink is None else sink.events
 

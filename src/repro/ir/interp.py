@@ -47,6 +47,25 @@ instructions, W)`` for a pass of ``W`` instructions and ``C`` cycles,
 ``instructions = fuel + 1`` and ``cycles += k*C + prefix[r + 1]``, then
 HANG.  The proof runs at most once per loop entry; traced runs and hooks
 without the ``hook_index`` contract never take the shortcut.
+
+A faulted run executes only what differs from golden (golden
+snapshots).  A golden run handed an empty :class:`GoldenSnapshots`
+records its state at pre-phi block entries of the top frame: at
+instruction 0, then at the first such entry at or after each multiple of
+a power-of-two stride, the smallest that keeps at most 64 points after
+instruction 0, so the table stays small however long the run.  Blocks
+are stored by name and resolved per module (:meth:`GoldenSnapshots.bind`).
+A run given the bound table, a ``hook_index`` and golden's function and
+arguments, with nothing tracing, starts at the latest snapshot at or
+before ``hook_index`` (counters, heap and previous block restored) —
+the prefix is golden's, because the hook is a no-op there.  Once the
+hook has fired, at each later snapshot point — a hot-loop block entry of
+the top frame whose instruction count equals the snapshot's — the run
+ends with golden's record if block, previous block, cycles, env and heap
+all equal golden's, floats compared by their bits and every value with
+its type (``-0.0 == 0.0`` and ``0 == 0.0`` are different states).  The
+interpreter is deterministic in that state and a fired hook never acts
+again, so the rest of the run would be golden's, which fits the fuel.
 :class:`repro.ir.refinterp.ReferenceInterpreter` keeps the original
 dispatch loop as a differential oracle and perf baseline.
 """
@@ -56,6 +75,8 @@ from __future__ import annotations
 import enum
 import math
 import operator
+import sys
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from itertools import accumulate
 from typing import Callable
@@ -94,6 +115,8 @@ class ExecutionResult:
         block_trace: (function, block) names in execution order, when
             tracing was enabled.
         trap_reason: human-readable trap description.
+        snapshots: the snapshot table the run recorded, when it was
+            handed an empty :class:`GoldenSnapshots` and finished OK.
     """
 
     status: ExecutionStatus
@@ -102,6 +125,9 @@ class ExecutionResult:
     instructions: int
     block_trace: list[tuple[str, str]] = field(default_factory=list)
     trap_reason: str = ""
+    snapshots: GoldenSnapshots | None = field(
+        default=None, compare=False, repr=False
+    )
 
     @property
     def ok(self) -> bool:
@@ -199,6 +225,174 @@ class _BlockCode:
         self.loops: dict[BasicBlock, CountedLoop] | None = None
 
 
+#: Snapshot points a golden run keeps after the one at instruction 0.
+_SNAPSHOT_POINTS = 64
+#: ``_next_at`` of a frame that never reaches a snapshot point.
+_NEVER = sys.maxsize
+
+
+class GoldenSnapshots:
+    """Block-entry snapshots of one golden run, blocks stored by name.
+
+    Filled by the :meth:`Interpreter.run` of an interpreter constructed
+    with the empty table, which must be the golden run itself (no step
+    hook, no tracing; any other run leaves the table empty).  Each point
+    is ``(instructions, cycles, block, previous block, env, heap)`` at a
+    pre-phi block entry of the top frame; ``result`` is golden's
+    ``(value, cycles, instructions)`` once the run finished OK.
+
+    Names, not objects: the golden cache serves this table to every
+    module with the same printed IR, and a run must execute its own
+    module's blocks (their code cache holds its loop proofs).
+    :meth:`bind` resolves the names against one module.
+    """
+
+    def __init__(self) -> None:
+        self.func = ""
+        self.points: list[tuple] = []
+        self.result: tuple[int | float | None, int, int] | None = None
+        # Recording state: each point's trigger (the stride multiple it
+        # stands for), the stride and the next trigger.
+        self._triggers: list[int] = []
+        self._stride = 1
+        self._next = 0
+
+    def bind(self, module: Module) -> BoundSnapshots | None:
+        """The table with ``module``'s blocks; None if golden never finished.
+
+        ``module`` must be the golden run's module or one with identical
+        printed IR.
+        """
+        if self.result is None:
+            return None
+        func = module.function(self.func)
+        blocks = {block.name: block for block in func.blocks}
+        return BoundSnapshots(func, [
+            (n, cycles, blocks[block],
+             None if prev is None else blocks[prev], env, heap)
+            for n, cycles, block, prev, env, heap in self.points
+        ], self.result)
+
+    def _record(self, frame: Frame, interp: Interpreter) -> int:
+        """Take a point at this block entry; returns the next trigger.
+
+        Past the cap the stride doubles and only the points that are the
+        first entry at or after a multiple of the new stride stay, so the
+        table equals what that stride would have recorded from the start.
+        """
+        prev = frame.prev_block
+        n = interp.instructions
+        self.points.append((
+            n, interp.cycles, frame.block.name,
+            None if prev is None else prev.name,
+            dict(frame.env), list(interp.heap),
+        ))
+        self._triggers.append(self._next)
+        stride = self._stride
+        if len(self.points) > _SNAPSHOT_POINTS + 1:
+            stride = self._stride = stride * 2
+            kept = [
+                (multiple, point)
+                for trigger, point in zip(self._triggers, self.points)
+                if (multiple := -(-trigger // stride) * stride) <= point[0]
+            ]
+            self._triggers = [trigger for trigger, _point in kept]
+            self.points = [point for _trigger, point in kept]
+        self._next = (n // stride + 1) * stride
+        return self._next
+
+
+class BoundSnapshots:
+    """A :class:`GoldenSnapshots` table resolved against one module.
+
+    Handed to :class:`Interpreter` as ``snapshots``: a run with a
+    ``hook_index`` starts at the latest point at or before it and ends
+    with golden's record at the first later point where its state
+    equals golden's (see the module docstring).
+    """
+
+    __slots__ = ("func", "points", "counts", "value", "cycles", "instructions")
+
+    def __init__(
+        self,
+        func: Function,
+        points: list[tuple],
+        result: tuple[int | float | None, int, int],
+    ) -> None:
+        self.func = func
+        self.points = points
+        self.counts = [point[0] for point in points]
+        self.value, self.cycles, self.instructions = result
+
+    def start(self, frame: Frame, interp: Interpreter) -> Frame:
+        """The frame a hooked run of ``frame``'s entry starts from.
+
+        The latest point at or before ``interp.hook_index``, counters and
+        heap restored, when ``frame`` — the entry frame of the run —
+        holds golden's function and arguments and the fuel covers
+        golden; else ``frame`` itself, from instruction 0.
+        """
+        i = bisect_right(self.counts, interp.hook_index) - 1
+        entry_env = self.points[0][4]
+        if (
+            frame.func is not self.func or i < 0
+            or self.instructions > interp.fuel
+            or not _same_values(frame.env, entry_env)
+        ):
+            return frame
+        n, cycles, block, prev, env, heap = self.points[i]
+        interp.instructions = n
+        interp.cycles = cycles
+        interp.heap = list(heap)
+        interp._next_at = (
+            self.counts[i + 1] if i + 1 < len(self.counts) else _NEVER
+        )
+        return Frame(func=frame.func, env=dict(env), block=block,
+                     prev_block=prev)
+
+    def rejoined(self, frame: Frame, interp: Interpreter) -> int | None:
+        """At a top-frame block entry at or past the next point.
+
+        Returns None when the hook has fired and the run's state equals
+        golden's at a point with this instruction count; else the
+        instruction count of the next point.
+        """
+        counts = self.counts
+        n = interp.instructions
+        i = bisect_left(counts, n)
+        if i < len(counts) and counts[i] == n:
+            _n, cycles, block, prev, env, heap = self.points[i]
+            if (
+                interp.step_hook.fired
+                and frame.block is block and frame.prev_block is prev
+                and interp.cycles == cycles
+                and _same_values(frame.env, env)
+                and _same_values(interp.heap, heap)
+            ):
+                return None
+            i += 1
+        return counts[i] if i < len(counts) else _NEVER
+
+
+def _same_values(a: dict | list, b: dict | list) -> bool:
+    """``a == b`` with floats compared by their bits, every value by type.
+
+    Python's ``-0.0 == 0.0`` and ``0 == 0.0`` hold, yet the interpreter
+    treats those values differently (``fdiv 1.0, -0.0`` is ``-inf``).
+    Value-equal floats differ in bits only as signed zeros; NaNs in
+    distinct objects compare unequal, which only costs a missed rejoin.
+    """
+    if a != b:
+        return False
+    pairs = zip(a.values(), map(b.__getitem__, a)) if isinstance(a, dict) \
+        else zip(a, b)
+    copysign = math.copysign
+    return all(
+        type(x) is type(y) and (x != 0 or copysign(1.0, x) == copysign(1.0, y))
+        for x, y in pairs
+    )
+
+
 class Interpreter:
     """Executes IR modules.
 
@@ -225,9 +419,16 @@ class Interpreter:
             blocks there, and once the hook has fired it may end a
             provably hung loop in closed form; inside the window the
             hook is called for every instruction, exactly like the
-            reference loop.  Leave None for hooks without the contract
-            (checkpoints, watchdogs) — they are then called on every
-            instruction.
+            reference loop.  The same promise lets a run given
+            ``snapshots`` start at a golden snapshot at or before
+            ``hook_index`` and, once the hook has fired, end when its
+            state rejoins golden's.  Leave None for hooks without the
+            contract (checkpoints, watchdogs) — they are then called on
+            every instruction, from instruction 0 to the end.
+        snapshots: the golden run's snapshot table.  An empty
+            :class:`GoldenSnapshots` is filled by this interpreter's
+            golden run; a :class:`BoundSnapshots` for this module lets
+            untraced runs with a ``hook_index`` start late and stop early.
     """
 
     def __init__(
@@ -240,6 +441,7 @@ class Interpreter:
         code_cache: dict[BasicBlock, _BlockCode] | None = None,
         trace_hook: Callable[[str, str], None] | None = None,
         hook_index: int | None = None,
+        snapshots: GoldenSnapshots | BoundSnapshots | None = None,
     ) -> None:
         self.module = module
         self.cost_model = cost_model
@@ -248,6 +450,9 @@ class Interpreter:
         self.step_hook = step_hook
         self.trace_hook = trace_hook
         self.hook_index = hook_index
+        self.snapshots = snapshots
+        #: instruction count of the top frame's next snapshot point.
+        self._next_at = _NEVER
         self.heap: list[int | float] = []
         self.cycles = 0
         self.instructions = 0
@@ -260,30 +465,37 @@ class Interpreter:
     # -- public API -----------------------------------------------------------
 
     def run(self, func_name: str, args: list[int | float]) -> ExecutionResult:
-        """Execute ``func_name`` with ``args`` and classify the outcome."""
+        """Execute ``func_name`` with ``args`` and classify the outcome.
+
+        With ``snapshots`` this is either the golden run filling an empty
+        table or a hooked run that may start late and stop early (see
+        the module docstring).
+        """
         self.heap = []
         self.cycles = 0
         self.instructions = 0
         self.block_trace = []
         self.frames = []
-        func = self.module.function(func_name)
-        try:
-            value = self._call(func, args)
-            status, reason = ExecutionStatus.OK, ""
-        except DetectionTrap as exc:
-            value, status, reason = None, ExecutionStatus.DETECTED, str(exc)
-        except TrapError as exc:
-            value, status, reason = None, ExecutionStatus.TRAP, str(exc)
-        except FuelExhausted as exc:
-            value, status, reason = None, ExecutionStatus.HANG, str(exc)
-        return ExecutionResult(
-            status=status,
-            value=value,
-            cycles=self.cycles,
-            instructions=self.instructions,
-            block_trace=self.block_trace,
-            trap_reason=reason,
+        self._next_at = _NEVER
+        frame = self._entry_frame(self.module.function(func_name), args)
+        table = self.snapshots
+        untraced = not self.record_trace and self.trace_hook is None
+        recording = (
+            isinstance(table, GoldenSnapshots) and not table.points
+            and self.step_hook is None and untraced
         )
+        if recording:
+            table.func = func_name
+            self._next_at = 0
+        elif isinstance(table, BoundSnapshots) and untraced and (
+            self.step_hook is not None and self.hook_index is not None
+        ):
+            frame = table.start(frame, self)
+        result = self._execute(frame)
+        if recording and result.ok:
+            table.result = (result.value, result.cycles, result.instructions)
+            result.snapshots = table
+        return result
 
     def resume(
         self,
@@ -299,22 +511,32 @@ class Interpreter:
         The checkpoint must have been taken at a *safe point*: the start
         of a block's body, after the block's phis were applied to ``env``
         (this is where :class:`repro.recover.checkpoint.CheckpointHook`
-        fires).  Phi evaluation of the resumed block is therefore skipped —
-        re-running phis against a post-phi environment is not idempotent
-        (e.g. a loop-carried swap).  Cycle and instruction counters pick up
-        from the checkpointed values so overhead accounting stays honest.
+        fires).  The resumed block therefore runs once per step with its
+        phis skipped — re-running phis against a post-phi environment is
+        not idempotent (e.g. a loop-carried swap) — and the run then
+        continues in the hot loop.  Cycle and instruction counters pick
+        up from the checkpointed values so overhead accounting stays
+        honest.
         """
         self.heap = list(heap)
         self.cycles = cycles
         self.instructions = instructions
         self.block_trace = []
         self.frames = []
+        self._next_at = _NEVER
         func = self.module.function(func_name)
         frame = Frame(func=func, env=dict(env), block=func.block(block_name))
+        return self._execute(frame, resumed=True)
+
+    def _execute(self, frame: Frame, resumed: bool = False) -> ExecutionResult:
+        """Run ``frame`` as the top frame and classify the outcome."""
         self.frames.append(frame)
         try:
             try:
-                value = self._run_frame(frame, skip_phis_once=True)
+                if resumed:
+                    value = self._run_resumed(frame)
+                else:
+                    value = self._run_frame(frame)
             finally:
                 self.frames.pop()
             status, reason = ExecutionStatus.OK, ""
@@ -324,6 +546,11 @@ class Interpreter:
             value, status, reason = None, ExecutionStatus.TRAP, str(exc)
         except FuelExhausted as exc:
             value, status, reason = None, ExecutionStatus.HANG, str(exc)
+        if value is _REJOINED:
+            # The rest of the run is golden's: so is its record.
+            table = self.snapshots
+            value = table.value
+            self.cycles, self.instructions = table.cycles, table.instructions
         return ExecutionResult(
             status=status,
             value=value,
@@ -353,6 +580,15 @@ class Interpreter:
     # -- execution core --------------------------------------------------------
 
     def _call(self, func: Function, args: list[int | float]) -> int | float | None:
+        frame = self._entry_frame(func, args)
+        self.frames.append(frame)
+        try:
+            return self._run_frame(frame)
+        finally:
+            self.frames.pop()
+
+    @staticmethod
+    def _entry_frame(func: Function, args: list[int | float]) -> Frame:
         if len(args) != len(func.args):
             raise InterpreterError(
                 f"@{func.name} expects {len(func.args)} args, got {len(args)}"
@@ -360,18 +596,22 @@ class Interpreter:
         env: dict[str, int | float] = {}
         for formal, actual in zip(func.args, args):
             env[formal.name] = _coerce(formal.type, actual)
-        frame = Frame(func=func, env=env, block=func.entry)
-        self.frames.append(frame)
-        try:
-            return self._run_frame(frame)
-        finally:
-            self.frames.pop()
+        return Frame(func=func, env=env, block=func.entry)
 
-    def _run_frame(
-        self, frame: Frame, skip_phis_once: bool = False
-    ) -> int | float | None:
+    def _run_resumed(self, frame: Frame) -> int | float | None:
+        """The resumed block per step with its phis skipped, then the rest."""
+        if self.record_trace:
+            self.block_trace.append((frame.func.name, frame.block.name))
+        if self.trace_hook is not None:
+            self.trace_hook(frame.func.name, frame.block.name)
+        result = self._run_block(frame, skip_phis=True)
+        if result is _CONTINUE:
+            return self._run_frame(frame)
+        return result.value  # type: ignore[union-attr]
+
+    def _run_frame(self, frame: Frame) -> int | float | None:
         trace_hook = self.trace_hook
-        if not self.record_trace and trace_hook is None and not skip_phis_once:
+        if not self.record_trace and trace_hook is None:
             # Hot path: no per-block observability.  A block runs batched
             # (counter updates and fuel check hoisted) when it has no
             # call, cannot cross the fuel ceiling, and the step hook is
@@ -386,7 +626,13 @@ class Interpreter:
             if hook is None or hook_index is not None:
                 self._find_loops(frame.func)
             tried = None  # the loop whose proof ran since it was entered
+            # Golden snapshot points are block entries of the top frame.
+            next_at = self._next_at if len(self.frames) == 1 else _NEVER
             while True:
+                if self.instructions >= next_at:
+                    next_at = self._snapshot_point(frame)
+                    if next_at is None:
+                        return _REJOINED  # type: ignore[return-value]
                 code = code_cache.get(frame.block)
                 if code is None:
                     code = self._compile_block(frame.block)
@@ -428,11 +674,21 @@ class Interpreter:
                 self.block_trace.append((frame.func.name, frame.block.name))
             if trace_hook is not None:
                 trace_hook(frame.func.name, frame.block.name)
-            result = self._run_block(frame, skip_phis=skip_phis_once)
-            skip_phis_once = False
+            result = self._run_block(frame)
             if result is _CONTINUE:
                 continue
             return result.value  # type: ignore[union-attr]
+
+    def _snapshot_point(self, frame: Frame) -> int | None:
+        """A top-frame block entry at or past the next snapshot point.
+
+        Records the golden run's snapshot here, or tests whether a hooked
+        run rejoined golden (None).  Returns the next point's count.
+        """
+        table = self.snapshots
+        if isinstance(table, GoldenSnapshots):
+            return table._record(frame, self)
+        return table.rejoined(frame, self)
 
     def _run_batched(self, frame: Frame, code: _BlockCode) -> object:
         """Batched execution of one block (hook quiescent, fuel prefits).
@@ -953,6 +1209,8 @@ def magnitude(x: float, k: int = 0) -> int:
 
 _CONTINUE = object()
 _RETURN_NONE = _Return(None)
+#: Returned by the top frame when its run rejoined golden.
+_REJOINED = object()
 
 _INT_ARITH = frozenset({
     Opcode.ADD, Opcode.SUB, Opcode.MUL, Opcode.SDIV, Opcode.SREM,

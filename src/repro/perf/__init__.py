@@ -13,7 +13,8 @@ ROADMAP).  This package holds the cross-cutting perf machinery:
   of hanging;
 * :mod:`repro.perf.report` — the machine-readable ``BENCH_perf.json``
   writer that gives subsequent PRs a perf trajectory to regress against,
-  plus the ``python -m repro.perf.report`` summary CLI.
+  plus the ``python -m repro.perf.report`` summary CLI.  It is not
+  imported here, so running it with ``-m`` loads it once.
 
 The campaign executor itself lives in :mod:`repro.faults.parallel`.
 """
@@ -26,11 +27,6 @@ from repro.perf.cache import (
     module_fingerprint,
 )
 from repro.perf.pool import POOL_REGISTRY, PoolRegistry, WarmPool
-from repro.perf.report import (
-    format_report,
-    load_perf_report,
-    write_perf_report,
-)
 
 __all__ = [
     "CacheStats",
@@ -41,7 +37,4 @@ __all__ = [
     "POOL_REGISTRY",
     "PoolRegistry",
     "WarmPool",
-    "format_report",
-    "load_perf_report",
-    "write_perf_report",
 ]

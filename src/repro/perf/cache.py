@@ -13,6 +13,11 @@ A cached entry is only served when the requesting campaign's fuel budget
 covers the recorded instruction count; a campaign whose fuel could not have
 completed the golden run re-executes (and fails) exactly as it would have
 without the cache.
+
+An entry keeps the golden run's snapshot table
+(:attr:`~repro.ir.interp.ExecutionResult.snapshots`), which names blocks
+rather than holding them, so a clone served another module's entry binds
+it to its own blocks.
 """
 
 from __future__ import annotations

@@ -16,6 +16,8 @@ warm-pool sections).
 from __future__ import annotations
 
 import json
+import os
+import sys
 from pathlib import Path
 
 SCHEMA_VERSION = 1
@@ -49,6 +51,10 @@ def write_perf_report(
     ``schema`` version it was written under (entries predating schema
     stamps are backfilled with version 1), and the list is truncated to
     ``keep_history`` newest-first.
+
+    The report is written to a temporary file beside ``path`` and moved
+    over it with ``os.replace``, so a crash mid-write leaves the old
+    report whole.
     """
     path = Path(path)
     previous = load_perf_report(path)
@@ -71,7 +77,13 @@ def write_perf_report(
         **snapshot,
         "history": history[:keep_history],
     }
-    path.write_text(json.dumps(report, indent=2, sort_keys=False) + "\n")
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(json.dumps(report, indent=2, sort_keys=False) + "\n")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
     return report
 
 
@@ -175,4 +187,10 @@ def main(argv: list[str] | None = None) -> int:
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via CLI smoke test
-    raise SystemExit(main())
+    try:
+        code = main()
+    except BrokenPipeError:
+        # Downstream pager/head closed the pipe mid-render; not an error.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 0
+    sys.exit(code)

@@ -5,9 +5,11 @@ case through every execution tier:
 
 1. :class:`repro.ir.refinterp.ReferenceInterpreter` — the oracle;
 2. the fast path (per-step dispatch, hook always consulted);
-3. batched blocks (``hook_index`` lets pre-window blocks batch).
+3. batched blocks (``hook_index`` lets pre-window blocks batch);
+4. golden snapshots (the SEU run starts at the latest golden snapshot
+   at or before ``hook_index`` and stops where it rejoins golden).
 
-All three must agree exactly on outcome (status, value, trap reason),
+All tiers must agree exactly on outcome (status, value, trap reason),
 fuel (dynamic instruction and cycle counts) and live register state —
 the environment snapshot probed at a random dynamic index.
 """
@@ -20,7 +22,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.faults.model import FaultSpec, FaultTarget
 from repro.faults.seu import RegisterFaultInjector
-from repro.ir.interp import Interpreter
+from repro.ir.interp import GoldenSnapshots, Interpreter
 from repro.ir.refinterp import ReferenceInterpreter
 from repro.rng import make_rng
 
@@ -79,9 +81,16 @@ def test_random_seu_agrees_across_all_tiers(case, seed):
     batched = Interpreter(
         module, fuel=fuel, step_hook=injector(), hook_index=index
     ).run("f", args)
+    table = GoldenSnapshots()
+    Interpreter(module, snapshots=table).run("f", args)
+    from_snapshots = Interpreter(
+        module, fuel=fuel, step_hook=injector(), hook_index=index,
+        snapshots=table.bind(module),
+    ).run("f", args)
 
     _assert_same_execution(fast, oracle)
     _assert_same_execution(batched, oracle)
+    _assert_same_execution(from_snapshots, oracle)
 
 
 @settings(max_examples=25, deadline=None)

@@ -24,6 +24,11 @@ from repro.ir.interp import Interpreter
 from repro.ir.module import Module
 from repro.ir.refinterp import ReferenceInterpreter
 from repro.ir.types import INT64
+from repro.recover.checkpoint import (
+    CheckpointHook,
+    CheckpointManager,
+    resume_from_checkpoint,
+)
 from repro.rng import make_rng
 from repro.workloads.irprograms import PROGRAMS, build_program
 
@@ -139,6 +144,47 @@ class TestBatchedTierRuns:
             block.name for block, _start in per_step_blocks
             if not _has_call(block)
         ] == []
+
+
+class TestResumeRunsBatched:
+    @pytest.mark.parametrize("name", ["orbit", "dot"])
+    def test_resume_batches_every_later_block(
+        self, name, per_step_blocks, monkeypatch
+    ):
+        # Only the resumed block runs per step (its phis were applied
+        # before the checkpoint); the rest of the run is the hot loop.
+        module = build_program(name)
+        args = list(PROGRAMS[name].default_args)
+        straight = Interpreter(module).run(name, args)
+        manager = CheckpointManager(capacity=8)
+        assert Interpreter(
+            module, step_hook=CheckpointHook(manager, 100)
+        ).run(name, args).ok
+        batched = []
+        run_batched = Interpreter._run_batched
+
+        def counting(self, frame, code):
+            batched.append(frame.block)
+            return run_batched(self, frame, code)
+
+        monkeypatch.setattr(Interpreter, "_run_batched", counting)
+        for skip in range(len(manager)):
+            ckpt = manager.latest_good(skip=skip)
+            per_step_blocks.clear()
+            batched.clear()
+            resumed = resume_from_checkpoint(module, ckpt)
+            _assert_same_execution(resumed, straight)
+            block_name = ckpt.state()[1]
+            assert [block.name for block, _start in per_step_blocks] \
+                == [block_name]
+            # Every block after the resumed one, up to the return.
+            blocks = (
+                straight.instructions - ckpt.instructions
+                - len(module.function(name).block(block_name).body)
+            )
+            assert batched and sum(
+                len(block.instructions) for block in batched
+            ) == blocks
 
 
 class TestCounterExactness:

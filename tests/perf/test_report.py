@@ -91,3 +91,44 @@ def test_report_cli_smoke(tmp_path):
     assert proc.returncode == 0
     assert "8.00x" in proc.stdout
     assert "golden_cache" in proc.stdout
+
+
+def test_failed_replace_keeps_the_old_report(tmp_path, monkeypatch):
+    import os
+
+    path = tmp_path / "BENCH_perf.json"
+    write_perf_report(path, {"run": 1})
+    before = path.read_text()
+
+    def crash(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(os, "replace", crash)
+    try:
+        write_perf_report(path, {"run": 2})
+    except OSError:
+        pass
+    else:  # pragma: no cover - the patched replace always raises
+        raise AssertionError("write_perf_report swallowed the failure")
+    assert path.read_text() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["BENCH_perf.json"]
+
+
+def test_report_cli_survives_a_closed_pipe(tmp_path):
+    import json
+    import subprocess
+    import sys
+
+    # Far more output than a pipe buffers, so the writer is still
+    # writing when the reader goes away.
+    path = tmp_path / "BENCH_perf.json"
+    path.write_text(json.dumps({"schema": 1, "workers": "x" * 1_000_000}))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro.perf.report", str(path)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    assert len(proc.stdout.read(1)) == 1
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    assert proc.wait(timeout=60) == 0
+    assert stderr == b""

@@ -325,11 +325,10 @@ def run_trial(
         step_hook=injector,
         code_cache=code_cache,
         trace_hook=trace_hook,
-        # Both SEU injectors are pure no-ops before their drawn dynamic
-        # index and after firing, so the interpreter may run batched
-        # blocks outside the live injection window, start at a golden
-        # snapshot and stop where the trial rejoins golden.
-        hook_index=injector.spec.dynamic_index,
+        # The injector's ``next_index`` (its drawn index, None once
+        # fired) lets the interpreter batch outside the injection
+        # window, start at a golden snapshot and stop where the trial
+        # rejoins golden.
         snapshots=snapshots,
     )
     result = interp.run(campaign.func_name, list(campaign.args))
@@ -724,7 +723,8 @@ class _TrialPlanner:
     *reads* the frame; the replay stays fault-free, which is precisely
     why the environments it observes equal the ones each faulted trial's
     injector would have seen (the fault has not fired yet at its own
-    firing point).
+    firing point).  Its ``next_index`` is the drawn index of the next
+    unresolved request, None once every request is resolved.
     """
 
     def __init__(
@@ -736,13 +736,14 @@ class _TrialPlanner:
         self.resolutions: list[
             tuple[FaultSpec, tuple[str, str, int] | None] | None
         ] = [None] * len(requests)
-        # Trials in drawn-index order; all trials whose index <= the
-        # current dynamic index fire at the same hook call (each from its
-        # own generator, so resolution order cannot perturb the draws).
-        self._order = sorted(
-            range(len(requests)), key=lambda i: requests[i][0]
+        # Unresolved trials, the lowest drawn index last; all trials whose
+        # index <= the current dynamic index fire at the same hook call
+        # (each from its own generator, so resolution order cannot
+        # perturb the draws).
+        self._pending = sorted(
+            range(len(requests)), key=lambda i: -requests[i][0]
         )
-        self._next = 0
+        self.next_index = requests[self._pending[-1]][0] if requests else None
         self._points: dict[int, tuple[str, str, int]] = {}
         for func in module:
             for block in func.blocks:
@@ -753,24 +754,20 @@ class _TrialPlanner:
         self._type_cache: dict[str, dict] = {}
 
     def __call__(self, interp, frame, instr, dynamic_index: int) -> None:
-        if self._next >= len(self._order):
-            return
+        at = self.next_index
         env = frame.env
-        if not env:
+        if at is None or at > dynamic_index or not env:
             return  # injectors wait for live state; so does the planner
-        if self.requests[self._order[self._next]][0] > dynamic_index:
-            return
         types = self._type_cache.get(frame.func.name)
         if types is None:
             types = _value_types(frame.func)
             self._type_cache[frame.func.name] = types
         point = self._points.get(id(instr))
-        while self._next < len(self._order):
-            number = self._order[self._next]
-            if self.requests[number][0] > dynamic_index:
-                return
+        pending, requests = self._pending, self.requests
+        while pending and requests[pending[-1]][0] <= dynamic_index:
+            number = pending.pop()
             name, _type, bit = draw_register_fault(
-                env, types, self.requests[number][1]
+                env, types, requests[number][1]
             )
             spec = FaultSpec(
                 target=FaultTarget.REGISTER,
@@ -779,7 +776,7 @@ class _TrialPlanner:
                 bit=bit,
             )
             self.resolutions[number] = (spec, point)
-            self._next += 1
+        self.next_index = requests[pending[-1]][0] if pending else None
 
 
 def prune_masked_trials(
@@ -824,10 +821,9 @@ def prune_masked_trials(
         campaign.module,
         cost_model=campaign.cost_model,
         fuel=campaign.fuel,
+        # The planner's ``next_index`` lets every block that ends before
+        # the next unresolved request run batched.
         step_hook=planner,
-        # hook_index=None keeps the interpreter on the per-instruction
-        # path so the planner observes every firing opportunity.
-        hook_index=None,
     ).run(campaign.func_name, list(campaign.args))
     if not replay.ok or replay.instructions != golden.instructions:
         raise FaultInjectionError(

@@ -5,7 +5,8 @@ that fires once, at a chosen dynamic instruction index, and flips one bit of
 live architectural state — a register (live SSA value of the executing
 frame) or a heap cell.  This mirrors the paper's QEMU framework, which
 "pauses the execution of the system emulation at a selected time, and uses
-GDB to modify register and memory contents" (sect. 4.2).
+GDB to modify register and memory contents" (sect. 4.2): an injector's
+``next_index`` is its drawn index until it fires, then None.
 """
 
 from __future__ import annotations
@@ -78,6 +79,7 @@ class RegisterFaultInjector:
         self.spec = spec
         self.rng = make_rng(seed)
         self.resolved: FaultSpec | None = None
+        self.next_index: int | None = spec.dynamic_index
         self._type_cache: dict[str, dict[str, Type]] = {}
 
     def __call__(
@@ -112,6 +114,7 @@ class RegisterFaultInjector:
             location=name,
             bit=bit,
         )
+        self.next_index = None
 
     @property
     def fired(self) -> bool:
@@ -137,6 +140,7 @@ class HeapFaultInjector:
         self.spec = spec
         self.rng = make_rng(seed)
         self.resolved: FaultSpec | None = None
+        self.next_index: int | None = spec.dynamic_index
 
     def __call__(
         self,
@@ -177,6 +181,7 @@ class HeapFaultInjector:
             location=address,
             bit=bit,
         )
+        self.next_index = None
 
     @property
     def fired(self) -> bool:

@@ -16,37 +16,32 @@ chains.  Compiled blocks can be shared across interpreter instances via the
 ``code_cache`` argument (one cache per module + cost model), which is how
 fault-injection campaigns amortize compilation across hundreds of trials.
 
-On top of per-block compilation sits one batched tier: when no trace hook
-or trace recording is active, a block runs in a bare loop with the
-instruction/cycle counters and the fuel check hoisted out (one fuel
-precheck per block, counters added in bulk).  A block batches when it
-contains no call (calls re-enter the interpreter and must see exact
-counters), cannot cross the fuel ceiling (so HANG trips at the identical
-dynamic instruction on the per-step loop), and the step hook is absent or
-quiescent for the block's whole span.  Exactness is preserved: a
+Every step hook says when it next acts: its ``next_index`` is the lowest
+dynamic index at which it may do anything, and None means it never acts
+again (a hook without the attribute is wrapped as acting at every index).
+Like the paper's injector, which pauses the emulation only at the
+selected time, the interpreter runs everything else at full speed.  One
+frame loop serves every run, traced or not: a block runs batched — a bare
+loop with the instruction/cycle counters and the fuel check hoisted out —
+when it contains no call (calls re-enter the interpreter and must see
+exact counters), cannot cross the fuel ceiling (so HANG trips at the
+identical dynamic instruction on the per-step path) and ends at or before
+``next_index``; otherwise it runs per step and the hook is called before
+every body instruction, exactly like the reference semantics.  A
 mid-block trap re-charges exactly the instructions executed up to and
-including the trapping one (prefix-summed cycle tables).
+including the trapping one (prefix-summed cycle tables).  ``record_trace``
+and ``trace_hook`` see every block entry of the same loop.
 
-Fault-injection trials keep the batched tier almost everywhere via the
-``hook_index`` contract: a ``step_hook`` whose observable effects are
-confined to dynamic indices ``>= hook_index`` until its ``fired`` property
-turns True (both SEU injectors satisfy this) lets the interpreter skip
-hook dispatch for every block that ends before the window opens and for
-everything after the hook has fired — the hook is called for every
-instruction inside the live window, exactly like the reference
-semantics.
-
-Hung runs end in closed form (the hang shortcut).  When a hot frame
-reaches a loop header over its back edge with the step hook absent or
-fired, the header's :class:`~repro.ir.loops.CountedLoop` — found once
+Hung runs end in closed form (the hang shortcut).  When a frame of an
+untraced run reaches a loop header over its back edge with ``next_index``
+None, the header's :class:`~repro.ir.loops.CountedLoop` — found once
 per function per code cache, its proof slice compiled then — decides
 from the live environment whether every pass the remaining fuel reaches
 keeps to the loop's path.  If so the run is charged exactly what the
 per-step loop would count at exhaustion: with ``k, r = divmod(fuel -
 instructions, W)`` for a pass of ``W`` instructions and ``C`` cycles,
 ``instructions = fuel + 1`` and ``cycles += k*C + prefix[r + 1]``, then
-HANG.  The proof runs at most once per loop entry; traced runs and hooks
-without the ``hook_index`` contract never take the shortcut.
+HANG.  The proof runs at most once per loop entry.
 
 A faulted run executes only what differs from golden (golden
 snapshots).  A golden run handed an empty :class:`GoldenSnapshots`
@@ -55,16 +50,16 @@ instruction 0, then at the first such entry at or after each multiple of
 a power-of-two stride, the smallest that keeps at most 64 points after
 instruction 0, so the table stays small however long the run.  Blocks
 are stored by name and resolved per module (:meth:`GoldenSnapshots.bind`).
-A run given the bound table, a ``hook_index`` and golden's function and
-arguments, with nothing tracing, starts at the latest snapshot at or
-before ``hook_index`` (counters, heap and previous block restored) —
-the prefix is golden's, because the hook is a no-op there.  Once the
-hook has fired, at each later snapshot point — a hot-loop block entry of
-the top frame whose instruction count equals the snapshot's — the run
-ends with golden's record if block, previous block, cycles, env and heap
-all equal golden's, floats compared by their bits and every value with
-its type (``-0.0 == 0.0`` and ``0 == 0.0`` are different states).  The
-interpreter is deterministic in that state and a fired hook never acts
+A run given the bound table and golden's function and arguments, with
+nothing tracing, starts at the latest snapshot at or before its hook's
+``next_index`` (counters, heap and previous block restored) — the prefix
+is golden's, because the hook is a no-op there.  Once ``next_index`` is
+None, at each later snapshot point — a block entry of the top frame
+whose instruction count equals the snapshot's — the run ends with
+golden's record if block, previous block, cycles, env and heap all equal
+golden's, floats compared by their bits and every value with its type
+(``-0.0 == 0.0`` and ``0 == 0.0`` are different states).  The
+interpreter is deterministic in that state and the hook never acts
 again, so the rest of the run would be golden's, which fits the fuel.
 :class:`repro.ir.refinterp.ReferenceInterpreter` keeps the original
 dispatch loop as a differential oracle and perf baseline.
@@ -78,6 +73,7 @@ import operator
 import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import accumulate
 from typing import Callable
 
@@ -144,8 +140,10 @@ class Frame:
     prev_block: BasicBlock | None = None
 
 
-#: Called before each instruction: (interpreter, frame, instruction, dynamic
-#: index).  May mutate frame.env / interpreter.heap to model an SEU.
+#: Called before each body instruction: (interpreter, frame, instruction,
+#: dynamic index).  May mutate frame.env / interpreter.heap to model an SEU.
+#: Its ``next_index`` attribute is the lowest index at which it may act
+#: (None: never again); the interpreter need not call it below that.
 StepHook = Callable[["Interpreter", Frame, Instruction, int], None]
 
 
@@ -305,10 +303,10 @@ class GoldenSnapshots:
 class BoundSnapshots:
     """A :class:`GoldenSnapshots` table resolved against one module.
 
-    Handed to :class:`Interpreter` as ``snapshots``: a run with a
-    ``hook_index`` starts at the latest point at or before it and ends
-    with golden's record at the first later point where its state
-    equals golden's (see the module docstring).
+    Handed to :class:`Interpreter` as ``snapshots``: a run starts at the
+    latest point at or before its hook's ``next_index`` and ends with
+    golden's record at the first later point where its state equals
+    golden's (see the module docstring).
     """
 
     __slots__ = ("func", "points", "counts", "value", "cycles", "instructions")
@@ -325,14 +323,16 @@ class BoundSnapshots:
         self.value, self.cycles, self.instructions = result
 
     def start(self, frame: Frame, interp: Interpreter) -> Frame:
-        """The frame a hooked run of ``frame``'s entry starts from.
+        """The frame a run of ``frame``'s entry starts from.
 
-        The latest point at or before ``interp.hook_index``, counters and
+        The latest point at or before the hook's ``next_index`` (the
+        last point when there is no hook or it is None), counters and
         heap restored, when ``frame`` — the entry frame of the run —
         holds golden's function and arguments and the fuel covers
         golden; else ``frame`` itself, from instruction 0.
         """
-        i = bisect_right(self.counts, interp.hook_index) - 1
+        at = getattr(interp.step_hook, "next_index", None)  # None: no hook
+        i = bisect_right(self.counts, _NEVER if at is None else at) - 1
         entry_env = self.points[0][4]
         if (
             frame.func is not self.func or i < 0
@@ -353,9 +353,10 @@ class BoundSnapshots:
     def rejoined(self, frame: Frame, interp: Interpreter) -> int | None:
         """At a top-frame block entry at or past the next point.
 
-        Returns None when the hook has fired and the run's state equals
-        golden's at a point with this instruction count; else the
-        instruction count of the next point.
+        Returns None when the hook never acts again (no hook, or its
+        ``next_index`` is None) and the run's state equals golden's at a
+        point with this instruction count; else the instruction count of
+        the next point.
         """
         counts = self.counts
         n = interp.instructions
@@ -363,7 +364,7 @@ class BoundSnapshots:
         if i < len(counts) and counts[i] == n:
             _n, cycles, block, prev, env, heap = self.points[i]
             if (
-                interp.step_hook.fired
+                getattr(interp.step_hook, "next_index", None) is None
                 and frame.block is block and frame.prev_block is prev
                 and interp.cycles == cycles
                 and _same_values(frame.env, env)
@@ -403,32 +404,20 @@ class Interpreter:
         fuel: maximum dynamic instructions before declaring a hang.
 
     Args:
+        step_hook: optional :data:`StepHook`, its ``next_index`` read at
+            every block entry (see the module docstring).  A hook without
+            the attribute is wrapped once, here, to act at every index.
         code_cache: optional dict reused across interpreter instances to
             share compiled blocks.  Callers must only share a cache between
             interpreters with the same module (not mutated in between) and
             the same cost model — fault-injection campaigns satisfy both.
         trace_hook: optional ``(func_name, block_name)`` callback fired on
             every block entry (the observability layer's block-transition
-            tracing).  Costs one attribute read per block when None, so
-            the compiled fast path is preserved in disabled mode.
-        hook_index: quiescence contract for ``step_hook``: the hook is a
-            pure no-op for every dynamic instruction index below
-            ``hook_index`` and, once its ``fired`` property is True, for
-            every index after.  With this promise the interpreter skips
-            hook dispatch outside the live window and runs batched
-            blocks there, and once the hook has fired it may end a
-            provably hung loop in closed form; inside the window the
-            hook is called for every instruction, exactly like the
-            reference loop.  The same promise lets a run given
-            ``snapshots`` start at a golden snapshot at or before
-            ``hook_index`` and, once the hook has fired, end when its
-            state rejoins golden's.  Leave None for hooks without the
-            contract (checkpoints, watchdogs) — they are then called on
-            every instruction, from instruction 0 to the end.
+            tracing).
         snapshots: the golden run's snapshot table.  An empty
             :class:`GoldenSnapshots` is filled by this interpreter's
             golden run; a :class:`BoundSnapshots` for this module lets
-            untraced runs with a ``hook_index`` start late and stop early.
+            untraced runs start late and stop early.
     """
 
     def __init__(
@@ -440,16 +429,19 @@ class Interpreter:
         step_hook: StepHook | None = None,
         code_cache: dict[BasicBlock, _BlockCode] | None = None,
         trace_hook: Callable[[str, str], None] | None = None,
-        hook_index: int | None = None,
         snapshots: GoldenSnapshots | BoundSnapshots | None = None,
     ) -> None:
         self.module = module
         self.cost_model = cost_model
         self.fuel = fuel
         self.record_trace = record_trace
+        if step_hook is not None and not hasattr(step_hook, "next_index"):
+            # May act at every index; a partial takes the attribute a
+            # bound method or builtin would refuse.
+            step_hook = partial(step_hook)
+            step_hook.next_index = 0
         self.step_hook = step_hook
         self.trace_hook = trace_hook
-        self.hook_index = hook_index
         self.snapshots = snapshots
         #: instruction count of the top frame's next snapshot point.
         self._next_at = _NEVER
@@ -468,8 +460,8 @@ class Interpreter:
         """Execute ``func_name`` with ``args`` and classify the outcome.
 
         With ``snapshots`` this is either the golden run filling an empty
-        table or a hooked run that may start late and stop early (see
-        the module docstring).
+        table or a run that may start late and stop early (see the
+        module docstring).
         """
         self.heap = []
         self.cycles = 0
@@ -487,9 +479,7 @@ class Interpreter:
         if recording:
             table.func = func_name
             self._next_at = 0
-        elif isinstance(table, BoundSnapshots) and untraced and (
-            self.step_hook is not None and self.hook_index is not None
-        ):
+        elif isinstance(table, BoundSnapshots) and untraced:
             frame = table.start(frame, self)
         result = self._execute(frame)
         if recording and result.ok:
@@ -610,88 +600,70 @@ class Interpreter:
         return result.value  # type: ignore[union-attr]
 
     def _run_frame(self, frame: Frame) -> int | float | None:
+        # One loop for every run.  A block runs batched (counter updates
+        # and fuel check hoisted) when it has no call, cannot cross the
+        # fuel ceiling and ends at or before the hook's ``next_index``;
+        # otherwise it runs on the exact per-step path.
+        code_cache = self._code
+        fuel = self.fuel
+        hook = self.step_hook
+        record = self.record_trace
         trace_hook = self.trace_hook
-        if not self.record_trace and trace_hook is None:
-            # Hot path: no per-block observability.  A block runs batched
-            # (counter updates and fuel check hoisted) when it has no
-            # call, cannot cross the fuel ceiling, and the step hook is
-            # absent or quiescent for its whole span under ``hook_index``;
-            # otherwise it runs on the exact per-step path.
-            code_cache = self._code
-            fuel = self.fuel
-            hook = self.step_hook
-            hook_index = self.hook_index
-            run_batched = self._run_batched
-            run_block = self._run_block
-            if hook is None or hook_index is not None:
-                self._find_loops(frame.func)
-            tried = None  # the loop whose proof ran since it was entered
-            # Golden snapshot points are block entries of the top frame.
-            next_at = self._next_at if len(self.frames) == 1 else _NEVER
-            while True:
-                if self.instructions >= next_at:
-                    next_at = self._snapshot_point(frame)
+        traced = record or trace_hook is not None
+        run_batched = self._run_batched
+        run_block = self._run_block
+        if not traced:
+            self._find_loops(frame.func)
+        tried = None  # the loop whose proof ran since it was entered
+        # Golden snapshot points are block entries of the top frame.
+        next_at = self._next_at if len(self.frames) == 1 else _NEVER
+        while True:
+            if traced:
+                if record:
+                    self.block_trace.append((frame.func.name, frame.block.name))
+                if trace_hook is not None:
+                    trace_hook(frame.func.name, frame.block.name)
+            at = None if hook is None else hook.next_index
+            if self.instructions >= next_at:
+                table = self.snapshots
+                if isinstance(table, GoldenSnapshots):
+                    next_at = table._record(frame, self)
+                else:
+                    next_at = table.rejoined(frame, self)
                     if next_at is None:
                         return _REJOINED  # type: ignore[return-value]
-                code = code_cache.get(frame.block)
-                if code is None:
-                    code = self._compile_block(frame.block)
-                loop = code.loop
-                if loop is not None:
-                    if frame.prev_block is not loop.latch:
-                        tried = None
-                    elif loop is not tried and (
-                        hook is None
-                        or (hook_index is not None and hook.fired)
-                    ):
-                        # Hang shortcut: back at the header with the hook
-                        # quiescent for good.  If the path provably keeps
-                        # looping past the fuel, charge what the per-step
-                        # loop would: k full passes, then the first r + 1
-                        # instructions of the next, the last one tripping.
-                        tried = loop
-                        k, r = divmod(fuel - self.instructions, loop.weight)
-                        if loop.spins(frame.env, k):
-                            self.instructions = fuel + 1
-                            self.cycles += k * loop.cycles + loop.prefix[r + 1]
-                            raise FuelExhausted(
-                                f"instruction budget of {fuel} exhausted"
-                            )
-                end = self.instructions + code.weight
-                if not code.has_call and end <= fuel and (
-                    hook is None
-                    or (hook_index is not None
-                        and (end <= hook_index or hook.fired))
-                ):
-                    result = run_batched(frame, code)
-                else:
-                    result = run_block(frame)
-                if result is _CONTINUE:
-                    continue
-                return result.value  # type: ignore[union-attr]
-        while True:
-            if self.record_trace:
-                self.block_trace.append((frame.func.name, frame.block.name))
-            if trace_hook is not None:
-                trace_hook(frame.func.name, frame.block.name)
-            result = self._run_block(frame)
+            code = code_cache.get(frame.block)
+            if code is None:
+                code = self._compile_block(frame.block)
+            loop = code.loop
+            if loop is not None:
+                if frame.prev_block is not loop.latch:
+                    tried = None
+                elif loop is not tried and at is None and not traced:
+                    # Hang shortcut: back at the header with the hook
+                    # done for good.  If the path provably keeps looping
+                    # past the fuel, charge what the per-step loop
+                    # would: k full passes, then the first r + 1
+                    # instructions of the next, the last one tripping.
+                    tried = loop
+                    k, r = divmod(fuel - self.instructions, loop.weight)
+                    if loop.spins(frame.env, k):
+                        self.instructions = fuel + 1
+                        self.cycles += k * loop.cycles + loop.prefix[r + 1]
+                        raise FuelExhausted(
+                            f"instruction budget of {fuel} exhausted"
+                        )
+            end = self.instructions + code.weight
+            if not code.has_call and end <= fuel and (at is None or end <= at):
+                result = run_batched(frame, code)
+            else:
+                result = run_block(frame)
             if result is _CONTINUE:
                 continue
             return result.value  # type: ignore[union-attr]
 
-    def _snapshot_point(self, frame: Frame) -> int | None:
-        """A top-frame block entry at or past the next snapshot point.
-
-        Records the golden run's snapshot here, or tests whether a hooked
-        run rejoined golden (None).  Returns the next point's count.
-        """
-        table = self.snapshots
-        if isinstance(table, GoldenSnapshots):
-            return table._record(frame, self)
-        return table.rejoined(frame, self)
-
     def _run_batched(self, frame: Frame, code: _BlockCode) -> object:
-        """Batched execution of one block (hook quiescent, fuel prefits).
+        """Batched execution of one block (hook idle, fuel prefits).
 
         Counters are charged in bulk after the block completes; a step
         that traps is re-charged exactly: the reference loop increments
@@ -839,8 +811,8 @@ class Interpreter:
         """Attach ``func``'s counted loops to their header blocks.
 
         Once per function per code cache: the entry block's code keeps
-        the result.  Lazy, so runs that can never take the shortcut (a
-        hook without ``hook_index``, tracing) do not pay for the search.
+        the result.  Lazy, so traced runs, which never take the shortcut,
+        do not pay for the search.
         """
         entry = self._code.get(func.entry) or self._compile_block(func.entry)
         if entry.loops is None:

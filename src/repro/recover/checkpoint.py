@@ -218,7 +218,8 @@ class CheckpointHook:
         self.interval = interval
         self.tracer = tracer
         self.trial_index = trial_index
-        self._next_at = interval
+        #: the step-hook contract: no capture is due below this index.
+        self.next_index = interval
 
     def __call__(
         self,
@@ -227,7 +228,7 @@ class CheckpointHook:
         instr: Instruction,
         dynamic_index: int,
     ) -> None:
-        if dynamic_index < self._next_at:
+        if dynamic_index < self.next_index:
             return
         if len(interp.frames) != 1:
             return  # only top-frame state is resumable; wait for a return
@@ -246,7 +247,7 @@ class CheckpointHook:
             cycles=interp.cycles,
             substrate="interp",
         )
-        self._next_at = dynamic_index + self.interval
+        self.next_index = dynamic_index + self.interval
         if self.tracer is not None:
             self.tracer.emit(CheckpointTaken(
                 trial=self.trial_index,

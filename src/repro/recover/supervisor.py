@@ -3,12 +3,14 @@
 A supervised campaign replays the library's fault-injection methodology
 with a flight-software supervisor in the loop.  Every trial runs with
 three step hooks chained: the fault injector, a periodic checksum-verified
-checkpoint taker, and a watchdog armed at a small multiple of the golden
-instruction count.  When a trial ends in CRASH, HANG, or DETECTED — the
-externally observable failures; silent corruption is the DMR layer's
-problem — the supervisor climbs the escalation ladder until an attempt
-delivers a correct output or the ladder is exhausted, charging every
-attempt's cycles and backoff to the trial's recovery bill.
+checkpoint taker, and a watchdog whose budget is a small multiple of the
+golden run's dynamic instruction count, spent one tick per body
+instruction (step hooks never see phis).  When a trial ends in CRASH,
+HANG, or DETECTED — the externally observable failures; silent
+corruption is the DMR layer's problem — the supervisor climbs the
+escalation ladder until an attempt delivers a correct output or the
+ladder is exhausted, charging every attempt's cycles and backoff to the
+trial's recovery bill.
 
 Attempt acceptance uses the campaign's golden value as an oracle.  On a
 real spacecraft the oracle is an application-level acceptance test (a
@@ -80,7 +82,10 @@ class SupervisorConfig:
         checkpoint_interval: dynamic instructions between checkpoints.
         checkpoint_capacity: checkpoints retained (ring buffer).
         watchdog_margin: watchdog budget as a multiple of the golden
-            instruction count — the hang detector's tightness.
+            run's dynamic instruction count — the hang detector's
+            tightness.  The watchdog ticks once per body instruction,
+            so a run bites at that many instructions plus the phis
+            executed by then.
         ladder: escalation policy.
         persistence_probs: distribution of failure stickiness classes
             (see :class:`FaultPersistence`); models corruption outside

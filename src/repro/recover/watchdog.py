@@ -55,7 +55,14 @@ class Watchdog:
 
 
 class InterpWatchdog(Watchdog):
-    """Interpreter ``step_hook``: one tick per dynamic instruction."""
+    """Interpreter ``step_hook``: one tick per body instruction.
+
+    Step hooks never see phis, so a run bites at dynamic instruction
+    ``budget`` plus the phis executed by then, an index not known in
+    advance: the hook may act at every index (``next_index`` 0).
+    """
+
+    next_index = 0
 
     def __call__(
         self,
@@ -81,6 +88,8 @@ def chain_step_hooks(*hooks):
 
     Both substrates accept a single ``step_hook`` callable; the supervisor
     needs several at once (fault injector, checkpoint taker, watchdog).
+    A chain may act at every index (``next_index`` 0); the supervisor's
+    holds a watchdog, which does.
     """
     live = [h for h in hooks if h is not None]
     if not live:
@@ -92,4 +101,5 @@ def chain_step_hooks(*hooks):
         for hook in live:
             hook(*args)
 
+    chained.next_index = 0
     return chained

@@ -17,17 +17,21 @@ from repro.errors import FaultInjectionError
 from repro.faults.campaign import (
     Campaign,
     PrunedTrials,
+    _TrialPlanner,
+    plan_trials,
     prune_masked_trials,
     run_campaign,
     run_campaign_pruned,
+    run_golden,
 )
 from repro.faults.model import FaultTarget
 from repro.faults.outcomes import FaultOutcome
+from repro.ir.interp import Interpreter
 from repro.ir.parser import parse_module
 from repro.ir.printer import print_module
 from repro.obs.events import InMemorySink, Tracer
 from repro.obs.report import summarize
-from repro.workloads.irprograms import build_program
+from repro.workloads.irprograms import PROGRAMS, build_program
 
 from tests.identity import (
     assert_identical,
@@ -229,3 +233,57 @@ def test_prune_rate_properties_on_empty_plan():
     assert plan.trials == []
     assert plan.n_pruned == 0
     assert plan.prune_rate == 0.0
+
+
+#: campaign-pruned's program x protection-level cells.
+PRUNED_CELLS = [
+    (name, level)
+    for name in ("fact", "gcd", "checksum", "dot", "horner", "fmul_chain")
+    for level in ("none", "bb-cfi", "full-dmr")
+]
+
+
+@pytest.mark.parametrize("name,level", PRUNED_CELLS)
+def test_planner_resolves_as_when_called_at_every_index(
+    name, level, monkeypatch
+):
+    # The replay batches every block that ends before the planner's
+    # next_index; a planner consulted at every index must resolve every
+    # trial at the same point, site and bit.
+    module = build_program(name)
+    if level != "none":
+        module, _plans = instrument_module(module, ProtectionLevel(level))
+    campaign = Campaign(
+        module=module, func_name=name, args=PROGRAMS[name].default_args,
+        n_trials=100,
+    )
+    golden = run_golden(campaign)
+    batched = []
+    run_batched = Interpreter._run_batched
+
+    def counting(self, frame, code):
+        batched.append(frame.block)
+        return run_batched(self, frame, code)
+
+    monkeypatch.setattr(Interpreter, "_run_batched", counting)
+    for seed in (SEED, SEED + 1):
+        planners = [
+            _TrialPlanner(module, [
+                (int(planned.rng.integers(golden.instructions)), planned.rng)
+                for planned in plan_trials(campaign, seed)
+            ])
+            for _ in range(2)
+        ]
+        every_step = planners[1]
+        for hook in (planners[0], lambda *args: every_step(*args)):
+            replay = Interpreter(
+                module, cost_model=campaign.cost_model, fuel=campaign.fuel,
+                step_hook=hook,
+            ).run(name, list(campaign.args))
+            assert replay.ok
+            assert replay.instructions == golden.instructions
+        assert planners[0].next_index is None
+        assert planners[0].resolutions == planners[1].resolutions
+    if name in ("checksum", "dot"):
+        # Golden runs 708-2,636 instructions: 100 requests leave gaps.
+        assert batched

@@ -104,9 +104,9 @@ class TestFlippedBoundHangs:
         )
 
         injector = RegisterFaultInjector(spec)
-        fast = Interpreter(
-            module, fuel=fuel, step_hook=injector, hook_index=index
-        ).run(name, args)
+        fast = Interpreter(module, fuel=fuel, step_hook=injector).run(
+            name, args
+        )
         assert fast.status is ExecutionStatus.HANG
         header = func.block("loop")
         # The pass in progress when the fault fired, plus at most one.

@@ -212,8 +212,9 @@ class TestCounterExactness:
     def test_hook_window_batching_matches_reference(
         self, name, seed, per_step_blocks
     ):
-        # hook_index lets blocks before the injection window run batched;
-        # the trajectory must still match the unbatched reference exactly.
+        # The injector's next_index lets blocks before the injection
+        # window run batched; the trajectory must still match the
+        # unbatched reference exactly.
         module = build_program(name)
         args = list(PROGRAMS[name].default_args)
         golden = ReferenceInterpreter(module).run(name, args)
@@ -223,7 +224,7 @@ class TestCounterExactness:
 
         injector = RegisterFaultInjector(spec, seed=make_rng(seed))
         fast = Interpreter(
-            module, fuel=fuel, step_hook=injector, hook_index=index,
+            module, fuel=fuel, step_hook=injector,
         ).run(name, args)
         ref = ReferenceInterpreter(
             module, fuel=fuel,
@@ -232,7 +233,7 @@ class TestCounterExactness:
         _assert_same_execution(fast, ref)
 
         # Per step ran only call blocks, blocks that could cross the fuel
-        # ceiling, and blocks overlapping [hook_index, firing index].
+        # ceiling, and blocks overlapping [drawn index, firing index].
         fired_at = (
             injector.resolved.dynamic_index if injector.fired else math.inf
         )

@@ -95,6 +95,38 @@ class TestInterpreterCheckpointing:
         with pytest.raises(CheckpointError):
             resume_from_checkpoint(module, bad)
 
+    @pytest.mark.parametrize("name", ["isort", "orbit", "dot"])
+    def test_batched_run_stores_the_checkpoints_of_a_per_step_run(
+        self, name, monkeypatch
+    ):
+        # Blocks that end before the hook's next_index run batched; a
+        # hook consulted at every index must store the same checkpoints.
+        module = build_program(name)
+        args = list(PROGRAMS[name].default_args)
+        batched = []
+        run_batched = Interpreter._run_batched
+
+        def counting(self, frame, code):
+            batched.append(frame.block)
+            return run_batched(self, frame, code)
+
+        monkeypatch.setattr(Interpreter, "_run_batched", counting)
+        managers = [CheckpointManager(capacity=1_000) for _ in range(2)]
+        every_step = CheckpointHook(managers[1])
+        runs = [
+            Interpreter(module, step_hook=CheckpointHook(managers[0])),
+            Interpreter(module, step_hook=lambda *a: every_step(*a)),
+        ]
+        results = [interp.run(name, args) for interp in runs]
+        assert results[0] == results[1] and results[0].ok
+        stored = [
+            [(c.payload, c.crc, c.instructions, c.cycles) for c in m._ring]
+            for m in managers
+        ]
+        assert stored[0] and stored[0] == stored[1]
+        assert managers[0].taken == len(stored[0])
+        assert batched
+
     def test_wrong_substrate_refused(self):
         mgr = CheckpointManager()
         ckpt = mgr.store(("m",), instructions=0, cycles=0,

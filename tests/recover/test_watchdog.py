@@ -7,6 +7,8 @@ from repro.ir.builder import IRBuilder
 from repro.ir.interp import ExecutionStatus, Interpreter
 from repro.ir.function import Function
 from repro.ir.module import Module
+from repro.ir.parser import parse_module
+from repro.ir.refinterp import ReferenceInterpreter
 from repro.ir.types import INT64
 from repro.machine.asm import assemble
 from repro.machine.cpu import Machine, RunOutcome
@@ -18,6 +20,24 @@ from repro.recover.watchdog import (
     chain_step_hooks,
 )
 from repro.workloads.irprograms import PROGRAMS, build_program
+
+
+#: entry jumps into a loop of 2 phis and 4 body instructions.
+PHI_LOOP = """
+func @spin(%n: i64) -> i64 {
+^entry:
+  jmp ^loop
+^loop:
+  %i = phi i64 [0, ^entry], [%i2, ^loop]
+  %s = phi i64 [0, ^entry], [%s2, ^loop]
+  %i2 = add i64 %i, 1
+  %s2 = add i64 %s, %i
+  %c = icmp lt i64 %i2, %n
+  br %c, ^loop, ^done
+^done:
+  ret i64 %s2
+}
+"""
 
 
 def build_hang_module() -> Module:
@@ -96,6 +116,23 @@ class TestInterpWatchdog:
         assert watched.ok
         assert watched.value == bare.value
         assert dog.bites == 0
+
+    @pytest.mark.parametrize("budget", [1, 37, 500])
+    @pytest.mark.parametrize("interp_cls", [Interpreter, ReferenceInterpreter])
+    def test_bites_at_budget_plus_the_phis_executed(self, budget, interp_cls):
+        # Step hooks never see phis: the watchdog ticks once per body
+        # instruction.  The entry's jmp is tick 1 and pass j holds ticks
+        # 4j - 2 .. 4j + 1, so tick budget + 1 bites in pass
+        # ceil(budget / 4), after its 2 phis ran and before the biting
+        # instruction counts: a budget of 500 bites at instruction 750.
+        dog = InterpWatchdog(budget)
+        result = interp_cls(
+            parse_module(PHI_LOOP), fuel=10**9, step_hook=dog
+        ).run("spin", [10**9])
+        assert result.status is ExecutionStatus.HANG
+        assert "watchdog" in result.trap_reason.lower()
+        phis = 2 * -(-budget // 4)
+        assert result.instructions == budget + phis
 
     def test_tight_budget_is_cheaper_than_fuel(self):
         # The whole point of the watchdog: a hang costs ~3x the golden

@@ -1,19 +1,13 @@
 """E18 — mission-control service: sharded throughput under saturation.
 
-The service claim: sharding the fleet across execution backends buys
-throughput *without* buying drift — every cell of the strategy matrix
-(sequential / process x 1 / 2 / 4 shards) replays the same
-seeded bursty telemetry (storm-burst latch-up schedule from the
+The service claim: sharding the fleet does not buy drift — every cell
+of the shard matrix (1 / 2 / 4 shards, each scored in-process) replays
+the same seeded bursty telemetry (storm-burst latch-up schedule from the
 environment timeline) and must reproduce the synchronous single-scorer
 reference **byte-for-byte**: per-board alarm times, commanded
 power-cycles, and the shard-merged health rollup.  Rows/s and
-nearest-rank p50/p99 decision latency are recorded per cell.
-
-Scaling is load-dependent: on multi-CPU hosts the 4-shard process
-configuration is expected at >= 2x the single-shard process throughput
-(gated when >= 4 CPUs are available and ``REPRO_SERVICE_GATE`` != 0);
-on a single CPU the matrix is informational — the identity gates still
-bind everywhere.
+nearest-rank p50/p99 decision latency are recorded per cell; timings
+are informational, the identity gates bind everywhere.
 
 Merges a ``service`` section into ``BENCH_fleet.json`` (preserving the
 E15 ``throughput``/``ensemble`` sections; bounded trajectory via
@@ -21,8 +15,7 @@ E15 ``throughput``/``ensemble`` sections; bounded trajectory via
 ``benchmarks/results/E18.txt``.
 
 Budget knobs: ``REPRO_SERVICE_BOARDS`` (default 64),
-``REPRO_SERVICE_TICKS`` (default 200), ``REPRO_SERVICE_GATE``
-(``0`` records scaling without asserting it).
+``REPRO_SERVICE_TICKS`` (default 200).
 """
 
 from __future__ import annotations
@@ -50,14 +43,12 @@ REPORT_PATH = REPO_ROOT / "BENCH_fleet.json"
 
 N_BOARDS = int(os.environ.get("REPRO_SERVICE_BOARDS", "64"))
 N_TICKS = int(os.environ.get("REPRO_SERVICE_TICKS", "200"))
-GATE_SCALING = os.environ.get("REPRO_SERVICE_GATE", "1") != "0"
 RATE_HZ = 10.0
 DURATION_S = N_TICKS / RATE_HZ
 ONSET_S = DURATION_S / 4.0
 SEL_RATE = 400.0
 TIMELINE_SEED = 7
 MEMBER_SEED = 500
-STRATEGIES = ("sequential", "process")
 SHARD_COUNTS = (1, 2, 4)
 #: Saturation depth: frames pipeline ahead of decisions (replay mode is
 #: open-loop, so pipelining cannot change the decision history), while
@@ -103,68 +94,48 @@ def test_e18_record_reference():
     }
 
 
-def test_e18_strategy_matrix():
-    """Every strategy x shard cell: measure, then gate byte-identity."""
+def test_e18_shard_matrix():
+    """Every shard count: measure, then gate byte-identity."""
     assert _STATE, "reference measurement did not run"
     detector, rows = _STATE["detector"], _STATE["rows"]
     reference = _STATE["reference"]
     matrix: dict[str, dict] = {}
-    for strategy in STRATEGIES:
-        for n_shards in SHARD_COUNTS:
-            service = AsyncFleetService(
-                detector,
-                _members(),
-                config=FleetConfig(),
-                service=ServiceConfig(
-                    n_shards=n_shards,
-                    strategy=strategy,
-                    max_inflight_ticks=INFLIGHT,
-                    snapshot_every=10**9,  # snapshots off the hot path
-                ),
-                source=ReplaySource(rows),
-            )
-            report = service.run(duration_s=DURATION_S, rate_hz=RATE_HZ)
-            assert service.alarm_times() == reference.alarm_times, (
-                f"{strategy} x{n_shards}: alarm history diverged"
-            )
-            assert service.reboot_times() == reference.reboot_times, (
-                f"{strategy} x{n_shards}: escalation history diverged"
-            )
-            assert (
-                service.health_rollup().merge_key()
-                == reference.health.merge_key()
-            ), f"{strategy} x{n_shards}: health rollup diverged"
-            assert report.rows_shed == 0
-            matrix[f"{strategy}x{n_shards}"] = {
-                "strategy": strategy,
-                "shards": n_shards,
-                "rows_per_s": report.rows_per_s,
-                "p50_ms": report.latency["p50"] * 1e3,
-                "p99_ms": report.latency["p99"] * 1e3,
-                "byte_identical": True,
-            }
+    for n_shards in SHARD_COUNTS:
+        service = AsyncFleetService(
+            detector,
+            _members(),
+            config=FleetConfig(),
+            service=ServiceConfig(
+                n_shards=n_shards,
+                max_inflight_ticks=INFLIGHT,
+                snapshot_every=10**9,  # snapshots off the hot path
+            ),
+            source=ReplaySource(rows),
+        )
+        report = service.run(duration_s=DURATION_S, rate_hz=RATE_HZ)
+        assert service.alarm_times() == reference.alarm_times, (
+            f"x{n_shards}: alarm history diverged"
+        )
+        assert service.reboot_times() == reference.reboot_times, (
+            f"x{n_shards}: escalation history diverged"
+        )
+        assert (
+            service.health_rollup().merge_key()
+            == reference.health.merge_key()
+        ), f"x{n_shards}: health rollup diverged"
+        assert report.rows_shed == 0
+        matrix[f"x{n_shards}"] = {
+            "shards": n_shards,
+            "rows_per_s": report.rows_per_s,
+            "p50_ms": report.latency["p50"] * 1e3,
+            "p99_ms": report.latency["p99"] * 1e3,
+            "byte_identical": True,
+        }
     SNAPSHOT["service"] = {
         "available_cpus": available_cpus(),
         "inflight_ticks": INFLIGHT,
         "matrix": matrix,
     }
-
-
-def test_e18_shard_scaling():
-    """4-shard vs 1-shard process throughput (gated on >= 4 CPUs)."""
-    matrix = SNAPSHOT["service"]["matrix"]
-    ratio = (
-        matrix["processx4"]["rows_per_s"]
-        / matrix["processx1"]["rows_per_s"]
-    )
-    SNAPSHOT["service"]["process_4shard_over_1shard"] = ratio
-    cpus = available_cpus()
-    SNAPSHOT["service"]["scaling_gated"] = GATE_SCALING and cpus >= 4
-    if GATE_SCALING and cpus >= 4:
-        assert ratio >= 2.0, (
-            f"4-shard process throughput only {ratio:.2f}x single-shard "
-            f"on a {cpus}-CPU host"
-        )
 
 
 def test_e18_write_report():
@@ -182,10 +153,9 @@ def test_e18_write_report():
     svc = SNAPSHOT["service"]
     work = SNAPSHOT["workload"]
     body = fmt_table(
-        ["strategy", "shards", "rows/s", "p50 ms", "p99 ms", "identical"],
+        ["shards", "rows/s", "p50 ms", "p99 ms", "identical"],
         [
             [
-                cell["strategy"],
                 str(cell["shards"]),
                 f"{cell['rows_per_s']:.0f}",
                 f"{cell['p50_ms']:.2f}",
@@ -199,10 +169,7 @@ def test_e18_write_report():
         f"\n\n{work['boards']} boards x {work['ticks']} ticks replayed "
         f"(storm burst: {work['alarms']} alarms on "
         f"{work['alarm_boards']} boards, {work['reboots']} reboots); "
-        "every cell byte-identical to the synchronous reference\n"
-        f"process 4-shard / 1-shard throughput: "
-        f"{svc['process_4shard_over_1shard']:.2f}x on "
-        f"{svc['available_cpus']} CPU(s)"
-        + ("" if svc["scaling_gated"] else " (informational)")
+        "every cell byte-identical to the synchronous reference; "
+        f"{svc['available_cpus']} CPU(s) available"
     )
     write_result("E18", "mission-control service throughput", body)

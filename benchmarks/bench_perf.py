@@ -26,9 +26,11 @@ sub-linear parallel number on a quota-limited host is interpretable.
 ``parallel_vs_serial >= 1.0`` whenever more than one CPU is actually
 available (informational on 1-CPU hosts, where a pool cannot win),
 judged on the median of :data:`GATE_ROUNDS` interleaved serial/parallel
-rounds because one best-of-1 sample flips on identical code, and
-``min_speedup`` must not regress more than 20% below the previous
-history entry in ``BENCH_perf.json``.
+rounds because one best-of-1 sample flips on identical code, each round
+a campaign of :data:`GATE_TRIALS` trials (whatever
+``REPRO_PERF_TRIALS`` is) so the pool's fixed dispatch cost does not
+decide the ratio, and ``min_speedup`` must not regress more than 20%
+below the previous history entry in ``BENCH_perf.json``.
 
 Budget knobs: ``REPRO_PERF_TRIALS`` (campaign trials per measurement,
 default 300), ``REPRO_PERF_WORKERS`` (default 4), ``REPRO_PERF_REPEAT``
@@ -39,6 +41,7 @@ from __future__ import annotations
 
 import os
 import time
+from dataclasses import replace
 from pathlib import Path
 from statistics import median
 
@@ -50,7 +53,7 @@ from repro.faults.campaign import (
     trial_fuel_for,
 )
 from repro.faults.outcomes import FaultOutcome, OutcomeCounts, TrialResult, classify
-from repro.faults.parallel import available_cpus, run_campaign_parallel
+from repro.faults.parallel import available_cpus
 from repro.obs.events import InMemorySink, Tracer
 from repro.obs.export import export_snapshot, snapshot_section
 from repro.obs.metrics import ENGINE_METRICS
@@ -75,6 +78,11 @@ GATE = os.environ.get("REPRO_PERF_GATE") == "1"
 #: Interleaved serial/parallel rounds the ``parallel_vs_serial`` gate
 #: takes the median of.
 GATE_ROUNDS = 7
+
+#: Trials per gate round: enough serial work (≈0.4 s of isort on a
+#: 2-CPU host) that the pool's fixed dispatch cost is a small share; a
+#: 60-trial round is about that cost, so its ratio sits near 1.
+GATE_TRIALS = 1200
 
 INTERP_PROGRAMS = ("isort", "orbit")
 CAMPAIGN_PROGRAM = "isort"
@@ -194,7 +202,7 @@ def test_perf_campaign_throughput():
     # to the serial loop at every worker count.
     serial = run_campaign(campaign, seed=1)
     for workers in (1, 2, WORKERS):
-        par = run_campaign_parallel(campaign, seed=1, workers=workers)
+        par = run_campaign(campaign, seed=1, workers=workers)
         assert par.trials == serial.trials, (
             f"parallel campaign diverged from serial at workers={workers}"
         )
@@ -206,7 +214,7 @@ def test_perf_campaign_throughput():
     # The warm pool is already hot from the determinism gates above, so
     # this measures steady-state dispatch, not fork + golden re-derive.
     t_parallel = _best_of(
-        lambda: run_campaign_parallel(campaign, seed=1, workers=WORKERS)
+        lambda: run_campaign(campaign, seed=1, workers=WORKERS)
     )
 
     baseline_tps = N_TRIALS / t_baseline
@@ -242,10 +250,11 @@ def test_perf_campaign_throughput():
     if STRICT:
         assert parallel_tps >= 2.0 * baseline_tps
     if GATE and cpus > 1:
+        gate_campaign = replace(campaign, n_trials=GATE_TRIALS)
         runs = {
-            "serial": lambda: run_campaign(campaign, seed=1),
-            "parallel": lambda: run_campaign_parallel(
-                campaign, seed=1, workers=WORKERS
+            "serial": lambda: run_campaign(gate_campaign, seed=1),
+            "parallel": lambda: run_campaign(
+                gate_campaign, seed=1, workers=WORKERS
             ),
         }
         ratios = []
@@ -258,10 +267,12 @@ def test_perf_campaign_throughput():
             times = {side: _best_of(runs[side], 1) for side in order}
             ratios.append(times["serial"] / times["parallel"])
         ratio = median(ratios)
+        SNAPSHOT["parallel"]["gate_trials"] = GATE_TRIALS
         SNAPSHOT["parallel"]["gate_rounds"] = ratios
         assert ratio >= 1.0, (
             f"warm-pool parallel lost to serial (median {ratio:.2f}x over "
-            f"{GATE_ROUNDS} rounds) with {cpus} CPUs available"
+            f"{GATE_ROUNDS} rounds of {GATE_TRIALS} trials) with {cpus} "
+            "CPUs available"
         )
 
 

@@ -36,8 +36,7 @@ from repro.core.scrubber import (
 # Workloads and fault injection.
 from repro.workloads import PROGRAMS, build_program, build_suite, golden_run
 from repro.faults import (
-    Campaign, run_campaign, run_campaign_parallel,
-    run_supervised_campaign_parallel, FaultTarget, FaultOutcome, FaultSpec,
+    Campaign, run_campaign, FaultTarget, FaultOutcome, FaultSpec,
 )
 from repro.perf import GOLDEN_CACHE, module_fingerprint
 
@@ -67,8 +66,7 @@ __all__ = [
     "ScrubSimConfig", "run_scrub_simulation", "KernelScrubModule",
     # workloads / faults
     "PROGRAMS", "build_program", "build_suite", "golden_run",
-    "Campaign", "run_campaign", "run_campaign_parallel",
-    "run_supervised_campaign_parallel", "FaultTarget", "FaultOutcome",
+    "Campaign", "run_campaign", "FaultTarget", "FaultOutcome",
     "FaultSpec", "GOLDEN_CACHE", "module_fingerprint",
     # recovery
     "AdaptiveConfig", "AdaptiveController", "CheckpointManager",

@@ -31,14 +31,7 @@ from repro.hw.board import Board
 from repro.obs.aggregate import latency_histogram
 from repro.obs.events import FleetDecision, PhaseTransition, Tracer
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.spans import (
-    ROOT,
-    SpanEnd,
-    SpanStart,
-    fleet_root,
-    profile_stage,
-    span_id,
-)
+from repro.obs.spans import ROOT, SpanEnd, SpanStart, fleet_root, span_id
 from repro.radiation.schedule import (
     EnvironmentTimeline,
     MissionPhase,
@@ -290,8 +283,7 @@ class SelFleetService:
             self._apply_phase(t)
         rows, newly_dead = self._sample_rows(t)
         started = time.perf_counter()
-        with profile_stage("score"):
-            step = self.scorer.step(t, rows)
+        step = self.scorer.step(t, rows)
         elapsed = time.perf_counter() - started
         if self.metrics is not None:
             self._record_latency(elapsed)

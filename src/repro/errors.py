@@ -124,4 +124,4 @@ class ServiceError(ReproError):
 
 
 class ShardCrashed(ServiceError):
-    """A shard worker died mid-run (recoverable via snapshot restore)."""
+    """A shard scorer was lost mid-run (recoverable via snapshot restore)."""

@@ -27,11 +27,6 @@ from repro.faults.campaign import (
     run_campaign_pruned,
     run_timeline_campaign,
 )
-from repro.faults.parallel import (
-    run_campaign_parallel,
-    run_supervised_campaign_parallel,
-    run_timeline_campaign_parallel,
-)
 from repro.faults.sel import LatchupEvent, LatchupGenerator
 
 __all__ = [
@@ -43,7 +38,5 @@ __all__ = [
     "PlannedTrial", "PrunedTrials",
     "prune_masked_trials", "run_campaign_pruned",
     "TimelineCampaignResult", "run_timeline_campaign",
-    "run_campaign_parallel", "run_supervised_campaign_parallel",
-    "run_timeline_campaign_parallel",
     "LatchupEvent", "LatchupGenerator",
 ]

@@ -419,12 +419,11 @@ def plan_trials(
 class CampaignEmitter:
     """The emit stage: every event a campaign writes, for every flavour.
 
-    Construction opens the campaign's root span (its id derives from the
+    :meth:`start` opens the campaign's root span (its id derives from the
     campaign identity and integer seed, see
-    :func:`repro.obs.spans.campaign_root`), so planning inside it belongs
-    to the campaign.  Executed trials' events arrive as the executor's
-    batches; pruned trials' are rebuilt here.  Without a tracer every
-    method does nothing.
+    :func:`repro.obs.spans.campaign_root`).  Executed trials' events
+    arrive as the executor's batches; pruned trials' are rebuilt here.
+    Without a tracer every method does nothing.
     """
 
     def __init__(
@@ -436,21 +435,23 @@ class CampaignEmitter:
     ) -> None:
         self.tracer = tracer
         self.campaign = campaign
+        self.seed = seed
         self.root = ""
         if tracer is not None and spans:
             name, func = campaign.module.name, campaign.func_name
             self.root = campaign_root(name, func, seed, campaign.n_trials)
-            tracer.emit(SpanStart(
-                span=self.root,
-                parent=ROOT,
-                name="campaign",
-                index=seed if isinstance(seed, int) else 0,
-                detail=f"{name}:@{func}",
-            ))
 
     def start(self, supervised: bool) -> None:
         if self.tracer is not None:
             campaign = self.campaign
+            if self.root:
+                self.tracer.emit(SpanStart(
+                    span=self.root,
+                    parent=ROOT,
+                    name="campaign",
+                    index=self.seed if isinstance(self.seed, int) else 0,
+                    detail=f"{campaign.module.name}:@{campaign.func_name}",
+                ))
             self.tracer.emit(CampaignStart(
                 program=campaign.module.name,
                 func=campaign.func_name,
@@ -505,7 +506,6 @@ def run_plan(
     workers: int | None = None,
     trace_blocks: bool = False,
     supervisor_config=None,
-    chunk_size: int | None = None,
 ) -> tuple[CampaignResult, list]:
     """Execute ``plan`` and emit it: the pipeline every flavour shares.
 
@@ -513,9 +513,13 @@ def run_plan(
     ``workers`` > 1), rebuilds the pruned ones from the golden run and
     emits everything in trial order.  Returns the campaign result and one
     recovery record per trial (None unless supervised and failing).
+    ``workers`` < 1 raises :class:`~repro.errors.FaultInjectionError`
+    before the campaign starts.
     """
     from repro.faults.parallel import execute
 
+    if workers is not None and workers < 1:
+        raise FaultInjectionError(f"worker count must be >= 1, got {workers}")
     tracer = emitter.tracer
     emitter.start(supervised=supervisor_config is not None)
     golden = run_golden(campaign, tracer=tracer)
@@ -525,7 +529,6 @@ def run_plan(
          if not planned.pruned],
         workers, traced=tracer is not None, trace_blocks=trace_blocks,
         span_root=emitter.root, supervisor_config=supervisor_config,
-        chunk_size=chunk_size,
     )
     counts = OutcomeCounts()
     trials: list[TrialResult] = []

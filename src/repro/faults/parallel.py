@@ -25,8 +25,9 @@ inline with the same result.  An exception raised in a worker — a trial
 bug, or a golden run that does not reproduce the parent's
 (``FaultInjectionError``) — discards the pool and reaches the caller.
 
-Trials run inline when ``workers`` <= 1, for fewer than
-:data:`MIN_PARALLEL_TRIALS` items, or when no pool can be created.
+Trials run inline when ``workers`` is None or 1, for fewer than
+:data:`MIN_PARALLEL_TRIALS` items, or when no pool can be created
+(:func:`~repro.faults.campaign.run_plan` rejects ``workers`` < 1).
 """
 
 from __future__ import annotations
@@ -35,18 +36,9 @@ import os
 from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
 
-import numpy as np
-
 import repro.faults.campaign as engine
 from repro.errors import FaultInjectionError, WorkerLost
-from repro.faults.campaign import (
-    Campaign,
-    CampaignEmitter,
-    CampaignResult,
-    PlannedTrial,
-    plan_trials,
-    run_plan,
-)
+from repro.faults.campaign import Campaign, PlannedTrial
 from repro.faults.model import FaultTarget
 from repro.faults.outcomes import TrialResult
 from repro.faults.seu import RegisterFaultInjector
@@ -55,7 +47,6 @@ from repro.ir.interp import BoundSnapshots, ExecutionResult
 from repro.ir.parser import parse_module
 from repro.ir.printer import print_module
 from repro.obs.events import Event, InMemorySink, Tracer
-from repro.obs.spans import profile_stage
 from repro.perf.cache import cost_model_key
 from repro.perf.pool import POOL_REGISTRY, WarmPool
 
@@ -70,25 +61,14 @@ def available_cpus() -> int:
     """CPUs actually usable by this process (affinity-aware).
 
     ``os.cpu_count()`` reports the host; a containerized or
-    ``taskset``-restricted process may own far fewer.  Chunk sizing and
-    default worker counts key off this so a 16-worker request on a
-    2-CPU host is treated as 2-way parallelism, not 16.
+    ``taskset``-restricted process may own far fewer.  Chunk sizing keys
+    off this so a 16-worker request on a 2-CPU host is treated as 2-way
+    parallelism, not 16.
     """
     try:
         return len(os.sched_getaffinity(0)) or 1
     except (AttributeError, OSError):  # pragma: no cover - non-Linux
         return os.cpu_count() or 1
-
-
-def resolve_workers(workers: int | None) -> int:
-    """Effective worker count: explicit, or one per available CPU (<=16)."""
-    if workers is not None:
-        if workers < 1:
-            raise FaultInjectionError(
-                f"worker count must be >= 1, got {workers}"
-            )
-        return workers
-    return max(1, min(available_cpus(), 16))
 
 
 @dataclass(frozen=True)
@@ -255,15 +235,14 @@ def _run_chunk(payload: tuple) -> list[Row]:
 # -- parent side ---------------------------------------------------------------
 
 
-def _chunks(items: list, workers: int, chunk_size: int | None) -> list[list]:
+def _chunks(items: list, workers: int) -> list[list]:
     """Contiguous chunks, ~4 per *effective* worker (the smaller of the
     requested count and the CPUs available): fewer, larger chunks on an
     oversubscribed small host instead of straggler-heavy slivers."""
     n = len(items)
-    if chunk_size is None:
-        effective = max(1, min(workers, available_cpus()))
-        chunk_size = max(1, -(-n // (effective * 4)))
-    return [items[i:i + chunk_size] for i in range(0, n, chunk_size)]
+    effective = max(1, min(workers, available_cpus()))
+    size = max(1, -(-n // (effective * 4)))
+    return [items[i:i + size] for i in range(0, n, size)]
 
 
 def _get_pool(
@@ -295,24 +274,18 @@ def execute(
     trace_blocks: bool = False,
     span_root: str = "",
     supervisor_config=None,
-    chunk_size: int | None = None,
 ) -> Iterator[Row]:
     """Run ``work`` and yield one row per item, in order (see module doc)."""
     options = (traced, trace_blocks, span_root)
     if workers is not None and workers > 1 and len(work) >= MIN_PARALLEL_TRIALS:
         wire = WireCampaign.from_campaign(campaign, golden)
-        with profile_stage("fork"):
-            pool = _get_pool(wire, supervisor_config, workers)
+        pool = _get_pool(wire, supervisor_config, workers)
         if pool is not None:
-            payloads = [
-                (chunk, *options)
-                for chunk in _chunks(work, workers, chunk_size)
-            ]
+            payloads = [(chunk, *options) for chunk in _chunks(work, workers)]
             # A broken pool must not stay registered, or every later
             # campaign of the same shape would hit it again.
             try:
-                with profile_stage("dispatch"):
-                    chunk_rows = pool.map(_run_chunk, payloads)
+                chunk_rows = pool.map(_run_chunk, payloads)
                 return iter([row for rows in chunk_rows for row in rows])
             except WorkerLost:
                 POOL_REGISTRY.discard(pool)  # re-run the dispatch inline
@@ -321,73 +294,3 @@ def execute(
                 raise
     context = TrialContext.build(campaign, golden, supervisor_config)
     return (context.run(index, planned, *options) for index, planned in work)
-
-
-def run_campaign_parallel(
-    campaign: Campaign,
-    seed: int | np.random.Generator | None = None,
-    workers: int | None = None,
-    chunk_size: int | None = None,
-    tracer: Tracer | None = None,
-    trace_blocks: bool = False,
-    trace_spans: bool = False,
-) -> CampaignResult:
-    """:func:`repro.faults.campaign.run_campaign` on the warm pool.
-
-    Pool stages (fork, dispatch) are profiled into
-    :data:`~repro.obs.metrics.ENGINE_METRICS`, never into the clock-free
-    campaign trace.
-    """
-    emitter = CampaignEmitter(tracer, campaign, seed, trace_spans)
-    result, _records = run_plan(
-        campaign, plan_trials(campaign, seed), emitter,
-        resolve_workers(workers), trace_blocks=trace_blocks,
-        chunk_size=chunk_size,
-    )
-    return result
-
-
-def run_timeline_campaign_parallel(
-    campaign: Campaign,
-    timeline,
-    t0: float,
-    t1: float,
-    arrival_rate_per_s: float,
-    seed: int | np.random.Generator | None = None,
-    workers: int | None = None,
-    tracer: Tracer | None = None,
-    subsystem: str = "register",
-):
-    """:func:`repro.faults.campaign.run_timeline_campaign` on the pool."""
-    return engine.run_timeline_campaign(
-        campaign, timeline, t0, t1, arrival_rate_per_s,
-        seed=seed, workers=resolve_workers(workers), tracer=tracer,
-        subsystem=subsystem,
-    )
-
-
-def run_supervised_campaign_parallel(
-    campaign: Campaign,
-    config=None,
-    seed: int | np.random.Generator | None = None,
-    workers: int | None = None,
-    chunk_size: int | None = None,
-    tracer: Tracer | None = None,
-    trace_spans: bool = False,
-):
-    """:func:`repro.recover.supervisor.run_supervised_campaign` on the pool."""
-    from repro.recover.supervisor import (
-        SupervisedCampaignResult,
-        SupervisorConfig,
-    )
-
-    config = config or SupervisorConfig()
-    emitter = CampaignEmitter(tracer, campaign, seed, trace_spans)
-    result, records = run_plan(
-        campaign, plan_trials(campaign, seed), emitter,
-        resolve_workers(workers), supervisor_config=config,
-        chunk_size=chunk_size,
-    )
-    return SupervisedCampaignResult(
-        result.golden, result.counts, result.trials, records, config
-    )

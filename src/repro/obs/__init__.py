@@ -19,8 +19,7 @@ software can *see* faults as they happen.  This package is the seeing:
   detector decision summaries from a JSONL trace.
 - :mod:`repro.obs.spans` — deterministic causal spans
   (campaign → trial → attempt, fleet → tick → power-cycle) with
-  clock-free ids derived from (parent, name, index), plus the
-  engine-stage profiler.
+  clock-free ids derived from (parent, name, index).
 - :mod:`repro.obs.aggregate` — streaming windowed rollups over exact
   fixed-bucket histograms; per-shard aggregates merge *exactly* equal to
   global aggregation.
@@ -90,11 +89,8 @@ from repro.obs.spans import (
     SpanEnd,
     SpanScope,
     SpanStart,
-    StageProfiler,
     campaign_root,
     fleet_root,
-    profile_stage,
-    set_profiling_tracer,
     span_id,
 )
 
@@ -128,7 +124,6 @@ __all__ = [
     "SpanEnd",
     "SpanScope",
     "SpanStart",
-    "StageProfiler",
     "StreamAggregator",
     "Tracer",
     "TrialEnd",
@@ -144,8 +139,6 @@ __all__ = [
     "fleet_root",
     "load_snapshot",
     "merge_aggregates",
-    "profile_stage",
-    "set_profiling_tracer",
     "snapshot_section",
     "span_id",
     "to_prometheus",

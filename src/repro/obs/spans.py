@@ -28,29 +28,21 @@ attempt    escalation-ladder rung attempt
 fleet      fleet-service run (root; children: ticks)
 tick       fleet scoring tick (children: power cycles)
 power-cycle commanded board reboot
-stage:*    engine stage profile (fork/dispatch/merge/score)
 ========== ====================================================
 
-``stage:*`` spans are the one deliberate exception to clock-freedom:
-:class:`StageProfiler` measures wall-clock engine stages (pool fork,
-chunk dispatch, result merge, fleet scoring) for the perf CLIs.  They
-carry real elapsed seconds, so they are **never** emitted into a
-campaign's deterministic trace — they land in a metrics registry
-(:data:`~repro.obs.metrics.ENGINE_METRICS` by default) and, optionally,
-a dedicated profiling tracer.
+Spans carry no wall-clock time: where the time goes is measured from
+outside the library, by the repository benchmark's per-layer ledger
+(``benchmarks/suite/run.py --trace 1``).
 """
 
 from __future__ import annotations
 
-import time
 from contextlib import contextmanager
 from dataclasses import dataclass
 from hashlib import blake2b
 from typing import ClassVar
 
-from repro.errors import ConfigError
 from repro.obs.events import Event, Tracer
-from repro.obs.metrics import ENGINE_METRICS, MetricsRegistry
 
 #: Hex characters in a span id (BLAKE2b digest_size=8).
 SPAN_ID_BYTES = 8
@@ -89,10 +81,9 @@ class SpanEnd(Event):
         status: outcome tag ("ok", a trial outcome, "failed", ...).
         cycles: logical cost attributed to the span (0 when unknown).
         count: items the span covered (trials, attempts, boards).
-        elapsed_s: wall-clock seconds — **only** ever non-zero on
-            ``stage:*`` profiling spans, which live outside the
-            deterministic trace; campaign spans keep it 0.0 so traced
-            streams stay byte-reproducible.
+        elapsed_s: always 0.0.  Kept so every span-traced stream
+            (and every digest pinned over one) keeps its byte layout;
+            spans are clock-free.
     """
 
     kind: ClassVar[str] = "span-end"
@@ -169,85 +160,3 @@ class SpanScope:
             self.tracer.emit(SpanEnd(span=child, status="failed"))
             raise
         self.tracer.emit(SpanEnd(span=child, **{**end_fields, **scope.end_fields}))
-
-
-# -- engine-stage profiling ----------------------------------------------------
-
-
-class StageProfiler:
-    """Wall-clock profiling of engine stages, kept out of the trace.
-
-    ``with profiler.stage("dispatch"):`` measures the block and records
-    the elapsed seconds into the ``engine.stage.<name>_s`` histogram of
-    ``registry`` (:data:`~repro.obs.metrics.ENGINE_METRICS` when not
-    given) plus an ``engine.stage.<name>`` counter.  With a dedicated
-    ``tracer`` it additionally emits a ``stage:<name>`` span pair whose
-    :class:`SpanEnd` carries the measured ``elapsed_s`` — never attach
-    the campaign tracer here: stage timings are host-dependent and would
-    break traced byte-identity.
-    """
-
-    def __init__(
-        self,
-        registry: MetricsRegistry | None = None,
-        tracer: Tracer | None = None,
-        root: str = ROOT,
-    ) -> None:
-        self.registry = registry if registry is not None else ENGINE_METRICS
-        self.tracer = tracer
-        self.root = root
-        self._index = 0
-
-    @contextmanager
-    def stage(self, name: str):
-        """Measure one engine stage (fork / dispatch / merge / score)."""
-        if not name:
-            raise ConfigError("stage name must be non-empty")
-        index = self._index
-        self._index += 1
-        span = span_id(self.root, f"stage:{name}", index)
-        if self.tracer is not None:
-            self.tracer.emit(SpanStart(
-                span=span, parent=self.root, name=f"stage:{name}",
-                index=index,
-            ))
-        started = time.perf_counter()
-        try:
-            yield
-        finally:
-            elapsed = time.perf_counter() - started
-            self.registry.counter(f"engine.stage.{name}").inc()
-            self.registry.histogram(f"engine.stage.{name}_s").record(elapsed)
-            if self.tracer is not None:
-                self.tracer.emit(SpanEnd(span=span, elapsed_s=elapsed))
-
-
-#: The profiler engine hot paths record through (metrics-only unless a
-#: profiling tracer is attached via :func:`set_profiling_tracer`).
-_DEFAULT_PROFILER = StageProfiler()
-_ACTIVE_PROFILER = _DEFAULT_PROFILER
-
-
-def set_profiling_tracer(tracer: Tracer | None) -> None:
-    """Attach (or detach, with None) a tracer for engine-stage spans.
-
-    The attached tracer receives ``stage:*`` span pairs carrying real
-    wall-clock ``elapsed_s`` from every subsequent :func:`profile_stage`
-    section.  It must be a *dedicated* profiling tracer — never the
-    campaign tracer, whose stream is contractually clock-free and
-    byte-reproducible.
-    """
-    global _ACTIVE_PROFILER
-    if tracer is None:
-        _ACTIVE_PROFILER = _DEFAULT_PROFILER
-    else:
-        _ACTIVE_PROFILER = StageProfiler(tracer=tracer)
-
-
-def profile_stage(name: str):
-    """Module-level convenience: one-shot stage section on ENGINE_METRICS.
-
-    The engine's hot paths use this directly so call sites stay one
-    line: ``with profile_stage("dispatch"): ...``.
-    """
-    return _ACTIVE_PROFILER.stage(name)

@@ -145,7 +145,7 @@ def format_report(report: dict | None, registry_snapshot: dict) -> str:
             if len(trail) > 1:
                 shown = " <- ".join(f"{v:.2f}" for v in trail[:8])
                 lines.append(f"  {key} trajectory (newest first): {shown}")
-    for section in ("golden_cache", "warm_pool", "engine"):
+    for section in ("golden_cache", "warm_pool"):
         rows = snapshot_section(registry_snapshot, section)
         lines.append(f"engine metrics: {section}")
         if rows:

@@ -2,22 +2,16 @@
 
 Sharded, backpressured fleet ingestion with byte-identical decisions:
 an asyncio front-end (:class:`AsyncFleetService`) over bounded
-per-board queues, a deterministic shard router, pluggable execution
-backends (sequential / forked process workers), a supervisor
-owning escalation and crash recovery across shard boundaries, and a
-seeded load generator for saturation benchmarks — all gated to produce
-per-board alarm/escalation histories byte-identical to the synchronous
+per-board queues, a deterministic shard router, one in-process scorer
+per shard (:class:`InProcessBackend`), a supervisor owning escalation
+and crash recovery across shard boundaries, and a seeded load generator
+for saturation benchmarks — all gated to produce per-board
+alarm/escalation histories byte-identical to the synchronous
 :class:`~repro.core.sel.fleet.SelFleetService`.
 """
 
 from repro.detect.fleet import FleetConfig, FleetScorer
-from repro.service.backend import (
-    InProcessBackend,
-    ProcessBackend,
-    ShardBackend,
-    STRATEGIES,
-    make_backend,
-)
+from repro.service.backend import InProcessBackend
 from repro.service.ingest import LiveBoardSource, ReplaySource, ShardIngest
 from repro.service.loadgen import (
     ReferenceRun,
@@ -58,14 +52,11 @@ __all__ = [
     "InProcessBackend",
     "LiveBoardSource",
     "OfferResult",
-    "ProcessBackend",
     "ReferenceRun",
     "ReplaySource",
-    "STRATEGIES",
     "ServiceConfig",
     "ServiceHistory",
     "ServiceRunReport",
-    "ShardBackend",
     "ShardCheckpoint",
     "ShardIngest",
     "ShardScorer",
@@ -75,7 +66,6 @@ __all__ = [
     "FleetConfig",
     "FleetScorer",
     "latency_summary",
-    "make_backend",
     "make_members",
     "nearest_rank",
     "record_fleet_telemetry",

@@ -4,8 +4,9 @@
 together: per shard it runs a producer/consumer pipeline — the producer
 samples telemetry into bounded per-board queues
 (:class:`~repro.service.ingest.ShardIngest`), the consumer assembles one
-tick's rows, steps the shard's scorer on the configured backend, and
-hands the decision to the cross-shard
+tick's rows, steps the shard's scorer inline
+(:class:`~repro.service.backend.InProcessBackend`), and hands the
+decision to the cross-shard
 :class:`~repro.service.supervisor.FleetSupervisor` for escalation.
 
 **Byte-identity.**  With ``max_inflight_ticks=1`` (the default) each
@@ -15,19 +16,20 @@ sample(k+1)`` — the exact dataflow of the synchronous
 per-board quantity (board RNG, detector stream state, alarm/quarantine
 streaks, controller cooldown) evolves independently of other boards,
 the sharded run's per-board histories are byte-identical to the
-synchronous single-scorer run at any shard count and on any backend.
+synchronous single-scorer run at any shard count.
 Raising ``max_inflight_ticks`` pipelines sampling ahead of scoring
 *within* a shard (saturation/load-test mode); identity is then only
 guaranteed for replay sources, where there is no escalation feedback
 into sampling.
 
 **Crash recovery.**  The supervisor holds the latest state snapshot per
-shard plus a replay buffer of the rows since it.  When a backend step
-raises :class:`~repro.errors.ShardCrashed`, the service restarts the
-worker, restores the snapshot, re-steps the buffered ticks (discarding
-their outputs — they were already applied), emits a traced
+shard plus a replay buffer of the rows since it.  When a shard step
+raises :class:`~repro.errors.ShardCrashed` (the ``crash_at`` test hook
+drops a scorer), the service restarts the scorer, restores the
+snapshot, re-steps the buffered ticks (discarding their outputs — they
+were already applied), emits a traced
 :class:`~repro.obs.events.ShardRestart`, and re-dispatches the current
-tick.  No quarantine or escalation state lives in the worker, so the
+tick.  No quarantine or escalation state lives in the scorer, so the
 recovery is lossless by construction.
 """
 
@@ -35,7 +37,6 @@ from __future__ import annotations
 
 import asyncio
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -50,7 +51,7 @@ from repro.errors import ConfigError, ServiceError, ShardCrashed
 from repro.obs.aggregate import Rollup
 from repro.obs.events import ShardRestart, Tracer
 from repro.radiation.schedule import EnvironmentTimeline, MissionPhase
-from repro.service.backend import STRATEGIES, make_backend
+from repro.service.backend import InProcessBackend
 from repro.service.ingest import LiveBoardSource, ShardIngest
 from repro.service.metrics import DecisionLatencyTracker, rows_per_second
 from repro.service.queues import ShedPolicy
@@ -63,8 +64,9 @@ class ServiceConfig:
     """Knobs of the async service (scoring knobs live in FleetConfig).
 
     Attributes:
-        n_shards: worker shards requested (clamped to fleet size).
-        strategy: execution backend — sequential | process.
+        n_shards: scoring shards requested (clamped to fleet size).
+        strategy: accepted only as ``"sequential"``, the one backend
+            (:class:`~repro.service.backend.InProcessBackend`).
         queue_capacity: bounded per-board queue depth.
         shed_policy: what a full queue does with the next arrival.
         max_inflight_ticks: per-shard ticks sampled ahead of the
@@ -88,10 +90,10 @@ class ServiceConfig:
     def __post_init__(self) -> None:
         if self.n_shards < 1:
             raise ConfigError(f"need >= 1 shard, got {self.n_shards}")
-        if self.strategy not in STRATEGIES:
+        if self.strategy != "sequential":
             raise ConfigError(
                 f"unknown strategy {self.strategy!r}; "
-                f"expected one of {STRATEGIES}"
+                "expected 'sequential'"
             )
         if self.queue_capacity < 1:
             raise ConfigError("queue capacity must be >= 1")
@@ -109,7 +111,6 @@ class ServiceRunReport:
         n_ticks: ticks driven per shard.
         n_boards: fleet size.
         n_shards: effective shard count (after clamping).
-        strategy: backend strategy used.
         rows_processed: frames that reached a scorer.
         rows_shed: frames lost to backpressure policies.
         restarts: shard crash-recoveries performed.
@@ -122,7 +123,6 @@ class ServiceRunReport:
     n_ticks: int
     n_boards: int
     n_shards: int
-    strategy: str
     rows_processed: int
     rows_shed: int
     restarts: int
@@ -168,7 +168,7 @@ class AsyncFleetService:
             members
         )
         self.live_source = isinstance(self.source, LiveBoardSource)
-        #: test hook: shard -> tick at which the worker is killed just
+        #: test hook: shard -> tick at which the scorer is dropped just
         #: before that tick's dispatch (consumed once).
         self.crash_at = dict(crash_at or {})
 
@@ -197,9 +197,7 @@ class AsyncFleetService:
                 threshold_scales=threshold_scales,
             )
 
-        self.backend = make_backend(
-            service.strategy, make_scorer, self.n_shards
-        )
+        self.backend = InProcessBackend(make_scorer, self.n_shards)
         self.latency = DecisionLatencyTracker()
         self.restarts = 0
         self._rows_processed = 0
@@ -263,7 +261,6 @@ class AsyncFleetService:
             n_ticks=n_ticks,
             n_boards=len(self.members),
             n_shards=self.n_shards,
-            strategy=self.service.strategy,
             rows_processed=rows,
             rows_shed=shed,
             restarts=self.restarts,
@@ -278,13 +275,6 @@ class AsyncFleetService:
     async def _run(
         self, n_ticks: int, rate_hz: float, t_start: float
     ) -> None:
-        executor = None
-        if self.service.strategy == "process":
-            executor = ThreadPoolExecutor(
-                max_workers=self.n_shards,
-                thread_name_prefix="shard-step",
-            )
-        self._executor = executor
         self._ingests = [
             ShardIngest(
                 shard,
@@ -298,16 +288,12 @@ class AsyncFleetService:
             for shard in range(self.n_shards)
         ]
         self._buffers = [[] for _ in range(self.n_shards)]
-        try:
-            await asyncio.gather(
-                *(
-                    self._shard_pipeline(shard, n_ticks, rate_hz, t_start)
-                    for shard in range(self.n_shards)
-                )
+        await asyncio.gather(
+            *(
+                self._shard_pipeline(shard, n_ticks, rate_hz, t_start)
+                for shard in range(self.n_shards)
             )
-        finally:
-            if executor is not None:
-                executor.shutdown(wait=True)
+        )
 
     async def _shard_pipeline(
         self, shard: int, n_ticks: int, rate_hz: float, t_start: float
@@ -334,19 +320,16 @@ class AsyncFleetService:
                 tick, t = await ready.get()
                 rows, frames = ingest.assemble(tick)
                 self._buffers[shard].append((tick, t, rows))
-                result = await self._step_with_recovery(
-                    shard, tick, t, rows
-                )
+                result = self._step_with_recovery(shard, tick, t, rows)
                 self.supervisor.apply(result)
                 done = time.perf_counter()
                 for frame in frames.values():
                     self.latency.record(done - frame.enqueued_pc)
                 self._rows_processed += len(frames)
                 if (tick + 1) % self.service.snapshot_every == 0:
-                    state = await self._offload(
-                        self.backend.snapshot, shard
+                    self.supervisor.checkpoint(
+                        shard, tick, self.backend.snapshot(shard)
                     )
-                    self.supervisor.checkpoint(shard, tick, state)
                     self._buffers[shard] = [
                         entry
                         for entry in self._buffers[shard]
@@ -356,42 +339,30 @@ class AsyncFleetService:
 
         await asyncio.gather(producer(), consumer())
 
-    async def _offload(self, fn, *args):
-        """Run a backend call off-loop when an executor is configured."""
-        if self._executor is None:
-            return fn(*args)
-        return await asyncio.get_running_loop().run_in_executor(
-            self._executor, fn, *args
-        )
-
-    async def _step_with_recovery(
+    def _step_with_recovery(
         self, shard: int, tick: int, t: float, rows: np.ndarray
     ):
         if self.crash_at.get(shard) == tick:
             del self.crash_at[shard]
             self.backend.crash(shard)
         try:
-            return await self._offload(
-                self.backend.step, shard, tick, t, rows
-            )
+            return self.backend.step(shard, tick, t, rows)
         except ShardCrashed:
-            return await self._recover_and_step(shard, tick, t, rows)
+            return self._recover_and_step(shard, tick, t, rows)
 
-    async def _recover_and_step(
+    def _recover_and_step(
         self, shard: int, tick: int, t: float, rows: np.ndarray
     ):
         """Restart -> restore snapshot -> re-step buffer -> step tick."""
         anchor = self.supervisor.recovery_anchor(shard)
         self.backend.restart(shard)
-        await self._offload(self.backend.restore, shard, anchor.state)
+        self.backend.restore(shard, anchor.state)
         replayed = 0
         for rtick, rt, rrows in self._buffers[shard]:
             if anchor.tick < rtick < tick:
                 # Outputs discarded: these decisions were applied
                 # before the crash; re-stepping only rebuilds state.
-                await self._offload(
-                    self.backend.step, shard, rtick, rt, rrows
-                )
+                self.backend.step(shard, rtick, rt, rrows)
                 replayed += 1
         self.restarts += 1
         if self.tracer is not None:
@@ -403,7 +374,7 @@ class AsyncFleetService:
                     replayed_ticks=replayed,
                 )
             )
-        return await self._offload(self.backend.step, shard, tick, t, rows)
+        return self.backend.step(shard, tick, t, rows)
 
     # -- post-run surfaces -----------------------------------------------------
 

@@ -1,6 +1,6 @@
-"""Shard routing: partition a fleet's boards across scoring workers.
+"""Shard routing: partition a fleet's boards across scorers.
 
-The shard router answers one question deterministically: *which worker
+The shard router answers one question deterministically: *which scorer
 scores which board*.  Boards are assigned round-robin by member index —
 board ``i`` belongs to shard ``i % n_shards`` — which balances shard
 sizes to within one board and, crucially, is a pure function of
@@ -20,8 +20,8 @@ synchronous single-scorer run.
 
 Shards follow the mission phase themselves (threshold tightening is a
 pure function of the timeline and the tick time), and expose
-:meth:`ShardScorer.snapshot` / :meth:`ShardScorer.restore` so a crashed
-worker can be rebuilt mid-run without losing quarantine state.
+:meth:`ShardScorer.snapshot` / :meth:`ShardScorer.restore` so a lost
+scorer can be rebuilt mid-run without losing quarantine state.
 """
 
 from __future__ import annotations

@@ -6,9 +6,9 @@ side effect a shard decision implies — per-board power-cycle escalation
 cooldown must survive shard crashes), the authoritative cross-shard
 quarantine set, the per-board alarm history, and the latest state
 snapshot of every shard (the crash-recovery anchor).  Because all of
-that lives here, in the parent process, a shard worker is pure
-compute: killing one loses nothing that cannot be rebuilt from the
-supervisor's snapshot plus the replay buffer.
+that lives here, a shard scorer is pure compute: losing one loses
+nothing that cannot be rebuilt from the supervisor's snapshot plus the
+replay buffer.
 
 Per shard result it emits one :class:`~repro.obs.events.FleetDecision`
 (scoped to that shard's boards) and one

@@ -22,13 +22,7 @@ import repro.faults.parallel as par
 from repro.errors import FaultInjectionError
 from repro.faults.campaign import Campaign, run_campaign, run_golden
 from repro.faults.model import FaultTarget
-from repro.faults.parallel import (
-    MIN_PARALLEL_TRIALS,
-    WireCampaign,
-    resolve_workers,
-    run_campaign_parallel,
-    run_supervised_campaign_parallel,
-)
+from repro.faults.parallel import MIN_PARALLEL_TRIALS, WireCampaign
 from repro.obs.events import InMemorySink, Tracer
 from repro.obs.metrics import ENGINE_METRICS
 from repro.perf.cache import GOLDEN_CACHE
@@ -54,7 +48,7 @@ class TestParallelDeterminism:
     def test_register_target_identical(self, workers):
         campaign = _campaign("isort", n_trials=40)
         serial = run_campaign(campaign, seed=7)
-        parallel = run_campaign_parallel(campaign, seed=7, workers=workers)
+        parallel = run_campaign(campaign, seed=7, workers=workers)
         assert_identical(serial, parallel)
 
     @pytest.mark.parametrize("workers", [1, 2, 4])
@@ -63,7 +57,7 @@ class TestParallelDeterminism:
             "checksum", n_trials=40, target=FaultTarget.MEMORY
         )
         serial = run_campaign(campaign, seed=13)
-        parallel = run_campaign_parallel(campaign, seed=13, workers=workers)
+        parallel = run_campaign(campaign, seed=13, workers=workers)
         assert_identical(serial, parallel)
 
     def test_instrumented_module_identical(self):
@@ -80,16 +74,18 @@ class TestParallelDeterminism:
             n_trials=30,
         )
         serial = run_campaign(campaign, seed=3)
-        parallel = run_campaign_parallel(campaign, seed=3, workers=2)
+        parallel = run_campaign(campaign, seed=3, workers=2)
         assert_identical(serial, parallel)
 
-    def test_explicit_chunk_size_identical(self):
+    def test_explicit_chunk_size_identical(self, monkeypatch):
         campaign = _campaign("collatz", n_trials=25)
         serial = run_campaign(campaign, seed=5)
-        for chunk_size in (1, 7, 25, 100):
-            parallel = run_campaign_parallel(
-                campaign, seed=5, workers=2, chunk_size=chunk_size
-            )
+        for size in (1, 7, 25, 100):
+            def fixed(items, workers, size=size):
+                return [items[i:i + size] for i in range(0, len(items), size)]
+
+            monkeypatch.setattr(par, "_chunks", fixed)
+            parallel = run_campaign(campaign, seed=5, workers=2)
             assert_identical(serial, parallel)
 
     def test_run_campaign_workers_kwarg_delegates(self):
@@ -104,7 +100,7 @@ class TestParallelDeterminism:
         n = MIN_PARALLEL_TRIALS - 1
         campaign = _campaign("gcd", n_trials=n)
         serial = run_campaign(campaign, seed=2)
-        parallel = run_campaign_parallel(campaign, seed=2, workers=4)
+        parallel = run_campaign(campaign, seed=2, workers=4)
         assert_identical(serial, parallel)
 
 
@@ -113,7 +109,7 @@ class TestSupervisedParallel:
         campaign = _campaign("collatz", n_trials=12)
         config = SupervisorConfig()
         serial = run_supervised_campaign(campaign, config, seed=21)
-        parallel = run_supervised_campaign_parallel(
+        parallel = run_supervised_campaign(
             campaign, config, seed=21, workers=2
         )
         assert_identical(serial, parallel)
@@ -130,10 +126,16 @@ class TestWireFormat:
         assert regolden.instructions == golden.instructions
 
     def test_resolve_workers_validation(self):
-        assert resolve_workers(3) == 3
-        assert resolve_workers(None) >= 1
-        with pytest.raises(FaultInjectionError):
-            resolve_workers(0)
+        """A worker count below 1 is refused before anything is emitted."""
+        campaign = _campaign("gcd", n_trials=10)
+        for workers in (0, -2):
+            sink = InMemorySink()
+            with pytest.raises(FaultInjectionError, match="worker count"):
+                run_campaign(
+                    campaign, seed=1, workers=workers, tracer=Tracer(sink),
+                    trace_spans=True,
+                )
+            assert sink.events == []
 
 
 class TestChunkHeuristic:
@@ -144,18 +146,14 @@ class TestChunkHeuristic:
         items = list(range(64))
         # 16 requested workers on a 2-CPU host: sizing must use the 2
         # effective CPUs (~4 chunks each), not 64 slivers of one.
-        chunks = par._chunks(items, workers=16, chunk_size=None)
+        chunks = par._chunks(items, workers=16)
         assert len(chunks) == 8
         assert [x for chunk in chunks for x in chunk] == items
 
     def test_plenty_of_cpus_uses_requested_workers(self, monkeypatch):
         monkeypatch.setattr(par, "available_cpus", lambda: 64)
-        chunks = par._chunks(list(range(64)), workers=4, chunk_size=None)
+        chunks = par._chunks(list(range(64)), workers=4)
         assert len(chunks) == 16
-
-    def test_explicit_chunk_size_wins(self):
-        chunks = par._chunks(list(range(10)), workers=4, chunk_size=3)
-        assert [len(c) for c in chunks] == [3, 3, 3, 1]
 
     def test_available_cpus_positive(self):
         assert par.available_cpus() >= 1
@@ -166,9 +164,9 @@ class TestWarmPoolReuse:
         from repro.obs.metrics import ENGINE_METRICS
 
         campaign = _campaign("gcd", n_trials=16)
-        first = run_campaign_parallel(campaign, seed=31, workers=2)
+        first = run_campaign(campaign, seed=31, workers=2)
         reused_before = ENGINE_METRICS.counter("warm_pool.reused").value
-        second = run_campaign_parallel(campaign, seed=31, workers=2)
+        second = run_campaign(campaign, seed=31, workers=2)
         assert_identical(first, second)
         reused_after = ENGINE_METRICS.counter("warm_pool.reused").value
         if reused_after == reused_before:

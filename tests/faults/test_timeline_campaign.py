@@ -10,7 +10,6 @@ from repro.faults.campaign import (
     run_timeline_campaign,
     sample_trial_arrivals,
 )
-from repro.faults.parallel import run_timeline_campaign_parallel
 from repro.radiation.schedule import (
     EnvironmentTimeline,
     MissionPhase,
@@ -116,7 +115,7 @@ class TestSerialParallelByteIdentity:
     @pytest.mark.parametrize("workers", [1, 2, 4])
     def test_byte_identical_at_any_worker_count(self, workers):
         serial = _run(seed=7)
-        parallel = run_timeline_campaign_parallel(
+        parallel = run_timeline_campaign(
             _campaign(), _timeline(), 0.0, WINDOW_S, 0.02,
             seed=7, workers=workers,
         )

@@ -1,4 +1,4 @@
-"""Span tests: derived ids, byte-identical traced streams, profiling.
+"""Span tests: derived ids and byte-identical traced streams.
 
 The load-bearing claim: span-traced campaigns stay byte-identical
 across the inline run and the warm pool at any worker count — ids are
@@ -8,21 +8,15 @@ the same stream.
 
 import pytest
 
-from repro.errors import ConfigError
 from repro.faults.campaign import Campaign, run_campaign
-from repro.faults.parallel import run_campaign_parallel
 from repro.obs.events import InMemorySink, Tracer
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.spans import (
     ROOT,
     SpanEnd,
     SpanScope,
     SpanStart,
-    StageProfiler,
     campaign_root,
     fleet_root,
-    profile_stage,
-    set_profiling_tracer,
     span_id,
 )
 from repro.perf.cache import GOLDEN_CACHE
@@ -102,7 +96,7 @@ class TestTracedByteIdentity:
     def test_parallel_matches_serial(self, workers):
         campaign = _campaign()
         serial = _traced(run_campaign, campaign)
-        parallel = _traced(run_campaign_parallel, campaign, workers=workers)
+        parallel = _traced(run_campaign, campaign, workers=workers)
         assert stream_digest(parallel) == stream_digest(serial)
 
     def test_supervised_parallel_matches_serial(self):
@@ -152,46 +146,3 @@ class TestSpanScope:
                 raise RuntimeError("boom")
         end = [e for e in sink.events if isinstance(e, SpanEnd)][0]
         assert end.status == "failed"
-
-
-class TestStageProfiler:
-    def test_records_counter_and_histogram(self):
-        registry = MetricsRegistry()
-        profiler = StageProfiler(registry=registry)
-        with profiler.stage("dispatch"):
-            pass
-        assert registry.counter("engine.stage.dispatch").value == 1
-        assert registry.histogram("engine.stage.dispatch_s").count == 1
-
-    def test_rejects_empty_name(self):
-        profiler = StageProfiler(registry=MetricsRegistry())
-        with pytest.raises(ConfigError):
-            with profiler.stage(""):
-                pass
-
-    def test_dedicated_tracer_gets_elapsed(self):
-        sink = InMemorySink()
-        profiler = StageProfiler(
-            registry=MetricsRegistry(), tracer=Tracer(sink)
-        )
-        with profiler.stage("merge"):
-            pass
-        start, end = sink.events
-        assert start.name == "stage:merge"
-        assert end.elapsed_s >= 0.0
-
-    def test_set_profiling_tracer_routes_profile_stage(self):
-        sink = InMemorySink()
-        set_profiling_tracer(Tracer(sink))
-        try:
-            with profile_stage("fork"):
-                pass
-        finally:
-            set_profiling_tracer(None)
-        assert [e.name for e in sink.events if isinstance(e, SpanStart)] == [
-            "stage:fork"
-        ]
-        # Detached again: no further events reach the sink.
-        with profile_stage("fork"):
-            pass
-        assert len(sink.events) == 2

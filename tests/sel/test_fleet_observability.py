@@ -100,11 +100,6 @@ class TestFleetLatencyMetrics:
             DURATION_S * RATE_HZ
         )
 
-    def test_stage_score_profiled(self, traced_fleet):
-        from repro.obs.metrics import ENGINE_METRICS
-
-        assert ENGINE_METRICS.counter("engine.stage.score").value > 0
-
 
 class TestFleetReportColumns:
     def test_latency_line(self, traced_fleet):

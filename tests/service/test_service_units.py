@@ -1,6 +1,6 @@
 """Unit coverage of the service internals the soak test exercises
-end-to-end: shard routing, snapshot/restore, backends, supervisor
-bookkeeping, ingestion sources, and config validation.
+end-to-end: shard routing, snapshot/restore, the in-process backend,
+supervisor bookkeeping, ingestion sources, and config validation.
 """
 
 import gc
@@ -16,12 +16,10 @@ from repro.service import (
     FleetSupervisor,
     InProcessBackend,
     LiveBoardSource,
-    ProcessBackend,
     ReplaySource,
     ServiceConfig,
     ShardScorer,
     ShardStepResult,
-    make_backend,
     make_members,
     record_fleet_telemetry,
     run_replay_reference,
@@ -117,10 +115,8 @@ class TestShardScorer:
 
 
 class TestBackends:
-    @pytest.mark.parametrize("strategy", ["sequential"])
-    def test_in_process_crash_restart_restore(self, strategy):
-        backend = make_backend(strategy, _scorer_factory(["x", "y"]), 2)
-        assert isinstance(backend, InProcessBackend)
+    def test_in_process_crash_restart_restore(self):
+        backend = InProcessBackend(_scorer_factory(["x", "y"]), 2)
         backend.start()
         backend.step(0, 0, 0.0, np.zeros((2, 8)))
         snap = backend.snapshot(0)
@@ -133,66 +129,11 @@ class TestBackends:
         assert result.tick == 1
         backend.close()
 
-    def test_process_backend_step_matches_in_process(self):
-        detector = _detector()
-        rows = np.random.default_rng(9).normal(size=(5, 3, 8))
-        make = _scorer_factory(["a", "b", "c"], detector)
-        inproc = make(0)
-        backend = ProcessBackend(make, 1)
-        backend.start()
-        try:
-            for k in range(5):
-                expected = inproc.step_tick(k, k * 1.0, rows[k])
-                assert backend.step(0, k, k * 1.0, rows[k]) == expected
-            snap = backend.snapshot(0)
-            assert snap.tick == 4
-        finally:
-            backend.close()
-
-    def test_process_backend_crash_surfaces_and_recovers(self):
-        make = _scorer_factory(["a"])
-        backend = ProcessBackend(make, 1)
-        backend.start()
-        try:
-            backend.step(0, 0, 0.0, np.zeros((1, 8)))
-            snap = backend.snapshot(0)
-            backend.crash(0)
-            with pytest.raises(ShardCrashed):
-                backend.step(0, 1, 1.0, np.zeros((1, 8)))
-            backend.restart(0)
-            backend.restore(0, snap)
-            assert backend.step(0, 1, 1.0, np.zeros((1, 8))).tick == 1
-        finally:
-            backend.close()
-
-    def test_process_backend_wide_rows_fallback(self):
-        """Rows wider than the shared buffer travel the pickle path."""
-        d = 80  # > _ROW_COLUMNS_MAX
-        detector = _detector(d)
-        make = _scorer_factory(["a", "b"], detector)
-        backend = ProcessBackend(make, 1)
-        backend.start()
-        try:
-            result = backend.step(0, 0, 0.0, np.zeros((2, d)))
-            assert result.n_boards == 2
-        finally:
-            backend.close()
-
-    def test_worker_error_is_service_error_not_crash(self):
-        make = _scorer_factory(["a"])
-        backend = ProcessBackend(make, 1)
-        backend.start()
-        try:
-            backend.step(0, 5, 0.0, np.zeros((1, 8)))
-            with pytest.raises(ServiceError, match="tick 5 after 5"):
-                backend.step(0, 5, 1.0, np.zeros((1, 8)))
-        finally:
-            backend.close()
-
     def test_unknown_strategy_rejected(self):
-        for strategy in ("gpu", "thread"):
+        assert ServiceConfig(strategy="sequential").strategy == "sequential"
+        for strategy in ("gpu", "thread", "process"):
             with pytest.raises(ConfigError, match="unknown strategy"):
-                make_backend(strategy, _scorer_factory(["a"]), 1)
+                ServiceConfig(strategy=strategy)
 
 
 class TestSupervisor:

@@ -13,7 +13,7 @@ at every shard count the async run must reproduce the synchronous
   histograms, compared by merge key);
 
 and the whole history must be reconstructible from the JSONL trace
-alone.  A mid-run shard crash (worker killed, snapshot restored, buffer
+alone.  A mid-run shard crash (scorer dropped, snapshot restored, buffer
 re-stepped) must change *nothing* on that surface — recovery is
 lossless by construction, and this test is the proof obligation.
 """
@@ -124,27 +124,14 @@ class TestShardedByteIdentity:
                 sync.scorer.health.snapshot()["counters"][key]
             )
 
-    def test_process_backend_identity(self, detector, reference):
-        _, alarms, reboots = reference
-        service = _async_service(
-            detector, n_shards=2, strategy="process"
-        )
-        service.run(duration_s=DURATION_S, rate_hz=RATE_HZ)
-        assert service.alarm_times() == alarms
-        assert service.reboot_times() == reboots
-
 
 class TestCrashRecovery:
-    @pytest.mark.parametrize("strategy", ["sequential", "process"])
-    def test_mid_run_crash_recovers_losslessly(
-        self, detector, reference, strategy
-    ):
+    def test_mid_run_crash_recovers_losslessly(self, detector, reference):
         """Kill shards mid-run; histories must not change at all."""
         sync, alarms, reboots = reference
         service = _async_service(
             detector,
             n_shards=4,
-            strategy=strategy,
             snapshot_every=7,
             crash_at={0: 10, 2: 40},
         )
@@ -158,7 +145,7 @@ class TestCrashRecovery:
         )
 
     def test_crash_preserves_quarantine_state(self, detector, reference):
-        """The quarantine counters ride the snapshot, not the worker."""
+        """The quarantine counters ride the snapshot, not the scorer."""
         sync, _, _ = reference
         service = _async_service(
             detector, n_shards=2, snapshot_every=5, crash_at={1: 30}

@@ -2,13 +2,16 @@
 
 Every experiment writes its regenerated table both to stdout and to
 ``benchmarks/results/<experiment>.txt`` so the artifacts survive pytest's
-output capture.
+output capture.  Result files are replaced atomically: a crash mid-write
+leaves the previous file whole.
 """
 
 from __future__ import annotations
 
 import os
 from pathlib import Path
+
+from repro.perf.report import write_text_atomic
 
 RESULTS_DIR = Path(__file__).parent / "results"
 
@@ -30,7 +33,7 @@ def write_result(experiment_id: str, title: str, body: str) -> str:
     """Print and persist one experiment's regenerated table."""
     RESULTS_DIR.mkdir(exist_ok=True)
     text = f"== {experiment_id}: {title} ==\n{body.rstrip()}\n"
-    (RESULTS_DIR / f"{experiment_id}.txt").write_text(text)
+    write_text_atomic(RESULTS_DIR / f"{experiment_id}.txt", text)
     print("\n" + text)
     return text
 

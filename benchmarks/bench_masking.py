@@ -33,6 +33,7 @@ from repro.faults.campaign import (
     run_campaign,
     run_campaign_pruned,
 )
+from repro.perf.report import write_text_atomic
 from repro.workloads.irprograms import PROGRAMS, build_program
 
 WORKLOADS = ("fact", "gcd", "checksum", "dot", "horner", "fmul_chain")
@@ -133,7 +134,8 @@ def test_e17_masking_prune_rates(measurements, benchmark):
         "\nbyte-identical to the full campaign's at the same seed."
     )
     write_result("E17", "provably-benign trial pruning", body)
-    (RESULTS_DIR / "BENCH_masking.json").write_text(
+    write_text_atomic(
+        RESULTS_DIR / "BENCH_masking.json",
         json.dumps(
             {
                 "n_trials": N_TRIALS,
@@ -144,7 +146,7 @@ def test_e17_masking_prune_rates(measurements, benchmark):
                 ],
             },
             indent=2,
-        )
+        ),
     )
 
     for (name, level), m in measurements.items():

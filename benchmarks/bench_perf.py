@@ -22,15 +22,16 @@ asserted, unless ``REPRO_PERF_STRICT=1``: wall-clock depends on the host
 correctness never does.  ``parallel.available_cpus`` is recorded so a
 sub-linear parallel number on a quota-limited host is interpretable.
 
-``REPRO_PERF_GATE=1`` (CI perf-smoke) adds the trajectory gates:
+``REPRO_PERF_GATE=1`` (CI perf-smoke) adds the trajectory gates, each
+judged on the median of :data:`GATE_ROUNDS` interleaved rounds because
+one best-of-1 sample flips on identical code:
 ``parallel_vs_serial >= 1.0`` whenever more than one CPU is actually
-available (informational on 1-CPU hosts, where a pool cannot win),
-judged on the median of :data:`GATE_ROUNDS` interleaved serial/parallel
-rounds because one best-of-1 sample flips on identical code, each round
-a campaign of :data:`GATE_TRIALS` trials (whatever
+available (informational on 1-CPU hosts, where a pool cannot win), each
+round a campaign of :data:`GATE_TRIALS` trials (whatever
 ``REPRO_PERF_TRIALS`` is) so the pool's fixed dispatch cost does not
-decide the ratio, and ``min_speedup`` must not regress more than 20%
-below the previous history entry in ``BENCH_perf.json``.
+decide the ratio; and the fast path's speedup over the reference loop,
+the smallest per-program median, must not regress more than 20% below
+the previous entry's ``min_speedup`` in ``BENCH_perf.json``.
 
 Budget knobs: ``REPRO_PERF_TRIALS`` (campaign trials per measurement,
 default 300), ``REPRO_PERF_WORKERS`` (default 4), ``REPRO_PERF_REPEAT``
@@ -55,13 +56,11 @@ from repro.faults.campaign import (
 from repro.faults.outcomes import FaultOutcome, OutcomeCounts, TrialResult, classify
 from repro.faults.parallel import available_cpus
 from repro.obs.events import InMemorySink, Tracer
-from repro.obs.export import export_snapshot, snapshot_section
-from repro.obs.metrics import ENGINE_METRICS
 from repro.obs.report import outcome_counts
 from repro.obs.spans import SpanEnd, SpanStart, campaign_root
 from repro.ir.interp import Interpreter
 from repro.ir.refinterp import ReferenceInterpreter
-from repro.perf import GOLDEN_CACHE
+from repro.perf import GOLDEN_CACHE, POOL_REGISTRY
 from repro.perf.report import load_perf_report, write_perf_report
 from repro.rng import fork, make_rng
 from repro.workloads.irprograms import PROGRAMS, build_program
@@ -75,8 +74,8 @@ REPEAT = int(os.environ.get("REPRO_PERF_REPEAT", "3"))
 STRICT = os.environ.get("REPRO_PERF_STRICT") == "1"
 GATE = os.environ.get("REPRO_PERF_GATE") == "1"
 
-#: Interleaved serial/parallel rounds the ``parallel_vs_serial`` gate
-#: takes the median of.
+#: Interleaved rounds the ``parallel_vs_serial`` and ``min_speedup``
+#: gates take the median of.
 GATE_ROUNDS = 7
 
 #: Trials per gate round: enough serial work (≈0.4 s of isort on a
@@ -99,6 +98,20 @@ def _best_of(fn, repeat: int = REPEAT) -> float:
         fn()
         best = min(best, time.perf_counter() - t0)
     return best
+
+
+def _interleaved_ratios(slow, fast) -> list[float]:
+    """:data:`GATE_ROUNDS` wall-time ratios ``slow() / fast()``.
+
+    Each round times both sides once, back to back, alternating which
+    side goes first, so host drift within a round hits both alike.
+    """
+    ratios = []
+    for k in range(GATE_ROUNDS):
+        order = (slow, fast) if k % 2 == 0 else (fast, slow)
+        times = {fn: _best_of(fn, 1) for fn in order}
+        ratios.append(times[slow] / times[fast])
+    return ratios
 
 
 def _baseline_campaign(campaign: Campaign, seed: int) -> OutcomeCounts:
@@ -140,6 +153,7 @@ def _baseline_campaign(campaign: Campaign, seed: int) -> OutcomeCounts:
 
 def test_perf_interpreter_fastpath():
     per_program = {}
+    gate_rounds = {}
     for name in INTERP_PROGRAMS:
         module = build_program(name)
         args = list(PROGRAMS[name].default_args)
@@ -155,20 +169,22 @@ def test_perf_interpreter_fastpath():
         assert fast.cycles == ref.cycles
         assert fast.status == ref.status
 
-        t_ref = _best_of(
-            lambda m=module, a=args, n=name: ReferenceInterpreter(m).run(n, a)
-        )
-        t_fast = _best_of(
-            lambda m=module, a=args, n=name, c=code_cache: Interpreter(
-                m, code_cache=c
-            ).run(n, a)
-        )
+        def run_ref():
+            return ReferenceInterpreter(module).run(name, args)
+
+        def run_fast():
+            return Interpreter(module, code_cache=code_cache).run(name, args)
+
+        t_ref = _best_of(run_ref)
+        t_fast = _best_of(run_fast)
         per_program[name] = {
             "instructions": ref.instructions,
             "reference_minstr_per_s": ref.instructions / t_ref / 1e6,
             "fast_minstr_per_s": ref.instructions / t_fast / 1e6,
             "speedup": t_ref / t_fast,
         }
+        if GATE:
+            gate_rounds[name] = _interleaved_ratios(run_ref, run_fast)
 
     speedups = [d["speedup"] for d in per_program.values()]
     min_speedup = min(speedups)
@@ -180,12 +196,15 @@ def test_perf_interpreter_fastpath():
     if STRICT:
         assert min_speedup >= 9.0, f"min_speedup {min_speedup:.2f}x < 9x"
     if GATE:
+        SNAPSHOT["interpreter"]["gate_rounds"] = gate_rounds
+        gate_min = min(median(ratios) for ratios in gate_rounds.values())
         previous = load_perf_report(REPORT_PATH) or {}
         prev_min = previous.get("interpreter", {}).get("min_speedup")
         if prev_min:
-            assert min_speedup >= 0.8 * prev_min, (
-                f"min_speedup regressed >20%: {min_speedup:.2f}x vs "
-                f"{prev_min:.2f}x in the previous history entry"
+            assert gate_min >= 0.8 * prev_min, (
+                f"min_speedup regressed >20%: median {gate_min:.2f}x over "
+                f"{GATE_ROUNDS} interleaved rounds vs {prev_min:.2f}x in "
+                "the previous history entry"
             )
 
 
@@ -231,16 +250,12 @@ def test_perf_campaign_throughput():
         "parallel_speedup_vs_baseline": parallel_tps / baseline_tps,
         "target_parallel_speedup_vs_baseline": 2.0,
     }
-    # Warm-pool stats come through the versioned snapshot schema — the
-    # same shape ``python -m repro.perf.report`` consumes — instead of
-    # reaching into registry dicts.
-    warm_pool = snapshot_section(export_snapshot(ENGINE_METRICS), "warm_pool")
     SNAPSHOT["parallel"] = {
         "workers": WORKERS,
         "available_cpus": cpus,
         "deterministic": True,
         "parallel_vs_serial": serial_tps and parallel_tps / serial_tps,
-        "warm_pool": warm_pool,
+        "warm_pool": POOL_REGISTRY.stats.as_dict(),
         "efficiency_note": (
             "parallel_vs_serial scales with available_cpus; on a 1-CPU "
             "host the pool adds IPC overhead without adding compute"
@@ -251,21 +266,10 @@ def test_perf_campaign_throughput():
         assert parallel_tps >= 2.0 * baseline_tps
     if GATE and cpus > 1:
         gate_campaign = replace(campaign, n_trials=GATE_TRIALS)
-        runs = {
-            "serial": lambda: run_campaign(gate_campaign, seed=1),
-            "parallel": lambda: run_campaign(
-                gate_campaign, seed=1, workers=WORKERS
-            ),
-        }
-        ratios = []
-        for k in range(GATE_ROUNDS):
-            # Back to back, alternating which side goes first, so host
-            # drift within a round hits both sides alike.
-            order = ("serial", "parallel") if k % 2 == 0 else (
-                "parallel", "serial"
-            )
-            times = {side: _best_of(runs[side], 1) for side in order}
-            ratios.append(times["serial"] / times["parallel"])
+        ratios = _interleaved_ratios(
+            lambda: run_campaign(gate_campaign, seed=1),
+            lambda: run_campaign(gate_campaign, seed=1, workers=WORKERS),
+        )
         ratio = median(ratios)
         SNAPSHOT["parallel"]["gate_trials"] = GATE_TRIALS
         SNAPSHOT["parallel"]["gate_rounds"] = ratios

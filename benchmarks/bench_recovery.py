@@ -17,7 +17,7 @@ from benchmarks._util import RESULTS_DIR, fmt_table, write_result
 from repro.core.dmr import ProtectedProgram, ProtectionLevel
 from repro.faults.campaign import Campaign, run_campaign
 from repro.obs.events import InMemorySink, JsonlSink, Tracer
-from repro.obs.metrics import Histogram
+from repro.obs.metrics import latency_summary
 from repro.obs.recorder import FlightRecorder
 from repro.obs.report import main as report_main
 from repro.obs.report import outcome_counts, read_trace
@@ -266,18 +266,18 @@ def test_e13c_observability(supervised_runs, capsys):
     report_text = capsys.readouterr().out
     assert "agrees" in report_text and "DISAGREES" not in report_text
 
-    # Recovery latency rides the trial records; histogram the survivors.
-    latency = Histogram()
+    # Recovery latency rides the trial records; summarise the survivors.
+    latencies = []
     for trial, record in zip(traced.trials, traced.records):
         if record is not None and record.recovered:
-            latency.record(trial.recovery_latency_s)
+            latencies.append(trial.recovery_latency_s)
             assert trial.attempt_latencies_s, "attempt latencies missing"
-    assert latency.count == traced.n_recovered
-    quantiles = latency.summary()
+    quantiles = latency_summary(latencies)
+    assert quantiles["count"] == traced.n_recovered
     body = fmt_table(
         ["metric", "value"],
         [
-            ["recoveries", str(latency.count)],
+            ["recoveries", str(quantiles["count"])],
             ["latency p50", f"{quantiles['p50'] * 1e6:.2f} us"],
             ["latency p90", f"{quantiles['p90'] * 1e6:.2f} us"],
             ["latency p99", f"{quantiles['p99'] * 1e6:.2f} us"],

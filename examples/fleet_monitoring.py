@@ -20,7 +20,7 @@ from repro.detect import FleetConfig, ResidualCusumDetector
 from repro.faults.sel import LatchupEvent
 from repro.hw.board import Board
 from repro.hw.specs import RASPBERRY_PI_4
-from repro.obs import FleetDecision, InMemorySink, MetricsSink, Tracer
+from repro.obs import FleetDecision, InMemorySink, Rollup, Tracer
 from repro.obs.report import render_fleet
 from repro.workloads.stress import cpu_memory_stress_schedule
 
@@ -49,10 +49,12 @@ def main() -> None:
     )
     members[DROPPED].board.sensor.fail_between(60.0, 90.0)
 
-    sink, metrics = InMemorySink(), MetricsSink()
+    # One rollup is both a trace sink (fleet counters folded from each
+    # decision) and the service's metrics (scoring-latency histogram).
+    sink, metrics = InMemorySink(), Rollup()
     service = SelFleetService(
         detector, members, FleetConfig(),
-        tracer=Tracer(sink, metrics), metrics=metrics.registry,
+        tracer=Tracer(sink, metrics), metrics=metrics,
     )
     print(f"running {N_BOARDS} boards for 3 min at 10 Hz "
           f"(latch-up on board-{LATCHED:02d}, "
@@ -61,12 +63,12 @@ def main() -> None:
 
     decisions = [e for e in sink.events if isinstance(e, FleetDecision)]
     print(render_fleet(decisions))
-    snap = metrics.registry.snapshot()
+    snap = metrics.snapshot()
     lat = snap["histograms"]["fleet.score_latency_s"]
     # The latency values themselves are wall-clock (vary run to run);
     # the deterministic counters show the metrics wiring end to end.
     print(f"\nscoring latency histogram: {lat['count']} ticks recorded; "
-          f"{snap['counters']['fleet.samples_scored']} samples scored, "
+          f"{snap['counters']['fleet.scored']} samples scored, "
           f"{snap['counters']['fleet.alarms']} alarm decisions")
     for member in members:
         if member.board.power_cycles:

@@ -8,8 +8,8 @@ the library's observability stack to two fault-injection campaigns:
 - a :class:`~repro.obs.recorder.FlightRecorder` keeps the most recent
   events and snapshots a post-mortem dump whenever a trial ends in CRASH
   or HANG (and survives the escalation ladder's power cycles);
-- a :class:`~repro.obs.metrics.MetricsSink` folds the same event stream
-  into counters and latency histograms;
+- a :class:`~repro.obs.aggregate.Rollup` folds the same event stream
+  into counters and exact fixed-bucket latency histograms;
 - a :class:`~repro.obs.events.JsonlSink` writes the trace to disk for
   ``python -m repro.obs.report``.
 
@@ -20,8 +20,8 @@ import tempfile
 from pathlib import Path
 
 from repro.faults.campaign import Campaign, run_campaign
+from repro.obs.aggregate import Rollup
 from repro.obs.events import JsonlSink, Tracer
-from repro.obs.metrics import MetricsSink
 from repro.obs.recorder import FlightRecorder
 from repro.obs.report import outcome_counts, read_trace, render, summarize
 from repro.recover import SupervisorConfig, run_supervised_campaign
@@ -40,7 +40,7 @@ def _campaign(name: str, n_trials: int = 150) -> Campaign:
 def main() -> None:
     trace_path = Path(tempfile.mkdtemp(prefix="repro-obs-")) / "trace.jsonl"
     recorder = FlightRecorder(capacity=48, max_dumps=64)
-    metrics = MetricsSink()
+    metrics = Rollup()
 
     print("=== traced campaigns: isort (crashes) + fib (hangs) ===\n")
     with Tracer(JsonlSink(trace_path), recorder, metrics) as tracer:
@@ -67,7 +67,7 @@ def main() -> None:
     print(recorder.dumps[0].render())
 
     print("\n=== metrics folded from the same stream ===\n")
-    snapshot = metrics.registry.snapshot()
+    snapshot = metrics.snapshot()
     for name, value in snapshot["counters"].items():
         print(f"  {name:<28} {value}")
     latency = snapshot["histograms"].get("recovery.latency_s")

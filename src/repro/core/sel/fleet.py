@@ -28,9 +28,8 @@ from repro.detect.fleet import FleetConfig, FleetScorer, FleetStep
 from repro.errors import ConfigError, DeviceDestroyed
 from repro.faults.sel import LatchupGenerator
 from repro.hw.board import Board
-from repro.obs.aggregate import latency_histogram
+from repro.obs.aggregate import LATENCY_BOUNDS, Rollup
 from repro.obs.events import FleetDecision, PhaseTransition, Tracer
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.spans import ROOT, SpanEnd, SpanStart, fleet_root, span_id
 from repro.radiation.schedule import (
     EnvironmentTimeline,
@@ -132,10 +131,10 @@ class SelFleetService:
     Attributes:
         members: supervised boards, index-aligned with scorer rows.
         scorer: the shared batched scorer.
-        metrics: optional registry; scoring latency lands in the
+        metrics: optional rollup; scoring latency lands in its
             ``fleet.score_latency_s`` fixed-bucket histogram (wall-clock
             measurement stays out of the event trace, which is
-            clock-free; the fixed buckets make per-shard registries
+            clock-free; the fixed buckets make per-shard rollups
             mergeable).
         trace_spans: when set (and a tracer is attached), emit the
             deterministic span skeleton — a ``fleet`` root, one ``tick``
@@ -150,7 +149,7 @@ class SelFleetService:
         members: list[FleetMember],
         config: FleetConfig = FleetConfig(),
         tracer: Tracer | None = None,
-        metrics: MetricsRegistry | None = None,
+        metrics: Rollup | None = None,
         timeline: EnvironmentTimeline | None = None,
         sel_rate_per_board_day: float = 0.05,
         timeline_seed: int = 0,
@@ -250,13 +249,6 @@ class SelFleetService:
             rows[i] = self.featurizer.row(samples[0])
         return rows, newly_dead
 
-    def _record_latency(self, elapsed: float) -> None:
-        hist = self.metrics.histograms.get("fleet.score_latency_s")
-        if hist is None:
-            hist = latency_histogram()
-            self.metrics.histograms["fleet.score_latency_s"] = hist
-        hist.record(elapsed)
-
     def tick(self, t: float) -> FleetTickResult:
         """Sample, score and respond for the whole fleet at time ``t``."""
         spans = self.tracer is not None and self.trace_spans
@@ -286,7 +278,9 @@ class SelFleetService:
         step = self.scorer.step(t, rows)
         elapsed = time.perf_counter() - started
         if self.metrics is not None:
-            self._record_latency(elapsed)
+            self.metrics.observe(
+                "fleet.score_latency_s", elapsed, LATENCY_BOUNDS
+            )
         rebooted: list[str] = []
         for index in step.alarms:
             member = self.members[index]

@@ -11,23 +11,24 @@ software can *see* faults as they happen.  This package is the seeing:
 - :mod:`repro.obs.recorder` — a bounded :class:`FlightRecorder` ring
   buffer that survives simulated power cycles and snapshots a post-mortem
   dump when a trial ends in CRASH or HANG.
-- :mod:`repro.obs.metrics` — a registry of counters / gauges /
-  histograms, either updated directly or derived from the event stream
-  via :class:`MetricsSink`.
+- :mod:`repro.obs.metrics` — exact fixed-bucket histograms and the
+  nearest-rank :func:`~repro.obs.metrics.latency_summary` of raw samples.
 - :mod:`repro.obs.report` — ``python -m repro.obs.report trace.jsonl``
   renders campaign timelines, outcome breakdowns by injection site, and
   detector decision summaries from a JSONL trace.
 - :mod:`repro.obs.spans` — deterministic causal spans
   (campaign → trial → attempt, fleet → tick → power-cycle) with
   clock-free ids derived from (parent, name, index).
-- :mod:`repro.obs.aggregate` — streaming windowed rollups over exact
-  fixed-bucket histograms; per-shard aggregates merge *exactly* equal to
-  global aggregation.
+- :mod:`repro.obs.aggregate` — :class:`Rollup`, the one metrics
+  registry and event fold (a :class:`Tracer` sink): counters plus exact
+  fixed-bucket histograms, where per-shard rollups merge *exactly* equal
+  to global aggregation.
 - :mod:`repro.obs.query` — ``python -m repro.obs.query trace.jsonl``:
   indexed filters, span-tree reconstruction and latency percentiles
   over a JSONL trace.
 - :mod:`repro.obs.export` — ``python -m repro.obs.export``: Prometheus
-  text exposition and versioned JSON snapshots of any registry.
+  text exposition and versioned JSON snapshots of any :class:`Rollup`.
+  It is not imported here, so running it with ``-m`` loads it once.
 
 The contract every instrumentation point obeys: **zero overhead when
 disabled** (a single ``tracer is None`` test on the non-hot path, one
@@ -65,25 +66,10 @@ from repro.obs.events import (
 from repro.obs.aggregate import (
     BoardHealth,
     Rollup,
-    StreamAggregator,
     aggregate_events,
     fleet_board_health,
-    merge_aggregates,
 )
-from repro.obs.export import (
-    export_snapshot,
-    load_snapshot,
-    snapshot_section,
-    to_prometheus,
-)
-from repro.obs.metrics import (
-    Counter,
-    ENGINE_METRICS,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    MetricsSink,
-)
+from repro.obs.metrics import Histogram
 from repro.obs.recorder import FlightRecorder, PostMortemDump
 from repro.obs.spans import (
     SpanEnd,
@@ -100,21 +86,16 @@ __all__ = [
     "CampaignEnd",
     "CampaignStart",
     "CheckpointTaken",
-    "Counter",
     "DetectorDecision",
-    "ENGINE_METRICS",
     "Event",
     "FleetDecision",
     "FlightRecorder",
-    "Gauge",
     "GoldenCacheLookup",
     "Histogram",
     "InMemorySink",
     "Injection",
     "JsonlSink",
     "LadderAttemptEvent",
-    "MetricsRegistry",
-    "MetricsSink",
     "MissionDay",
     "MissionSel",
     "PhaseTransition",
@@ -124,7 +105,6 @@ __all__ = [
     "SpanEnd",
     "SpanScope",
     "SpanStart",
-    "StreamAggregator",
     "Tracer",
     "TrialEnd",
     "TrialStart",
@@ -134,12 +114,7 @@ __all__ = [
     "aggregate_events",
     "campaign_root",
     "event_from_dict",
-    "export_snapshot",
     "fleet_board_health",
     "fleet_root",
-    "load_snapshot",
-    "merge_aggregates",
-    "snapshot_section",
     "span_id",
-    "to_prometheus",
 ]

@@ -1,4 +1,4 @@
-"""Streaming, windowed, *exactly mergeable* rollups of event streams.
+"""The one metrics model: exactly mergeable rollups of event streams.
 
 The sharded mission-control service needs one property above all: **a
 shard's aggregate must merge losslessly**.  If N workers each fold their
@@ -18,14 +18,12 @@ Everything here is therefore a commutative monoid fold:
   state), so any partition of the stream — by shard, by worker, by time
   — folds to the same aggregate.
 
-:func:`aggregate_events` is the fold, :meth:`StreamAggregator.merge` is
-the monoid operation, and the hypothesis property test asserts
+:class:`Rollup` is the one registry: ``FleetScorer.health``, the fleet
+service's latency metrics, the export CLI's source and, through
+:meth:`Rollup.write`, a :class:`~repro.obs.events.Tracer` sink.
+:func:`aggregate_events` is the fold, :meth:`Rollup.merge` is the monoid
+operation, and the hypothesis property test asserts
 ``merge(shards) == global`` for *random* partitions.
-
-Windowing: events that carry a simulated time ``t`` additionally land in
-a fixed-width window keyed by ``floor(t / window_s)``; untimed events
-(per-trial records) land only in the total rollup.  Window keys are pure
-functions of the event, so windowed rollups merge exactly too.
 """
 
 from __future__ import annotations
@@ -37,6 +35,7 @@ from repro.obs.events import (
     DetectorDecision,
     Event,
     FleetDecision,
+    GoldenCacheLookup,
     LadderAttemptEvent,
     RecoveryDone,
     TrialEnd,
@@ -92,22 +91,35 @@ SCORE_BOUNDS = linear_bounds(0.0, 8.0, 64)
 CYCLE_BOUNDS = log_bounds(10.0, 1e9, per_decade=3)
 
 
-def latency_histogram() -> Histogram:
-    """A fresh fixed-bucket latency histogram (canonical bounds)."""
-    return Histogram(buckets=LATENCY_BOUNDS)
-
-
-def score_histogram() -> Histogram:
-    """A fresh fixed-bucket detector-score histogram."""
-    return Histogram(buckets=SCORE_BOUNDS)
-
-
 # -- rollups -------------------------------------------------------------------
 
 
 @dataclass
 class Rollup:
-    """One mergeable bundle of counters and fixed-bucket histograms."""
+    """One mergeable bundle of counters and fixed-bucket histograms.
+
+    As a :class:`~repro.obs.events.Tracer` sink, :meth:`write` folds each
+    event in independently of its stream position:
+
+    - ``events.<kind>`` counter for every event (``events.checkpoint``,
+      ``events.watchdog-fire`` and ``events.block`` included);
+    - :class:`TrialEnd` → ``trials.<outcome>`` counters and the
+      ``trial.cycles`` histogram;
+    - :class:`LadderAttemptEvent` → ``ladder.attempts.<rung>`` counters
+      and the ``recovery.attempt_latency_s`` histogram;
+    - :class:`RecoveryDone` → ``recovery.recovered`` +
+      ``recovery.rung.<rung>`` or ``recovery.failed`` counters, and the
+      ``recovery.latency_s`` and ``recovery.wasted_cycles`` histograms
+      over every recovery, failed ones included;
+    - :class:`GoldenCacheLookup` → ``golden_cache.hits`` /
+      ``golden_cache.misses``;
+    - :class:`DetectorDecision` → ``detector.samples`` / ``detector.alarms``
+      counters and the ``detector.score`` histogram;
+    - :class:`FleetDecision` → ``fleet.ticks`` / ``.scored`` /
+      ``.anomalous`` / ``.alarms`` / ``.quarantines`` / ``.releases``
+      counters, per-board ``board.<id>.alarms`` / ``.quarantines`` /
+      ``.releases`` counters, and the ``fleet.max_score`` histogram.
+    """
 
     counters: dict[str, int] = field(default_factory=dict)
     histograms: dict[str, Histogram] = field(default_factory=dict)
@@ -118,8 +130,59 @@ class Rollup:
     def observe(self, name: str, value: float, bounds: tuple) -> None:
         hist = self.histograms.get(name)
         if hist is None:
-            hist = self.histograms[name] = Histogram(buckets=bounds)
+            hist = self.histograms[name] = Histogram(bounds)
         hist.record(value)
+
+    def write(self, event: Event, seq: int) -> None:
+        """Fold one event in (the :class:`Tracer` sink protocol)."""
+        self.inc(f"events.{event.kind}")
+        if isinstance(event, TrialEnd):
+            self.inc(f"trials.{event.outcome}")
+            self.observe("trial.cycles", event.cycles, CYCLE_BOUNDS)
+        elif isinstance(event, LadderAttemptEvent):
+            self.inc(f"ladder.attempts.{event.rung}")
+            self.observe(
+                "recovery.attempt_latency_s", event.latency_s, LATENCY_BOUNDS
+            )
+        elif isinstance(event, RecoveryDone):
+            if event.recovered:
+                self.inc("recovery.recovered")
+                self.inc(f"recovery.rung.{event.rung}")
+            else:
+                self.inc("recovery.failed")
+            self.observe("recovery.latency_s", event.latency_s, LATENCY_BOUNDS)
+            self.observe(
+                "recovery.wasted_cycles", event.wasted_cycles, CYCLE_BOUNDS
+            )
+        elif isinstance(event, GoldenCacheLookup):
+            self.inc(
+                "golden_cache.hits" if event.hit else "golden_cache.misses"
+            )
+        elif isinstance(event, DetectorDecision):
+            self.inc("detector.samples")
+            if event.alarm:
+                self.inc("detector.alarms")
+            self.observe("detector.score", event.score, SCORE_BOUNDS)
+        elif isinstance(event, FleetDecision):
+            self.inc("fleet.ticks")
+            self.inc("fleet.scored", event.n_scored)
+            self.inc("fleet.anomalous", event.n_anomalous)
+            alarm_ids = event.alarm_ids()
+            self.inc("fleet.alarms", len(alarm_ids))
+            for board_id in alarm_ids:
+                self.inc(f"board.{board_id}.alarms")
+            if event.quarantined:
+                quarantined = event.quarantined.split(",")
+                self.inc("fleet.quarantines", len(quarantined))
+                for board_id in quarantined:
+                    self.inc(f"board.{board_id}.quarantines")
+            if event.released:
+                released = event.released.split(",")
+                self.inc("fleet.releases", len(released))
+                for board_id in released:
+                    self.inc(f"board.{board_id}.releases")
+            if event.n_scored:
+                self.observe("fleet.max_score", event.max_score, SCORE_BOUNDS)
 
     def merge(self, other: "Rollup") -> None:
         """Fold ``other`` in; exact for any shard partition."""
@@ -128,7 +191,7 @@ class Rollup:
         for name, hist in other.histograms.items():
             mine = self.histograms.get(name)
             if mine is None:
-                mine = self.histograms[name] = Histogram(buckets=hist.bounds)
+                mine = self.histograms[name] = Histogram(hist.bounds)
             mine.merge(hist)
 
     def merge_key(self) -> tuple:
@@ -146,7 +209,7 @@ class Rollup:
         return self.merge_key() == other.merge_key()
 
     def snapshot(self) -> dict:
-        """JSON-ready snapshot (same shape as a metrics registry)."""
+        """JSON-ready snapshot: sorted counters and histogram summaries."""
         return {
             "counters": dict(sorted(self.counters.items())),
             "histograms": {
@@ -156,153 +219,12 @@ class Rollup:
         }
 
 
-class StreamAggregator:
-    """Fold an event stream into mergeable total + windowed rollups.
-
-    Per-event contributions (each independent of stream position):
-
-    - ``events.<kind>`` counter for every event;
-    - :class:`TrialEnd` → ``trials.<outcome>`` counters and the
-      ``trial.cycles`` histogram;
-    - :class:`LadderAttemptEvent` → ``ladder.attempts.<rung>`` counters
-      and the ``recovery.attempt_latency_s`` histogram;
-    - :class:`RecoveryDone` → ``recovery.recovered`` / ``recovery.failed``
-      counters and the ``recovery.latency_s`` histogram;
-    - :class:`DetectorDecision` → ``detector.samples`` / ``detector.alarms``
-      counters and the ``detector.score`` histogram;
-    - :class:`FleetDecision` → fleet tick/scored/anomalous/alarm counters,
-      per-board ``board.<id>.alarms`` / ``board.<id>.quarantines`` /
-      ``board.<id>.releases`` counters, and the ``fleet.max_score``
-      histogram.
-
-    Events carrying a simulated time ``t`` also fold into the window
-    ``floor(t / window_s)`` when a window width is configured.
-    """
-
-    def __init__(self, window_s: float | None = None) -> None:
-        if window_s is not None and window_s <= 0:
-            raise ConfigError(f"window_s must be positive, got {window_s}")
-        self.window_s = window_s
-        self.total = Rollup()
-        self.windows: dict[int, Rollup] = {}
-
-    def _targets(self, event: Event) -> list[Rollup]:
-        targets = [self.total]
-        t = getattr(event, "t", None)
-        if self.window_s is not None and t is not None:
-            key = int(float(t) // self.window_s)
-            window = self.windows.get(key)
-            if window is None:
-                window = self.windows[key] = Rollup()
-            targets.append(window)
-        return targets
-
-    def observe(self, event: Event) -> None:
-        """Fold one event in (position-independent by construction)."""
-        for rollup in self._targets(event):
-            self._fold(rollup, event)
-
-    def observe_all(self, events) -> None:
-        for event in events:
-            self.observe(event)
-
-    @staticmethod
-    def _fold(rollup: Rollup, event: Event) -> None:
-        rollup.inc(f"events.{event.kind}")
-        if isinstance(event, TrialEnd):
-            rollup.inc(f"trials.{event.outcome}")
-            rollup.observe("trial.cycles", event.cycles, CYCLE_BOUNDS)
-        elif isinstance(event, LadderAttemptEvent):
-            rollup.inc(f"ladder.attempts.{event.rung}")
-            rollup.observe(
-                "recovery.attempt_latency_s", event.latency_s, LATENCY_BOUNDS
-            )
-        elif isinstance(event, RecoveryDone):
-            rollup.inc(
-                "recovery.recovered" if event.recovered else "recovery.failed"
-            )
-            rollup.observe(
-                "recovery.latency_s", event.latency_s, LATENCY_BOUNDS
-            )
-        elif isinstance(event, DetectorDecision):
-            rollup.inc("detector.samples")
-            if event.alarm:
-                rollup.inc("detector.alarms")
-            rollup.observe("detector.score", event.score, SCORE_BOUNDS)
-        elif isinstance(event, FleetDecision):
-            rollup.inc("fleet.ticks")
-            rollup.inc("fleet.scored", event.n_scored)
-            rollup.inc("fleet.anomalous", event.n_anomalous)
-            alarm_ids = event.alarm_ids()
-            rollup.inc("fleet.alarms", len(alarm_ids))
-            for board_id in alarm_ids:
-                rollup.inc(f"board.{board_id}.alarms")
-            if event.quarantined:
-                for board_id in event.quarantined.split(","):
-                    rollup.inc(f"board.{board_id}.quarantines")
-            if event.released:
-                for board_id in event.released.split(","):
-                    rollup.inc(f"board.{board_id}.releases")
-            if event.n_scored:
-                rollup.observe(
-                    "fleet.max_score", event.max_score, SCORE_BOUNDS
-                )
-
-    def merge(self, other: "StreamAggregator") -> None:
-        """The monoid operation: fold another shard's aggregate in."""
-        if self.window_s != other.window_s:
-            raise ConfigError(
-                f"cannot merge aggregators with different windows: "
-                f"{self.window_s} != {other.window_s}"
-            )
-        self.total.merge(other.total)
-        for key, window in other.windows.items():
-            mine = self.windows.get(key)
-            if mine is None:
-                self.windows[key] = window
-            else:
-                mine.merge(window)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, StreamAggregator):
-            return NotImplemented
-        return (
-            self.window_s == other.window_s
-            and self.total == other.total
-            and set(self.windows) == set(other.windows)
-            and all(self.windows[k] == other.windows[k] for k in self.windows)
-        )
-
-    def snapshot(self) -> dict:
-        """JSON-ready snapshot: the total plus every window in order."""
-        return {
-            "window_s": self.window_s,
-            "total": self.total.snapshot(),
-            "windows": {
-                str(key): self.windows[key].snapshot()
-                for key in sorted(self.windows)
-            },
-        }
-
-
-def aggregate_events(
-    events, window_s: float | None = None
-) -> StreamAggregator:
-    """Fold ``events`` into a fresh aggregator (the canonical fold)."""
-    agg = StreamAggregator(window_s=window_s)
-    agg.observe_all(events)
-    return agg
-
-
-def merge_aggregates(shards) -> StreamAggregator:
-    """Merge per-shard aggregators; exactly equals the global fold."""
-    shards = list(shards)
-    if not shards:
-        return StreamAggregator()
-    merged = StreamAggregator(window_s=shards[0].window_s)
-    for shard in shards:
-        merged.merge(shard)
-    return merged
+def aggregate_events(events) -> Rollup:
+    """Fold ``events`` into a fresh rollup (the canonical fold)."""
+    rollup = Rollup()
+    for event in events:
+        rollup.write(event, 0)
+    return rollup
 
 
 # -- fleet health --------------------------------------------------------------
@@ -332,7 +254,7 @@ class BoardHealth:
 def fleet_board_health(decisions) -> dict[str, BoardHealth]:
     """Replay a FleetDecision stream into per-board health rollups.
 
-    Unlike the monoid aggregates above this is an *ordered* replay —
+    Unlike the monoid rollup above this is an *ordered* replay —
     quarantine membership is interval state, so the denominator needs
     the stream in emission order (which a single trace always has).
     """

@@ -2,24 +2,21 @@
 
 Two consumers need the same numbers in different shapes: a scrape
 endpoint wants the Prometheus text format, and the repo's own CLIs
-(``python -m repro.perf.report``, benchmarks) want a stable JSON schema
-instead of poking at registry internals.  This module is the one place
-both shapes are produced:
+(``python -m repro.obs.report --metrics``) want a stable JSON schema
+instead of poking at rollup internals.  This module is the one place
+both shapes are produced from a :class:`~repro.obs.aggregate.Rollup`:
 
-- :func:`export_snapshot` — a :class:`~repro.obs.metrics.MetricsRegistry`
-  as a versioned JSON document (``schema`` = :data:`SNAPSHOT_SCHEMA`);
-  :func:`load_snapshot` validates the version on the way back in, and
-  :func:`snapshot_section` gives consumers prefix-scoped access
-  (``snapshot_section(snap, "warm_pool")`` → ``{"created": 2, ...}``)
-  so no CLI ever dict-pokes a raw registry again.
-- :func:`to_prometheus` — the text exposition format: counters and
-  gauges verbatim, fixed-bucket histograms as true Prometheus
-  ``histogram`` series (cumulative ``_bucket{le=...}`` + ``_sum`` +
-  ``_count``), reservoir histograms as ``summary`` quantiles.
+- :func:`export_snapshot` — a rollup as a versioned JSON document
+  (``schema`` = :data:`SNAPSHOT_SCHEMA`) carrying every histogram's
+  buckets, so the document restores loss-free;
+  :func:`load_snapshot` validates the version on the way back in.
+- :func:`to_prometheus` — the text exposition format: counters
+  verbatim, histograms as true Prometheus ``histogram`` series
+  (cumulative ``_bucket{le=...}`` + ``_sum`` + ``_count``).
 
-The CLI exports either a live trace (replayed through
-:class:`~repro.obs.metrics.MetricsSink`) or a previously written JSON
-snapshot::
+The CLI exports either a trace (folded by
+:func:`~repro.obs.aggregate.aggregate_events`) or a previously written
+JSON snapshot::
 
     python -m repro.obs.export --from-trace trace.jsonl
     python -m repro.obs.export --from-trace trace.jsonl --format json
@@ -34,40 +31,43 @@ import sys
 from fractions import Fraction
 
 from repro.errors import ConfigError
-from repro.obs.metrics import Histogram, MetricsRegistry, MetricsSink
+from repro.obs.aggregate import Rollup, aggregate_events
+from repro.obs.metrics import Histogram
+from repro.obs.report import read_trace
 
 #: Version tag stamped on every exported snapshot; bump on shape change.
 SNAPSHOT_SCHEMA = "repro.metrics/v1"
-
-#: Prometheus summary quantiles emitted for reservoir histograms.
-SUMMARY_QUANTILES = ((0.5, 50), (0.9, 90), (0.99, 99))
 
 
 # -- JSON snapshot -------------------------------------------------------------
 
 
-def export_snapshot(registry: MetricsRegistry) -> dict:
-    """Versioned JSON-ready snapshot of every instrument in ``registry``.
+def export_snapshot(rollup: Rollup) -> dict:
+    """Versioned JSON-ready snapshot of every counter and histogram.
 
-    The body is exactly :meth:`MetricsRegistry.snapshot` plus the
-    ``schema`` tag and, for fixed-bucket histograms, the per-bucket
-    counts (``bounds`` / ``bucket_counts``) that a plain summary drops —
-    so an exported snapshot is loss-free for the mergeable mode.
+    The body is :meth:`Rollup.snapshot` plus the ``schema`` tag, the
+    v1 shape's ``gauges`` section (always empty: a rollup has none) and,
+    per histogram, the bucket data (``bounds`` / ``bucket_counts`` /
+    ``nonfinite`` / ``exact_total``) a plain summary drops.
     """
-    body = registry.snapshot()
-    for name, hist in registry.histograms.items():
-        if hist.bucketed and hist.count:
-            body["histograms"][name] = {
-                **body["histograms"][name],
-                "bounds": list(hist.bounds),
-                "bucket_counts": list(hist.bucket_counts),
-                "nonfinite": hist.nonfinite,
-                # The exact rational sum, as "p/q" — floats are dyadic
-                # rationals, so this round-trips without rounding and a
-                # restored histogram merge-compares equal to the original.
-                "exact_total": str(hist._exact_total),
-            }
-    return {"schema": SNAPSHOT_SCHEMA, **body}
+    body = rollup.snapshot()
+    for name, hist in rollup.histograms.items():
+        body["histograms"][name] = {
+            **body["histograms"][name],
+            "bounds": list(hist.bounds),
+            "bucket_counts": list(hist.bucket_counts),
+            "nonfinite": hist.nonfinite,
+            # The exact rational sum, as "p/q" — floats are dyadic
+            # rationals, so this round-trips without rounding and a
+            # restored histogram merge-compares equal to the original.
+            "exact_total": str(hist._exact_total),
+        }
+    return {
+        "schema": SNAPSHOT_SCHEMA,
+        "counters": body["counters"],
+        "gauges": {},
+        "histograms": body["histograms"],
+    }
 
 
 def load_snapshot(document: dict) -> dict:
@@ -82,24 +82,6 @@ def load_snapshot(document: dict) -> dict:
         if not isinstance(document.get(key), dict):
             raise ConfigError(f"snapshot missing {key!r} section")
     return document
-
-
-def snapshot_section(snapshot: dict, prefix: str) -> dict:
-    """Prefix-scoped view of a snapshot's counters and gauges.
-
-    ``snapshot_section(snap, "warm_pool")`` returns
-    ``{"created": ..., "reused": ..., ...}`` — the shared accessor every
-    CLI uses instead of reaching into registry dicts with hardcoded
-    dotted names.  Histogram summaries are included under their suffix
-    too (values are dicts, trivially distinguishable).
-    """
-    dotted = prefix + "."
-    section: dict = {}
-    for source in ("counters", "gauges", "histograms"):
-        for name, value in snapshot.get(source, {}).items():
-            if name.startswith(dotted):
-                section[name[len(dotted):]] = value
-    return section
 
 
 # -- Prometheus text exposition ------------------------------------------------
@@ -123,48 +105,31 @@ def _fmt(value: float) -> str:
 
 
 def _histogram_lines(name: str, hist: Histogram) -> list[str]:
-    if hist.bucketed:
-        lines = [f"# TYPE {name} histogram"]
-        cumulative = 0
-        for bound, count in zip(hist.bounds, hist.bucket_counts):
-            cumulative += count
-            lines.append(
-                f'{name}_bucket{{le="{_fmt(bound)}"}} {cumulative}'
-            )
-        cumulative += hist.bucket_counts[-1]
-        lines.append(f'{name}_bucket{{le="+Inf"}} {cumulative}')
-        lines.append(f"{name}_sum {_fmt(hist.total)}")
-        lines.append(f"{name}_count {hist.count}")
-        return lines
-    lines = [f"# TYPE {name} summary"]
-    for quantile, q in SUMMARY_QUANTILES:
-        lines.append(
-            f'{name}{{quantile="{quantile}"}} {_fmt(hist.percentile(q))}'
-        )
+    lines = [f"# TYPE {name} histogram"]
+    cumulative = 0
+    for bound, count in zip(hist.bounds, hist.bucket_counts):
+        cumulative += count
+        lines.append(f'{name}_bucket{{le="{_fmt(bound)}"}} {cumulative}')
+    cumulative += hist.bucket_counts[-1]
+    lines.append(f'{name}_bucket{{le="+Inf"}} {cumulative}')
     lines.append(f"{name}_sum {_fmt(hist.total)}")
     lines.append(f"{name}_count {hist.count}")
     return lines
 
 
-def to_prometheus(registry: MetricsRegistry, namespace: str = "repro") -> str:
-    """Render a registry in the Prometheus text exposition format.
+def to_prometheus(rollup: Rollup, namespace: str = "repro") -> str:
+    """Render a rollup in the Prometheus text exposition format.
 
-    Counters and gauges map directly; fixed-bucket histograms become
-    real ``histogram`` series with cumulative ``le`` buckets (exact, the
-    scrape-side sum of shards equals the global series); reservoir
-    histograms become ``summary`` quantiles, which Prometheus documents
-    as non-aggregatable — matching their actual semantics here.
+    Counters map directly; histograms become real ``histogram`` series
+    with cumulative ``le`` buckets (exact: the scrape-side sum of shards
+    equals the global series).
     """
     lines: list[str] = []
-    for name, counter in sorted(registry.counters.items()):
+    for name, value in sorted(rollup.counters.items()):
         metric = _metric_name(name, namespace)
         lines.append(f"# TYPE {metric} counter")
-        lines.append(f"{metric} {counter.value}")
-    for name, gauge in sorted(registry.gauges.items()):
-        metric = _metric_name(name, namespace)
-        lines.append(f"# TYPE {metric} gauge")
-        lines.append(f"{metric} {_fmt(gauge.value)}")
-    for name, hist in sorted(registry.histograms.items()):
+        lines.append(f"{metric} {value}")
+    for name, hist in sorted(rollup.histograms.items()):
         lines.extend(_histogram_lines(_metric_name(name, namespace), hist))
     return "\n".join(lines) + ("\n" if lines else "")
 
@@ -172,49 +137,45 @@ def to_prometheus(registry: MetricsRegistry, namespace: str = "repro") -> str:
 # -- sources -------------------------------------------------------------------
 
 
-def registry_from_trace(path) -> MetricsRegistry:
-    """Replay a JSONL trace through a MetricsSink into a fresh registry."""
-    from repro.obs.report import read_trace
-
-    sink = MetricsSink()
-    for seq, event in read_trace(path):
-        sink.write(event, seq)
-    return sink.registry
+def registry_from_trace(path) -> Rollup:
+    """Fold a JSONL trace into a fresh rollup."""
+    return aggregate_events(event for _, event in read_trace(path))
 
 
-def registry_from_snapshot(document: dict) -> MetricsRegistry:
-    """Rebuild a registry from a snapshot (loss-free for bucket mode).
+def registry_from_snapshot(document: dict) -> Rollup:
+    """Rebuild a rollup from a snapshot, loss-free.
 
-    Counters and gauges restore exactly.  Fixed-bucket histograms
-    restore bucket counts and extrema from the exported per-bucket data;
-    reservoir histograms cannot be rebuilt from a summary and come back
-    as empty instruments (their summaries are still in the document).
+    Raises :class:`ConfigError` naming the first gauge or bucketless
+    histogram (a v1 document written from a reservoir histogram), which
+    a rollup cannot hold: nothing is restored silently empty.
     """
     document = load_snapshot(document)
-    registry = MetricsRegistry()
-    for name, value in document["counters"].items():
-        registry.counter(name).inc(int(value))
-    for name, value in document["gauges"].items():
-        registry.gauge(name).set(float(value))
+    for name in document["gauges"]:  # a rollup holds no gauges
+        raise ConfigError(f"gauge {name!r} cannot be restored into a rollup")
+    rollup = Rollup(counters={
+        name: int(value) for name, value in document["counters"].items()
+    })
     for name, summary in document["histograms"].items():
-        bounds = summary.get("bounds")
-        if not bounds:
-            registry.histogram(name)
-            continue
-        hist = Histogram(buckets=bounds)
+        if "bounds" not in summary:
+            raise ConfigError(
+                f"histogram {name!r} has no bucket bounds and cannot be "
+                "restored"
+            )
+        hist = Histogram(summary["bounds"])
         hist.bucket_counts = list(summary["bucket_counts"])
         hist.count = int(summary["count"])
         hist.nonfinite = int(summary.get("nonfinite", 0))
-        hist.min = float(summary["min"])
-        hist.max = float(summary["max"])
+        if hist.count:
+            hist.min = float(summary["min"])
+            hist.max = float(summary["max"])
         exact = summary.get("exact_total")
         if exact is not None:
             hist._exact_total = Fraction(exact)
         else:
             hist._exact_total = Fraction(float(summary["mean"]) * hist.count)
         hist.total = float(hist._exact_total)
-        registry.histograms[name] = hist
-    return registry
+        rollup.histograms[name] = hist
+    return rollup
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -242,17 +203,17 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.from_trace:
-            registry = registry_from_trace(args.from_trace)
+            rollup = registry_from_trace(args.from_trace)
         else:
             with open(args.from_snapshot, "r", encoding="utf-8") as fh:
-                registry = registry_from_snapshot(json.load(fh))
-    except (OSError, json.JSONDecodeError) as exc:
+                rollup = registry_from_snapshot(json.load(fh))
+    except (OSError, json.JSONDecodeError, ConfigError) as exc:
         print(f"error: cannot load metrics source: {exc}", file=sys.stderr)
         return 1
     if args.format == "json":
-        print(json.dumps(export_snapshot(registry), indent=2))
+        print(json.dumps(export_snapshot(rollup), indent=2))
     else:
-        sys.stdout.write(to_prometheus(registry, namespace=args.namespace))
+        sys.stdout.write(to_prometheus(rollup, namespace=args.namespace))
     return 0
 
 

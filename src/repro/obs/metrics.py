@@ -1,187 +1,98 @@
-"""Counters, gauges and histograms for the campaign engine.
+"""Fixed-bucket histograms and nearest-rank summaries of raw samples.
 
-A :class:`MetricsRegistry` is a flat namespace of named instruments,
-snapshotted per campaign into a plain dict (JSON-ready, the same shape
-``BENCH_perf.json`` uses).  Two ways to populate it:
+A :class:`Histogram` lands every observation in one of a predeclared
+set of buckets.  Counts are integers and the running sum is kept as an
+exact rational, so two histograms over disjoint shards of a stream
+:meth:`~Histogram.merge` into *exactly* the histogram of the combined
+stream — the property :class:`repro.obs.aggregate.Rollup`, the one
+metrics registry, builds its shard-mergeable rollups on.  Memory is
+bounded by the bucket count, and percentiles resolve to bucket upper
+bounds (clamped to the observed min/max), never degrading with volume.
 
-- instrumentation sites update instruments directly (e.g. the perf
-  benchmark sets ``interp.minstr_per_s``);
-- a :class:`MetricsSink` attached to a :class:`~repro.obs.events.Tracer`
-  derives the standard engine metrics from the event stream — trial
-  outcomes, recovery latency, ladder-rung distribution, golden-cache hit
-  rate, checkpoint and watchdog activity — so the aggregate numbers are
-  *provably* reconstructible from the per-event evidence (the same
-  property the report CLI checks against ``OutcomeCounts``).
+Where every raw sample is at hand (a trace's recovery latencies, a
+detector's scores, the service's decision latencies),
+:func:`latency_summary` summarises them exactly instead.  Percentiles
+use the nearest-rank definition (ceil(p/100 * n)), so every reported
+quantile is an actually-observed sample, and the edge cases are
+NaN-free by contract:
 
-Histograms come in two modes:
+- an **empty** summary reports ``count == 0`` and the explicit
+  ``0.0`` sentinel for mean/max and every percentile (consumers must
+  key off ``count``, not the values);
+- a **single-sample** summary reports that sample for every percentile
+  (nearest-rank of one value is that value — no interpolation, no NaN).
 
-- **reservoir** (default): raw observations are stored up to a bound and
-  percentiles are exact; past the bound every value still contributes to
-  count/sum but the percentile reservoir is subsampled deterministically
-  (every k-th observation), so memory stays bounded on million-trial
-  campaigns without a stochastic sampler breaking reproducibility.  The
-  degradation is *explicit*: ``summary()`` carries a ``truncated`` flag.
-- **fixed-bucket** (``buckets=``): observations land in predeclared
-  buckets.  Counts are integers and the running sum is kept as an exact
-  rational, so two histograms over disjoint shards of a stream
-  :meth:`~Histogram.merge` into *exactly* the histogram of the combined
-  stream — the property :mod:`repro.obs.aggregate` builds its
-  shard-mergeable rollups on.  Percentiles resolve to bucket upper
-  bounds (clamped to the observed min/max), never degrading with volume.
+``tests/service/test_metrics_edge.py`` pins both contracts.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, field
 from fractions import Fraction
-from math import isfinite
+from math import ceil, isfinite
 from typing import Sequence
 
 from repro.errors import ConfigError
-from repro.obs.events import (
-    BlockTransition,
-    CheckpointTaken,
-    DetectorDecision,
-    Event,
-    FleetDecision,
-    GoldenCacheLookup,
-    LadderAttemptEvent,
-    RecoveryDone,
-    TrialEnd,
-    WatchdogFire,
-)
-
-
-@dataclass
-class Counter:
-    """Monotonic event count."""
-
-    value: int = 0
-
-    def inc(self, n: int = 1) -> None:
-        if n < 0:
-            raise ConfigError(f"counter increment must be >= 0, got {n}")
-        self.value += n
-
-
-@dataclass
-class Gauge:
-    """Last-write-wins measurement."""
-
-    value: float = 0.0
-
-    def set(self, value: float) -> None:
-        self.value = float(value)
 
 
 class Histogram:
-    """Bounded-memory distribution of observations.
+    """Exact fixed-bucket distribution of observations.
 
-    With ``buckets`` (a strictly increasing sequence of upper bounds),
-    the histogram runs in exact fixed-bucket mode: every observation
-    increments one integer bucket count (the last implicit bucket is
-    +inf overflow), the sum is tracked as an exact rational, and two
-    histograms with the same bounds merge exactly.  Non-finite
+    ``buckets`` is a strictly increasing sequence of upper bounds; every
+    observation increments one integer bucket count (the last implicit
+    bucket is +inf overflow), the sum is tracked as an exact rational,
+    and two histograms with the same bounds merge exactly.  Non-finite
     observations are tallied in ``nonfinite`` and excluded from the
     buckets, sum and extrema so aggregates stay meaningful.
 
     Attributes:
-        count: observations recorded.
-        total: sum of all observations.
-        nonfinite: non-finite observations seen (bucket mode only).
+        count: finite observations recorded.
+        total: sum of all finite observations.
+        nonfinite: non-finite observations seen.
     """
 
-    def __init__(
-        self,
-        max_samples: int = 4096,
-        buckets: Sequence[float] | None = None,
-    ) -> None:
-        if max_samples < 1:
+    def __init__(self, buckets: Sequence[float]) -> None:
+        bounds = tuple(float(b) for b in buckets)
+        if not bounds:
+            raise ConfigError("bucket bounds must be non-empty")
+        if any(not isfinite(b) for b in bounds):
+            raise ConfigError("bucket bounds must be finite")
+        if any(b >= c for b, c in zip(bounds, bounds[1:])):
             raise ConfigError(
-                f"histogram max_samples must be >= 1, got {max_samples}"
+                f"bucket bounds must be strictly increasing: {bounds}"
             )
-        self.max_samples = max_samples
+        self.bounds = bounds
+        # One count per bound ("value <= bound") plus +inf overflow.
+        self.bucket_counts = [0] * (len(bounds) + 1)
         self.count = 0
         self.total = 0.0
         self.min = float("inf")
         self.max = float("-inf")
         self.nonfinite = 0
-        self._samples: list[float] = []
-        self._stride = 1
-        self.bounds: tuple[float, ...] | None = None
-        self.bucket_counts: list[int] | None = None
         self._exact_total = Fraction(0)
-        if buckets is not None:
-            bounds = tuple(float(b) for b in buckets)
-            if not bounds:
-                raise ConfigError("bucket bounds must be non-empty")
-            if any(not isfinite(b) for b in bounds):
-                raise ConfigError("bucket bounds must be finite")
-            if any(b >= c for b, c in zip(bounds, bounds[1:])):
-                raise ConfigError(
-                    f"bucket bounds must be strictly increasing: {bounds}"
-                )
-            self.bounds = bounds
-            # One count per bound ("value <= bound") plus +inf overflow.
-            self.bucket_counts = [0] * (len(bounds) + 1)
-
-    @property
-    def bucketed(self) -> bool:
-        """True in exact fixed-bucket mode, False in reservoir mode."""
-        return self.bounds is not None
 
     def record(self, value: float) -> None:
         value = float(value)
-        if self.bucket_counts is not None:
-            if not isfinite(value):
-                self.nonfinite += 1
-                return
-            self.count += 1
-            self.total += value
-            self._exact_total += Fraction(value)
-            if value < self.min:
-                self.min = value
-            if value > self.max:
-                self.max = value
-            self.bucket_counts[bisect_left(self.bounds, value)] += 1
+        if not isfinite(value):
+            self.nonfinite += 1
             return
         self.count += 1
         self.total += value
+        self._exact_total += Fraction(value)
         if value < self.min:
             self.min = value
         if value > self.max:
             self.max = value
-        # Deterministic decimation: when the reservoir fills, keep every
-        # other retained sample and double the stride.  No RNG involved.
-        if (self.count - 1) % self._stride == 0:
-            self._samples.append(value)
-            if len(self._samples) > self.max_samples:
-                self._samples = self._samples[::2]
-                self._stride *= 2
-
-    @property
-    def truncated(self) -> bool:
-        """True when percentiles no longer see every observation.
-
-        Bucket mode never truncates (every observation is counted at
-        bucket resolution); the reservoir starts decimating — and says
-        so — once more than ``max_samples`` values have arrived.
-        """
-        if self.bucket_counts is not None:
-            return False
-        return self._stride > 1
+        self.bucket_counts[bisect_left(self.bounds, value)] += 1
 
     @property
     def mean(self) -> float:
         if not self.count:
             return 0.0
-        if self.bucket_counts is not None:
-            return float(self._exact_total / self.count)
-        return self.total / self.count
+        return float(self._exact_total / self.count)
 
     def merge(self, other: "Histogram") -> None:
-        """Fold ``other`` into this histogram (fixed-bucket mode only).
+        """Fold ``other`` into this histogram.
 
         Exactness contract: for any partition of a stream into shards,
         recording each shard into its own histogram and merging gives
@@ -190,10 +101,6 @@ class Histogram:
         rational sums are associative and commutative, floats summed in
         stream order are not.
         """
-        if self.bucket_counts is None or other.bucket_counts is None:
-            raise ConfigError(
-                "merge requires both histograms in fixed-bucket mode"
-            )
         if self.bounds != other.bounds:
             raise ConfigError(
                 f"cannot merge histograms with different bucket bounds: "
@@ -210,44 +117,30 @@ class Histogram:
 
     def merge_key(self) -> tuple:
         """Everything merge-equality compares (exact, order-free state)."""
-        if self.bucket_counts is not None:
-            return (
-                self.bounds, tuple(self.bucket_counts), self.count,
-                self._exact_total, self.min, self.max, self.nonfinite,
-            )
-        return (None, tuple(self._samples), self.count, self.total,
-                self.min, self.max)
+        return (
+            self.bounds, tuple(self.bucket_counts), self.count,
+            self._exact_total, self.min, self.max, self.nonfinite,
+        )
 
     def percentile(self, q: float) -> float:
-        """Nearest-rank percentile.
+        """Percentile at bucket resolution.
 
-        Reservoir mode resolves over the retained samples; bucket mode
-        resolves to the upper bound of the bucket holding the rank,
-        clamped to the observed ``[min, max]`` so single-bucket streams
-        stay sane.  Bucket resolution never degrades with volume.
+        Resolves to the upper bound of the bucket holding the rank
+        ``round(q/100 * (count - 1))``, clamped to the observed
+        ``[min, max]`` so single-bucket streams stay sane.
         """
         if not 0.0 <= q <= 100.0:
             raise ConfigError(f"percentile must be in [0, 100], got {q}")
-        if self.bucket_counts is not None:
-            if not self.count:
-                return 0.0
-            rank = min(
-                self.count - 1, int(round(q / 100.0 * (self.count - 1)))
-            )
-            seen = 0
-            for i, n in enumerate(self.bucket_counts):
-                seen += n
-                if rank < seen:
-                    edge = (
-                        self.bounds[i] if i < len(self.bounds) else self.max
-                    )
-                    return min(max(edge, self.min), self.max)
-            return self.max  # pragma: no cover - counts always reach count
-        if not self._samples:
+        if not self.count:
             return 0.0
-        ordered = sorted(self._samples)
-        rank = min(len(ordered) - 1, int(round(q / 100.0 * (len(ordered) - 1))))
-        return ordered[rank]
+        rank = min(self.count - 1, int(round(q / 100.0 * (self.count - 1))))
+        seen = 0
+        for i, n in enumerate(self.bucket_counts):
+            seen += n
+            if rank < seen:
+                edge = self.bounds[i] if i < len(self.bounds) else self.max
+                return min(max(edge, self.min), self.max)
+        return self.max  # pragma: no cover - counts always reach count
 
     def summary(self) -> dict[str, float]:
         if not self.count:
@@ -260,127 +153,54 @@ class Histogram:
             "p50": self.percentile(50),
             "p90": self.percentile(90),
             "p99": self.percentile(99),
-            "truncated": self.truncated,
         }
 
 
-@dataclass
-class MetricsRegistry:
-    """Named instruments with get-or-create accessors."""
+#: Value reported for mean/max/percentiles of an empty summary.  Chosen
+#: over NaN so summaries stay JSON-round-trippable and comparable; the
+#: paired ``count == 0`` disambiguates "no data" from "zero latency".
+EMPTY_SENTINEL = 0.0
 
-    counters: dict[str, Counter] = field(default_factory=dict)
-    gauges: dict[str, Gauge] = field(default_factory=dict)
-    histograms: dict[str, Histogram] = field(default_factory=dict)
-
-    def counter(self, name: str) -> Counter:
-        instrument = self.counters.get(name)
-        if instrument is None:
-            instrument = self.counters[name] = Counter()
-        return instrument
-
-    def gauge(self, name: str) -> Gauge:
-        instrument = self.gauges.get(name)
-        if instrument is None:
-            instrument = self.gauges[name] = Gauge()
-        return instrument
-
-    def histogram(self, name: str) -> Histogram:
-        instrument = self.histograms.get(name)
-        if instrument is None:
-            instrument = self.histograms[name] = Histogram()
-        return instrument
-
-    def snapshot(self) -> dict:
-        """JSON-ready snapshot of every instrument (sorted by name)."""
-        return {
-            "counters": {
-                name: c.value for name, c in sorted(self.counters.items())
-            },
-            "gauges": {
-                name: g.value for name, g in sorted(self.gauges.items())
-            },
-            "histograms": {
-                name: h.summary()
-                for name, h in sorted(self.histograms.items())
-            },
-        }
+#: Percentiles every summary reports.
+DEFAULT_PERCENTILES = (50.0, 90.0, 99.0)
 
 
-#: Process-global registry for always-on engine gauges and counters that
-#: have no event stream to derive from: golden-cache hits/misses
-#: (:mod:`repro.perf.cache`) and warm-pool lifecycle stats
-#: (:mod:`repro.perf.pool` — pools created/reused, workers alive, chunks
-#: dispatched).  ``python -m repro.perf.report`` surfaces its snapshot;
-#: tests may ``clear()`` sections of it via the owning module's helpers.
-ENGINE_METRICS = MetricsRegistry()
+def nearest_rank(sorted_values: list[float], p: float) -> float:
+    """Nearest-rank percentile over pre-sorted values.
 
-
-class MetricsSink:
-    """Event sink that folds the stream into a :class:`MetricsRegistry`.
-
-    The standard engine metrics it derives:
-
-    - ``trials.<outcome>`` — trial outcome tallies (matches
-      ``OutcomeCounts`` exactly);
-    - ``recovery.latency_s`` histogram + ``recovery.rung.<rung>`` /
-      ``recovery.failed`` counters — the ladder's yield and cost;
-    - ``ladder.attempts.<rung>`` — attempts spent per rung;
-    - ``golden_cache.hits`` / ``golden_cache.misses``;
-    - ``checkpoints.taken``, ``watchdog.fires``, ``interp.blocks``;
-    - ``detector.samples`` / ``detector.alarms`` and the
-      ``detector.score`` histogram;
-    - ``fleet.ticks`` / ``fleet.samples_scored`` / ``fleet.alarms`` /
-      ``fleet.quarantines`` / ``fleet.releases`` counters and the
-      ``fleet.max_score`` histogram (per-tick alarm rate evidence).
+    Returns :data:`EMPTY_SENTINEL` for an empty input; for a single
+    value returns that value for every ``p``.
     """
+    if not 0.0 <= p <= 100.0:
+        raise ValueError(f"percentile out of range: {p}")
+    n = len(sorted_values)
+    if n == 0:
+        return EMPTY_SENTINEL
+    rank = ceil(p / 100.0 * n)
+    return float(sorted_values[max(rank, 1) - 1])
 
-    def __init__(self, registry: MetricsRegistry | None = None) -> None:
-        self.registry = registry if registry is not None else MetricsRegistry()
 
-    def write(self, event: Event, seq: int) -> None:
-        reg = self.registry
-        if isinstance(event, TrialEnd):
-            reg.counter(f"trials.{event.outcome}").inc()
-        elif isinstance(event, LadderAttemptEvent):
-            reg.counter(f"ladder.attempts.{event.rung}").inc()
-        elif isinstance(event, RecoveryDone):
-            if event.recovered:
-                reg.counter(f"recovery.rung.{event.rung}").inc()
-                reg.histogram("recovery.latency_s").record(event.latency_s)
-            else:
-                reg.counter("recovery.failed").inc()
-            reg.histogram("recovery.wasted_cycles").record(
-                event.wasted_cycles
-            )
-        elif isinstance(event, GoldenCacheLookup):
-            reg.counter(
-                "golden_cache.hits" if event.hit else "golden_cache.misses"
-            ).inc()
-        elif isinstance(event, CheckpointTaken):
-            reg.counter("checkpoints.taken").inc()
-        elif isinstance(event, WatchdogFire):
-            reg.counter("watchdog.fires").inc()
-        elif isinstance(event, BlockTransition):
-            reg.counter("interp.blocks").inc()
-        elif isinstance(event, DetectorDecision):
-            reg.counter("detector.samples").inc()
-            reg.histogram("detector.score").record(event.score)
-            if event.alarm:
-                reg.counter("detector.alarms").inc()
-        elif isinstance(event, FleetDecision):
-            reg.counter("fleet.ticks").inc()
-            reg.counter("fleet.samples_scored").inc(event.n_scored)
-            reg.counter("fleet.alarms").inc(len(event.alarm_ids()))
-            if event.quarantined:
-                reg.counter("fleet.quarantines").inc(
-                    len(event.quarantined.split(","))
-                )
-            if event.released:
-                reg.counter("fleet.releases").inc(
-                    len(event.released.split(","))
-                )
-            if event.n_scored:
-                reg.histogram("fleet.max_score").record(event.max_score)
+def latency_summary(
+    values: list[float],
+    percentiles: tuple[float, ...] = DEFAULT_PERCENTILES,
+) -> dict[str, float]:
+    """NaN-free summary of raw samples (latencies in seconds, scores).
 
-    def close(self) -> None:  # pragma: no cover - nothing to release
-        pass
+    Non-finite samples are excluded from the statistics but reported in
+    ``dropped`` so the accounting stays exact.
+    """
+    finite = sorted(v for v in values if isfinite(v))
+    summary: dict[str, float] = {
+        "count": len(finite),
+        "dropped": len(values) - len(finite),
+    }
+    if finite:
+        summary["mean"] = sum(finite) / len(finite)
+        summary["max"] = finite[-1]
+    else:
+        summary["mean"] = EMPTY_SENTINEL
+        summary["max"] = EMPTY_SENTINEL
+    for p in percentiles:
+        name = f"p{int(p)}" if float(p).is_integer() else f"p{p}"
+        summary[name] = nearest_rank(finite, p)
+    return summary

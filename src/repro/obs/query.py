@@ -15,8 +15,8 @@ question from the index:
   / :class:`~repro.obs.spans.SpanEnd` pairs, with every non-span event
   attributed to its innermost enclosing span;
 - :meth:`TraceIndex.latency_percentiles` — recovery / attempt latency
-  quantiles through the exact fixed-bucket histograms of
-  :mod:`repro.obs.aggregate` (never the degrading reservoir).
+  quantiles through the exact fixed-bucket histograms of the one fold,
+  :func:`repro.obs.aggregate.aggregate_events`.
 
 The CLI mirrors the API::
 
@@ -279,13 +279,9 @@ class TraceIndex:
 
     # -- aggregates ------------------------------------------------------------
 
-    def aggregate(self, window_s: float | None = None):
-        """Fold the indexed stream through :mod:`repro.obs.aggregate`."""
-        return aggregate_events(self.events, window_s=window_s)
-
     def latency_percentiles(self) -> dict[str, dict]:
         """Exact-bucket latency summaries (recovery + ladder attempts)."""
-        rollup = self.aggregate().total
+        rollup = aggregate_events(self.events)
         return {
             name: rollup.histograms[name].summary()
             for name in LATENCY_METRICS

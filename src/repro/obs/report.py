@@ -12,10 +12,13 @@ and renders what a flight engineer asks first:
 - **detector decision summaries** — samples scored, alarms raised,
   score/threshold statistics per decision record.
 
-The aggregation path is the same the acceptance criterion checks:
+Quantiles of raw samples (recovery latencies, detector scores) are
+:func:`~repro.obs.metrics.latency_summary`'s nearest-rank ones.  The
+aggregation path is the same the acceptance criterion checks:
 :func:`outcome_counts` rebuilds a campaign's ``OutcomeCounts`` purely
-from per-trial events, and must agree exactly with the engine's own
-tally.
+from per-trial events, through the one fold
+(:func:`~repro.obs.aggregate.aggregate_events`), and must agree exactly
+with the engine's own tally.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ from repro.obs.events import (
     TrialEnd,
     event_from_dict,
 )
-from repro.obs.metrics import Histogram
+from repro.obs.metrics import latency_summary
 
 #: Timeline glyph per outcome.
 OUTCOME_GLYPHS = {
@@ -79,13 +82,14 @@ def outcome_counts(events: list[Event]) -> dict[str, int]:
 
     Returns the same ``{outcome: count}`` dict shape as
     :meth:`repro.faults.outcomes.OutcomeCounts.as_dict`, every outcome
-    present (zero when unseen).
+    present (zero when unseen), read off the rollup's ``trials.<outcome>``
+    counters.
     """
-    counts = {outcome: 0 for outcome in OUTCOME_ORDER}
-    for event in events:
-        if isinstance(event, TrialEnd):
-            counts[event.outcome] = counts.get(event.outcome, 0) + 1
-    return counts
+    counters = aggregate_events(events).counters
+    return {
+        outcome: counters.get(f"trials.{outcome}", 0)
+        for outcome in OUTCOME_ORDER
+    }
 
 
 @dataclass
@@ -105,7 +109,7 @@ class CampaignSummary:
     site_outcomes: dict[str, dict[str, int]] = field(default_factory=dict)
     rung_wins: dict[str, int] = field(default_factory=dict)
     ladder_attempts: dict[str, int] = field(default_factory=dict)
-    recovery_latency: Histogram = field(default_factory=Histogram)
+    recovery_latencies_s: list[float] = field(default_factory=list)
     cache_hits: int = 0
     cache_misses: int = 0
     checkpoints: int = 0
@@ -196,7 +200,7 @@ def summarize(events: list[Event]) -> TraceSummary:
                 campaign.rung_wins[event.rung or "?"] = (
                     campaign.rung_wins.get(event.rung or "?", 0) + 1
                 )
-                campaign.recovery_latency.record(event.latency_s)
+                campaign.recovery_latencies_s.append(event.latency_s)
         elif isinstance(event, LadderAttemptEvent):
             campaign = ensure_campaign()
             campaign.ladder_attempts[event.rung] = (
@@ -330,8 +334,8 @@ def render_campaign(campaign: CampaignSummary, index: int) -> str:
             ) or "none"
             lines.append(f"    ladder attempts: {attempts}")
             lines.append(f"    winning rungs:   {wins}")
-        if campaign.recovery_latency.count:
-            s = campaign.recovery_latency.summary()
+        s = latency_summary(campaign.recovery_latencies_s)
+        if s["count"]:
             lines.append(
                 f"    latency_s: mean={s['mean']:.3e} p50={s['p50']:.3e} "
                 f"p90={s['p90']:.3e} max={s['max']:.3e}"
@@ -365,10 +369,7 @@ def render_detector(decisions: list[DetectorDecision]) -> str:
         ),
     ]
     if scored:
-        hist = Histogram()
-        for d in scored:
-            hist.record(d.score)
-        s = hist.summary()
+        s = latency_summary([d.score for d in scored])
         threshold = scored[-1].threshold
         lines.append(
             f"  score: mean={s['mean']:.4g} p50={s['p50']:.4g} "
@@ -414,7 +415,7 @@ def render_fleet(
     """
     scored_ticks = [d for d in decisions if not d.warming_up]
     n_boards = decisions[-1].n_boards if decisions else 0
-    rollup = aggregate_events(list(decisions)).total
+    rollup = aggregate_events(decisions)
     lines = [
         "-- fleet decisions",
         f"  ticks: {len(decisions)} ({len(scored_ticks)} scored, "
@@ -500,7 +501,9 @@ def summary_as_dict(summary: TraceSummary) -> dict:
                 "pruned": len(c.pruned_trials),
                 "recovery_rate": c.recovery_rate,
                 "rung_wins": dict(sorted(c.rung_wins.items())),
-                "recovery_latency_s": c.recovery_latency.summary(),
+                "recovery_latency_s": latency_summary(
+                    c.recovery_latencies_s
+                ),
                 "golden_cache": {
                     "hits": c.cache_hits, "misses": c.cache_misses,
                 },

@@ -31,7 +31,6 @@ from repro.ir.costmodel import CostModel
 from repro.ir.interp import ExecutionResult
 from repro.ir.module import Module
 from repro.ir.printer import print_module
-from repro.obs.metrics import ENGINE_METRICS
 
 
 def module_fingerprint(module: Module) -> str:
@@ -128,11 +127,9 @@ class GoldenRunCache:
             golden = self._entries.get(key)
             if golden is None or golden.instructions > fuel:
                 self.stats.misses += 1
-                ENGINE_METRICS.counter("golden_cache.misses").inc()
                 return None
             self._entries.move_to_end(key)
             self.stats.hits += 1
-            ENGINE_METRICS.counter("golden_cache.hits").inc()
             return replace(golden, block_trace=list(golden.block_trace))
 
     def put(self, key: tuple, golden: ExecutionResult) -> None:
@@ -144,9 +141,6 @@ class GoldenRunCache:
             self._entries.move_to_end(key)
             while len(self._entries) > self.maxsize:
                 self._entries.popitem(last=False)
-            ENGINE_METRICS.gauge("golden_cache.entries").set(
-                len(self._entries)
-            )
 
     def clear(self) -> None:
         """Drop all entries and reset the stats."""

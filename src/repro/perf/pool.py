@@ -18,11 +18,12 @@ workers that were alive at dispatch and raises
 :class:`repro.errors.WorkerLost` as soon as one of them exits with
 chunks outstanding.
 
-Lifecycle stats are published to
-:data:`repro.obs.metrics.ENGINE_METRICS`: ``warm_pool.created`` /
-``warm_pool.reused`` / ``warm_pool.workers_lost`` counters, a
-``warm_pool.workers_alive`` gauge and a ``warm_pool.chunks_dispatched``
-counter, surfaced by ``python -m repro.perf.report``.
+Each registry counts its pools' lifecycle in :attr:`PoolRegistry.stats`
+(pools created and reused, workers lost and alive, chunks dispatched),
+as :attr:`repro.perf.cache.GoldenRunCache.stats` does for the cache;
+``benchmarks/bench_perf.py`` stores :data:`POOL_REGISTRY`'s under
+``parallel.warm_pool`` in ``BENCH_perf.json``, where
+``python -m repro.perf.report`` shows them.
 """
 
 from __future__ import annotations
@@ -30,10 +31,10 @@ from __future__ import annotations
 import atexit
 import threading
 from collections import OrderedDict
+from dataclasses import asdict, dataclass
 from multiprocessing import get_context
 
 from repro.errors import WorkerLost
-from repro.obs.metrics import ENGINE_METRICS
 
 #: Seconds between checks for a lost worker while chunks are outstanding.
 LOSS_POLL_S = 0.05
@@ -46,13 +47,30 @@ def _pool_context():
         return get_context("spawn")
 
 
+@dataclass
+class PoolStats:
+    """Lifecycle counts of one :class:`PoolRegistry`."""
+
+    created: int = 0
+    reused: int = 0
+    workers_lost: int = 0
+    workers_alive: int = 0
+    chunks_dispatched: int = 0
+
+    def as_dict(self) -> dict[str, int]:
+        return asdict(self)
+
+
 class WarmPool:
     """One persistent process pool, warm-started for a campaign shape."""
 
-    def __init__(self, key: tuple, pool, workers: int) -> None:
+    def __init__(
+        self, key: tuple, pool, workers: int, stats: PoolStats
+    ) -> None:
         self.key = key
         self.pool = pool
         self.workers = workers
+        self.stats = stats
 
     def map(self, fn, chunks: list) -> list:
         """``fn`` over ``chunks`` in order; raises ``WorkerLost``.
@@ -61,14 +79,14 @@ class WarmPool:
         worker alive at dispatch that exits before every chunk is back
         raises :class:`repro.errors.WorkerLost` instead of waiting forever.
         """
-        ENGINE_METRICS.counter("warm_pool.chunks_dispatched").inc(len(chunks))
+        self.stats.chunks_dispatched += len(chunks)
         workers = list(self.pool._pool)
         pending = self.pool.map_async(fn, chunks)
         while not pending.ready():
             pending.wait(LOSS_POLL_S)
             lost = [w.pid for w in workers if w.exitcode is not None]
             if lost and not pending.ready():
-                ENGINE_METRICS.counter("warm_pool.workers_lost").inc()
+                self.stats.workers_lost += 1
                 raise WorkerLost(
                     f"pool worker(s) {lost} exited with chunks outstanding"
                 )
@@ -93,6 +111,7 @@ class PoolRegistry:
         if max_pools < 1:
             raise ValueError(f"max_pools must be >= 1, got {max_pools}")
         self.max_pools = max_pools
+        self.stats = PoolStats()
         self._pools: OrderedDict[tuple, WarmPool] = OrderedDict()
         self._lock = threading.Lock()
 
@@ -107,7 +126,7 @@ class PoolRegistry:
             pool = self._pools.get(key)
             if pool is not None:
                 self._pools.move_to_end(key)
-                ENGINE_METRICS.counter("warm_pool.reused").inc()
+                self.stats.reused += 1
                 return pool
         try:
             raw = _pool_context().Pool(
@@ -117,17 +136,15 @@ class PoolRegistry:
             )
         except (OSError, PermissionError, ValueError):
             return None
-        pool = WarmPool(key, raw, workers)
+        pool = WarmPool(key, raw, workers, self.stats)
         evicted: list[WarmPool] = []
         with self._lock:
             self._pools[key] = pool
             while len(self._pools) > self.max_pools:
                 _, old = self._pools.popitem(last=False)
                 evicted.append(old)
-            ENGINE_METRICS.counter("warm_pool.created").inc()
-            ENGINE_METRICS.gauge("warm_pool.workers_alive").set(
-                sum(p.workers for p in self._pools.values())
-            )
+            self.stats.created += 1
+            self._count_alive()
         for old in evicted:
             old.shutdown()
         return pool
@@ -137,9 +154,7 @@ class PoolRegistry:
         with self._lock:
             if self._pools.get(pool.key) is pool:
                 del self._pools[pool.key]
-            ENGINE_METRICS.gauge("warm_pool.workers_alive").set(
-                sum(p.workers for p in self._pools.values())
-            )
+            self._count_alive()
         pool.shutdown()
 
     def clear(self) -> None:
@@ -147,9 +162,12 @@ class PoolRegistry:
         with self._lock:
             pools = list(self._pools.values())
             self._pools.clear()
-            ENGINE_METRICS.gauge("warm_pool.workers_alive").set(0)
+            self.stats.workers_alive = 0
         for pool in pools:
             pool.shutdown()
+
+    def _count_alive(self) -> None:
+        self.stats.workers_alive = sum(p.workers for p in self._pools.values())
 
     def __len__(self) -> int:
         return len(self._pools)

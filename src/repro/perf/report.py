@@ -8,9 +8,11 @@ trajectory, not just the latest number.
 
 ``python -m repro.perf.report [path]`` prints a human summary of the
 report — headline numbers, the trajectory of ``min_speedup`` and
-``parallel_vs_serial`` across history, and the live
-:data:`~repro.obs.metrics.ENGINE_METRICS` snapshot (golden-cache and
-warm-pool sections).
+``parallel_vs_serial`` across history, and the ``golden_cache`` and
+``parallel.warm_pool`` sections the bench run stored.
+
+:func:`write_text_atomic` is the one way the benchmarks write a result
+file: a crash mid-write leaves the old file whole.
 """
 
 from __future__ import annotations
@@ -40,6 +42,23 @@ def load_perf_report(path: str | Path) -> dict | None:
     return report
 
 
+def write_text_atomic(path: str | Path, text: str) -> None:
+    """Write ``text`` to ``path`` through a temporary file beside it.
+
+    The temporary file is moved over ``path`` with ``os.replace``, so a
+    crash mid-write leaves the old file whole; on failure the temporary
+    file is removed and the error re-raised.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def write_perf_report(
     path: str | Path, snapshot: dict, keep_history: int = MAX_HISTORY
 ) -> dict:
@@ -52,9 +71,8 @@ def write_perf_report(
     stamps are backfilled with version 1), and the list is truncated to
     ``keep_history`` newest-first.
 
-    The report is written to a temporary file beside ``path`` and moved
-    over it with ``os.replace``, so a crash mid-write leaves the old
-    report whole.
+    The report is written with :func:`write_text_atomic`, so a crash
+    mid-write leaves the old report whole.
     """
     path = Path(path)
     previous = load_perf_report(path)
@@ -77,13 +95,9 @@ def write_perf_report(
         **snapshot,
         "history": history[:keep_history],
     }
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        tmp.write_text(json.dumps(report, indent=2, sort_keys=False) + "\n")
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    write_text_atomic(
+        path, json.dumps(report, indent=2, sort_keys=False) + "\n"
+    )
     return report
 
 
@@ -110,79 +124,62 @@ def _headline(snapshot: dict, key: str):
     return None
 
 
-def format_report(report: dict | None, registry_snapshot: dict) -> str:
-    """Render a report + engine-metrics snapshot as the CLI's text.
+#: Stored sections rendered verbatim, as (label, path into the report).
+_SECTIONS = (
+    ("golden_cache", ("golden_cache",)),
+    ("parallel.warm_pool", ("parallel", "warm_pool")),
+)
 
-    ``registry_snapshot`` is a versioned export snapshot
-    (:func:`repro.obs.export.export_snapshot`); sections are read
-    through :func:`repro.obs.export.snapshot_section` rather than by
-    poking the registry's internal dict layout.
-    """
-    from repro.obs.export import snapshot_section
 
-    lines: list[str] = []
+def format_report(report: dict | None) -> str:
+    """Render a report as the CLI's text."""
     if report is None:
-        lines.append("no perf report found (run benchmarks/bench_perf.py)")
-    else:
-        lines.append(
-            f"perf report (schema {report.get('schema', '?')}, "
-            f"{len(report.get('history', []))} history entries)"
-        )
-        for key, label, unit in _HEADLINES:
-            value = _headline(report, key)
-            if value is not None:
-                shown = f"{value:.2f}" if isinstance(value, float) else value
-                lines.append(f"  {label}: {shown}{unit}")
-        history = [
-            h for h in report.get("history", []) if isinstance(h, dict)
+        return "no perf report found (run benchmarks/bench_perf.py)"
+    lines = [
+        f"perf report (schema {report.get('schema', '?')}, "
+        f"{len(report.get('history', []))} history entries)"
+    ]
+    for key, label, unit in _HEADLINES:
+        value = _headline(report, key)
+        if value is not None:
+            shown = f"{value:.2f}" if isinstance(value, float) else value
+            lines.append(f"  {label}: {shown}{unit}")
+    history = [h for h in report.get("history", []) if isinstance(h, dict)]
+    for key in ("min_speedup", "parallel_vs_serial"):
+        trail = [
+            v for v in (
+                _headline(snap, key) for snap in [report] + history
+            ) if v is not None
         ]
-        for key in ("min_speedup", "parallel_vs_serial"):
-            trail = [
-                v for v in (
-                    _headline(snap, key) for snap in [report] + history
-                ) if v is not None
-            ]
-            if len(trail) > 1:
-                shown = " <- ".join(f"{v:.2f}" for v in trail[:8])
-                lines.append(f"  {key} trajectory (newest first): {shown}")
-    for section in ("golden_cache", "warm_pool"):
-        rows = snapshot_section(registry_snapshot, section)
-        lines.append(f"engine metrics: {section}")
-        if rows:
-            for name, value in sorted(rows.items()):
-                if isinstance(value, dict):
-                    # Histogram summary: show the load-bearing quantiles.
-                    shown = ", ".join(
-                        f"{k}={value[k]:.3g}"
-                        for k in ("count", "p50", "p99", "max")
-                        if k in value
-                    )
-                    lines.append(f"  {name}: {shown}")
-                else:
-                    lines.append(f"  {name}: {value}")
+        if len(trail) > 1:
+            shown = " <- ".join(f"{v:.2f}" for v in trail[:8])
+            lines.append(f"  {key} trajectory (newest first): {shown}")
+    for label, keys in _SECTIONS:
+        section = report
+        for key in keys:
+            section = section.get(key) if isinstance(section, dict) else None
+        lines.append(f"{label}:")
+        if isinstance(section, dict) and section:
+            for name, value in sorted(section.items()):
+                lines.append(f"  {name}: {value}")
         else:
-            lines.append("  (no activity this process)")
+            lines.append("  (not recorded)")
     return "\n".join(lines)
 
 
 def main(argv: list[str] | None = None) -> int:
     import argparse
 
-    from repro.obs.export import export_snapshot
-    from repro.obs.metrics import ENGINE_METRICS
-
     parser = argparse.ArgumentParser(
         prog="python -m repro.perf.report",
-        description="Summarize BENCH_perf.json and live engine metrics.",
+        description="Summarize BENCH_perf.json.",
     )
     parser.add_argument(
         "path", nargs="?", default="BENCH_perf.json",
         help="perf report to summarize (default: ./BENCH_perf.json)",
     )
     opts = parser.parse_args(argv)
-    print(format_report(
-        load_perf_report(opts.path), export_snapshot(ENGINE_METRICS)
-    ))
+    print(format_report(load_perf_report(opts.path)))
     return 0
 
 

@@ -20,13 +20,7 @@ from repro.service.loadgen import (
     run_replay_reference,
     storm_timeline,
 )
-from repro.service.metrics import (
-    DecisionLatencyTracker,
-    EMPTY_SENTINEL,
-    latency_summary,
-    nearest_rank,
-    rows_per_second,
-)
+from repro.service.metrics import DecisionLatencyTracker, rows_per_second
 from repro.service.queues import BoardQueue, Frame, OfferResult, ShedPolicy
 from repro.service.replay import ServiceHistory, service_history
 from repro.service.service import (
@@ -46,7 +40,6 @@ __all__ = [
     "AsyncFleetService",
     "BoardQueue",
     "DecisionLatencyTracker",
-    "EMPTY_SENTINEL",
     "FleetSupervisor",
     "Frame",
     "InProcessBackend",
@@ -65,9 +58,7 @@ __all__ = [
     "ShedPolicy",
     "FleetConfig",
     "FleetScorer",
-    "latency_summary",
     "make_members",
-    "nearest_rank",
     "record_fleet_telemetry",
     "rows_per_second",
     "run_replay_reference",

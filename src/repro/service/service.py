@@ -117,7 +117,7 @@ class ServiceRunReport:
         elapsed_s: wall-clock time inside the event loop.
         rows_per_s: throughput over ``elapsed_s``.
         latency: NaN-free decision-latency summary (see
-            :func:`repro.service.metrics.latency_summary`).
+            :func:`repro.obs.metrics.latency_summary`).
     """
 
     n_ticks: int

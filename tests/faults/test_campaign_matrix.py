@@ -24,7 +24,6 @@ from repro.faults.campaign import (
     run_timeline_campaign,
 )
 from repro.obs.events import InMemorySink, Tracer
-from repro.obs.metrics import ENGINE_METRICS
 from repro.perf.cache import GOLDEN_CACHE
 from repro.perf.pool import POOL_REGISTRY
 from repro.radiation.schedule import EnvironmentTimeline, SpeModel
@@ -152,13 +151,13 @@ def run_cell(runner, mode, trace, monkeypatch):
 @pytest.mark.parametrize("mode", MODES)
 @pytest.mark.parametrize("flavour", sorted(FLAVOURS))
 def test_cell_reproduces_pinned_digests(flavour, mode, trace, monkeypatch):
-    dispatched = ENGINE_METRICS.counter("warm_pool.chunks_dispatched").value
+    dispatched = POOL_REGISTRY.stats.chunks_dispatched
     result, stream = run_cell(FLAVOURS[flavour], mode, trace, monkeypatch)
     trials, traced, full = DIGESTS[flavour]
     assert trials_digest(result) == trials
     assert stream == {"untraced": None, "traced": traced,
                       "spans+blocks": full}[trace]
-    now = ENGINE_METRICS.counter("warm_pool.chunks_dispatched").value
+    now = POOL_REGISTRY.stats.chunks_dispatched
     if mode != "pool":
         assert now == dispatched
     elif len(POOL_REGISTRY):  # hosts without POSIX semaphores run inline

@@ -24,7 +24,6 @@ from repro.faults.campaign import Campaign, run_campaign, run_golden
 from repro.faults.model import FaultTarget
 from repro.faults.parallel import MIN_PARALLEL_TRIALS, WireCampaign
 from repro.obs.events import InMemorySink, Tracer
-from repro.obs.metrics import ENGINE_METRICS
 from repro.perf.cache import GOLDEN_CACHE
 from repro.perf.pool import POOL_REGISTRY
 from repro.recover.supervisor import SupervisorConfig, run_supervised_campaign
@@ -161,14 +160,12 @@ class TestChunkHeuristic:
 
 class TestWarmPoolReuse:
     def test_repeat_campaign_reuses_pool(self):
-        from repro.obs.metrics import ENGINE_METRICS
-
         campaign = _campaign("gcd", n_trials=16)
         first = run_campaign(campaign, seed=31, workers=2)
-        reused_before = ENGINE_METRICS.counter("warm_pool.reused").value
+        reused_before = POOL_REGISTRY.stats.reused
         second = run_campaign(campaign, seed=31, workers=2)
         assert_identical(first, second)
-        reused_after = ENGINE_METRICS.counter("warm_pool.reused").value
+        reused_after = POOL_REGISTRY.stats.reused
         if reused_after == reused_before:
             # Pool creation failed on this host (no semaphores): the
             # in-process fallback must still have produced identical
@@ -202,15 +199,15 @@ class TestWorkerFailures:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(engine, "run_trial", dies_in_worker)
-        created = ENGINE_METRICS.counter("warm_pool.created").value
-        lost = ENGINE_METRICS.counter("warm_pool.workers_lost").value
+        created = POOL_REGISTRY.stats.created
+        lost = POOL_REGISTRY.stats.workers_lost
         with deadline(60):
             result, stream = _traced(campaign, workers=2)
         assert_identical(result, expected)
         assert stream == expected_stream
         assert len(POOL_REGISTRY) == 0  # the broken pool was discarded
-        pooled = ENGINE_METRICS.counter("warm_pool.created").value > created
-        lost_now = ENGINE_METRICS.counter("warm_pool.workers_lost").value
+        pooled = POOL_REGISTRY.stats.created > created
+        lost_now = POOL_REGISTRY.stats.workers_lost
         assert lost_now == lost + pooled
 
     @pytest.mark.parametrize("where", ["warm-start", "trial"])
@@ -233,7 +230,7 @@ class TestWorkerFailures:
                 return real(*args, **kwargs)
 
             monkeypatch.setattr(engine, "run_trial", raises_in_worker)
-        created = ENGINE_METRICS.counter("warm_pool.created").value
+        created = POOL_REGISTRY.stats.created
         try:
             with deadline(60):
                 run_campaign(_campaign("gcd", n_trials=40), seed=3, workers=2)
@@ -241,7 +238,7 @@ class TestWorkerFailures:
         except FaultInjectionError:
             raised = True
         # Hosts that cannot fork a pool run inline, where nothing fails.
-        pooled = ENGINE_METRICS.counter("warm_pool.created").value > created
+        pooled = POOL_REGISTRY.stats.created > created
         assert raised == pooled
         assert len(POOL_REGISTRY) == 0
 

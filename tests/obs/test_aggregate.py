@@ -1,4 +1,4 @@
-"""Aggregation tests: the merge-equality contract, windows, board health.
+"""Aggregation tests: the merge-equality contract, the fold, board health.
 
 The property that matters: for ANY partition of an event stream into
 shards, merging the per-shard aggregates equals the global fold exactly
@@ -17,20 +17,21 @@ from repro.obs.aggregate import (
     SCORE_BOUNDS,
     BoardHealth,
     Rollup,
-    StreamAggregator,
     aggregate_events,
     fleet_board_health,
-    latency_histogram,
     linear_bounds,
     log_bounds,
-    merge_aggregates,
 )
 from repro.obs.events import (
+    BlockTransition,
+    CheckpointTaken,
     DetectorDecision,
     FleetDecision,
+    GoldenCacheLookup,
     LadderAttemptEvent,
     RecoveryDone,
     TrialEnd,
+    WatchdogFire,
 )
 
 OUTCOMES = ("benign", "sdc", "crash", "hang", "detected")
@@ -105,8 +106,29 @@ _fleet = st.builds(
     warming_up=st.booleans(),
 )
 
+_cache = st.builds(
+    GoldenCacheLookup, hit=st.booleans(), instructions=st.integers(0, 10**6)
+)
+_checkpoint = st.builds(
+    CheckpointTaken,
+    trial=st.integers(0, 500),
+    instructions=st.integers(0, 10**6),
+    cycles=st.integers(0, 10**6),
+    taken=st.integers(0, 100),
+)
+_watchdog = st.builds(
+    WatchdogFire, trial=st.integers(0, 500), budget=st.integers(1, 10**6)
+)
+_block = st.builds(
+    BlockTransition, func=st.sampled_from(("f", "g")),
+    block=st.sampled_from(("entry", "loop")),
+)
+
 _events = st.lists(
-    st.one_of(_trial_end, _ladder, _recovery, _detector, _fleet),
+    st.one_of(
+        _trial_end, _ladder, _recovery, _detector, _fleet,
+        _cache, _checkpoint, _watchdog, _block,
+    ),
     max_size=60,
 )
 
@@ -133,19 +155,10 @@ class TestMergeEquality:
     @settings(max_examples=80, deadline=None)
     def test_sharded_merge_equals_global(self, case):
         events, shards = case
-        merged = merge_aggregates(
-            aggregate_events(shard) for shard in shards
-        )
+        merged = Rollup()
+        for shard in shards:
+            merged.merge(aggregate_events(shard))
         assert merged == aggregate_events(events)
-
-    @given(_partitioned_stream())
-    @settings(max_examples=40, deadline=None)
-    def test_windowed_sharded_merge_equals_global(self, case):
-        events, shards = case
-        merged = merge_aggregates(
-            aggregate_events(shard, window_s=10.0) for shard in shards
-        )
-        assert merged == aggregate_events(events, window_s=10.0)
 
     @given(_events)
     @settings(max_examples=40, deadline=None)
@@ -154,15 +167,10 @@ class TestMergeEquality:
             list(reversed(events))
         )
 
-    def test_merge_rejects_mismatched_windows(self):
-        a = StreamAggregator(window_s=1.0)
-        b = StreamAggregator(window_s=2.0)
-        with pytest.raises(ConfigError):
-            a.merge(b)
-
     def test_empty_merge_is_empty(self):
-        merged = merge_aggregates([])
-        assert merged == StreamAggregator()
+        merged = Rollup()
+        merged.merge(aggregate_events([]))
+        assert merged == Rollup()
 
 
 class TestRollup:
@@ -176,26 +184,12 @@ class TestRollup:
                 persistence="transient",
             ),
         ]
-        total = aggregate_events(events).total
+        total = aggregate_events(events)
         assert total.counters["trials.sdc"] == 1
         assert total.counters["trials.benign"] == 1
         assert total.counters["recovery.recovered"] == 1
         assert total.histograms["trial.cycles"].count == 2
         assert total.histograms["recovery.latency_s"].count == 1
-
-    def test_windowing_keys_on_simulated_time(self):
-        decisions = [
-            DetectorDecision(
-                t=t, score=0.5, threshold=1.0, anomalous=False, hits=0,
-                window_len=8, window_full=True, alarm=False,
-            )
-            for t in (0.5, 9.9, 10.1, 25.0)
-        ]
-        agg = aggregate_events(decisions, window_s=10.0)
-        assert sorted(agg.windows) == [0, 1, 2]
-        assert agg.windows[0].counters["detector.samples"] == 2
-        assert agg.windows[1].counters["detector.samples"] == 1
-        assert agg.total.counters["detector.samples"] == 4
 
     def test_snapshot_shape(self):
         rollup = Rollup()
@@ -232,7 +226,9 @@ class TestBounds:
         assert LATENCY_BOUNDS == log_bounds(1e-6, 100.0, per_decade=3)
         assert SCORE_BOUNDS == linear_bounds(0.0, 8.0, 64)
         assert CYCLE_BOUNDS == log_bounds(10.0, 1e9, per_decade=3)
-        assert latency_histogram().bounds == LATENCY_BOUNDS
+        rollup = Rollup()
+        rollup.observe("lat", 0.1, LATENCY_BOUNDS)
+        assert rollup.histograms["lat"].bounds == LATENCY_BOUNDS
 
 
 class TestBoardHealth:

@@ -1,11 +1,13 @@
 """Export tests: snapshot schema round-trip, Prometheus exposition, CLI."""
 
 import json
+import subprocess
+import sys
 
 import pytest
 
 from repro.errors import ConfigError
-from repro.obs.aggregate import LATENCY_BOUNDS
+from repro.obs.aggregate import LATENCY_BOUNDS, Rollup
 from repro.obs.events import JsonlSink, Tracer, TrialEnd, TrialStart
 from repro.obs.export import (
     SNAPSHOT_SCHEMA,
@@ -14,23 +16,16 @@ from repro.obs.export import (
     main,
     registry_from_snapshot,
     registry_from_trace,
-    snapshot_section,
     to_prometheus,
 )
-from repro.obs.metrics import Histogram, MetricsRegistry
 
 
 def _registry():
-    registry = MetricsRegistry()
-    registry.counter("warm_pool.created").inc(2)
-    registry.counter("warm_pool.reused").inc(7)
-    registry.gauge("warm_pool.workers").set(4.0)
-    hist = Histogram(buckets=LATENCY_BOUNDS)
+    registry = Rollup()
+    registry.inc("warm_pool.created", 2)
+    registry.inc("warm_pool.reused", 7)
     for v in (0.001, 0.01, 0.1, 1.0):
-        hist.record(v)
-    registry.histograms["fleet.score_latency_s"] = hist
-    reservoir = registry.histogram("engine.stage.fork_s")
-    reservoir.record(0.25)
+        registry.observe("fleet.score_latency_s", v, LATENCY_BOUNDS)
     return registry
 
 
@@ -39,12 +34,11 @@ class TestSnapshot:
         snap = export_snapshot(_registry())
         assert snap["schema"] == SNAPSHOT_SCHEMA
         assert snap["counters"]["warm_pool.created"] == 2
-        assert snap["gauges"]["warm_pool.workers"] == 4.0
+        # The v1 shape keeps its gauges section; a rollup has none.
+        assert snap["gauges"] == {}
         bucketed = snap["histograms"]["fleet.score_latency_s"]
         assert bucketed["bounds"] == list(LATENCY_BOUNDS)
         assert sum(bucketed["bucket_counts"]) == 4
-        # Reservoir histograms carry a summary but no bucket data.
-        assert "bounds" not in snap["histograms"]["engine.stage.fork_s"]
 
     def test_snapshot_is_json_serializable(self):
         json.dumps(export_snapshot(_registry()))
@@ -55,29 +49,31 @@ class TestSnapshot:
         with pytest.raises(ConfigError):
             load_snapshot({"schema": SNAPSHOT_SCHEMA, "counters": {}})
 
-    def test_section_access(self):
-        snap = export_snapshot(_registry())
-        pool = snapshot_section(snap, "warm_pool")
-        assert pool["created"] == 2
-        assert pool["reused"] == 7
-        assert pool["workers"] == 4.0
-        fleet = snapshot_section(snap, "fleet")
-        assert fleet["score_latency_s"]["count"] == 4
-        assert snapshot_section(snap, "absent") == {}
-
     def test_round_trip_restores_bucketed_histograms(self):
         original = _registry()
         document = json.loads(json.dumps(export_snapshot(original)))
         restored = registry_from_snapshot(document)
-        assert restored.counter("warm_pool.created").value == 2
-        assert restored.gauge("warm_pool.workers").value == 4.0
+        assert restored.counters["warm_pool.created"] == 2
         a = original.histograms["fleet.score_latency_s"]
         b = restored.histograms["fleet.score_latency_s"]
-        assert b.bucketed
+        assert b.bounds == LATENCY_BOUNDS
         assert a.merge_key() == b.merge_key()
         assert b.percentile(50) == a.percentile(50)
-        # Reservoirs come back empty (summary-only in the document).
-        assert restored.histograms["engine.stage.fork_s"].count == 0
+        assert restored == original
+
+    def test_bucketless_histogram_is_refused_by_name(self):
+        # A v1 document written from a reservoir histogram carries only
+        # a summary: restoring it empty would lose it silently.
+        document = json.loads(json.dumps(export_snapshot(_registry())))
+        document["histograms"]["engine.stage.fork_s"] = {
+            "count": 1, "mean": 0.25, "min": 0.25, "max": 0.25,
+            "p50": 0.25, "p90": 0.25, "p99": 0.25, "truncated": False,
+        }
+        with pytest.raises(ConfigError, match="engine.stage.fork_s"):
+            registry_from_snapshot(document)
+        document["gauges"] = {"warm_pool.workers": 4.0}
+        with pytest.raises(ConfigError, match="warm_pool.workers"):
+            registry_from_snapshot(document)
 
 
 class TestPrometheus:
@@ -85,8 +81,7 @@ class TestPrometheus:
         text = to_prometheus(_registry())
         assert "# TYPE repro_warm_pool_created counter" in text
         assert "repro_warm_pool_created 2" in text
-        assert "# TYPE repro_warm_pool_workers gauge" in text
-        assert "repro_warm_pool_workers 4" in text
+        assert "gauge" not in text  # a rollup holds no gauges
 
     def test_bucketed_histogram_series(self):
         text = to_prometheus(_registry())
@@ -101,21 +96,16 @@ class TestPrometheus:
         ]
         assert counts == sorted(counts)
 
-    def test_reservoir_becomes_summary(self):
-        text = to_prometheus(_registry())
-        assert "# TYPE repro_engine_stage_fork_s summary" in text
-        assert 'repro_engine_stage_fork_s{quantile="0.5"}' in text
-
     def test_namespace_and_sanitization(self):
-        registry = MetricsRegistry()
-        registry.counter("a.b-c").inc()
+        registry = Rollup()
+        registry.inc("a.b-c")
         text = to_prometheus(registry, namespace="ns")
         assert "ns_a_b_c 1" in text
         bare = to_prometheus(registry, namespace="")
         assert "a_b_c 1" in bare
 
     def test_empty_registry(self):
-        assert to_prometheus(MetricsRegistry()) == ""
+        assert to_prometheus(Rollup()) == ""
 
 
 class TestTraceSource:
@@ -133,8 +123,8 @@ class TestTraceSource:
 
     def test_registry_from_trace(self, tmp_path):
         registry = registry_from_trace(self._trace(tmp_path))
-        assert registry.counter("trials.sdc").value == 2
-        assert registry.counter("trials.benign").value == 1
+        assert registry.counters["trials.sdc"] == 2
+        assert registry.counters["trials.benign"] == 1
 
     def test_cli_prometheus(self, tmp_path, capsys):
         path = self._trace(tmp_path)
@@ -156,3 +146,24 @@ class TestTraceSource:
     def test_cli_missing_source(self, tmp_path, capsys):
         assert main(["--from-trace", str(tmp_path / "absent.jsonl")]) == 1
         assert "cannot load" in capsys.readouterr().err
+
+    def _run_cli(self, *args):
+        return subprocess.run(
+            [sys.executable, "-m", "repro.obs.export", *args],
+            capture_output=True, text=True,
+        )
+
+    def test_cli_from_trace_leaves_stderr_empty(self, tmp_path):
+        proc = self._run_cli("--from-trace", str(self._trace(tmp_path)))
+        assert proc.returncode == 0
+        assert "repro_trials_sdc 2" in proc.stdout
+        assert proc.stderr == ""
+
+    def test_cli_wrong_schema_snapshot_is_one_error_line(self, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"schema": "other/v0"}))
+        proc = self._run_cli("--from-snapshot", str(bad))
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error:")
+        assert "Traceback" not in proc.stderr
+        assert len(proc.stderr.splitlines()) == 1

@@ -1,8 +1,9 @@
-"""Metrics tests: instruments, deterministic histograms, event folding."""
+"""Metrics tests: exact histograms and the one event fold as a sink."""
 
 import pytest
 
 from repro.errors import ConfigError
+from repro.obs.aggregate import LATENCY_BOUNDS, Rollup
 from repro.obs.events import (
     FleetDecision,
     GoldenCacheLookup,
@@ -11,32 +12,14 @@ from repro.obs.events import (
     Tracer,
     TrialEnd,
 )
-from repro.obs.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    MetricsSink,
-)
+from repro.obs.metrics import Histogram
+
+BOUNDS = (1.0, 2.0, 3.0, 4.0)
 
 
 class TestInstruments:
-    def test_counter(self):
-        c = Counter()
-        c.inc()
-        c.inc(4)
-        assert c.value == 5
-        with pytest.raises(ConfigError):
-            c.inc(-1)
-
-    def test_gauge_last_write_wins(self):
-        g = Gauge()
-        g.set(1.5)
-        g.set(2.5)
-        assert g.value == 2.5
-
     def test_histogram_exact_when_small(self):
-        h = Histogram()
+        h = Histogram(buckets=BOUNDS)
         for v in [1.0, 2.0, 3.0, 4.0]:
             h.record(v)
         assert h.count == 4
@@ -45,56 +28,42 @@ class TestInstruments:
         assert h.percentile(50) in (2.0, 3.0)
 
     def test_histogram_bounded_memory_keeps_exact_aggregates(self):
-        h = Histogram(max_samples=16)
+        h = Histogram(buckets=tuple(float(b) for b in range(100, 1000, 100)))
         for v in range(1000):
             h.record(float(v))
         assert h.count == 1000
         assert h.total == sum(range(1000))
         assert h.min == 0.0 and h.max == 999.0
-        assert len(h._samples) <= 16
-
-    def test_histogram_decimation_is_deterministic(self):
-        def build():
-            h = Histogram(max_samples=8)
-            for v in range(100):
-                h.record(float(v))
-            return h.summary()
-
-        assert build() == build()
+        # One integer per bucket, whatever the volume.
+        assert len(h.bucket_counts) <= 16
 
     def test_histogram_validation(self):
         with pytest.raises(ConfigError):
-            Histogram(max_samples=0)
+            Histogram(buckets=())
         with pytest.raises(ConfigError):
-            Histogram().percentile(101)
+            Histogram(buckets=BOUNDS).percentile(101)
 
     def test_empty_histogram_summary(self):
-        assert Histogram().summary() == {"count": 0}
+        assert Histogram(buckets=BOUNDS).summary() == {"count": 0}
 
 
 class TestRegistry:
-    def test_get_or_create_returns_same_instrument(self):
-        reg = MetricsRegistry()
-        assert reg.counter("a") is reg.counter("a")
-        assert reg.gauge("b") is reg.gauge("b")
-        assert reg.histogram("c") is reg.histogram("c")
-
     def test_snapshot_is_json_ready_and_sorted(self):
-        reg = MetricsRegistry()
-        reg.counter("z").inc()
-        reg.counter("a").inc(2)
-        reg.gauge("speed").set(1.25)
-        reg.histogram("lat").record(0.5)
-        snap = reg.snapshot()
+        rollup = Rollup()
+        rollup.inc("z")
+        rollup.inc("a", 2)
+        rollup.observe("lat", 0.5, LATENCY_BOUNDS)
+        snap = rollup.snapshot()
         assert list(snap["counters"]) == ["a", "z"]
         assert snap["counters"] == {"a": 2, "z": 1}
-        assert snap["gauges"] == {"speed": 1.25}
         assert snap["histograms"]["lat"]["count"] == 1
 
 
 class TestMetricsSink:
+    """A :class:`Rollup` attached to a tracer folds the engine's events."""
+
     def test_folds_engine_events(self):
-        sink = MetricsSink()
+        sink = Rollup()
         tracer = Tracer(sink)
         tracer.emit(GoldenCacheLookup(hit=False, instructions=0))
         tracer.emit(GoldenCacheLookup(hit=True, instructions=100))
@@ -109,7 +78,7 @@ class TestMetricsSink:
             attempts=1, latency_s=9e-9, wasted_cycles=12,
             persistence="transient",
         ))
-        snap = sink.registry.snapshot()
+        snap = sink.snapshot()
         assert snap["counters"]["trials.benign"] == 1
         assert snap["counters"]["trials.crash"] == 1
         assert snap["counters"]["golden_cache.hits"] == 1
@@ -119,7 +88,7 @@ class TestMetricsSink:
         assert snap["histograms"]["recovery.latency_s"]["count"] == 1
 
     def test_folds_fleet_decisions(self):
-        sink = MetricsSink()
+        sink = Rollup()
         tracer = Tracer(sink)
         tracer.emit(FleetDecision(
             t=0.0, n_boards=4, n_scored=0, n_anomalous=0, alarms="",
@@ -133,9 +102,9 @@ class TestMetricsSink:
             t=6.1, n_boards=4, n_scored=3, n_anomalous=0, alarms="",
             quarantined="b0,b1", released="b3", max_score=2.0,
         ))
-        snap = sink.registry.snapshot()
+        snap = sink.snapshot()
         assert snap["counters"]["fleet.ticks"] == 3
-        assert snap["counters"]["fleet.samples_scored"] == 7
+        assert snap["counters"]["fleet.scored"] == 7
         assert snap["counters"]["fleet.alarms"] == 1
         assert snap["counters"]["fleet.quarantines"] == 2
         assert snap["counters"]["fleet.releases"] == 1
@@ -143,12 +112,18 @@ class TestMetricsSink:
         assert snap["histograms"]["fleet.max_score"]["max"] == 17.5
 
     def test_failed_recovery_counts_separately(self):
-        sink = MetricsSink()
+        sink = Rollup()
         Tracer(sink).emit(RecoveryDone(
             trial=0, outcome="hang", recovered=False, rung=None,
             attempts=4, latency_s=1.0, wasted_cycles=999,
             persistence="stuck",
         ))
-        snap = sink.registry.snapshot()
+        snap = sink.snapshot()
         assert snap["counters"]["recovery.failed"] == 1
-        assert "recovery.latency_s" not in snap["histograms"]
+        assert "recovery.recovered" not in snap["counters"]
+        assert not any(
+            name.startswith("recovery.rung.") for name in snap["counters"]
+        )
+        # recovery.latency_s covers every recovery, failed ones included.
+        assert snap["histograms"]["recovery.latency_s"]["count"] == 1
+        assert snap["histograms"]["recovery.wasted_cycles"]["max"] == 999

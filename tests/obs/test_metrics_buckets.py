@@ -1,4 +1,4 @@
-"""Fixed-bucket Histogram mode: exact merges, explicit truncation."""
+"""Fixed-bucket histograms: exact merges, no truncation at any volume."""
 
 import math
 
@@ -15,7 +15,7 @@ class TestBucketMode:
         h = Histogram(buckets=BOUNDS)
         for v in (0.5, 1.0, 1.5, 3.0, 100.0):
             h.record(v)
-        assert h.bucketed
+        assert h.bounds == BOUNDS
         assert h.count == 5
         # value <= bound buckets plus the +inf overflow slot.
         assert h.bucket_counts == [2, 1, 1, 0, 1]
@@ -25,15 +25,9 @@ class TestBucketMode:
         h = Histogram(buckets=BOUNDS)
         for i in range(100_000):
             h.record(float(i % 10))
-        assert not h.truncated
-        assert h.summary()["truncated"] is False
-
-    def test_reservoir_truncates_and_says_so(self):
-        h = Histogram(max_samples=16)
-        for i in range(100):
-            h.record(float(i))
-        assert h.truncated
-        assert h.summary()["truncated"] is True
+        # Every observation is still counted, at bucket resolution.
+        assert sum(h.bucket_counts) == h.count == 100_000
+        assert h.summary()["count"] == 100_000
 
     def test_nonfinite_counted_not_recorded(self):
         h = Histogram(buckets=BOUNDS)
@@ -91,14 +85,6 @@ class TestBucketMerge:
         b = Histogram(buckets=(1.0, 2.0))
         with pytest.raises(ConfigError):
             a.merge(b)
-
-    def test_merge_rejects_reservoir(self):
-        a = Histogram(buckets=BOUNDS)
-        b = Histogram()
-        with pytest.raises(ConfigError):
-            a.merge(b)
-        with pytest.raises(ConfigError):
-            b.merge(a)
 
     def test_merge_carries_nonfinite_and_extrema(self):
         a = Histogram(buckets=BOUNDS)

@@ -5,11 +5,11 @@ import json
 import pytest
 
 from repro.faults.campaign import Campaign
-from repro.obs.aggregate import LATENCY_BOUNDS
+from repro.obs.aggregate import LATENCY_BOUNDS, Rollup, aggregate_events
 from repro.obs.events import FleetDecision, JsonlSink, Tracer
 from repro.obs.export import SNAPSHOT_SCHEMA, export_snapshot
-from repro.obs.metrics import Histogram, MetricsRegistry
-from repro.obs.report import main
+from repro.obs.report import main, read_trace
+from repro.perf.cache import GOLDEN_CACHE
 from repro.recover import run_supervised_campaign
 from repro.workloads.irprograms import PROGRAMS, build_program
 
@@ -26,6 +26,7 @@ def supervised_trace(tmp_path_factory):
         args=PROGRAMS["isort"].default_args,
         n_trials=N_TRIALS,
     )
+    GOLDEN_CACHE.clear()  # golden-cache hits are part of the stream
     with Tracer(JsonlSink(path)) as tracer:
         run_supervised_campaign(campaign, seed=SEED, tracer=tracer)
         # A handful of fleet decisions so the fleet section renders too.
@@ -39,15 +40,71 @@ def supervised_trace(tmp_path_factory):
     return path
 
 
+#: The fold of ``supervised_trace``: every counter and histogram the two
+#: folds it replaced (an engine-metrics sink and a stream aggregator)
+#: produced on this trace, under their surviving names
+#: (``fleet.samples_scored`` -> ``fleet.scored``, ``checkpoints.taken`` ->
+#: ``events.checkpoint``).
+FOLD_COUNTERS = {
+    "board.board-a.alarms": 1,
+    "events.campaign-end": 1,
+    "events.campaign-start": 1,
+    "events.checkpoint": 390,
+    "events.fleet-decision": 4,
+    "events.golden-cache": 1,
+    "events.injection": 40,
+    "events.ladder-attempt": 11,
+    "events.recovery-done": 3,
+    "events.trial-end": 40,
+    "events.trial-start": 40,
+    "fleet.alarms": 1,
+    "fleet.anomalous": 0,
+    "fleet.scored": 8,
+    "fleet.ticks": 4,
+    "golden_cache.misses": 1,
+    "ladder.attempts.cold-restart": 3,
+    "ladder.attempts.power-cycle": 1,
+    "ladder.attempts.retry": 3,
+    "ladder.attempts.rollback": 4,
+    "recovery.recovered": 3,
+    "recovery.rung.cold-restart": 1,
+    "recovery.rung.power-cycle": 1,
+    "recovery.rung.retry": 1,
+    "trials.benign": 34,
+    "trials.crash": 3,
+    "trials.sdc": 3,
+}
+#: (count, min, max, exact mean) per histogram of the same fold.
+FOLD_HISTOGRAMS = {
+    "fleet.max_score": (4, 0.5, 0.5, 0.5),
+    "recovery.attempt_latency_s": (
+        11, 6.11e-07, 30.000054399, 2.754566799818182,
+    ),
+    "recovery.latency_s": (3, 4.399e-06, 30.20017049, 10.100078266),
+    "recovery.wasted_cycles": (3, 4140.0, 169790.0, 76679.66666666667),
+    "trial.cycles": (40, 599.0, 4514.0, 4270.125),
+}
+
+
 def _latency_snapshot(tmp_path) -> str:
-    registry = MetricsRegistry()
-    hist = Histogram(buckets=LATENCY_BOUNDS)
+    registry = Rollup()
     for v in (0.001, 0.002, 0.004):
-        hist.record(v)
-    registry.histograms["fleet.score_latency_s"] = hist
+        registry.observe("fleet.score_latency_s", v, LATENCY_BOUNDS)
     path = tmp_path / "metrics.json"
     path.write_text(json.dumps(export_snapshot(registry)))
     return str(path)
+
+
+class TestOneFold:
+    def test_fold_pins_counters_and_histograms(self, supervised_trace):
+        rollup = aggregate_events(
+            event for _, event in read_trace(supervised_trace)
+        )
+        assert rollup.counters == FOLD_COUNTERS
+        assert {
+            name: (h.count, h.min, h.max, h.mean)
+            for name, h in rollup.histograms.items()
+        } == FOLD_HISTOGRAMS
 
 
 class TestReportCli:

@@ -12,8 +12,8 @@ import pytest
 
 from repro.faults.campaign import Campaign, run_campaign
 from repro.faults.model import FaultTarget
+from repro.obs.aggregate import Rollup
 from repro.obs.events import InMemorySink, JsonlSink, Tracer
-from repro.obs.metrics import MetricsSink
 from repro.obs.recorder import FlightRecorder
 from repro.obs.report import main as report_main
 from repro.obs.report import outcome_counts, read_trace, render, summarize
@@ -141,11 +141,11 @@ class TestReportAggregation:
         assert outcome_counts(sink.events) == result.counts.as_dict()
 
     def test_metrics_sink_matches_engine_tally(self):
-        metrics = MetricsSink()
+        metrics = Rollup()  # the one metrics sink
         result = run_campaign(
             _campaign(), seed=SEED, tracer=Tracer(metrics)
         )
-        counters = metrics.registry.snapshot()["counters"]
+        counters = metrics.snapshot()["counters"]
         for outcome, count in result.counts.as_dict().items():
             assert counters.get(f"trials.{outcome}", 0) == count
 

@@ -6,7 +6,6 @@ import pytest
 
 import repro.perf.pool as pool_mod
 from repro.errors import WorkerLost
-from repro.obs.metrics import ENGINE_METRICS
 from repro.perf.pool import PoolRegistry
 
 
@@ -46,12 +45,12 @@ class TestPoolRegistry:
         assert len(registry) == 1
 
     def test_reuse_and_create_metrics(self, registry):
-        created = ENGINE_METRICS.counter("warm_pool.created").value
-        reused = ENGINE_METRICS.counter("warm_pool.reused").value
+        created = registry.stats.created
+        reused = registry.stats.reused
         registry.get(("k1",), 2, None, ())
         registry.get(("k1",), 2, None, ())
-        assert ENGINE_METRICS.counter("warm_pool.created").value == created + 1
-        assert ENGINE_METRICS.counter("warm_pool.reused").value == reused + 1
+        assert registry.stats.created == created + 1
+        assert registry.stats.reused == reused + 1
 
     def test_lru_eviction_terminates_oldest(self, registry):
         p1 = registry.get(("k1",), 1, None, ())
@@ -74,7 +73,7 @@ class TestPoolRegistry:
         registry.get(("k2",), 1, None, ())
         registry.clear()
         assert len(registry) == 0
-        assert ENGINE_METRICS.gauge("warm_pool.workers_alive").value == 0
+        assert registry.stats.workers_alive == 0
 
     def test_failed_creation_returns_none(self, registry, monkeypatch):
         class _Broken:
@@ -105,11 +104,11 @@ class TestWorkerLoss:
         pool = registry.get(("loss",), 2, None, ())
         if pool is None:
             pytest.skip("process pools unavailable on this host")
-        lost = ENGINE_METRICS.counter("warm_pool.workers_lost").value
+        lost = registry.stats.workers_lost
         try:
             assert pool.map(_double, [[1], [2, 3]]) == [[2], [4, 6]]
             with deadline(10), pytest.raises(WorkerLost):
                 pool.map(_exit_in_worker, [[1], [2]])
         finally:
             registry.clear()
-        assert ENGINE_METRICS.counter("warm_pool.workers_lost").value > lost
+        assert registry.stats.workers_lost > lost

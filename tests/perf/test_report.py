@@ -50,19 +50,17 @@ def test_load_missing_or_corrupt_returns_none(tmp_path):
 def test_format_report_summarizes_headlines_and_metrics(tmp_path):
     from repro.perf.report import format_report
 
+    # The stored golden_cache and parallel.warm_pool sections render.
     report = {
         "schema": 1,
         "min_speedup": 9.5,
         "parallel_vs_serial": 1.2,
         "available_cpus": 4,
+        "golden_cache": {"hits": 3, "misses": 1},
+        "parallel": {"warm_pool": {"created": 1, "workers_alive": 2.0}},
         "history": [{"schema": 1, "min_speedup": 7.3}],
     }
-    snapshot = {
-        "counters": {"golden_cache.hits": 3, "warm_pool.created": 1},
-        "gauges": {"warm_pool.workers_alive": 2.0},
-        "histograms": {},
-    }
-    text = format_report(report, snapshot)
+    text = format_report(report)
     assert "9.50x" in text
     assert "min_speedup trajectory" in text
     assert "9.50 <- 7.30" in text
@@ -73,7 +71,7 @@ def test_format_report_summarizes_headlines_and_metrics(tmp_path):
 def test_format_report_handles_missing_report():
     from repro.perf.report import format_report
 
-    text = format_report(None, {"counters": {}, "gauges": {}})
+    text = format_report(None)
     assert "no perf report" in text
 
 
@@ -112,6 +110,29 @@ def test_failed_replace_keeps_the_old_report(tmp_path, monkeypatch):
         raise AssertionError("write_perf_report swallowed the failure")
     assert path.read_text() == before
     assert sorted(p.name for p in tmp_path.iterdir()) == ["BENCH_perf.json"]
+
+
+def test_failed_replace_keeps_the_old_results_file(tmp_path, monkeypatch):
+    import os
+
+    import benchmarks._util as util
+
+    monkeypatch.setattr(util, "RESULTS_DIR", tmp_path)
+    util.write_result("E0", "first", "old table")
+    before = (tmp_path / "E0.txt").read_text()
+
+    def crash(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(os, "replace", crash)
+    try:
+        util.write_result("E0", "second", "new table")
+    except OSError:
+        pass
+    else:  # pragma: no cover - the patched replace always raises
+        raise AssertionError("write_result swallowed the failure")
+    assert (tmp_path / "E0.txt").read_text() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["E0.txt"]
 
 
 def test_report_cli_survives_a_closed_pipe(tmp_path):

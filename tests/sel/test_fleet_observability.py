@@ -11,7 +11,7 @@ from repro.core.sel import (
 from repro.detect import FleetConfig, ResidualCusumDetector
 from repro.hw.board import Board
 from repro.hw.specs import RASPBERRY_PI_4
-from repro.obs import InMemorySink, MetricsRegistry, Tracer
+from repro.obs import InMemorySink, Rollup, Tracer
 from repro.obs.aggregate import LATENCY_BOUNDS
 from repro.obs.report import render_fleet, summarize
 from repro.obs.spans import ROOT, SpanEnd, SpanStart, fleet_root, span_id
@@ -38,7 +38,7 @@ def traced_fleet():
         for b in range(N_BOARDS)
     ]
     sink = InMemorySink()
-    metrics = MetricsRegistry()
+    metrics = Rollup()
     service = SelFleetService(
         detector, members, FleetConfig(),
         tracer=Tracer(sink), metrics=metrics, trace_spans=True,
@@ -86,7 +86,6 @@ class TestFleetLatencyMetrics:
     def test_latency_lands_in_fixed_bucket_histogram(self, traced_fleet):
         _, _, metrics = traced_fleet
         hist = metrics.histograms["fleet.score_latency_s"]
-        assert hist.bucketed
         assert hist.bounds == LATENCY_BOUNDS
         assert hist.count == int(DURATION_S * RATE_HZ)
 

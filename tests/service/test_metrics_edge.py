@@ -5,7 +5,7 @@ single-tick window yields NaN (``np.percentile([])``) or interpolated
 values no sample ever had.  The service metrics path contracts instead:
 
 - empty window -> ``count == 0`` and the documented ``0.0`` sentinel
-  (:data:`repro.service.metrics.EMPTY_SENTINEL`) for mean, max and
+  (:data:`repro.obs.metrics.EMPTY_SENTINEL`) for mean, max and
   every percentile — never NaN, always JSON-round-trippable;
 - single-sample window -> that sample, exactly, for every percentile
   (nearest-rank of one value);
@@ -18,13 +18,8 @@ import math
 
 import pytest
 
-from repro.service import (
-    DecisionLatencyTracker,
-    EMPTY_SENTINEL,
-    latency_summary,
-    nearest_rank,
-    rows_per_second,
-)
+from repro.obs.metrics import EMPTY_SENTINEL, latency_summary, nearest_rank
+from repro.service import DecisionLatencyTracker, rows_per_second
 
 
 def _assert_nan_free(summary):

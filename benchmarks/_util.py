@@ -9,11 +9,16 @@ leaves the previous file whole.
 from __future__ import annotations
 
 import os
+import time
 from pathlib import Path
 
 from repro.perf.report import write_text_atomic
 
 RESULTS_DIR = Path(__file__).parent / "results"
+
+#: Interleaved rounds a timing gate takes the median of: one sample per
+#: side flips on identical code.
+GATE_ROUNDS = 7
 
 
 def bench_workers(default: int | None = None) -> int | None:
@@ -50,3 +55,20 @@ def fmt_table(headers: list[str], rows: list[list[str]]) -> str:
     out = [line(headers), line(["-" * w for w in widths])]
     out.extend(line(r) for r in rows)
     return "\n".join(out)
+
+
+def interleaved_ratios(slow, fast, rounds: int = GATE_ROUNDS) -> list[float]:
+    """``rounds`` wall-time ratios ``slow() / fast()``.
+
+    Each round times both sides once, back to back, alternating which
+    side goes first, so host drift within a round hits both alike.
+    """
+    ratios = []
+    for k in range(rounds):
+        times = {}
+        for side in (slow, fast) if k % 2 == 0 else (fast, slow):
+            t0 = time.perf_counter()
+            side()
+            times[side] = time.perf_counter() - t0
+        ratios.append(times[slow] / times[fast])
+    return ratios

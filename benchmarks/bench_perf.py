@@ -46,7 +46,12 @@ from dataclasses import replace
 from pathlib import Path
 from statistics import median
 
-from benchmarks._util import fmt_table, write_result
+from benchmarks._util import (
+    GATE_ROUNDS,
+    fmt_table,
+    interleaved_ratios,
+    write_result,
+)
 from repro.faults.campaign import (
     Campaign,
     make_injector,
@@ -74,10 +79,6 @@ REPEAT = int(os.environ.get("REPRO_PERF_REPEAT", "3"))
 STRICT = os.environ.get("REPRO_PERF_STRICT") == "1"
 GATE = os.environ.get("REPRO_PERF_GATE") == "1"
 
-#: Interleaved rounds the ``parallel_vs_serial`` and ``min_speedup``
-#: gates take the median of.
-GATE_ROUNDS = 7
-
 #: Trials per gate round: enough serial work (≈0.4 s of isort on a
 #: 2-CPU host) that the pool's fixed dispatch cost is a small share; a
 #: 60-trial round is about that cost, so its ratio sits near 1.
@@ -98,20 +99,6 @@ def _best_of(fn, repeat: int = REPEAT) -> float:
         fn()
         best = min(best, time.perf_counter() - t0)
     return best
-
-
-def _interleaved_ratios(slow, fast) -> list[float]:
-    """:data:`GATE_ROUNDS` wall-time ratios ``slow() / fast()``.
-
-    Each round times both sides once, back to back, alternating which
-    side goes first, so host drift within a round hits both alike.
-    """
-    ratios = []
-    for k in range(GATE_ROUNDS):
-        order = (slow, fast) if k % 2 == 0 else (fast, slow)
-        times = {fn: _best_of(fn, 1) for fn in order}
-        ratios.append(times[slow] / times[fast])
-    return ratios
 
 
 def _baseline_campaign(campaign: Campaign, seed: int) -> OutcomeCounts:
@@ -184,7 +171,7 @@ def test_perf_interpreter_fastpath():
             "speedup": t_ref / t_fast,
         }
         if GATE:
-            gate_rounds[name] = _interleaved_ratios(run_ref, run_fast)
+            gate_rounds[name] = interleaved_ratios(run_ref, run_fast)
 
     speedups = [d["speedup"] for d in per_program.values()]
     min_speedup = min(speedups)
@@ -266,7 +253,7 @@ def test_perf_campaign_throughput():
         assert parallel_tps >= 2.0 * baseline_tps
     if GATE and cpus > 1:
         gate_campaign = replace(campaign, n_trials=GATE_TRIALS)
-        ratios = _interleaved_ratios(
+        ratios = interleaved_ratios(
             lambda: run_campaign(gate_campaign, seed=1),
             lambda: run_campaign(gate_campaign, seed=1, workers=WORKERS),
         )

@@ -378,8 +378,4 @@ class SelFleetService:
     def alarm_times(self) -> dict[str, list[float]]:
         """Per-board alarm times (the live counterpart of the trace
         replay in :func:`repro.obs.report.fleet_outcome`)."""
-        return {
-            state.board_id: list(state.alarms)
-            for state in self.scorer.boards
-            if state.alarms
-        }
+        return self.scorer.alarm_times()

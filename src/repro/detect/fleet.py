@@ -223,7 +223,8 @@ class FleetConfig:
 
 @dataclass
 class BoardScoringState:
-    """Per-board alarm/quarantine bookkeeping inside the fleet scorer."""
+    """One board's alarm/quarantine bookkeeping, as read out of a
+    :class:`FleetScorer` (:meth:`FleetScorer.board`)."""
 
     board_id: str
     hits: int = 0
@@ -233,6 +234,45 @@ class BoardScoringState:
     alarms: list[float] = field(default_factory=list)
     samples_scored: int = 0
     samples_dropped: int = 0
+
+
+@dataclass
+class FleetBoards:
+    """Every board's scoring state as arrays, index-aligned with the
+    scorer's board ids: one array operation updates the whole fleet.
+
+    Attributes:
+        hits: consecutive anomalous samples (the alarm persistence count).
+        quarantined: whether the board is quarantined.
+        bad_streak: consecutive non-finite rows.
+        good_streak: consecutive finite rows.
+        scored: samples scored.
+        dropped: samples dropped (non-finite rows).
+        alarms: each board's alarm times.
+    """
+
+    hits: np.ndarray
+    quarantined: np.ndarray
+    bad_streak: np.ndarray
+    good_streak: np.ndarray
+    scored: np.ndarray
+    dropped: np.ndarray
+    alarms: list[list[float]]
+
+    @classmethod
+    def fresh(cls, n_boards: int) -> "FleetBoards":
+        def zeros():
+            return np.zeros(n_boards, dtype=np.int64)
+
+        return cls(
+            hits=zeros(),
+            quarantined=np.zeros(n_boards, dtype=bool),
+            bad_streak=zeros(),
+            good_streak=zeros(),
+            scored=zeros(),
+            dropped=zeros(),
+            alarms=[[] for _ in range(n_boards)],
+        )
 
 
 @dataclass
@@ -290,9 +330,18 @@ class FleetScorer:
     exactly as it would under a dedicated single-board daemon; the fleet
     pipeline test pins that equivalence down.
 
+    A tick is array work, not a loop over boards: the per-board state
+    lives in :class:`FleetBoards` arrays that a handful of whole-fleet
+    array operations advance, the ``fleet.score`` histogram takes the
+    tick's scores in one batch (exactly as one record per score would
+    leave it), and each board's counter names are formatted once, here,
+    so a tick only looks them up.  Boards are visited in index order
+    wherever order shows (alarm, quarantine and release lists).
+
     Attributes:
         detector: shared fitted detector.
-        boards: per-board bookkeeping, index-aligned with score rows.
+        board_ids: the boards, index-aligned with score rows.
+        boards: per-board state arrays (:class:`FleetBoards`).
         health: mergeable rollup (:class:`repro.obs.aggregate.Rollup`) of
             per-board and fleet-wide scoring activity.  Every entry is
             additive over boards — counters per board, fixed-bucket score
@@ -316,7 +365,12 @@ class FleetScorer:
             raise ConfigError("board ids must be unique")
         self.detector = detector
         self.config = config
-        self.boards = [BoardScoringState(board_id=b) for b in board_ids]
+        self.board_ids = list(board_ids)
+        self._keys = {
+            kind: [f"board.{board_id}.{kind}" for board_id in board_ids]
+            for kind in ("scored", "alarms", "quarantines", "releases")
+        }
+        self.boards = FleetBoards.fresh(len(board_ids))
         self.health = Rollup()
         self._stream_state = detector.make_stream_state(len(board_ids))
         self._start_t: float | None = None
@@ -341,42 +395,64 @@ class FleetScorer:
 
     @property
     def n_boards(self) -> int:
-        return len(self.boards)
+        return len(self.board_ids)
 
     def board(self, board_id: str) -> BoardScoringState:
-        for state in self.boards:
-            if state.board_id == board_id:
-                return state
-        raise ConfigError(f"unknown board id {board_id!r}")
+        """A copy of one board's current state."""
+        if board_id not in self.board_ids:
+            raise ConfigError(f"unknown board id {board_id!r}")
+        i = self.board_ids.index(board_id)
+        boards = self.boards
+        return BoardScoringState(
+            board_id=board_id,
+            hits=int(boards.hits[i]),
+            quarantined=bool(boards.quarantined[i]),
+            bad_streak=int(boards.bad_streak[i]),
+            good_streak=int(boards.good_streak[i]),
+            alarms=list(boards.alarms[i]),
+            samples_scored=int(boards.scored[i]),
+            samples_dropped=int(boards.dropped[i]),
+        )
+
+    def alarm_times(self) -> dict[str, list[float]]:
+        """Alarm times of every board that has alarmed, in board order."""
+        return {
+            board_id: list(times)
+            for board_id, times in zip(self.board_ids, self.boards.alarms)
+            if times
+        }
 
     def _update_quarantine(
         self, finite: np.ndarray
     ) -> tuple[list[int], list[int]]:
-        newly_quarantined: list[int] = []
-        released: list[int] = []
+        boards = self.boards
         config = self.config
-        for i, board in enumerate(self.boards):
-            if not finite[i]:
-                board.bad_streak += 1
-                board.good_streak = 0
-                board.hits = 0
-                board.samples_dropped += 1
-                if (
-                    not board.quarantined
-                    and board.bad_streak >= config.quarantine_after
-                ):
-                    board.quarantined = True
-                    newly_quarantined.append(i)
-            else:
-                board.bad_streak = 0
-                board.good_streak += 1
-                if (
-                    board.quarantined
-                    and board.good_streak >= config.release_after
-                ):
-                    board.quarantined = False
-                    released.append(i)
-        return newly_quarantined, released
+        bad = ~finite
+        boards.bad_streak = np.where(finite, 0, boards.bad_streak + 1)
+        boards.good_streak = np.where(finite, boards.good_streak + 1, 0)
+        boards.hits[bad] = 0
+        boards.dropped += bad
+        newly_quarantined = (
+            bad & ~boards.quarantined
+            & (boards.bad_streak >= config.quarantine_after)
+        )
+        released = (
+            finite & boards.quarantined
+            & (boards.good_streak >= config.release_after)
+        )
+        boards.quarantined = (
+            (boards.quarantined | newly_quarantined) & ~released
+        )
+        return (
+            np.flatnonzero(newly_quarantined).tolist(),
+            np.flatnonzero(released).tolist(),
+        )
+
+    def _count(self, kind: str, indices: list[int]) -> None:
+        """Add ``fleet.<kind>`` and each listed board's
+        ``board.<id>.<kind>`` to the health rollup."""
+        self.health.inc(f"fleet.{kind}", len(indices))
+        self.health.inc_each(map(self._keys[kind].__getitem__, indices))
 
     def step(self, t: float, rows: np.ndarray) -> FleetStep:
         """Score one row per board at time ``t``.
@@ -397,11 +473,10 @@ class FleetScorer:
         anomalous = np.zeros(self.n_boards, dtype=bool)
         warming_up = (t - self._start_t) < self.config.warmup_s
         alarms: list[int] = []
+        health = self.health
+        boards = self.boards
         if not warming_up:
-            scoreable = finite & np.array(
-                [not b.quarantined for b in self.boards]
-            )
-            idx = np.nonzero(scoreable)[0]
+            idx = np.flatnonzero(finite & ~boards.quarantined)
             if len(idx):
                 sub_state = _state_select(self._stream_state, idx)
                 sub_scores, sub_state = self.detector.step_streams(
@@ -411,33 +486,26 @@ class FleetScorer:
                 scores[idx] = sub_scores
                 flags = sub_scores > self.detector.threshold * self._threshold_scale
                 anomalous[idx] = flags
-                for pos, i in enumerate(idx.tolist()):
-                    board = self.boards[i]
-                    board.samples_scored += 1
-                    self.health.inc("fleet.scored")
-                    self.health.inc(f"board.{board.board_id}.scored")
-                    self.health.observe(
-                        "fleet.score", float(sub_scores[pos]),
-                        bounds=SCORE_BOUNDS,
-                    )
-                    if flags[pos]:
-                        board.hits += 1
-                        self.health.inc("fleet.anomalous")
-                    else:
-                        board.hits = 0
-                    if board.hits >= self.config.consecutive_hits:
-                        board.alarms.append(t)
-                        board.hits = 0
-                        alarms.append(i)
-                        self.health.inc("fleet.alarms")
-                        self.health.inc(f"board.{board.board_id}.alarms")
-        for i in newly_quarantined:
-            self.health.inc("fleet.quarantines")
-            self.health.inc(f"board.{self.boards[i].board_id}.quarantines")
-        for i in released:
-            self.health.inc("fleet.releases")
-            self.health.inc(f"board.{self.boards[i].board_id}.releases")
-        self.health.inc("fleet.dropped", int((~finite).sum()))
+                boards.scored[idx] += 1
+                hits = np.where(flags, boards.hits[idx] + 1, 0)
+                fired = hits >= self.config.consecutive_hits
+                hits[fired] = 0
+                boards.hits[idx] = hits
+                self._count("scored", idx.tolist())
+                health.observe_many("fleet.score", sub_scores, SCORE_BOUNDS)
+                n_anomalous = int(np.count_nonzero(flags))
+                if n_anomalous:
+                    health.inc("fleet.anomalous", n_anomalous)
+                alarms = idx[fired].tolist()
+                if alarms:
+                    self._count("alarms", alarms)
+                    for i in alarms:
+                        boards.alarms[i].append(t)
+        if newly_quarantined:
+            self._count("quarantines", newly_quarantined)
+        if released:
+            self._count("releases", released)
+        health.inc("fleet.dropped", int(np.count_nonzero(~finite)))
         return FleetStep(
             t=t,
             scores=scores,
@@ -454,9 +522,7 @@ class FleetScorer:
 
     def reset(self) -> None:
         """Clear all per-board state (new trace); keeps the detector."""
-        self.boards = [
-            BoardScoringState(board_id=b.board_id) for b in self.boards
-        ]
+        self.boards = FleetBoards.fresh(self.n_boards)
         self.health = Rollup()
         self._stream_state = self.detector.make_stream_state(self.n_boards)
         self._start_t = None

@@ -127,11 +127,27 @@ class Rollup:
     def inc(self, name: str, n: int = 1) -> None:
         self.counters[name] = self.counters.get(name, 0) + n
 
+    def inc_each(self, names) -> None:
+        """Add one to each counter in ``names`` (one call per batch)."""
+        counters = self.counters
+        for name in names:
+            counters[name] = counters.get(name, 0) + 1
+
     def observe(self, name: str, value: float, bounds: tuple) -> None:
         hist = self.histograms.get(name)
         if hist is None:
             hist = self.histograms[name] = Histogram(bounds)
         hist.record(value)
+
+    def observe_many(self, name: str, values, bounds: tuple) -> None:
+        """:meth:`observe` each of ``values`` in order, as one batch
+        (:meth:`~repro.obs.metrics.Histogram.record_many`)."""
+        if not len(values):
+            return
+        hist = self.histograms.get(name)
+        if hist is None:
+            hist = self.histograms[name] = Histogram(bounds)
+        hist.record_many(values)
 
     def write(self, event: Event, seq: int) -> None:
         """Fold one event in (the :class:`Tracer` sink protocol)."""

@@ -29,8 +29,13 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from fractions import Fraction
+from functools import reduce
+from itertools import accumulate, repeat
 from math import ceil, isfinite
+from operator import add, lshift
 from typing import Sequence
+
+import numpy as np
 
 from repro.errors import ConfigError
 
@@ -70,6 +75,7 @@ class Histogram:
         self.max = float("-inf")
         self.nonfinite = 0
         self._exact_total = Fraction(0)
+        self._edges = np.array(bounds)
 
     def record(self, value: float) -> None:
         value = float(value)
@@ -84,6 +90,44 @@ class Histogram:
         if value > self.max:
             self.max = value
         self.bucket_counts[bisect_left(self.bounds, value)] += 1
+
+    def record_many(self, values: np.ndarray) -> None:
+        """Record ``values`` in order, leaving exactly the state that
+        :meth:`record` on each value in turn leaves.
+
+        Every field is an order-free fold except two, which are kept
+        in stream order: ``total`` is the left-to-right float sum, and
+        on ties ``min``/``max`` keep the first value seen (``-0.0`` and
+        ``0.0`` compare equal, and whichever came first stays).  The
+        exact sum adds each finite value's 53-bit integer mantissa,
+        shifted onto the batch's smallest binary exponent, as one
+        Python integer.
+        """
+        values = np.asarray(values, dtype=float).ravel()
+        finite = values[np.isfinite(values)]
+        self.nonfinite += len(values) - len(finite)
+        if not len(finite):
+            return
+        self.count += len(finite)
+        self.total = reduce(add, finite.tolist(), self.total)
+        fraction, exponent = np.frexp(finite)
+        mantissas = (fraction * 2.0**53).astype(np.int64).tolist()
+        lowest = int(exponent.min())
+        exact = sum(map(lshift, mantissas, (exponent - lowest).tolist()))
+        lowest -= 53
+        self._exact_total += (
+            Fraction(exact << lowest) if lowest >= 0
+            else Fraction(exact, 1 << -lowest)
+        )
+        low = float(finite[np.argmin(finite)])
+        if low < self.min:
+            self.min = low
+        high = float(finite[np.argmax(finite)])
+        if high > self.max:
+            self.max = high
+        buckets = self.bucket_counts
+        for index in np.searchsorted(self._edges, finite).tolist():
+            buckets[index] += 1
 
     @property
     def mean(self) -> float:
@@ -165,42 +209,59 @@ EMPTY_SENTINEL = 0.0
 DEFAULT_PERCENTILES = (50.0, 90.0, 99.0)
 
 
-def nearest_rank(sorted_values: list[float], p: float) -> float:
+def nearest_rank(
+    sorted_values: list[float], p: float, ranks: list[int] | None = None
+) -> float:
     """Nearest-rank percentile over pre-sorted values.
 
-    Returns :data:`EMPTY_SENTINEL` for an empty input; for a single
-    value returns that value for every ``p``.
+    ``ranks``, when given, are the running sample counts of
+    ``sorted_values`` (value ``i`` stands for ``ranks[i] - ranks[i-1]``
+    samples).  Returns :data:`EMPTY_SENTINEL` for an empty input; for a
+    single value returns that value for every ``p``.
     """
     if not 0.0 <= p <= 100.0:
         raise ValueError(f"percentile out of range: {p}")
-    n = len(sorted_values)
+    n = len(sorted_values) if ranks is None else (ranks[-1] if ranks else 0)
     if n == 0:
         return EMPTY_SENTINEL
-    rank = ceil(p / 100.0 * n)
-    return float(sorted_values[max(rank, 1) - 1])
+    rank = max(ceil(p / 100.0 * n), 1)
+    index = rank - 1 if ranks is None else bisect_left(ranks, rank)
+    return float(sorted_values[index])
 
 
 def latency_summary(
     values: list[float],
     percentiles: tuple[float, ...] = DEFAULT_PERCENTILES,
+    counts: list[int] | None = None,
 ) -> dict[str, float]:
     """NaN-free summary of raw samples (latencies in seconds, scores).
 
+    ``counts[i]``, when given, is how many samples ``values[i]`` stands
+    for (the service records one latency per tick for every frame the
+    tick decided): the summary is that of the samples spelled out.
     Non-finite samples are excluded from the statistics but reported in
     ``dropped`` so the accounting stays exact.
     """
-    finite = sorted(v for v in values if isfinite(v))
+    pairs = sorted(
+        (value, n)
+        for value, n in zip(values, repeat(1) if counts is None else counts)
+        if isfinite(value)
+    )
+    finite = [value for value, _ in pairs]
+    ranks = list(accumulate(n for _, n in pairs))
+    n_finite = ranks[-1] if ranks else 0
+    n_all = len(values) if counts is None else sum(counts)
     summary: dict[str, float] = {
-        "count": len(finite),
-        "dropped": len(values) - len(finite),
+        "count": n_finite,
+        "dropped": n_all - n_finite,
     }
     if finite:
-        summary["mean"] = sum(finite) / len(finite)
+        summary["mean"] = sum(value * n for value, n in pairs) / n_finite
         summary["max"] = finite[-1]
     else:
         summary["mean"] = EMPTY_SENTINEL
         summary["max"] = EMPTY_SENTINEL
     for p in percentiles:
         name = f"p{int(p)}" if float(p).is_integer() else f"p{p}"
-        summary[name] = nearest_rank(finite, p)
+        summary[name] = nearest_rank(finite, p, ranks)
     return summary

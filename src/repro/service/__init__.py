@@ -1,8 +1,8 @@
 """Constellation-scale async mission-control service.
 
 Sharded, backpressured fleet ingestion with byte-identical decisions:
-an asyncio front-end (:class:`AsyncFleetService`) over bounded
-per-board queues, a deterministic shard router, one in-process scorer
+an asyncio front-end (:class:`AsyncFleetService`) over one bounded
+queue per shard, a deterministic shard router, one in-process scorer
 per shard (:class:`InProcessBackend`), a supervisor owning escalation
 and crash recovery across shard boundaries, and a seeded load generator
 for saturation benchmarks — all gated to produce per-board

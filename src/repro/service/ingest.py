@@ -13,13 +13,25 @@ Two ways telemetry enters the service:
   served as fast as the pipeline will take them, with no feedback into
   the recording.
 
-:class:`ShardIngest` fronts one shard's boards with bounded
-:class:`~repro.service.queues.BoardQueue`\\ s: ``produce`` samples and
-offers one tick's frames (emitting a traced
-:class:`~repro.obs.events.QueueShed` per shed), ``assemble`` pops one
-tick back out as the row matrix the shard scorer consumes — a board
-whose frame was shed scores as a sensor dropout (NaN row) for that
-tick, which is exactly how the fleet scorer treats a failed sensor.
+Both serve one tick of a shard as a (boards × features) matrix
+(``gather``): the replay tensor with one index, the live boards one
+``row`` each.
+
+:class:`ShardIngest` fronts one shard's boards with one bounded
+:class:`~repro.service.queues.BoardQueue`: ``produce`` samples the
+tick's matrix and offers it as one frame (emitting a traced
+:class:`~repro.obs.events.QueueShed` per board when the policy sheds),
+``assemble`` pops one tick back out as the row matrix the shard scorer
+consumes — a tick whose frame was shed scores as a sensor dropout (NaN
+rows) for every board of the shard, which is exactly how the fleet
+scorer treats a failed sensor.
+
+One queue per shard is the per-board queues it replaces, merged: every
+board of a shard is offered every tick and popped every tick, so each
+board's queue saw the same offers and pops in the same order and always
+held the same ticks.  They shed together, and the shard queue sheds
+exactly then; its counts times the board count are the per-board
+queues' summed counts.
 """
 
 from __future__ import annotations
@@ -66,6 +78,10 @@ class LiveBoardSource:
             return np.full(self.n_columns, np.nan)
         return self.featurizer.row(samples[0])
 
+    def gather(self, indices: list[int], tick: int, t: float) -> np.ndarray:
+        """The (boards × features) matrix of ``indices`` at ``t``."""
+        return np.array([self.row(index, tick, t) for index in indices])
+
 
 class ReplaySource:
     """Serves a pre-recorded telemetry tensor (saturation mode)."""
@@ -86,12 +102,20 @@ class ReplaySource:
     def n_columns(self) -> int:
         return self.rows.shape[2]
 
+    @property
+    def n_boards(self) -> int:
+        return self.rows.shape[1]
+
     def row(self, index: int, tick: int, t: float) -> np.ndarray:
+        return self.gather(index, tick, t)
+
+    def gather(self, indices, tick: int, t: float) -> np.ndarray:
+        """Tick ``tick``'s rows of ``indices``, in one index."""
         if tick >= self.n_ticks:
             raise ConfigError(
                 f"replay exhausted: tick {tick} of {self.n_ticks}"
             )
-        return self.rows[tick, index]
+        return self.rows[tick, indices]
 
 
 class ShardIngest:
@@ -101,7 +125,8 @@ class ShardIngest:
         shard: shard index (trace labeling only).
         board_indices: fleet member indices of this shard's boards.
         board_ids: ids, index-aligned with ``board_indices``.
-        queues: one bounded queue per board.
+        queue: the shard's bounded queue; each frame carries one tick's
+            (boards × features) matrix.
     """
 
     def __init__(
@@ -121,69 +146,66 @@ class ShardIngest:
         self.board_ids = list(board_ids)
         self.source = source
         self.tracer = tracer
-        self.queues = {
-            board_id: BoardQueue(board_id, capacity=capacity, policy=policy)
-            for board_id in board_ids
-        }
+        self.queue = BoardQueue(
+            f"shard-{shard}", capacity=capacity, policy=policy
+        )
 
     @property
     def n_boards(self) -> int:
         return len(self.board_ids)
 
     def produce(self, tick: int, t: float) -> int:
-        """Sample and offer one tick's frame for every board.
+        """Sample and offer one tick's frame for the shard's boards.
 
-        Returns the number of frames shed by the policy this call.
+        Returns the number of board frames shed by the policy this call
+        (all of the shard's boards, or none).
         """
-        sheds = 0
         stamp = time.perf_counter()
-        for index, board_id in zip(self.board_indices, self.board_ids):
-            row = self.source.row(index, tick, t)
-            queue = self.queues[board_id]
-            outcome = queue.offer(
-                Frame(
-                    board_id=board_id, tick=tick, t=t, row=row,
-                    enqueued_pc=stamp,
-                )
+        queue = self.queue
+        outcome = queue.offer(
+            Frame(
+                board_id=queue.board_id, tick=tick, t=t,
+                row=self.source.gather(self.board_indices, tick, t),
+                enqueued_pc=stamp,
             )
-            if outcome.shed is not None:
-                sheds += 1
-                if self.tracer is not None:
-                    self.tracer.emit(
-                        QueueShed(
-                            t=outcome.shed.t,
-                            board_id=board_id,
-                            tick=outcome.shed.tick,
-                            policy=queue.policy.value,
-                            queue_len=len(queue),
-                        )
+        )
+        if outcome.shed is None:
+            return 0
+        if self.tracer is not None:
+            for board_id in self.board_ids:
+                self.tracer.emit(
+                    QueueShed(
+                        t=outcome.shed.t,
+                        board_id=board_id,
+                        tick=outcome.shed.tick,
+                        policy=queue.policy.value,
+                        queue_len=len(queue),
                     )
-        return sheds
+                )
+        return self.n_boards
 
     def assemble(
         self, tick: int
     ) -> tuple[np.ndarray, dict[str, Frame]]:
-        """Pop tick ``tick``'s frames into the shard's row matrix.
+        """Pop tick ``tick``'s frame: the shard's row matrix, and the
+        frame under every board id (no entries when it was shed).
 
-        Boards with no frame for the tick (shed under either policy)
-        contribute a NaN row — a sensor dropout, exactly as the fleet
-        scorer models a failed sensor.
+        A shed tick contributes NaN rows — a sensor dropout, exactly as
+        the fleet scorer models a failed sensor.
         """
-        rows = np.full((self.n_boards, self.source.n_columns), np.nan)
-        frames: dict[str, Frame] = {}
-        for i, board_id in enumerate(self.board_ids):
-            frame, _stale = self.queues[board_id].pop_tick(tick)
-            if frame is not None:
-                rows[i] = frame.row
-                frames[board_id] = frame
-        return rows, frames
+        frame, _stale = self.queue.pop_tick(tick)
+        if frame is None:
+            rows = np.full((self.n_boards, self.source.n_columns), np.nan)
+            return rows, {}
+        return frame.row, dict.fromkeys(self.board_ids, frame)
 
     def counters(self) -> dict[str, int]:
-        """Summed queue accounting across the shard's boards."""
-        totals = {"arrivals": 0, "processed": 0, "shed": 0, "queued": 0}
-        for queue in self.queues.values():
-            totals["arrivals"] += queue.arrivals
-            totals["processed"] += queue.processed
-            totals["shed"] += queue.shed
-            totals["queued"] += len(queue)
-        return totals
+        """Queue accounting in board frames (the shard queue's counts
+        times the board count)."""
+        queue, n = self.queue, self.n_boards
+        return {
+            "arrivals": queue.arrivals * n,
+            "processed": queue.processed * n,
+            "shed": queue.shed * n,
+            "queued": len(queue) * n,
+        }

@@ -1,8 +1,9 @@
-"""Bounded per-board ingestion queues with explicit shed policies.
+"""Bounded ingestion queues with explicit shed policies.
 
 The mission-control service never lets one chatty (or bursty) board run
-the ground station out of memory: every board owns one bounded FIFO of
-telemetry frames, and when the queue is full the configured
+the ground station out of memory: telemetry waits in bounded FIFOs of
+frames (the service keeps one per shard, each frame a tick of all the
+shard's boards), and when a queue is full the configured
 :class:`ShedPolicy` decides *which* frame loses —
 
 - ``DROP_OLDEST``: admit the new frame, shed the queue's oldest one
@@ -46,10 +47,12 @@ class Frame:
     """One telemetry frame in flight through the service.
 
     Attributes:
-        board_id: board the row came from.
-        tick: logical tick index (strictly increasing per board).
+        board_id: id of the queue the frame is offered to (one board,
+            or a shard's boards together).
+        tick: logical tick index (strictly increasing per queue).
         t: simulated sample time.
-        row: featurized telemetry row (NaN row = sensor dropout).
+        row: featurized telemetry: one board's row, or a (boards ×
+            features) matrix (NaN row = sensor dropout).
         enqueued_pc: ``perf_counter`` stamp at enqueue (decision-latency
             measurement only; never traced, traces stay clock-free).
     """
@@ -77,10 +80,10 @@ class OfferResult:
 
 @dataclass
 class BoardQueue:
-    """One board's bounded FIFO of telemetry frames.
+    """A bounded FIFO of telemetry frames (one board's, or one shard's).
 
     Attributes:
-        board_id: owning board.
+        board_id: owning board (or shard).
         capacity: maximum frames held (>= 1).
         policy: what to do with an arrival when full.
         arrivals: frames ever offered.
@@ -118,7 +121,7 @@ class BoardQueue:
     def offer(self, frame: Frame) -> OfferResult:
         """Offer one frame; the policy resolves overflow.
 
-        Ticks must arrive strictly increasing per board — reordered
+        Ticks must arrive strictly increasing per queue — reordered
         ingestion would silently corrupt sequential detector state, so
         it is a hard error rather than a shed.
         """

@@ -2,7 +2,7 @@
 
 :class:`AsyncFleetService` is the asyncio front-end tying the package
 together: per shard it runs a producer/consumer pipeline — the producer
-samples telemetry into bounded per-board queues
+samples each tick's telemetry into the shard's bounded queue
 (:class:`~repro.service.ingest.ShardIngest`), the consumer assembles one
 tick's rows, steps the shard's scorer inline
 (:class:`~repro.service.backend.InProcessBackend`), and hands the
@@ -52,7 +52,7 @@ from repro.obs.aggregate import Rollup
 from repro.obs.events import ShardRestart, Tracer
 from repro.radiation.schedule import EnvironmentTimeline, MissionPhase
 from repro.service.backend import InProcessBackend
-from repro.service.ingest import LiveBoardSource, ShardIngest
+from repro.service.ingest import LiveBoardSource, ReplaySource, ShardIngest
 from repro.service.metrics import DecisionLatencyTracker, rows_per_second
 from repro.service.queues import ShedPolicy
 from repro.service.shard import ShardScorer, shard_boards
@@ -67,7 +67,8 @@ class ServiceConfig:
         n_shards: scoring shards requested (clamped to fleet size).
         strategy: accepted only as ``"sequential"``, the one backend
             (:class:`~repro.service.backend.InProcessBackend`).
-        queue_capacity: bounded per-board queue depth.
+        queue_capacity: bounded queue depth in ticks (one queue per
+            shard, which sheds a tick for all of the shard's boards).
         shed_policy: what a full queue does with the next arrival.
         max_inflight_ticks: per-shard ticks sampled ahead of the
             decision loop.  1 (default) = lockstep, the byte-identity
@@ -167,6 +168,14 @@ class AsyncFleetService:
         self.source = source if source is not None else LiveBoardSource(
             members
         )
+        if (
+            isinstance(self.source, ReplaySource)
+            and self.source.n_boards != len(members)
+        ):
+            raise ConfigError(
+                f"replay tensor shape {self.source.rows.shape} does not "
+                f"match {len(members)} boards"
+            )
         self.live_source = isinstance(self.source, LiveBoardSource)
         #: test hook: shard -> tick at which the scorer is dropped just
         #: before that tick's dispatch (consumed once).
@@ -226,8 +235,17 @@ class AsyncFleetService:
             raise ConfigError("duration and rate must be positive")
         if self._ran:
             raise ServiceError("service runs are one-shot; build a new one")
-        self._ran = True
         n_ticks = int(duration_s * rate_hz)
+        if (
+            isinstance(self.source, ReplaySource)
+            and n_ticks > self.source.n_ticks
+        ):
+            raise ConfigError(
+                f"replay tensor shape {self.source.rows.shape} holds "
+                f"{self.source.n_ticks} ticks; {duration_s} s at "
+                f"{rate_hz} Hz needs {n_ticks}"
+            )
+        self._ran = True
         if (
             self.timeline is not None
             and inject_latchups
@@ -322,10 +340,13 @@ class AsyncFleetService:
                 self._buffers[shard].append((tick, t, rows))
                 result = self._step_with_recovery(shard, tick, t, rows)
                 self.supervisor.apply(result)
-                done = time.perf_counter()
-                for frame in frames.values():
-                    self.latency.record(done - frame.enqueued_pc)
-                self._rows_processed += len(frames)
+                if frames:
+                    done = time.perf_counter()
+                    frame = next(iter(frames.values()))
+                    self.latency.record(
+                        done - frame.enqueued_pc, len(frames)
+                    )
+                    self._rows_processed += len(frames)
                 if (tick + 1) % self.service.snapshot_every == 0:
                     self.supervisor.checkpoint(
                         shard, tick, self.backend.snapshot(shard)

@@ -33,7 +33,7 @@ import numpy as np
 
 from repro.core.sel.fleet import DEFAULT_PHASE_THRESHOLD_SCALES
 from repro.detect.base import AnomalyDetector
-from repro.detect.fleet import FleetConfig, FleetScorer
+from repro.detect.fleet import FleetBoards, FleetConfig, FleetScorer
 from repro.errors import ConfigError
 from repro.radiation.schedule import EnvironmentTimeline, MissionPhase
 
@@ -96,15 +96,16 @@ class ShardState:
     """A shard scorer's full mutable state, exact and picklable.
 
     Captured with :meth:`ShardScorer.snapshot`, restored with
-    :meth:`ShardScorer.restore`.  Holds deep copies of per-board
-    bookkeeping, sequential detector stream state (numpy arrays pickle
-    bit-exactly), the health rollup (integer counts + rational sums)
-    and the warmup/phase scalars — everything needed to resume a shard
-    byte-identically after a crash.
+    :meth:`ShardScorer.restore`.  Holds deep copies of the per-board
+    state arrays (:class:`~repro.detect.fleet.FleetBoards`), sequential
+    detector stream state (numpy arrays pickle bit-exactly), the health
+    rollup (integer counts + rational sums) and the warmup/phase
+    scalars — everything needed to resume a shard byte-identically
+    after a crash.
     """
 
     tick: int
-    boards: list
+    boards: FleetBoards
     stream_state: object
     start_t: float | None
     threshold_scale: float

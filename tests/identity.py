@@ -64,6 +64,11 @@ def trials_digest(result) -> str:
     return digest.hexdigest()
 
 
+def value_digest(value) -> str:
+    """SHA-256 of ``value``'s canonical form (floats by their bits)."""
+    return hashlib.sha256(repr(canonical(value)).encode()).hexdigest()
+
+
 def stream_digest(records) -> str:
     """SHA-256 of the JSONL lines a ``JsonlSink`` would write.
 

@@ -56,9 +56,12 @@ nothing tracing, starts at the latest snapshot at or before its hook's
 is golden's, because the hook is a no-op there.  Once ``next_index`` is
 None, at each later snapshot point — a block entry of the top frame
 whose instruction count equals the snapshot's — the run ends with
-golden's record if block, previous block, cycles, env and heap all equal
-golden's, floats compared by their bits and every value with its type
-(``-0.0 == 0.0`` and ``0 == 0.0`` are different states).  The
+golden's record if block, previous block, cycles and heap equal
+golden's, and so does every value live there: live into the block, or
+an operand its phis read on the edge from the previous block
+(:mod:`repro.analysis.liveness`).  Floats are compared by their bits
+and every value with its type (``-0.0 == 0.0`` and ``0 == 0.0`` are
+different states).  A dead value is redefined before any read, the
 interpreter is deterministic in that state and the hook never acts
 again, so the rest of the run would be golden's, which fits the fuel.
 :class:`repro.ir.refinterp.ReferenceInterpreter` keeps the original
@@ -236,8 +239,9 @@ class GoldenSnapshots:
     with the empty table, which must be the golden run itself (no step
     hook, no tracing; any other run leaves the table empty).  Each point
     is ``(instructions, cycles, block, previous block, env, heap)`` at a
-    pre-phi block entry of the top frame; ``result`` is golden's
-    ``(value, cycles, instructions)`` once the run finished OK.
+    pre-phi block entry of the top frame, the whole env kept; ``result``
+    is golden's ``(value, cycles, instructions)`` once the run finished
+    OK.
 
     Names, not objects: the golden cache serves this table to every
     module with the same printed IR, and a run must execute its own
@@ -254,21 +258,38 @@ class GoldenSnapshots:
         self._triggers: list[int] = []
         self._stride = 1
         self._next = 0
+        # Per point, the names live there and golden's values for them.
+        self._live: list[tuple[tuple[str, ...], tuple]] | None = None
 
     def bind(self, module: Module) -> BoundSnapshots | None:
         """The table with ``module``'s blocks; None if golden never finished.
 
         ``module`` must be the golden run's module or one with identical
-        printed IR.
+        printed IR.  The first bind computes each point's live names,
+        which every later bind of this table shares.
         """
         if self.result is None:
             return None
         func = module.function(self.func)
         blocks = {block.name: block for block in func.blocks}
+        if self._live is None:
+            # Lazy: repro.analysis imports the IR, this module included.
+            from repro.analysis.liveness import LivenessAnalysis, liveness
+
+            live_in = liveness(func).live_in
+            edge_fact = LivenessAnalysis().edge_fact
+            self._live = []
+            for _n, _cycles, block, prev, env, _heap in self.points:
+                names = live_in[block]
+                if prev is not None:  # plus the phi operands from prev
+                    names = edge_fact(blocks[prev], blocks[block], names)
+                names = tuple(sorted(env.keys() & names))
+                self._live.append((names, tuple(map(env.get, names))))
         return BoundSnapshots(func, [
             (n, cycles, blocks[block],
-             None if prev is None else blocks[prev], env, heap)
-            for n, cycles, block, prev, env, heap in self.points
+             None if prev is None else blocks[prev], env, heap, *live)
+            for (n, cycles, block, prev, env, heap), live
+            in zip(self.points, self._live)
         ], self.result)
 
     def _record(self, frame: Frame, interp: Interpreter) -> int:
@@ -304,9 +325,10 @@ class BoundSnapshots:
     """A :class:`GoldenSnapshots` table resolved against one module.
 
     Handed to :class:`Interpreter` as ``snapshots``: a run starts at the
-    latest point at or before its hook's ``next_index`` and ends with
-    golden's record at the first later point where its state equals
-    golden's (see the module docstring).
+    latest point at or before its hook's ``next_index``, golden's whole
+    env restored, and ends with golden's record at the first later point
+    where its live state equals golden's (see the module docstring).
+    Each point adds the names live there and golden's values for them.
     """
 
     __slots__ = ("func", "points", "counts", "value", "cycles", "instructions")
@@ -340,7 +362,8 @@ class BoundSnapshots:
             or not _same_values(frame.env, entry_env)
         ):
             return frame
-        n, cycles, block, prev, env, heap = self.points[i]
+        # The whole env: a register fault draws among all its names.
+        n, cycles, block, prev, env, heap, _names, _values = self.points[i]
         interp.instructions = n
         interp.cycles = cycles
         interp.heap = list(heap)
@@ -355,19 +378,20 @@ class BoundSnapshots:
 
         Returns None when the hook never acts again (no hook, or its
         ``next_index`` is None) and the run's state equals golden's at a
-        point with this instruction count; else the instruction count of
-        the next point.
+        point with this instruction count — its values live there, not
+        its whole env; else the instruction count of the next point.
         """
         counts = self.counts
         n = interp.instructions
         i = bisect_left(counts, n)
         if i < len(counts) and counts[i] == n:
-            _n, cycles, block, prev, env, heap = self.points[i]
+            _n, cycles, block, prev, _env, heap, names, values = \
+                self.points[i]
             if (
                 getattr(interp.step_hook, "next_index", None) is None
                 and frame.block is block and frame.prev_block is prev
                 and interp.cycles == cycles
-                and _same_values(frame.env, env)
+                and _same_values(tuple(map(frame.env.get, names)), values)
                 and _same_values(interp.heap, heap)
             ):
                 return None
@@ -375,7 +399,7 @@ class BoundSnapshots:
         return counts[i] if i < len(counts) else _NEVER
 
 
-def _same_values(a: dict | list, b: dict | list) -> bool:
+def _same_values(a: dict | tuple | list, b: dict | tuple | list) -> bool:
     """``a == b`` with floats compared by their bits, every value by type.
 
     Python's ``-0.0 == 0.0`` and ``0 == 0.0`` hold, yet the interpreter

@@ -462,7 +462,9 @@ class JsonlSink:
 
     Floats that JSON cannot express (``inf`` relative errors of integer
     SDC) round-trip via Python's ``Infinity`` extension, which
-    :func:`repro.obs.report.read_trace` reads back.
+    :func:`repro.obs.report.read_trace` reads back.  The file is flushed
+    after each :class:`CampaignEnd`, so a finished campaign survives a
+    later crash.
     """
 
     def __init__(self, path: str | Path) -> None:
@@ -474,6 +476,8 @@ class JsonlSink:
             raise ConfigError(f"JSONL sink {self.path} already closed")
         record = {"seq": seq, **event.to_dict()}
         self._fh.write(json.dumps(record) + "\n")
+        if isinstance(event, CampaignEnd):
+            self._fh.flush()
 
     def close(self) -> None:
         if self._fh is not None:

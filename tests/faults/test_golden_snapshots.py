@@ -2,18 +2,24 @@
 
 ``run_golden`` records a table of block-entry snapshots
 (:class:`repro.ir.interp.GoldenSnapshots`); a trial starts at the latest
-one at or before its fault and, once the fault has fired, ends with
-golden's record at the first later point where its whole state equals
-golden's.  These tests pin the table's shape, the state compare (floats
-by their bits, the heap included, never before the fault fires), that
-records equal full runs on every campaign-plain cell, and that a clone
-served from the golden cache runs its own blocks.
+one at or before its fault, golden's whole env restored, and, once the
+fault has fired, ends with golden's record at the first later point
+where its state equals golden's: every value live there, and the heap
+whole.  These tests pin the table's shape, the state compare (floats by
+their bits, the heap included, never before the fault fires, a value
+compared while it is live and not once it is dead, a phi operand live on
+the edge the run arrives by), that a trial starting where a name is
+already dead draws its register from the whole env, that records equal
+full runs on every campaign-plain cell, and that a clone served from the
+golden cache runs its own blocks.
 """
 
 import math
+import struct
 
 import pytest
 
+from repro.analysis.liveness import liveness
 from repro.core.dmr import ProtectionLevel, instrument_module
 from repro.faults.campaign import (
     Campaign,
@@ -92,6 +98,48 @@ func @f(%a: i64) -> i64 {
   %v = load i64 %p
   %r = add i64 %v, %i2
   ret i64 %r
+}
+"""
+
+#: b is read once, by ^mid's and (which masks it); past ^mid it is dead.
+LIVE_THEN_DEAD = """
+func @f(%a: i64) -> i64 {
+^entry:
+  %b = add i64 %a, 1
+  jmp ^first
+^first:
+  %i = phi i64 [0, ^entry], [%i2, ^first]
+  %i2 = add i64 %i, 1
+  %c = icmp lt i64 %i2, 4
+  br %c, ^first, ^mid
+^mid:
+  %d = and i64 %b, 0
+  jmp ^second
+^second:
+  %j = phi i64 [%d, ^mid], [%j2, ^second]
+  %j2 = add i64 %j, 1
+  %e = icmp lt i64 %j2, 4
+  br %e, ^second, ^exit
+^exit:
+  ret i64 %j2
+}
+"""
+
+#: p is read only by ^join's phi, on the edge from ^left.
+EDGE_OPERAND = """
+func @f(%a: i64) -> i64 {
+^entry:
+  %p = add i64 %a, 1
+  %q = add i64 %a, 2
+  %c = icmp lt i64 %a, 100
+  br %c, ^left, ^right
+^left:
+  jmp ^join
+^right:
+  jmp ^join
+^join:
+  %x = phi i64 [%p, ^left], [%q, ^right]
+  ret i64 %x
 }
 """
 
@@ -261,6 +309,89 @@ class TestStateCompare:
         assert rejoins
 
 
+def _bits(value):
+    """A value as the interpreter tells it apart: its type and bits."""
+    if isinstance(value, float):
+        return float, struct.pack("<d", value)
+    return type(value), value
+
+
+def _point(context, n):
+    """The bound point at instruction ``n``: (block, names live, env)."""
+    point = context.snapshots.points[context.snapshots.counts.index(n)]
+    return point[2].name, point[6], point[4]
+
+
+class TestLiveCompare:
+    def test_flip_rejoins_once_the_value_is_dead(self, rejoins):
+        # b is flipped in ^first and read by ^mid: no point up to ^mid's
+        # entry may rejoin.  At ^second's first entry b is dead and every
+        # live value equals golden's, though b still differs in env.
+        campaign = _campaign(parse_module(LIVE_THEN_DEAD), "f", [7])
+        golden = run_golden(campaign)
+        context = TrialContext.build(campaign, golden, None)
+        spec = FaultSpec(
+            target=FaultTarget.REGISTER, dynamic_index=7, location="b",
+            bit=3,
+        )
+        trial = _trial(campaign, RegisterFaultInjector(spec))
+        full = _trial(campaign, RegisterFaultInjector(spec), snapshots=False)
+        ref = _reference(campaign, RegisterFaultInjector(spec))
+        assert canonical(trial) == canonical(full)
+        assert (trial.value, trial.cycles) == (ref.value, ref.cycles) \
+            == (golden.value, golden.cycles)
+        assert trial.outcome is FaultOutcome.BENIGN
+        assert _point(context, 10)[:2] == ("first", ("b", "i2"))
+        assert _point(context, 18)[:2] == ("mid", ("b",))
+        assert _point(context, 20)[:2] == ("second", ("d",))
+        assert rejoins == [20]
+
+    def test_phi_operand_live_on_the_arriving_edge_blocks_rejoin(
+        self, rejoins
+    ):
+        # p is not live into ^join (its phi reads it on the edge), so only
+        # the edge half of the live set sees the flip.
+        campaign = _campaign(parse_module(EDGE_OPERAND), "f", [5])
+        golden = run_golden(campaign)
+        context = TrialContext.build(campaign, golden, None)
+        live_in = liveness(campaign.module.function("f")).live_in
+        assert "p" not in live_in["join"]
+        assert _point(context, 5)[:2] == ("join", ("p",))
+        spec = FaultSpec(
+            target=FaultTarget.REGISTER, dynamic_index=4, location="p",
+            bit=2,
+        )
+        trial = _trial(campaign, RegisterFaultInjector(spec))
+        full = _trial(campaign, RegisterFaultInjector(spec), snapshots=False)
+        ref = _reference(campaign, RegisterFaultInjector(spec))
+        assert canonical(trial) == canonical(full)
+        assert (trial.value, trial.cycles) == (ref.value, ref.cycles)
+        assert trial.value == 6 ^ 4 and trial.outcome is FaultOutcome.SDC
+        assert rejoins == []
+
+    def test_draw_after_a_late_start_sees_dead_names(self):
+        # The trial starts at instruction 24, where only j2 is live of
+        # nine names in env, and draws its register there: from the whole
+        # env, as the full run does.
+        campaign = _campaign(parse_module(LIVE_THEN_DEAD), "f", [7])
+        golden = run_golden(campaign)
+        context = TrialContext.build(campaign, golden, None)
+        _block, names, env = _point(context, 24)
+        assert names == ("j2",) and len(env) == 9
+        spec = FaultSpec(target=FaultTarget.REGISTER, dynamic_index=25)
+        trial = _trial(campaign, RegisterFaultInjector(spec, seed=2))
+        full = _trial(
+            campaign, RegisterFaultInjector(spec, seed=2), snapshots=False,
+        )
+        injector = RegisterFaultInjector(spec, seed=2)
+        ref = _reference(campaign, injector)
+        assert canonical(trial) == canonical(full)
+        assert (trial.spec.location, trial.spec.bit) \
+            == (injector.resolved.location, injector.resolved.bit)
+        assert trial.spec.location not in names
+        assert (trial.value, trial.cycles) == (ref.value, ref.cycles)
+
+
 #: campaign-plain's program x protection-level cells.
 PLAIN_CELLS = [
     (name, level)
@@ -329,6 +460,54 @@ class TestCampaignCells:
             and trial.cycles == golden.cycles
             for trial in rejoined_trials
         )
+
+    @pytest.mark.parametrize("name,level", PLAIN_CELLS)
+    def test_some_trial_rejoins_with_a_dead_value_still_flipped(
+        self, name, level, monkeypatch
+    ):
+        # The live-state compare at work: these trials rejoin while a
+        # value no later instruction reads still differs from golden's.
+        campaign = _campaign(
+            _module(name, level), name, PROGRAMS[name].default_args,
+            n_trials=100,
+        )
+        golden = run_golden(campaign)
+        context = TrialContext.build(campaign, golden, None)
+        rejoined = BoundSnapshots.rejoined
+        differs = []
+
+        def recording(self, frame, interp):
+            result = rejoined(self, frame, interp)
+            if result is None:
+                _block, names, env = _point(context, interp.instructions)
+                differs.append((names, {
+                    key for key, value in frame.env.items()
+                    if key not in env or _bits(value) != _bits(env[key])
+                }))
+            return result
+
+        monkeypatch.setattr(BoundSnapshots, "rejoined", recording)
+        checked = 0
+        for planned in plan_trials(campaign, 5):
+            differs.clear()
+            trial = run_trial(
+                campaign, golden, context.trial_fuel, planned.rng,
+                context.code_cache, snapshots=context.snapshots,
+            )
+            if not differs or not differs[0][1]:
+                continue
+            names, dead = differs[0]
+            assert dead.isdisjoint(names)
+            full = run_trial(
+                campaign, golden, context.trial_fuel, None,
+                injector=RegisterFaultInjector(trial.spec),
+            )
+            ref = _reference(campaign, RegisterFaultInjector(trial.spec))
+            assert canonical(trial) == canonical(full)
+            assert (trial.value, trial.cycles) == (ref.value, ref.cycles)
+            assert trial.outcome is FaultOutcome.BENIGN
+            checked += 1
+        assert checked
 
 
 class TestClonedModules:

@@ -109,6 +109,32 @@ class TestJsonlSink:
         assert [seq for seq, _ in pairs] == list(range(len(SAMPLE_EVENTS)))
         assert [event for _, event in pairs] == SAMPLE_EVENTS
 
+    def test_finished_campaign_is_on_disk_before_close(self, tmp_path):
+        # A crash during the second campaign must not lose the first.
+        from repro.faults.campaign import Campaign, run_campaign
+        from repro.faults.model import FaultTarget
+        from repro.workloads.irprograms import PROGRAMS, build_program
+
+        path = tmp_path / "trace.jsonl"
+        memory = InMemorySink()
+        sink = JsonlSink(path)
+        tracer = Tracer(sink, memory)
+        run_campaign(Campaign(
+            module=build_program("fact"), func_name="fact",
+            args=PROGRAMS["fact"].default_args,
+            target=FaultTarget.REGISTER, n_trials=5,
+        ), seed=3, tracer=tracer)
+        first = list(memory.records)
+        assert isinstance(first[-1][1], CampaignEnd)
+        tracer.emit(CampaignStart(
+            program="p", func="f", n_trials=3, target="register",
+        ))
+        tracer.emit(TrialStart(trial=0))
+        try:
+            assert read_trace(path)[:len(first)] == first
+        finally:
+            sink.close()
+
     def test_unparseable_line_raises(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text('{"kind": "trial-start", "trial": 0}\nnot json\n')

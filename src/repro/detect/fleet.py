@@ -20,6 +20,7 @@ one daemon per board.  Two pieces:
 
 from __future__ import annotations
 
+from copy import deepcopy
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,6 +29,7 @@ from repro.detect.base import AnomalyDetector, FittedState
 from repro.detect.evaluate import roc_auc
 from repro.errors import ConfigError, DetectorError
 from repro.obs.aggregate import SCORE_BOUNDS, Rollup
+from repro.obs.metrics import Histogram
 
 #: Recognized ensemble voting modes.
 VOTE_MODES = ("weighted", "majority")
@@ -238,8 +240,10 @@ class BoardScoringState:
 
 @dataclass
 class FleetBoards:
-    """Every board's scoring state as arrays, index-aligned with the
-    scorer's board ids: one array operation updates the whole fleet.
+    """A fleet scorer's whole mutable state.  Per-board values are
+    arrays, index-aligned with the scorer's board ids, so one array
+    operation updates the whole fleet.  The health rollup is read off
+    this state (:meth:`health`) and a checkpoint is one :meth:`copy`.
 
     Attributes:
         hits: consecutive anomalous samples (the alarm persistence count).
@@ -248,7 +252,14 @@ class FleetBoards:
         good_streak: consecutive finite rows.
         scored: samples scored.
         dropped: samples dropped (non-finite rows).
-        alarms: each board's alarm times.
+        quarantines: times the board was quarantined.
+        releases: times the board was released from quarantine.
+        alarms: each board's alarm times, append-only.
+        stream_state: the detector's per-board stream state.
+        anomalous: scored samples past threshold, fleet-wide.
+        score: every score, as the ``fleet.score`` histogram.
+        start_t: time of the first tick (None before it).
+        threshold_scale: scale on the detector threshold.
     """
 
     hits: np.ndarray
@@ -257,22 +268,66 @@ class FleetBoards:
     good_streak: np.ndarray
     scored: np.ndarray
     dropped: np.ndarray
+    quarantines: np.ndarray
+    releases: np.ndarray
     alarms: list[list[float]]
+    stream_state: object
+    anomalous: int = 0
+    score: Histogram = field(default_factory=lambda: Histogram(SCORE_BOUNDS))
+    start_t: float | None = None
+    threshold_scale: float = 1.0
 
     @classmethod
-    def fresh(cls, n_boards: int) -> "FleetBoards":
-        def zeros():
-            return np.zeros(n_boards, dtype=np.int64)
-
-        return cls(
-            hits=zeros(),
-            quarantined=np.zeros(n_boards, dtype=bool),
-            bad_streak=zeros(),
-            good_streak=zeros(),
-            scored=zeros(),
-            dropped=zeros(),
-            alarms=[[] for _ in range(n_boards)],
+    def fresh(cls, n_boards: int, detector: AnomalyDetector) -> "FleetBoards":
+        counts = (
+            "hits", "bad_streak", "good_streak", "scored", "dropped",
+            "quarantines", "releases",
         )
+        return cls(
+            **{name: np.zeros(n_boards, dtype=np.int64) for name in counts},
+            quarantined=np.zeros(n_boards, dtype=bool),
+            alarms=[[] for _ in range(n_boards)],
+            stream_state=detector.make_stream_state(n_boards),
+        )
+
+    def copy(self, alarm_lengths: list[int] | None = None) -> "FleetBoards":
+        """A copy sharing nothing mutable with this state but the
+        append-only alarm lists (the ``deepcopy`` memo maps them to
+        themselves): shared as they are, or, given ``alarm_lengths``,
+        cut to those lengths as new lists."""
+        boards = deepcopy(self, {id(self.alarms): self.alarms})
+        if alarm_lengths is not None:
+            boards.alarms = [a[:n] for a, n in zip(self.alarms, alarm_lengths)]
+        return boards
+
+    def health(self, board_ids: list[str]) -> Rollup:
+        """The health rollup of this state, built fresh: per-board and
+        fleet-wide counters, and a copy of the score histogram.  Every
+        entry is additive over boards, so scorers sharding one fleet's
+        boards merge their rollups into *exactly* the rollup one scorer
+        over the whole fleet would hold (the sharded mission-control
+        property).  A key appears once the scorer has incremented it:
+        ``fleet.dropped`` from the first tick, ``fleet.score`` from the
+        first board scored, every other counter once it is nonzero.
+        """
+        health = Rollup()
+        if self.start_t is not None:
+            health.inc("fleet.dropped", int(self.dropped.sum()))
+        if self.anomalous:
+            health.inc("fleet.anomalous", self.anomalous)
+        for kind, counts in (
+            ("scored", self.scored.tolist()),
+            ("alarms", list(map(len, self.alarms))),
+            ("quarantines", self.quarantines.tolist()),
+            ("releases", self.releases.tolist()),
+        ):
+            for board_id, n in zip(board_ids, counts):
+                if n:
+                    health.inc(f"fleet.{kind}", n)
+                    health.inc(f"board.{board_id}.{kind}", n)
+        if self.scored.any():
+            health.merge(Rollup(histograms={"fleet.score": self.score}))
+        return health
 
 
 @dataclass
@@ -330,25 +385,17 @@ class FleetScorer:
     exactly as it would under a dedicated single-board daemon; the fleet
     pipeline test pins that equivalence down.
 
-    A tick is array work, not a loop over boards: the per-board state
-    lives in :class:`FleetBoards` arrays that a handful of whole-fleet
-    array operations advance, the ``fleet.score`` histogram takes the
-    tick's scores in one batch (exactly as one record per score would
-    leave it), and each board's counter names are formatted once, here,
-    so a tick only looks them up.  Boards are visited in index order
-    wherever order shows (alarm, quarantine and release lists).
+    A tick is array work, not a loop over boards: every mutable value
+    lives in one :class:`FleetBoards`, whose per-board arrays a handful
+    of whole-fleet array operations advance, and the ``fleet.score``
+    histogram takes the tick's scores in one batch (exactly as one
+    record per score would leave it).  Boards are visited in index
+    order wherever order shows (alarm, quarantine and release lists).
 
     Attributes:
         detector: shared fitted detector.
         board_ids: the boards, index-aligned with score rows.
-        boards: per-board state arrays (:class:`FleetBoards`).
-        health: mergeable rollup (:class:`repro.obs.aggregate.Rollup`) of
-            per-board and fleet-wide scoring activity.  Every entry is
-            additive over boards — counters per board, fixed-bucket score
-            histogram — so scorers sharding one fleet's boards merge
-            their health rollups into *exactly* the rollup one scorer
-            over the whole fleet would hold (the sharded mission-control
-            property).
+        boards: the scorer's whole mutable state (:class:`FleetBoards`).
     """
 
     def __init__(
@@ -366,20 +413,12 @@ class FleetScorer:
         self.detector = detector
         self.config = config
         self.board_ids = list(board_ids)
-        self._keys = {
-            kind: [f"board.{board_id}.{kind}" for board_id in board_ids]
-            for kind in ("scored", "alarms", "quarantines", "releases")
-        }
-        self.boards = FleetBoards.fresh(len(board_ids))
-        self.health = Rollup()
-        self._stream_state = detector.make_stream_state(len(board_ids))
-        self._start_t: float | None = None
-        self._threshold_scale = 1.0
+        self.boards = FleetBoards.fresh(len(board_ids), detector)
 
     @property
     def threshold_scale(self) -> float:
         """Scale on the shared detector threshold (< 1 tightens)."""
-        return self._threshold_scale
+        return self.boards.threshold_scale
 
     def set_threshold_scale(self, scale: float) -> None:
         """Tighten (< 1) or relax (> 1) alarming fleet-wide.
@@ -391,11 +430,17 @@ class FleetScorer:
         """
         if not np.isfinite(scale) or scale <= 0:
             raise ConfigError(f"threshold scale must be positive, got {scale}")
-        self._threshold_scale = float(scale)
+        self.boards.threshold_scale = float(scale)
 
     @property
     def n_boards(self) -> int:
         return len(self.board_ids)
+
+    @property
+    def health(self) -> Rollup:
+        """Mergeable rollup of the scoring activity in :attr:`boards`
+        (:meth:`FleetBoards.health`), built afresh on every read."""
+        return self.boards.health(self.board_ids)
 
     def board(self, board_id: str) -> BoardScoringState:
         """A copy of one board's current state."""
@@ -443,16 +488,12 @@ class FleetScorer:
         boards.quarantined = (
             (boards.quarantined | newly_quarantined) & ~released
         )
+        boards.quarantines += newly_quarantined
+        boards.releases += released
         return (
             np.flatnonzero(newly_quarantined).tolist(),
             np.flatnonzero(released).tolist(),
         )
-
-    def _count(self, kind: str, indices: list[int]) -> None:
-        """Add ``fleet.<kind>`` and each listed board's
-        ``board.<id>.<kind>`` to the health rollup."""
-        self.health.inc(f"fleet.{kind}", len(indices))
-        self.health.inc_each(map(self._keys[kind].__getitem__, indices))
 
     def step(self, t: float, rows: np.ndarray) -> FleetStep:
         """Score one row per board at time ``t``.
@@ -465,47 +506,36 @@ class FleetScorer:
             raise ConfigError(
                 f"expected {self.n_boards} rows, got {rows.shape[0]}"
             )
-        if self._start_t is None:
-            self._start_t = t
+        boards = self.boards
+        if boards.start_t is None:
+            boards.start_t = t
         finite = np.isfinite(rows).all(axis=1)
         newly_quarantined, released = self._update_quarantine(finite)
         scores = np.full(self.n_boards, np.nan)
         anomalous = np.zeros(self.n_boards, dtype=bool)
-        warming_up = (t - self._start_t) < self.config.warmup_s
+        warming_up = (t - boards.start_t) < self.config.warmup_s
         alarms: list[int] = []
-        health = self.health
-        boards = self.boards
         if not warming_up:
             idx = np.flatnonzero(finite & ~boards.quarantined)
             if len(idx):
-                sub_state = _state_select(self._stream_state, idx)
+                sub_state = _state_select(boards.stream_state, idx)
                 sub_scores, sub_state = self.detector.step_streams(
                     rows[idx], sub_state
                 )
-                _state_assign(self._stream_state, idx, sub_state)
+                _state_assign(boards.stream_state, idx, sub_state)
                 scores[idx] = sub_scores
-                flags = sub_scores > self.detector.threshold * self._threshold_scale
+                flags = sub_scores > self.detector.threshold * boards.threshold_scale
                 anomalous[idx] = flags
                 boards.scored[idx] += 1
+                boards.score.record_many(sub_scores)
+                boards.anomalous += int(np.count_nonzero(flags))
                 hits = np.where(flags, boards.hits[idx] + 1, 0)
                 fired = hits >= self.config.consecutive_hits
                 hits[fired] = 0
                 boards.hits[idx] = hits
-                self._count("scored", idx.tolist())
-                health.observe_many("fleet.score", sub_scores, SCORE_BOUNDS)
-                n_anomalous = int(np.count_nonzero(flags))
-                if n_anomalous:
-                    health.inc("fleet.anomalous", n_anomalous)
                 alarms = idx[fired].tolist()
-                if alarms:
-                    self._count("alarms", alarms)
-                    for i in alarms:
-                        boards.alarms[i].append(t)
-        if newly_quarantined:
-            self._count("quarantines", newly_quarantined)
-        if released:
-            self._count("releases", released)
-        health.inc("fleet.dropped", int(np.count_nonzero(~finite)))
+                for i in alarms:
+                    boards.alarms[i].append(t)
         return FleetStep(
             t=t,
             scores=scores,
@@ -522,9 +552,5 @@ class FleetScorer:
 
     def reset(self) -> None:
         """Clear all per-board state (new trace); keeps the detector."""
-        self.boards = FleetBoards.fresh(self.n_boards)
-        self.health = Rollup()
-        self._stream_state = self.detector.make_stream_state(self.n_boards)
-        self._start_t = None
-        self._threshold_scale = 1.0
+        self.boards = FleetBoards.fresh(self.n_boards, self.detector)
         _reset_if_stateful(self.detector)

@@ -28,7 +28,9 @@ operation, and the hypothesis property test asserts
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
+from math import inf
 
 from repro.errors import ConfigError
 from repro.obs.events import (
@@ -127,27 +129,11 @@ class Rollup:
     def inc(self, name: str, n: int = 1) -> None:
         self.counters[name] = self.counters.get(name, 0) + n
 
-    def inc_each(self, names) -> None:
-        """Add one to each counter in ``names`` (one call per batch)."""
-        counters = self.counters
-        for name in names:
-            counters[name] = counters.get(name, 0) + 1
-
     def observe(self, name: str, value: float, bounds: tuple) -> None:
         hist = self.histograms.get(name)
         if hist is None:
             hist = self.histograms[name] = Histogram(bounds)
         hist.record(value)
-
-    def observe_many(self, name: str, values, bounds: tuple) -> None:
-        """:meth:`observe` each of ``values`` in order, as one batch
-        (:meth:`~repro.obs.metrics.Histogram.record_many`)."""
-        if not len(values):
-            return
-        hist = self.histograms.get(name)
-        if hist is None:
-            hist = self.histograms[name] = Histogram(bounds)
-        hist.record_many(values)
 
     def write(self, event: Event, seq: int) -> None:
         """Fold one event in (the :class:`Tracer` sink protocol)."""
@@ -250,10 +236,10 @@ def aggregate_events(events) -> Rollup:
 class BoardHealth:
     """Per-board rollup rebuilt from a FleetDecision stream.
 
-    ``ticks_scored`` counts non-warmup ticks where the board was not
-    quarantined — the denominator of the alarm rate the fleet report
-    renders.  (A board that went quarantined mid-trace contributes only
-    its healthy ticks.)
+    ``ticks_scored`` counts the fleet's scoring ticks (outside warmup,
+    some board scored) that fall outside the board's quarantine
+    intervals [quarantine t, release t) — the denominator of the alarm
+    rate the fleet report renders.
     """
 
     board_id: str
@@ -270,39 +256,40 @@ class BoardHealth:
 def fleet_board_health(decisions) -> dict[str, BoardHealth]:
     """Replay a FleetDecision stream into per-board health rollups.
 
-    Unlike the monoid rollup above this is an *ordered* replay —
-    quarantine membership is interval state, so the denominator needs
-    the stream in emission order (which a single trace always has).
+    A tick is a tick *time*: the sharded service traces one decision
+    per shard per tick, interleaved, so a time counts once however many
+    decisions carry it, and quarantine intervals are matched by time,
+    not stream order.  Any shard count gives the one-scorer table.
     """
     health: dict[str, BoardHealth] = {}
-    quarantined: set[str] = set()
-    known: set[str] = set()
+    edges: dict[str, tuple[list[float], list[float]]] = {}
+    scoring: set[float] = set()
 
     def board(board_id: str) -> BoardHealth:
         state = health.get(board_id)
         if state is None:
             state = health[board_id] = BoardHealth(board_id=board_id)
+            edges[board_id] = ([], [])
         return state
 
     for event in decisions:
         if not isinstance(event, FleetDecision):
             continue
-        if event.quarantined:
-            for board_id in event.quarantined.split(","):
-                quarantined.add(board_id)
-                board(board_id).quarantines += 1
-                known.add(board_id)
-        if event.released:
-            for board_id in event.released.split(","):
-                quarantined.discard(board_id)
-                board(board_id).releases += 1
-                known.add(board_id)
+        for board_id in filter(None, event.quarantined.split(",")):
+            board(board_id).quarantines += 1
+            edges[board_id][0].append(event.t)
+        for board_id in filter(None, event.released.split(",")):
+            board(board_id).releases += 1
+            edges[board_id][1].append(event.t)
         for board_id in event.alarm_ids():
             board(board_id).alarms += 1
-            known.add(board_id)
         if not event.warming_up and event.n_scored:
-            if known:
-                for board_id in known:
-                    if board_id not in quarantined:
-                        board(board_id).ticks_scored += 1
+            scoring.add(event.t)
+    times = sorted(scoring)
+    for board_id, (starts, ends) in edges.items():
+        quarantined = sum(
+            bisect_left(times, end) - bisect_left(times, start)
+            for start, end in zip(sorted(starts), sorted(ends) + [inf])
+        )
+        health[board_id].ticks_scored = len(times) - quarantined
     return health

@@ -172,8 +172,7 @@ def registry_from_snapshot(document: dict) -> Rollup:
         if exact is not None:
             hist._exact_total = Fraction(exact)
         else:
-            hist._exact_total = Fraction(float(summary["mean"]) * hist.count)
-        hist.total = float(hist._exact_total)
+            hist._exact_total = Fraction(float(summary["mean"])) * hist.count
         rollup.histograms[name] = hist
     return rollup
 

@@ -29,10 +29,9 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from fractions import Fraction
-from functools import reduce
 from itertools import accumulate, repeat
-from math import ceil, isfinite
-from operator import add, lshift
+from math import ceil, inf, isfinite
+from operator import lshift
 from typing import Sequence
 
 import numpy as np
@@ -52,7 +51,6 @@ class Histogram:
 
     Attributes:
         count: finite observations recorded.
-        total: sum of all finite observations.
         nonfinite: non-finite observations seen.
     """
 
@@ -70,7 +68,6 @@ class Histogram:
         # One count per bound ("value <= bound") plus +inf overflow.
         self.bucket_counts = [0] * (len(bounds) + 1)
         self.count = 0
-        self.total = 0.0
         self.min = float("inf")
         self.max = float("-inf")
         self.nonfinite = 0
@@ -83,7 +80,6 @@ class Histogram:
             self.nonfinite += 1
             return
         self.count += 1
-        self.total += value
         self._exact_total += Fraction(value)
         if value < self.min:
             self.min = value
@@ -95,13 +91,11 @@ class Histogram:
         """Record ``values`` in order, leaving exactly the state that
         :meth:`record` on each value in turn leaves.
 
-        Every field is an order-free fold except two, which are kept
-        in stream order: ``total`` is the left-to-right float sum, and
-        on ties ``min``/``max`` keep the first value seen (``-0.0`` and
-        ``0.0`` compare equal, and whichever came first stays).  The
-        exact sum adds each finite value's 53-bit integer mantissa,
-        shifted onto the batch's smallest binary exponent, as one
-        Python integer.
+        Every field is an order-free fold except ``min``/``max``, which
+        keep the first value seen on ties (``-0.0`` and ``0.0`` compare
+        equal, and whichever came first stays).  The exact sum adds
+        each finite value's 53-bit integer mantissa, shifted onto the
+        batch's smallest binary exponent, as one Python integer.
         """
         values = np.asarray(values, dtype=float).ravel()
         finite = values[np.isfinite(values)]
@@ -109,7 +103,6 @@ class Histogram:
         if not len(finite):
             return
         self.count += len(finite)
-        self.total = reduce(add, finite.tolist(), self.total)
         fraction, exponent = np.frexp(finite)
         mantissas = (fraction * 2.0**53).astype(np.int64).tolist()
         lowest = int(exponent.min())
@@ -128,6 +121,15 @@ class Histogram:
         buckets = self.bucket_counts
         for index in np.searchsorted(self._edges, finite).tolist():
             buckets[index] += 1
+
+    @property
+    def total(self) -> float:
+        """Sum of all finite observations: the exact sum rounded once,
+        or ±inf beyond the float range."""
+        try:
+            return float(self._exact_total)
+        except OverflowError:
+            return inf if self._exact_total > 0 else -inf
 
     @property
     def mean(self) -> float:
@@ -153,7 +155,6 @@ class Histogram:
         self.count += other.count
         self.nonfinite += other.nonfinite
         self._exact_total += other._exact_total
-        self.total = float(self._exact_total)
         self.min = min(self.min, other.min)
         self.max = max(self.max, other.max)
         for i, n in enumerate(other.bucket_counts):

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.errors import ConfigError
-from repro.obs.aggregate import aggregate_events, fleet_board_health
+from repro.obs.aggregate import SCORE_BOUNDS, aggregate_events, fleet_board_health
 from repro.obs.events import (
     CampaignEnd,
     CampaignStart,
@@ -44,7 +44,7 @@ from repro.obs.events import (
     TrialEnd,
     event_from_dict,
 )
-from repro.obs.metrics import latency_summary
+from repro.obs.metrics import Histogram, latency_summary
 
 #: Timeline glyph per outcome.
 OUTCOME_GLYPHS = {
@@ -406,21 +406,23 @@ def render_fleet(
 ) -> str:
     """Render the fleet section of a trace report.
 
-    Fleet-wide stats come from the mergeable aggregation layer
-    (:func:`repro.obs.aggregate.aggregate_events`), the per-board table
-    from the :func:`repro.obs.aggregate.fleet_board_health` replay.
+    Every per-tick figure is taken per tick time, over that time's
+    decisions (one per shard from the sharded service), so the section
+    reads the same at any shard count; the per-board table comes from
+    the :func:`repro.obs.aggregate.fleet_board_health` replay.
     ``latency`` is an optional ``fleet.score_latency_s`` histogram
     summary (e.g. from a ``--metrics`` export snapshot); wall-clock
     never lives in the trace itself.
     """
-    scored_ticks = [d for d in decisions if not d.warming_up]
-    n_boards = decisions[-1].n_boards if decisions else 0
-    rollup = aggregate_events(decisions)
+    ticks: dict[float, list[FleetDecision]] = {}
+    for decision in decisions:
+        ticks.setdefault(decision.t, []).append(decision)
+    n_warmup = sum(tick[0].warming_up for tick in ticks.values())
+    n_boards = sum(d.n_boards for d in ticks[decisions[-1].t]) if decisions else 0
     lines = [
         "-- fleet decisions",
-        f"  ticks: {len(decisions)} ({len(scored_ticks)} scored, "
-        f"{len(decisions) - len(scored_ticks)} in warmup) "
-        f"over {n_boards} boards",
+        f"  ticks: {len(ticks)} ({len(ticks) - n_warmup} scored, "
+        f"{n_warmup} in warmup) over {n_boards} boards",
     ]
     if latency and latency.get("count"):
         lines.append(
@@ -451,8 +453,12 @@ def render_fleet(
             )
     else:
         lines.append("  alarms: none")
-    hist = rollup.histograms.get("fleet.max_score")
-    if hist is not None and hist.count:
+    hist = Histogram(SCORE_BOUNDS)
+    for tick in ticks.values():
+        scored = [d.max_score for d in tick if d.n_scored]
+        if scored:
+            hist.record(max(scored))
+    if hist.count:
         s = hist.summary()
         lines.append(
             f"  max-score per tick: mean={s['mean']:.4g} "
@@ -517,7 +523,7 @@ def summary_as_dict(summary: TraceSummary) -> dict:
             "alarms": sum(d.alarm for d in summary.detector_decisions),
         },
         "fleet": {
-            "ticks": len(summary.fleet_decisions),
+            "ticks": len({d.t for d in summary.fleet_decisions}),
             "alarms": {
                 board: times
                 for board, times in sorted(

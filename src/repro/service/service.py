@@ -413,8 +413,8 @@ class AsyncFleetService:
         if not self._final_states:
             raise ServiceError("run the service before reading health")
         merged = Rollup()
-        for state in self._final_states:
-            merged.merge(state.health)
+        for board_ids, state in zip(self.shard_ids, self._final_states):
+            merged.merge(state.boards.copy(state.alarm_lengths).health(board_ids))
         return merged
 
     def health_snapshot(self) -> dict:

@@ -26,7 +26,6 @@ scorer can be rebuilt mid-run without losing quarantine state.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -93,23 +92,21 @@ class ShardStepResult:
 
 @dataclass
 class ShardState:
-    """A shard scorer's full mutable state, exact and picklable.
+    """A shard scorer's full mutable state at one tick, exact and
+    picklable: everything needed to resume a shard byte-identically
+    after a crash.
 
     Captured with :meth:`ShardScorer.snapshot`, restored with
-    :meth:`ShardScorer.restore`.  Holds deep copies of the per-board
-    state arrays (:class:`~repro.detect.fleet.FleetBoards`), sequential
-    detector stream state (numpy arrays pickle bit-exactly), the health
-    rollup (integer counts + rational sums) and the warmup/phase
-    scalars — everything needed to resume a shard byte-identically
-    after a crash.
+    :meth:`ShardScorer.restore`.  ``boards`` is a
+    :meth:`~repro.detect.fleet.FleetBoards.copy` of the scorer's state
+    whose append-only alarm lists stay shared with the scorer, which
+    goes on appending to them; ``alarm_lengths`` records how much of
+    each list belongs to this state, and every read stops there.
     """
 
     tick: int
     boards: FleetBoards
-    stream_state: object
-    start_t: float | None
-    threshold_scale: float
-    health: object
+    alarm_lengths: list[int]
     phase: str | None
 
 
@@ -190,28 +187,22 @@ class ShardScorer:
     # -- crash recovery --------------------------------------------------------
 
     def snapshot(self) -> ShardState:
-        """Deep-copy the full mutable state (the detector is shared and
-        read-only during scoring, so it stays out of the snapshot)."""
-        scorer = self.scorer
+        """Checkpoint the full mutable state, sharing the alarm lists
+        rather than copying them (the detector is shared and read-only
+        during scoring, so it stays out of the snapshot)."""
+        boards = self.scorer.boards
         return ShardState(
             tick=self._tick,
-            boards=copy.deepcopy(scorer.boards),
-            stream_state=copy.deepcopy(scorer._stream_state),
-            start_t=scorer._start_t,
-            threshold_scale=scorer._threshold_scale,
-            health=copy.deepcopy(scorer.health),
+            boards=boards.copy(),
+            alarm_lengths=list(map(len, boards.alarms)),
             phase=self._phase.value if self._phase is not None else None,
         )
 
     def restore(self, state: ShardState) -> None:
-        """Restore a snapshot (deep-copied again, so one ShardState can
-        seed several restores without aliasing)."""
-        scorer = self.scorer
-        scorer.boards = copy.deepcopy(state.boards)
-        scorer._stream_state = copy.deepcopy(state.stream_state)
-        scorer._start_t = state.start_t
-        scorer._threshold_scale = state.threshold_scale
-        scorer.health = copy.deepcopy(state.health)
+        """Restore a snapshot, copied again with its alarm lists cut to
+        the recorded lengths, so one ShardState can seed several
+        restores without aliasing."""
+        self.scorer.boards = state.boards.copy(state.alarm_lengths)
         self._phase = (
             MissionPhase(state.phase) if state.phase is not None else None
         )

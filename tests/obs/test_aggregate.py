@@ -253,9 +253,9 @@ class TestBoardHealth:
         assert b0.alarms == 1
         # b-0 known from t=0: scored on every non-warmup tick.
         assert b0.ticks_scored == 5
-        # b-1 quarantined for ticks 1-2, back for 3-4.
+        # b-1 scored at t=0, quarantined for ticks 1-2, back for 3-4.
         assert b1.quarantines == 1 and b1.releases == 1
-        assert b1.ticks_scored == 2
+        assert b1.ticks_scored == 3
         assert b0.alarm_rate == pytest.approx(1 / 5)
         assert b1.alarm_rate == 0.0
 
@@ -266,6 +266,30 @@ class TestBoardHealth:
         ]
         health = fleet_board_health(decisions)
         assert health["b-0"].ticks_scored == 1
+
+    def test_interleaved_shards_match_intervals_by_time(self):
+        # One decision per shard per tick: shard 0 holds b-1,
+        # quarantined over [1, 3), and shard 1 holds b-2.
+        shard0 = [
+            self._decision(
+                t, n_boards=1, n_scored=int(t not in (1.0, 2.0)),
+                quarantined="b-1" if t == 1.0 else "",
+                released="b-1" if t == 3.0 else "",
+            )
+            for t in map(float, range(5))
+        ]
+        shard1 = [
+            self._decision(
+                t, n_boards=1, n_scored=1, alarms="b-2" if t == 4.0 else "",
+            )
+            for t in map(float, range(5))
+        ]
+        for decisions in (
+            shard0 + shard1, shard1 + shard0, shard1[:3] + shard0 + shard1[3:],
+        ):
+            health = fleet_board_health(decisions)
+            assert health["b-1"].ticks_scored == 3
+            assert health["b-2"].ticks_scored == 5
 
     def test_empty_stream(self):
         assert fleet_board_health([]) == {}

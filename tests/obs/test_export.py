@@ -7,7 +7,7 @@ import sys
 import pytest
 
 from repro.errors import ConfigError
-from repro.obs.aggregate import LATENCY_BOUNDS, Rollup
+from repro.obs.aggregate import LATENCY_BOUNDS, SCORE_BOUNDS, Rollup
 from repro.obs.events import JsonlSink, Tracer, TrialEnd, TrialStart
 from repro.obs.export import (
     SNAPSHOT_SCHEMA,
@@ -106,6 +106,58 @@ class TestPrometheus:
 
     def test_empty_registry(self):
         assert to_prometheus(Rollup()) == ""
+
+
+class TestOneSum:
+    """A histogram exports the one sum its merge compares: the exact
+    sum rounded once, whatever order or shards it was recorded in."""
+
+    def _rollup(self, values):
+        rollup = Rollup()
+        for value in values:
+            rollup.observe("x", value, SCORE_BOUNDS)
+        return rollup
+
+    def _merged(self, *shards):
+        merged = Rollup()
+        for values in shards:
+            merged.merge(self._rollup(values))
+        return merged
+
+    def _round_trip(self, rollup):
+        document = json.loads(json.dumps(export_snapshot(rollup)))
+        return registry_from_snapshot(document)
+
+    def test_merged_shards_export_the_same_sum(self):
+        whole = self._rollup([0.1, 0.2, 0.3])
+        sharded = self._merged([0.1], [0.2, 0.3])
+        assert sharded == whole
+        assert to_prometheus(sharded) == to_prometheus(whole)
+        assert "repro_x_sum 0.6\n" in to_prometheus(whole)
+
+    def test_snapshot_round_trip_exports_the_same_text(self):
+        rollup = self._rollup([0.1, 0.2, 0.3, 2.5, -0.7])
+        assert to_prometheus(self._round_trip(rollup)) == to_prometheus(rollup)
+
+    def test_sum_beyond_the_float_range_exports_inf(self):
+        rollup = self._rollup([1e308, 1e308])
+        merged = self._merged([1e308], [1e308])
+        restored = self._round_trip(merged)
+        assert merged == rollup and restored == rollup
+        for text in map(to_prometheus, (rollup, merged, restored)):
+            assert "repro_x_sum +Inf\n" in text
+        assert self._rollup([-1e308, -1e308]).histograms["x"].total == (
+            float("-inf")
+        )
+
+    def test_snapshot_without_exact_sum_beyond_the_float_range(self):
+        document = json.loads(json.dumps(
+            export_snapshot(self._rollup([1e308, 1e308]))
+        ))
+        del document["histograms"]["x"]["exact_total"]
+        restored = registry_from_snapshot(document)
+        assert restored == self._rollup([1e308, 1e308])
+        assert "repro_x_sum +Inf\n" in to_prometheus(restored)
 
 
 class TestTraceSource:

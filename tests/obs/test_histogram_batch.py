@@ -2,9 +2,9 @@
 
 ``Histogram.record_many`` fills a histogram from an array; for any
 stream cut into any batches it must leave ``merge_key()`` (buckets,
-count, the exact rational sum, min, max, non-finite count), the
-stream-order float ``total`` and the first-seen ``min``/``max`` —
-signed zeros included — equal to recording one value at a time.
+count, the exact rational sum, min, max, non-finite count), ``total``
+(that sum rounded once) and the first-seen ``min``/``max`` — signed
+zeros included — equal to recording one value at a time.
 """
 
 import math
@@ -12,7 +12,7 @@ import math
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro.obs.aggregate import LATENCY_BOUNDS, SCORE_BOUNDS, Rollup
+from repro.obs.aggregate import LATENCY_BOUNDS, SCORE_BOUNDS
 from repro.obs.metrics import Histogram
 from tests.identity import canonical
 
@@ -68,21 +68,3 @@ class TestRecordMany:
         assert hist.merge_key() == one.merge_key()
         assert math.isfinite(hist.mean)
 
-
-class TestObserveMany:
-    def test_empty_batch_creates_no_histogram(self):
-        rollup = Rollup()
-        rollup.observe_many("fleet.score", np.array([]), SCORE_BOUNDS)
-        assert rollup.histograms == {}
-
-    def test_all_nonfinite_batch_is_observed(self):
-        batched, one = Rollup(), Rollup()
-        batched.observe_many("x", np.array([np.nan, np.inf]), SCORE_BOUNDS)
-        for value in (np.nan, np.inf):
-            one.observe("x", value, SCORE_BOUNDS)
-        assert batched.merge_key() == one.merge_key()
-
-    def test_inc_each_counts_repeats(self):
-        rollup = Rollup()
-        rollup.inc_each(["a", "b", "a"])
-        assert rollup.counters == {"a": 2, "b": 1}

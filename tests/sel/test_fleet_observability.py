@@ -124,8 +124,9 @@ class TestFleetReportColumns:
         text = render_fleet(decisions)
         assert "alarm-rate" in text
         assert "board-01" in text
-        # board-01 alarmed once over its scored ticks (known from t=3).
-        assert "50.00%" in text
+        # board-01 alarmed once over the fleet's five scored ticks,
+        # counted from t=0 although the trace first names it at t=3.
+        assert "20.00%" in text
 
     def test_report_without_latency_still_renders(self, traced_fleet):
         _, sink, _ = traced_fleet

@@ -27,6 +27,7 @@ from repro.service import (
     storm_timeline,
 )
 from repro.service.ingest import ShardIngest
+from tests.identity import canonical
 
 
 def _detector(d=8):
@@ -65,37 +66,77 @@ class TestShardRouting:
 
 
 class TestShardScorer:
+    #: Ticks stepped before the snapshot.
+    SNAP = 16
+
+    def _rows(self):
+        """x and y alarm from tick 12 on, every other tick; z drops out
+        over ticks 9-14, so it is quarantined at tick 10 and released
+        at tick 17, across a snapshot taken after tick 15."""
+        rows = np.random.default_rng(5).normal(size=(24, 3, 8))
+        rows[:, :2, -1] += 6.0
+        rows[9:15, 2, 0] = np.nan
+        return rows
+
+    def _scorer(self, detector):
+        return ShardScorer(
+            0, detector, ["x", "y", "z"],
+            FleetConfig(
+                warmup_s=0.0, consecutive_hits=2, quarantine_after=2,
+                release_after=3,
+            ),
+        )
+
+    def _run(self, scorer, rows, ticks):
+        return [scorer.step_tick(k, k / 2.0, rows[k]) for k in ticks]
+
+    def _state(self, shard):
+        scorer = shard.scorer
+        return canonical((
+            [scorer.board(board_id) for board_id in scorer.board_ids],
+            scorer.alarm_times(),
+            scorer.health.merge_key(),
+        ))
+
     def test_snapshot_restore_roundtrip_is_exact(self):
         detector = _detector()
-        rng = np.random.default_rng(5)
-        a = _scorer_factory(["x", "y", "z"], detector)(0)
-        b = _scorer_factory(["x", "y", "z"], detector)(0)
-        rows = [rng.normal(size=(3, 8)) for _ in range(12)]
-        for k in range(6):
-            a.step_tick(k, k / 2.0, rows[k])
+        rows = self._rows()
+        a = self._scorer(detector)
+        self._run(a, rows, range(self.SNAP))
         snap = a.snapshot()
-        for k in range(6, 12):
-            a.step_tick(k, k / 2.0, rows[k])
+        assert a.scorer.board("z").quarantined
+        assert a.scorer.alarm_times()["x"] == [6.0, 7.0]
+        # a goes on alarming after the snapshot.
+        self._run(a, rows, range(self.SNAP, 24))
+        assert a.scorer.alarm_times()["x"] == [6.0, 7.0, 8.0, 9.0, 10.0, 11.0]
+        # A third scorer run straight through gives the expected state.
+        c = self._scorer(detector)
+        self._run(c, rows, range(self.SNAP))
+        b = self._scorer(detector)
         b.restore(snap)
-        results = [b.step_tick(k, k / 2.0, rows[k]) for k in range(6, 12)]
-        # Re-run a third scorer straight through for the expected tail.
-        c = _scorer_factory(["x", "y", "z"], detector)(0)
-        for k in range(12):
-            expected = c.step_tick(k, k / 2.0, rows[k])
-            if k >= 6:
-                assert results[k - 6] == expected
-        assert a.snapshot().tick == 11
+        assert self._state(b) == self._state(c)
+        tail = range(self.SNAP, 24)
+        assert self._run(b, rows, tail) == self._run(c, rows, tail)
+        assert self._state(b) == self._state(c) == self._state(a)
+        assert a.snapshot().tick == 23
 
     def test_restore_does_not_alias_the_snapshot(self):
         detector = _detector()
-        scorer = _scorer_factory(["x", "y"], detector)(0)
-        scorer.step_tick(0, 0.0, np.zeros((2, 8)))
+        rows = self._rows()
+        scorer = self._scorer(detector)
+        self._run(scorer, rows, range(self.SNAP))
         snap = scorer.snapshot()
-        scorer.restore(snap)
-        scorer.step_tick(1, 0.5, np.ones((2, 8)))
-        other = _scorer_factory(["x", "y"], detector)(0)
-        other.restore(snap)  # must still be the tick-0 state
-        assert other.snapshot().tick == 0
+        straight = self._state(scorer)
+        for _ in range(2):
+            scorer.restore(snap)
+            assert self._state(scorer) == straight
+            # The restored scorer alarms again before the next restore.
+            alarmed = self._run(scorer, rows, range(self.SNAP, 24))
+            assert any(result.alarms for result in alarmed)
+        other = self._scorer(detector)
+        other.restore(snap)  # must still be the tick-15 state
+        assert other.snapshot().tick == self.SNAP - 1
+        assert self._state(other) == straight
 
     def test_tick_monotonicity_enforced(self):
         scorer = _scorer_factory(["x"])(0)

@@ -26,7 +26,8 @@ from repro.obs.events import InMemorySink, JsonlSink, Tracer
 from repro.obs.metrics import latency_summary
 from repro.obs.recorder import FlightRecorder
 from repro.obs.report import main as report_main
-from repro.obs.report import outcome_counts, read_trace
+from repro.obs.events import read_trace
+from repro.obs.report import outcome_counts
 from repro.obs.spans import SpanEnd, SpanStart, campaign_root
 from repro.recover import (
     LadderConfig,

@@ -5,7 +5,7 @@ Validates the ACE-style static analysis the targeted-injection hook
 register of an unprotected program statically, then rebuild each
 register's *empirical* harm — the fraction of injected flips that were
 not benign — purely from the structured campaign traces
-(:func:`repro.obs.report.summarize` + :func:`repro.obs.report.site_harm`),
+(:class:`repro.obs.query.TraceIndex` + :func:`repro.obs.report.site_harm`),
 and rank-correlate the two orderings.
 
 A positive Spearman correlation on every workload means the static
@@ -20,9 +20,9 @@ from scipy import stats
 from benchmarks._util import bench_workers, fmt_table, write_result
 from repro.analysis.vulnerability import analyze_function
 from repro.faults.campaign import Campaign, rank_sites, run_campaign
-from repro.faults.outcomes import FaultOutcome
 from repro.obs.events import InMemorySink, Tracer
-from repro.obs.report import site_harm, summarize
+from repro.obs.query import TraceIndex
+from repro.obs.report import site_harm
 from repro.workloads.irprograms import PROGRAMS, build_program
 
 #: Programs spanning int control flow, memory traffic and FP dataflow.
@@ -46,9 +46,8 @@ def _empirical_harm(name: str) -> dict[str, float]:
     run_campaign(
         campaign, seed=SEED, workers=bench_workers(), tracer=Tracer(sink),
     )
-    summary = summarize(sink.events)
-    assert len(summary.campaigns) == 1
-    ranked = site_harm(summary.campaigns[0].site_outcomes)
+    (segment,) = TraceIndex.from_events(sink.events).segments
+    ranked = site_harm(segment.site_outcomes)
     return {
         site: frac
         for frac, _bad, total, site, _per_site in ranked

@@ -20,7 +20,8 @@ from repro.detect import FleetConfig, ResidualCusumDetector
 from repro.faults.sel import LatchupEvent
 from repro.hw.board import Board
 from repro.hw.specs import RASPBERRY_PI_4
-from repro.obs import FleetDecision, InMemorySink, Rollup, Tracer
+from repro.obs import InMemorySink, Rollup, Tracer
+from repro.obs.query import TraceIndex
 from repro.obs.report import render_fleet
 from repro.workloads.stress import cpu_memory_stress_schedule
 
@@ -61,8 +62,7 @@ def main() -> None:
           f"sensor dropout on board-{DROPPED:02d})...\n")
     service.run(duration_s=180.0, rate_hz=10.0)
 
-    decisions = [e for e in sink.events if isinstance(e, FleetDecision)]
-    print(render_fleet(decisions))
+    print(render_fleet(TraceIndex.from_events(sink.events).fleet))
     snap = metrics.snapshot()
     lat = snap["histograms"]["fleet.score_latency_s"]
     # The latency values themselves are wall-clock (vary run to run);

@@ -22,8 +22,9 @@ from pathlib import Path
 from repro.faults.campaign import Campaign, run_campaign
 from repro.obs.aggregate import Rollup
 from repro.obs.events import JsonlSink, Tracer
+from repro.obs.query import TraceIndex
 from repro.obs.recorder import FlightRecorder
-from repro.obs.report import outcome_counts, read_trace, render, summarize
+from repro.obs.report import outcome_counts, render
 from repro.recover import SupervisorConfig, run_supervised_campaign
 from repro.workloads.irprograms import PROGRAMS, build_program
 
@@ -76,8 +77,8 @@ def main() -> None:
               f"p90={latency['p90']:.3e} max={latency['max']:.3e}")
 
     print("\n=== the evidence is self-consistent ===\n")
-    events = [event for _, event in read_trace(trace_path)]
-    rebuilt = outcome_counts(events)
+    index = TraceIndex.from_file(trace_path)
+    rebuilt = outcome_counts(index.events)
     engine = {
         outcome: crash_run.counts.as_dict()[outcome]
         + hang_run.counts.as_dict()[outcome]
@@ -89,7 +90,7 @@ def main() -> None:
     assert rebuilt == engine, "trace disagrees with the engine!"
 
     print(f"\n=== report CLI (python -m repro.obs.report {trace_path}) ===\n")
-    print(render(summarize(events), source=str(trace_path)))
+    print(render(index, source=str(trace_path)))
 
 
 if __name__ == "__main__":

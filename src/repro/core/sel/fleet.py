@@ -11,7 +11,7 @@ drops out are quarantined instead of alarming the whole fleet.
 
 Every tick emits one :class:`repro.obs.events.FleetDecision`, so the
 board-level outcome (who power-cycled, when) is reconstructible from the
-trace alone — ``repro.obs.report.fleet_outcome`` is the replay.
+trace alone — ``repro.obs.query.TraceIndex(...).fleet`` is the replay.
 """
 
 from __future__ import annotations
@@ -377,5 +377,5 @@ class SelFleetService:
 
     def alarm_times(self) -> dict[str, list[float]]:
         """Per-board alarm times (the live counterpart of the trace
-        replay in :func:`repro.obs.report.fleet_outcome`)."""
+        replay's :attr:`repro.obs.aggregate.FleetReplay.alarms`)."""
         return self.scorer.alarm_times()

@@ -15,7 +15,8 @@ software can *see* faults as they happen.  This package is the seeing:
   nearest-rank :func:`~repro.obs.metrics.latency_summary` of raw samples.
 - :mod:`repro.obs.report` — ``python -m repro.obs.report trace.jsonl``
   renders campaign timelines, outcome breakdowns by injection site, and
-  detector decision summaries from a JSONL trace.
+  detector and fleet decision summaries from a JSONL trace, marking a
+  campaign the trace stops inside as cut.
 - :mod:`repro.obs.spans` — deterministic causal spans
   (campaign → trial → attempt, fleet → tick → power-cycle) with
   clock-free ids derived from (parent, name, index).
@@ -23,9 +24,11 @@ software can *see* faults as they happen.  This package is the seeing:
   registry and event fold (a :class:`Tracer` sink): counters plus exact
   fixed-bucket histograms, where per-shard rollups merge *exactly* equal
   to global aggregation.
-- :mod:`repro.obs.query` — ``python -m repro.obs.query trace.jsonl``:
-  indexed filters, span-tree reconstruction and latency percentiles
-  over a JSONL trace.
+- :mod:`repro.obs.query` — :class:`~repro.obs.query.TraceIndex`, the one
+  trace reader (campaign segments, each folded into a :class:`Rollup`,
+  and one :class:`FleetReplay`), and ``python -m repro.obs.query
+  trace.jsonl``: indexed filters, span-tree reconstruction and latency
+  percentiles.
 - :mod:`repro.obs.export` — ``python -m repro.obs.export``: Prometheus
   text exposition and versioned JSON snapshots of any :class:`Rollup`.
   It is not imported here, so running it with ``-m`` loads it once.
@@ -65,9 +68,9 @@ from repro.obs.events import (
 )
 from repro.obs.aggregate import (
     BoardHealth,
+    FleetReplay,
     Rollup,
     aggregate_events,
-    fleet_board_health,
 )
 from repro.obs.metrics import Histogram
 from repro.obs.recorder import FlightRecorder, PostMortemDump
@@ -89,6 +92,7 @@ __all__ = [
     "DetectorDecision",
     "Event",
     "FleetDecision",
+    "FleetReplay",
     "FlightRecorder",
     "GoldenCacheLookup",
     "Histogram",
@@ -114,7 +118,6 @@ __all__ = [
     "aggregate_events",
     "campaign_root",
     "event_from_dict",
-    "fleet_board_health",
     "fleet_root",
     "span_id",
 ]

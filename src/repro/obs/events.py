@@ -274,6 +274,14 @@ class FleetDecision(Event):
         """Alarming board ids as a list (inverse of the comma join)."""
         return self.alarms.split(",") if self.alarms else []
 
+    def quarantined_ids(self) -> list[str]:
+        """Newly quarantined board ids as a list."""
+        return self.quarantined.split(",") if self.quarantined else []
+
+    def released_ids(self) -> list[str]:
+        """Released board ids as a list."""
+        return self.released.split(",") if self.released else []
+
 
 @dataclass(frozen=True)
 class QueueShed(Event):
@@ -462,9 +470,10 @@ class JsonlSink:
 
     Floats that JSON cannot express (``inf`` relative errors of integer
     SDC) round-trip via Python's ``Infinity`` extension, which
-    :func:`repro.obs.report.read_trace` reads back.  The file is flushed
-    after each :class:`CampaignEnd`, so a finished campaign survives a
-    later crash.
+    :func:`read_trace` reads back.  The file is flushed after each
+    :class:`CampaignEnd`, so a finished campaign survives a later crash;
+    a campaign the crash cuts short reads back without its end, and the
+    report marks it cut.
     """
 
     def __init__(self, path: str | Path) -> None:
@@ -489,6 +498,29 @@ class JsonlSink:
 
     def __exit__(self, *exc) -> None:
         self.close()
+
+
+def read_trace(path: str | Path) -> list[tuple[int, Event]]:
+    """Parse a JSONL trace into ``(seq, event)`` pairs, in file order.
+
+    Raises :class:`ConfigError` naming the first line that does not
+    parse, such as the last line of a trace cut mid-write.
+    """
+    pairs: list[tuple[int, Event]] = []
+    with Path(path).open("r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                record = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ConfigError(
+                    f"{path}:{lineno}: unparseable trace line: {exc}"
+                ) from exc
+            pairs.append((int(record.get("seq", lineno - 1)),
+                          event_from_dict(record)))
+    return pairs
 
 
 class Tracer:

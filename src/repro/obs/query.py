@@ -1,12 +1,13 @@
-"""Indexed query engine over JSONL traces: ``python -m repro.obs.query``.
+"""The one trace reader, and its CLI: ``python -m repro.obs.query``.
 
 A trace is append-only evidence; answering "which trials on board b-3
 alarmed between t=40s and t=80s, and how long did their recoveries
 take?" by re-scanning the whole event list per question does not scale
 to the mission-control service the ROADMAP aims at.  This module builds
-a :class:`TraceIndex` once — events partitioned by kind, by trial and by
-board, span pairs resolved into a causal tree — and answers every
-question from the index:
+a :class:`TraceIndex` in one pass — events partitioned by kind, by trial,
+by board and by campaign segment, and every fleet decision replayed
+tick by tick — and answers every question from it, as do the report
+and the exporter:
 
 - :meth:`TraceIndex.filter` — compose kind / trial / board / span /
   time-window / seq-range predicates over indexed candidates;
@@ -15,8 +16,8 @@ question from the index:
   / :class:`~repro.obs.spans.SpanEnd` pairs, with every non-span event
   attributed to its innermost enclosing span;
 - :meth:`TraceIndex.latency_percentiles` — recovery / attempt latency
-  quantiles through the exact fixed-bucket histograms of the one fold,
-  :func:`repro.obs.aggregate.aggregate_events`.
+  quantiles through the exact fixed-bucket histograms of
+  :attr:`TraceIndex.rollup`, the whole trace's fold.
 
 The CLI mirrors the API::
 
@@ -30,12 +31,23 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import dataclass, field
+from functools import cached_property
 
-from repro.obs.aggregate import aggregate_events
-from repro.obs.events import Event, FleetDecision
-from repro.obs.report import read_trace
+from repro.errors import ConfigError
+from repro.obs.aggregate import FleetReplay, Rollup
+from repro.obs.events import (
+    CampaignEnd,
+    CampaignStart,
+    Event,
+    FleetDecision,
+    Injection,
+    RecoveryDone,
+    TrialEnd,
+    read_trace,
+)
 from repro.obs.spans import SpanEnd, SpanStart
 
 #: Latency histograms the percentile query surfaces, in render order.
@@ -92,23 +104,79 @@ def _board_ids(event: Event) -> set[str]:
     plus any event carrying a scalar ``board_id`` field — queue sheds
     and power cycles from the sharded service)."""
     if isinstance(event, FleetDecision):
-        ids = set(event.alarm_ids())
-        if event.quarantined:
-            ids.update(event.quarantined.split(","))
-        if event.released:
-            ids.update(event.released.split(","))
-        return ids
+        return {*event.alarm_ids(), *event.quarantined_ids(),
+                *event.released_ids()}
     board_id = getattr(event, "board_id", None)
     return {board_id} if isinstance(board_id, str) else set()
 
 
-class TraceIndex:
-    """Event stream indexed by kind, trial, board and span.
+def _site_label(event: Injection) -> str:
+    if not event.fired:
+        return "(missed)"
+    if event.target == "memory":
+        return f"heap[{event.location}]"
+    return str(event.location)
 
-    Built once from ``(seq, event)`` pairs (the shape
-    :func:`~repro.obs.report.read_trace` returns); every query method
-    resolves against the narrowest index first and only then applies the
-    remaining predicates, so filters never rescan the full stream.
+
+#: The start of a segment no :class:`CampaignStart` announced.
+UNANNOUNCED = CampaignStart(program="?", func="?", n_trials=0, target="?")
+
+
+@dataclass
+class CampaignSegment:
+    """One campaign's stretch of a trace, ``start`` to ``end``: its
+    :meth:`Rollup.write` fold and, by trial index, only the per-trial
+    facts a rollup does not keep.  Trial events outside any announced
+    campaign (a bare supervisor loop) gather in an :data:`UNANNOUNCED`
+    segment.
+    """
+
+    start: CampaignStart = UNANNOUNCED
+    end: CampaignEnd | None = None
+    rollup: Rollup = field(default_factory=Rollup)
+    outcomes: dict[int, str] = field(default_factory=dict)
+    recovered: dict[int, float] = field(default_factory=dict)
+    pruned: set[int] = field(default_factory=set)
+    sites: dict[int, str] = field(default_factory=dict)
+
+    def write(self, event: Event, seq: int) -> None:
+        self.rollup.write(event, seq)
+        if isinstance(event, Injection):
+            self.sites[event.trial] = _site_label(event)
+            if event.pruned:
+                self.pruned.add(event.trial)
+        elif isinstance(event, TrialEnd):
+            self.outcomes[event.trial] = event.outcome
+        elif isinstance(event, RecoveryDone) and event.recovered:
+            self.recovered[event.trial] = event.latency_s
+        elif isinstance(event, CampaignEnd):
+            self.end = event
+
+    @property
+    def cut(self) -> bool:
+        """Announced but never ended: the trace stops mid-campaign."""
+        return self.start is not UNANNOUNCED and self.end is None
+
+    @property
+    def site_outcomes(self) -> dict[str, dict[str, int]]:
+        """Outcome counts per injection site."""
+        per_site: dict[str, dict[str, int]] = {}
+        for trial, outcome in self.outcomes.items():
+            site = self.sites.get(trial)
+            if site is not None:
+                counts = per_site.setdefault(site, {})
+                counts[outcome] = counts.get(outcome, 0) + 1
+        return per_site
+
+
+class TraceIndex:
+    """Event stream indexed by kind, trial, board, campaign and span.
+
+    Built in one pass from ``(seq, event)`` pairs (the shape
+    :func:`~repro.obs.events.read_trace` returns): ``segments`` split
+    the stream at each :class:`CampaignStart` and :class:`CampaignEnd`,
+    and ``fleet`` replays every :class:`FleetDecision`.  Filters start
+    from the narrowest index, so they never rescan the full stream.
     """
 
     def __init__(self, pairs: list[tuple[int, Event]]) -> None:
@@ -116,8 +184,12 @@ class TraceIndex:
         self.by_kind: dict[str, list[tuple[int, Event]]] = {}
         self.by_trial: dict[int, list[tuple[int, Event]]] = {}
         self.by_board: dict[str, list[tuple[int, Event]]] = {}
+        self.segments: list[CampaignSegment] = []
+        self.fleet = FleetReplay()
+        self._outside = Rollup()
         self._roots: list[SpanNode] | None = None
         self._nodes: dict[str, SpanNode] = {}
+        segment: CampaignSegment | None = None
         for seq, event in self.pairs:
             self.by_kind.setdefault(event.kind, []).append((seq, event))
             trial = getattr(event, "trial", None)
@@ -125,6 +197,17 @@ class TraceIndex:
                 self.by_trial.setdefault(int(trial), []).append((seq, event))
             for board_id in _board_ids(event):
                 self.by_board.setdefault(board_id, []).append((seq, event))
+            if isinstance(event, CampaignStart):
+                segment = CampaignSegment(start=event)
+                self.segments.append(segment)
+            elif segment is None and trial is not None:
+                segment = CampaignSegment()
+                self.segments.append(segment)
+            (segment or self._outside).write(event, seq)
+            if isinstance(event, CampaignEnd):
+                segment = None
+            elif isinstance(event, FleetDecision):
+                self.fleet.add(event)
 
     @classmethod
     def from_events(cls, events) -> "TraceIndex":
@@ -138,6 +221,16 @@ class TraceIndex:
     @property
     def events(self) -> list[Event]:
         return [event for _, event in self.pairs]
+
+    @cached_property
+    def rollup(self) -> Rollup:
+        """The whole trace's fold: every segment's rollup, the events
+        outside them and the fleet replay's per-tick entries, merged."""
+        rollup = Rollup()
+        for part in (*(s.rollup for s in self.segments), self._outside,
+                     self.fleet.rollup()):
+            rollup.merge(part)
+        return rollup
 
     def kinds(self) -> dict[str, int]:
         """Event count per kind (the trace's shape at a glance)."""
@@ -281,11 +374,11 @@ class TraceIndex:
 
     def latency_percentiles(self) -> dict[str, dict]:
         """Exact-bucket latency summaries (recovery + ladder attempts)."""
-        rollup = aggregate_events(self.events)
+        histograms = self.rollup.histograms
         return {
-            name: rollup.histograms[name].summary()
+            name: histograms[name].summary()
             for name in LATENCY_METRICS
-            if name in rollup.histograms
+            if name in histograms
         }
 
 
@@ -331,6 +424,17 @@ def render_events(pairs: list[tuple[int, Event]], limit: int = 0) -> str:
     return "\n".join(lines) if lines else "(no matching events)"
 
 
+def run_cli(main) -> None:  # pragma: no cover - exercised via CLI smoke
+    """Exit with ``main()``'s code.  A pager or ``head`` closing the pipe
+    mid-render is not an error."""
+    try:
+        code = main()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 0
+    sys.exit(code)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.obs.query",
@@ -370,7 +474,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         index = TraceIndex.from_file(args.trace)
-    except OSError as exc:
+    except (OSError, ConfigError) as exc:
         print(f"error: cannot read trace {args.trace!r}: {exc}",
               file=sys.stderr)
         return 1
@@ -420,12 +524,4 @@ def main(argv: list[str] | None = None) -> int:
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via CLI smoke
-    try:
-        code = main()
-    except BrokenPipeError:
-        # Downstream pager/head closed the pipe mid-render; not an error.
-        import os
-
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        code = 0
-    sys.exit(code)
+    run_cli(main)

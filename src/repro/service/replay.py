@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.obs.query import TraceIndex
-from repro.obs.report import read_trace
 
 
 @dataclass
@@ -57,7 +56,7 @@ def service_history(
     come from one shard's strictly ordered loop.
     """
     if not isinstance(trace, TraceIndex):
-        trace = TraceIndex(read_trace(trace))
+        trace = TraceIndex.from_file(trace)
     history = ServiceHistory()
 
     def ordered(kind: str):
@@ -66,9 +65,7 @@ def service_history(
 
     for _, event in ordered("fleet-decision"):
         history.decisions += 1
-        if not event.alarms:
-            continue
-        for board_id in event.alarms.split(","):
+        for board_id in event.alarm_ids():
             history.alarm_times.setdefault(board_id, []).append(event.t)
     for _, event in ordered("board-power-cycle"):
         history.reboot_times.setdefault(event.board_id, []).append(event.t)

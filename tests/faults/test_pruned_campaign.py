@@ -30,7 +30,7 @@ from repro.ir.interp import Interpreter
 from repro.ir.parser import parse_module
 from repro.ir.printer import print_module
 from repro.obs.events import InMemorySink, Tracer
-from repro.obs.report import summarize
+from repro.obs.query import TraceIndex
 from repro.workloads.irprograms import PROGRAMS, build_program
 
 from tests.identity import (
@@ -194,14 +194,13 @@ def test_traced_pruned_campaign_emits_identical_tallies():
     sink = InMemorySink()
     with Tracer(sink) as tracer:
         run_campaign_pruned(campaign, seed=SEED, plan=plan, tracer=tracer)
-    summary = summarize(sink.events)
-    (camp,) = summary.campaigns
-    assert camp.trial_outcomes and len(camp.trial_outcomes) == N_TRIALS
-    assert camp.pruned_trials
-    assert len(camp.pruned_trials) == plan.n_pruned
+    (camp,) = TraceIndex.from_events(sink.events).segments
+    assert camp.outcomes and len(camp.outcomes) == N_TRIALS
+    assert camp.pruned
+    assert len(camp.pruned) == plan.n_pruned
     tally = {
         outcome: sum(
-            1 for o in camp.trial_outcomes.values() if o == outcome
+            1 for o in camp.outcomes.values() if o == outcome
         )
         for outcome in {o.value for o in FaultOutcome}
     }

@@ -1,4 +1,4 @@
-"""Aggregation tests: the merge-equality contract, the fold, board health.
+"""Aggregation tests: the merge-equality contract, the fold, fleet replay.
 
 The property that matters: for ANY partition of an event stream into
 shards, merging the per-shard aggregates equals the global fold exactly
@@ -16,9 +16,9 @@ from repro.obs.aggregate import (
     LATENCY_BOUNDS,
     SCORE_BOUNDS,
     BoardHealth,
+    FleetReplay,
     Rollup,
     aggregate_events,
-    fleet_board_health,
     linear_bounds,
     log_bounds,
 )
@@ -248,7 +248,7 @@ class TestBoardHealth:
             self._decision(3.0, released="b-1"),
             self._decision(4.0),
         ]
-        health = fleet_board_health(decisions)
+        health = FleetReplay(decisions).health()
         b0, b1 = health["b-0"], health["b-1"]
         assert b0.alarms == 1
         # b-0 known from t=0: scored on every non-warmup tick.
@@ -264,8 +264,9 @@ class TestBoardHealth:
             self._decision(0.0, alarms="b-0", warming_up=True),
             self._decision(1.0),
         ]
-        health = fleet_board_health(decisions)
-        assert health["b-0"].ticks_scored == 1
+        replay = FleetReplay(decisions)
+        assert replay.health()["b-0"].ticks_scored == 1
+        assert (len(replay.ticks), replay.warmup_ticks) == (2, 1)
 
     def test_interleaved_shards_match_intervals_by_time(self):
         # One decision per shard per tick: shard 0 holds b-1,
@@ -281,16 +282,26 @@ class TestBoardHealth:
         shard1 = [
             self._decision(
                 t, n_boards=1, n_scored=1, alarms="b-2" if t == 4.0 else "",
+                max_score=t,
             )
             for t in map(float, range(5))
         ]
         for decisions in (
             shard0 + shard1, shard1 + shard0, shard1[:3] + shard0 + shard1[3:],
         ):
-            health = fleet_board_health(decisions)
+            replay = FleetReplay(decisions)
+            health = replay.health()
             assert health["b-1"].ticks_scored == 3
             assert health["b-2"].ticks_scored == 5
+            # Per-tick figures span both shards' decisions.
+            assert (len(replay.ticks), replay.n_boards) == (5, 2)
+            assert sorted(replay.max_scores()) == [0.0, 1.0, 2.0, 3.0, 4.0]
+            rollup = replay.rollup()
+            assert rollup.counters == {"fleet.ticks": 5}
+            assert rollup.histograms["fleet.max_score"].count == 5
 
     def test_empty_stream(self):
-        assert fleet_board_health([]) == {}
+        replay = FleetReplay()
+        assert replay.health() == {} and replay.n_boards == 0
+        assert replay.rollup() == Rollup()
         assert BoardHealth(board_id="x").alarm_rate == 0.0

@@ -22,9 +22,9 @@ from repro.obs.events import (
     TrialStart,
     WatchdogFire,
     event_from_dict,
+    read_trace,
 )
 from repro.obs.recorder import FlightRecorder
-from repro.obs.report import read_trace
 
 SAMPLE_EVENTS = [
     CampaignStart(program="p", func="f", n_trials=3, target="register"),

@@ -8,7 +8,7 @@ import pytest
 
 from repro.errors import ConfigError
 from repro.obs.aggregate import LATENCY_BOUNDS, SCORE_BOUNDS, Rollup
-from repro.obs.events import JsonlSink, Tracer, TrialEnd, TrialStart
+from repro.obs.events import FleetDecision, JsonlSink, Tracer, TrialEnd, TrialStart
 from repro.obs.export import (
     SNAPSHOT_SCHEMA,
     export_snapshot,
@@ -177,6 +177,27 @@ class TestTraceSource:
         registry = registry_from_trace(self._trace(tmp_path))
         assert registry.counters["trials.sdc"] == 2
         assert registry.counters["trials.benign"] == 1
+
+    def test_fleet_tick_figures_come_from_the_replay(self, tmp_path):
+        path = tmp_path / "fleet.jsonl"
+        with Tracer(JsonlSink(path)) as tracer:
+            tracer.emit(FleetDecision(
+                t=0.0, n_boards=4, n_scored=0, n_anomalous=0, alarms="",
+                quarantined="", released="", max_score=0.0, warming_up=True,
+            ))
+            tracer.emit(FleetDecision(
+                t=6.0, n_boards=4, n_scored=4, n_anomalous=1, alarms="b2",
+                quarantined="", released="", max_score=17.5,
+            ))
+            tracer.emit(FleetDecision(
+                t=6.1, n_boards=4, n_scored=3, n_anomalous=0, alarms="",
+                quarantined="b0,b1", released="b3", max_score=2.0,
+            ))
+        registry = registry_from_trace(path)
+        assert registry.counters["fleet.ticks"] == 3
+        assert registry.counters["fleet.scored"] == 7
+        max_score = registry.histograms["fleet.max_score"]
+        assert (max_score.count, max_score.max) == (2, 17.5)
 
     def test_cli_prometheus(self, tmp_path, capsys):
         path = self._trace(tmp_path)

@@ -20,7 +20,6 @@ from repro.obs.events import (
     TrialStart,
 )
 from repro.obs.query import (
-    SpanNode,
     TraceIndex,
     main,
     render_events,
@@ -220,6 +219,16 @@ class TestCli:
     def test_missing_file(self, tmp_path, capsys):
         assert main([str(tmp_path / "absent.jsonl")]) == 1
         assert "cannot read trace" in capsys.readouterr().err
+
+    def test_trace_cut_mid_line(self, traced_campaign, tmp_path, capsys):
+        path, _ = traced_campaign
+        lines = path.read_text().splitlines(keepends=True)
+        torn = tmp_path / "torn.jsonl"
+        torn.write_text("".join(lines[:10]) + lines[10][:20])
+        assert main([str(torn), "--tree"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read trace")
+        assert "unparseable trace line" in err
 
     def test_limit_renders_ellipsis(self):
         pairs = [(i, TrialStart(trial=i)) for i in range(5)]

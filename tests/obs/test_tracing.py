@@ -13,10 +13,11 @@ import pytest
 from repro.faults.campaign import Campaign, run_campaign
 from repro.faults.model import FaultTarget
 from repro.obs.aggregate import Rollup
-from repro.obs.events import InMemorySink, JsonlSink, Tracer
+from repro.obs.events import InMemorySink, JsonlSink, Tracer, read_trace
+from repro.obs.query import TraceIndex
 from repro.obs.recorder import FlightRecorder
 from repro.obs.report import main as report_main
-from repro.obs.report import outcome_counts, read_trace, render, summarize
+from repro.obs.report import outcome_counts, render
 from repro.recover import SupervisorConfig, run_supervised_campaign
 from repro.workloads.irprograms import PROGRAMS, build_program
 
@@ -149,15 +150,15 @@ class TestReportAggregation:
         for outcome, count in result.counts.as_dict().items():
             assert counters.get(f"trials.{outcome}", 0) == count
 
-    def test_summarize_agrees_with_declared_counts(self):
+    def test_segment_agrees_with_declared_counts(self):
         result, sink = _traced(run_campaign, _campaign(), seed=SEED)
-        summary = summarize(sink.events)
-        assert len(summary.campaigns) == 1
-        campaign = summary.campaigns[0]
-        assert campaign.declared_counts == result.counts.as_dict()
+        index = TraceIndex.from_events(sink.events)
+        (campaign,) = index.segments
+        assert campaign.end.counts == result.counts.as_dict()
+        counters = campaign.rollup.counters
         for outcome, count in result.counts.as_dict().items():
-            assert campaign.outcomes.get(outcome, 0) == count
-        assert "agrees" in render(summary)
+            assert counters.get(f"trials.{outcome}", 0) == count
+        assert "agrees" in render(index)
 
     def test_report_cli_text_and_json(self, tmp_path, capsys):
         path = tmp_path / "trace.jsonl"

@@ -11,9 +11,10 @@ from repro.core.sel import (
 from repro.detect import FleetConfig, ResidualCusumDetector
 from repro.hw.board import Board
 from repro.hw.specs import RASPBERRY_PI_4
-from repro.obs import InMemorySink, Rollup, Tracer
+from repro.obs import FleetDecision, FleetReplay, InMemorySink, Rollup, Tracer
 from repro.obs.aggregate import LATENCY_BOUNDS
-from repro.obs.report import render_fleet, summarize
+from repro.obs.query import TraceIndex
+from repro.obs.report import render_fleet
 from repro.obs.spans import ROOT, SpanEnd, SpanStart, fleet_root, span_id
 from repro.workloads.stress import cpu_memory_stress_schedule
 
@@ -78,8 +79,8 @@ class TestFleetSpans:
 
     def test_spans_do_not_change_decisions(self, traced_fleet):
         _, sink, _ = traced_fleet
-        summary = summarize(sink.events)
-        assert len(summary.fleet_decisions) == int(DURATION_S * RATE_HZ)
+        decisions = [e for e in sink.events if isinstance(e, FleetDecision)]
+        assert len(decisions) == int(DURATION_S * RATE_HZ)
 
 
 class TestFleetLatencyMetrics:
@@ -103,15 +104,13 @@ class TestFleetLatencyMetrics:
 class TestFleetReportColumns:
     def test_latency_line(self, traced_fleet):
         _, sink, metrics = traced_fleet
-        decisions = summarize(sink.events).fleet_decisions
+        fleet = TraceIndex.from_events(sink.events).fleet
         latency = metrics.histograms["fleet.score_latency_s"].summary()
-        text = render_fleet(decisions, latency=latency)
+        text = render_fleet(fleet, latency=latency)
         assert "decision latency: p50=" in text
         assert "p99=" in text
 
     def test_board_table_columns(self):
-        from repro.obs.events import FleetDecision
-
         decisions = [
             FleetDecision(
                 t=float(t), n_boards=2, n_scored=2, n_anomalous=0,
@@ -121,7 +120,7 @@ class TestFleetReportColumns:
             )
             for t in range(5)
         ]
-        text = render_fleet(decisions)
+        text = render_fleet(FleetReplay(decisions))
         assert "alarm-rate" in text
         assert "board-01" in text
         # board-01 alarmed once over the fleet's five scored ticks,
@@ -130,7 +129,7 @@ class TestFleetReportColumns:
 
     def test_report_without_latency_still_renders(self, traced_fleet):
         _, sink, _ = traced_fleet
-        decisions = summarize(sink.events).fleet_decisions
-        text = render_fleet(decisions)
+        fleet = TraceIndex.from_events(sink.events).fleet
+        text = render_fleet(fleet)
         assert "decision latency" not in text
         assert "ticks:" in text

@@ -3,11 +3,10 @@
 The end-to-end claim of the fleet service: with a 5 mA latch-up on one
 board of sixteen, exactly that board is power-cycled inside the 3-minute
 damage budget, no clean board reboots, and the traced FleetDecision
-stream replays to the same per-board outcome through
-``repro.obs.report``.
+stream replays to the same per-board outcome through the trace index's
+fleet replay.
 """
 
-import numpy as np
 import pytest
 
 from repro.core.sel import (
@@ -20,7 +19,8 @@ from repro.hw.board import Board
 from repro.hw.specs import RASPBERRY_PI_4
 from repro.obs import FleetDecision, InMemorySink, JsonlSink, Tracer
 from repro.obs.events import event_from_dict
-from repro.obs.report import fleet_outcome, read_trace, render, summarize
+from repro.obs.query import TraceIndex
+from repro.obs.report import render
 from repro.workloads.stress import cpu_memory_stress_schedule
 
 N_BOARDS = 16
@@ -96,10 +96,11 @@ class TestFleetPipeline:
 
     def test_trace_replays_to_same_outcome(self, fleet_run):
         """The JSONL FleetDecision stream alone reproduces who alarmed
-        when — round-tripped through the report module's parser."""
+        when — round-tripped through the trace reader."""
         service, _, sink, trace_path = fleet_run
-        events = [event for _, event in read_trace(trace_path)]
-        assert fleet_outcome(events) == service.alarm_times()
+        index = TraceIndex.from_file(trace_path)
+        assert index.fleet.alarms == service.alarm_times()
+        events = [event for _, event in index.pairs]
         # The in-memory and file streams agree event for event.
         assert [e.to_dict() for e in sink.events] == [
             e.to_dict() for e in events
@@ -121,7 +122,7 @@ class TestFleetPipeline:
 
     def test_report_renders_fleet_section(self, fleet_run):
         _, _, sink, _ = fleet_run
-        text = render(summarize(sink.events))
+        text = render(TraceIndex.from_events(sink.events))
         assert "-- fleet decisions" in text
         assert f"alarms board-{FAULTED:02d}" in text
 

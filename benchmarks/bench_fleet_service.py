@@ -5,9 +5,12 @@ of the shard matrix (1 / 2 / 4 shards, each scored in-process) replays
 the same seeded bursty telemetry (storm-burst latch-up schedule from the
 environment timeline) and must reproduce the synchronous single-scorer
 reference **byte-for-byte**: per-board alarm times, commanded
-power-cycles, and the shard-merged health rollup.  Rows/s and
-nearest-rank p50/p99 decision latency are recorded per cell; timings
-are informational, the identity gates bind everywhere.
+power-cycles, and the shard-merged health rollup.  Each cell runs
+:data:`~benchmarks._util.GATE_ROUNDS` times, one run per cell a round,
+rotating which cell goes first; every run is gated, and each cell keeps
+its median rows/s with q1–q3 and its median nearest-rank p50/p99
+decision latency.  Timings are informational, the identity gates bind
+everywhere.
 
 Merges a ``service`` section into ``BENCH_fleet.json`` (preserving the
 E15 ``throughput``/``ensemble`` sections; bounded trajectory via
@@ -22,8 +25,9 @@ from __future__ import annotations
 
 import os
 from pathlib import Path
+from statistics import median, quantiles
 
-from benchmarks._util import fmt_table, write_result
+from benchmarks._util import GATE_ROUNDS, fmt_table, write_result
 from repro.core.sel import SelTrialConfig, train_detector_on_clean_trace
 from repro.detect import FleetConfig, ResidualCusumDetector
 from repro.faults.parallel import available_cpus
@@ -94,41 +98,56 @@ def test_e18_record_reference():
     }
 
 
-def test_e18_shard_matrix():
-    """Every shard count: measure, then gate byte-identity."""
-    assert _STATE, "reference measurement did not run"
-    detector, rows = _STATE["detector"], _STATE["rows"]
+def _gated_run(n_shards: int):
+    """One replay at ``n_shards``, byte-identical to the reference."""
     reference = _STATE["reference"]
+    service = AsyncFleetService(
+        _STATE["detector"],
+        _members(),
+        config=FleetConfig(),
+        service=ServiceConfig(
+            n_shards=n_shards,
+            max_inflight_ticks=INFLIGHT,
+            snapshot_every=10**9,  # snapshots off the hot path
+        ),
+        source=ReplaySource(_STATE["rows"]),
+    )
+    report = service.run(duration_s=DURATION_S, rate_hz=RATE_HZ)
+    assert service.alarm_times() == reference.alarm_times, (
+        f"x{n_shards}: alarm history diverged"
+    )
+    assert service.reboot_times() == reference.reboot_times, (
+        f"x{n_shards}: escalation history diverged"
+    )
+    assert (
+        service.health_rollup().merge_key()
+        == reference.health.merge_key()
+    ), f"x{n_shards}: health rollup diverged"
+    assert report.rows_shed == 0
+    return report
+
+
+def test_e18_shard_matrix():
+    """Every shard count, every round: gate byte-identity, then keep
+    each cell's medians."""
+    assert _STATE, "reference measurement did not run"
+    runs: dict[int, list] = {n_shards: [] for n_shards in SHARD_COUNTS}
+    for k in range(GATE_ROUNDS):
+        first = k % len(SHARD_COUNTS)
+        for n_shards in SHARD_COUNTS[first:] + SHARD_COUNTS[:first]:
+            runs[n_shards].append(_gated_run(n_shards))
     matrix: dict[str, dict] = {}
-    for n_shards in SHARD_COUNTS:
-        service = AsyncFleetService(
-            detector,
-            _members(),
-            config=FleetConfig(),
-            service=ServiceConfig(
-                n_shards=n_shards,
-                max_inflight_ticks=INFLIGHT,
-                snapshot_every=10**9,  # snapshots off the hot path
-            ),
-            source=ReplaySource(rows),
-        )
-        report = service.run(duration_s=DURATION_S, rate_hz=RATE_HZ)
-        assert service.alarm_times() == reference.alarm_times, (
-            f"x{n_shards}: alarm history diverged"
-        )
-        assert service.reboot_times() == reference.reboot_times, (
-            f"x{n_shards}: escalation history diverged"
-        )
-        assert (
-            service.health_rollup().merge_key()
-            == reference.health.merge_key()
-        ), f"x{n_shards}: health rollup diverged"
-        assert report.rows_shed == 0
+    for n_shards, reports in runs.items():
+        rates = [report.rows_per_s for report in reports]
+        q1, _, q3 = quantiles(rates, n=4)
         matrix[f"x{n_shards}"] = {
             "shards": n_shards,
-            "rows_per_s": report.rows_per_s,
-            "p50_ms": report.latency["p50"] * 1e3,
-            "p99_ms": report.latency["p99"] * 1e3,
+            "rounds": len(reports),
+            "rows_per_s": median(rates),
+            "rows_per_s_q1": q1,
+            "rows_per_s_q3": q3,
+            "p50_ms": median(r.latency["p50"] for r in reports) * 1e3,
+            "p99_ms": median(r.latency["p99"] for r in reports) * 1e3,
             "byte_identical": True,
         }
     SNAPSHOT["service"] = {
@@ -153,11 +172,12 @@ def test_e18_write_report():
     svc = SNAPSHOT["service"]
     work = SNAPSHOT["workload"]
     body = fmt_table(
-        ["shards", "rows/s", "p50 ms", "p99 ms", "identical"],
+        ["shards", "rows/s", "q1-q3", "p50 ms", "p99 ms", "identical"],
         [
             [
                 str(cell["shards"]),
                 f"{cell['rows_per_s']:.0f}",
+                f"{cell['rows_per_s_q1']:.0f}-{cell['rows_per_s_q3']:.0f}",
                 f"{cell['p50_ms']:.2f}",
                 f"{cell['p99_ms']:.2f}",
                 "yes",
@@ -169,7 +189,8 @@ def test_e18_write_report():
         f"\n\n{work['boards']} boards x {work['ticks']} ticks replayed "
         f"(storm burst: {work['alarms']} alarms on "
         f"{work['alarm_boards']} boards, {work['reboots']} reboots); "
-        "every cell byte-identical to the synchronous reference; "
+        f"medians of {GATE_ROUNDS} rounds, rotating which cell runs "
+        "first; every run byte-identical to the synchronous reference; "
         f"{svc['available_cpus']} CPU(s) available"
     )
     write_result("E18", "mission-control service throughput", body)

@@ -55,7 +55,7 @@ from repro.ir.instructions import (
 )
 from repro.ir.module import Module
 from repro.ir.types import Type, bit_class, injectable_width
-from repro.ir.values import Constant, Value
+from repro.ir.values import Constant
 
 
 class MaskClass(enum.Enum):

@@ -76,6 +76,46 @@ class FleetMember:
             self.controller = PowerCycleController(board=self.board)
 
 
+class LiveBoardSource:
+    """Samples live simulated boards, one featurized row per board.
+
+    Each board draws only from its own RNG, so the order boards are
+    sampled in is immaterial.  A board found destroyed is marked
+    ``dead`` and yields NaN rows from then on.
+    """
+
+    def __init__(self, members: list[FleetMember]) -> None:
+        if not members:
+            raise ConfigError("live source needs at least one member")
+        n_cores = members[0].board.spec.n_cores
+        if any(m.board.spec.n_cores != n_cores for m in members):
+            raise ConfigError("fleet members must share a core count")
+        self.members = members
+        self.featurizer = Featurizer(n_cores=n_cores)
+
+    @property
+    def n_columns(self) -> int:
+        return self.featurizer.n_columns
+
+    def row(self, index: int, tick: int, t: float) -> np.ndarray:
+        """One board's featurized row at ``t`` (NaN once destroyed)."""
+        member = self.members[index]
+        if member.dead:
+            return np.full(self.n_columns, np.nan)
+        try:
+            samples = sample_fleet_tick(
+                [member.board], [member.schedule], t
+            )
+        except DeviceDestroyed:
+            member.dead = True
+            return np.full(self.n_columns, np.nan)
+        return self.featurizer.row(samples[0])
+
+    def gather(self, indices, tick: int, t: float) -> np.ndarray:
+        """The (boards × features) matrix of ``indices`` at ``t``."""
+        return np.array([self.row(index, tick, t) for index in indices])
+
+
 def schedule_fleet_latchups(
     members: list["FleetMember"],
     timeline: EnvironmentTimeline,
@@ -91,7 +131,7 @@ def schedule_fleet_latchups(
     own log-uniform severity draws, all forked deterministically from
     ``timeline_seed`` in member order — the schedule is a pure function
     of (timeline, seed, window, member order).  Both the synchronous
-    :class:`SelFleetService` and the sharded async service call this one
+    :class:`SelFleetService` and the sharded service call this one
     function, so their fleets see byte-identical fault schedules.
     Returns the onset times per board id.
     """
@@ -158,13 +198,10 @@ class SelFleetService:
     ) -> None:
         if not members:
             raise ConfigError("fleet service needs at least one member")
-        n_cores = members[0].board.spec.n_cores
-        if any(m.board.spec.n_cores != n_cores for m in members):
-            raise ConfigError("fleet members must share a core count")
+        self.source = LiveBoardSource(members)
         if sel_rate_per_board_day < 0:
             raise ConfigError("SEL rate must be >= 0")
         self.members = members
-        self.featurizer = Featurizer(n_cores=n_cores)
         self.scorer = FleetScorer(
             detector, [m.board_id for m in members], config
         )
@@ -190,7 +227,7 @@ class SelFleetService:
         """Inject timeline-driven latch-ups over ``[t0, t1)`` fleet-wide.
 
         Delegates to :func:`schedule_fleet_latchups` (shared with the
-        sharded async service) so the schedule stays a pure function of
+        sharded service) so the schedule stays a pure function of
         (timeline, seed, window, member order).
         """
         if self.timeline is None:
@@ -229,26 +266,6 @@ class SelFleetService:
                 return member
         raise ConfigError(f"unknown board id {board_id!r}")
 
-    def _sample_rows(self, t: float) -> tuple[np.ndarray, list[str]]:
-        """One featurized row per board; destroyed boards go NaN."""
-        rows = np.full(
-            (len(self.members), self.featurizer.n_columns), np.nan
-        )
-        newly_dead: list[str] = []
-        for i, member in enumerate(self.members):
-            if member.dead:
-                continue
-            try:
-                samples = sample_fleet_tick(
-                    [member.board], [member.schedule], t
-                )
-            except DeviceDestroyed:
-                member.dead = True
-                newly_dead.append(member.board_id)
-                continue
-            rows[i] = self.featurizer.row(samples[0])
-        return rows, newly_dead
-
     def tick(self, t: float) -> FleetTickResult:
         """Sample, score and respond for the whole fleet at time ``t``."""
         spans = self.tracer is not None and self.trace_spans
@@ -270,10 +287,18 @@ class SelFleetService:
                     index=self._tick_index,
                 )
             )
-        self._tick_index += 1
         if self.timeline is not None:
             self._apply_phase(t)
-        rows, newly_dead = self._sample_rows(t)
+        was_dead = [member.dead for member in self.members]
+        rows = self.source.gather(
+            range(len(self.members)), self._tick_index, t
+        )
+        self._tick_index += 1
+        newly_dead = [
+            member.board_id
+            for member, dead in zip(self.members, was_dead)
+            if member.dead and not dead
+        ]
         started = time.perf_counter()
         step = self.scorer.step(t, rows)
         elapsed = time.perf_counter() - started

@@ -1,18 +1,19 @@
-"""Constellation-scale async mission-control service.
+"""Constellation-scale mission-control service.
 
 Sharded, backpressured fleet ingestion with byte-identical decisions:
-an asyncio front-end (:class:`AsyncFleetService`) over one bounded
-queue per shard, a deterministic shard router, one in-process scorer
-per shard (:class:`InProcessBackend`), a supervisor owning escalation
-and crash recovery across shard boundaries, and a seeded load generator
-for saturation benchmarks — all gated to produce per-board
+one plain loop (:class:`AsyncFleetService`) over one bounded queue per
+shard, a deterministic shard router, one in-process scorer per shard
+(:class:`InProcessBackend`), a supervisor owning escalation and crash
+recovery across shard boundaries, and a seeded load generator for
+saturation benchmarks — all gated to produce per-board
 alarm/escalation histories byte-identical to the synchronous
 :class:`~repro.core.sel.fleet.SelFleetService`.
 """
 
+from repro.core.sel.fleet import LiveBoardSource
 from repro.detect.fleet import FleetConfig, FleetScorer
 from repro.service.backend import InProcessBackend
-from repro.service.ingest import LiveBoardSource, ReplaySource, ShardIngest
+from repro.service.ingest import ReplaySource, ShardIngest
 from repro.service.loadgen import (
     ReferenceRun,
     make_members,

@@ -1,9 +1,8 @@
 """Where a shard's scoring runs: one scorer per shard, in this process.
 
 The service calls :meth:`InProcessBackend.step` with one tick's rows and
-gets a :class:`~repro.service.shard.ShardStepResult` back, inline on the
-event loop; the per-shard call sequence is strictly ordered (the service
-never pipelines two ticks of the *same* shard).
+gets a :class:`~repro.service.shard.ShardStepResult` back, inline in its
+loop; each shard's ticks are stepped one at a time, in tick order.
 
 The crash-recovery surface: ``crash`` (test hook: the scorer is lost),
 ``restart`` (fresh, blank scorer) and ``restore`` (load a

@@ -2,12 +2,13 @@
 
 Two ways telemetry enters the service:
 
-- :class:`LiveBoardSource` — sample the simulated boards themselves,
-  replicating the synchronous service's per-board semantics exactly:
-  each board draws only from its own RNG, a destroyed board yields NaN
-  rows forever after, and sampling order across boards is immaterial.
-  This is the mode the byte-identity soak test runs, because escalation
-  (power cycles) feeds back into what the next sample reads.
+- :class:`~repro.core.sel.fleet.LiveBoardSource` — sample the simulated
+  boards themselves, through the same sampler the synchronous service
+  uses: each board draws only from its own RNG, a destroyed board
+  yields NaN rows forever after, and sampling order across boards is
+  immaterial.  This is the mode the byte-identity soak test runs,
+  because escalation (power cycles) feeds back into what the next
+  sample reads.
 - :class:`ReplaySource` — a pre-recorded ``(n_ticks, n_boards, d)``
   telemetry tensor, the load generator's saturation mode: frames are
   served as fast as the pipeline will take them, with no feedback into
@@ -40,47 +41,9 @@ import time
 
 import numpy as np
 
-from repro.core.sel.featurizer import Featurizer
-from repro.core.sel.fleet import FleetMember
-from repro.errors import ConfigError, DeviceDestroyed
+from repro.errors import ConfigError
 from repro.obs.events import QueueShed, Tracer
 from repro.service.queues import BoardQueue, Frame, ShedPolicy
-from repro.telemetry.sampler import sample_fleet_tick
-
-
-class LiveBoardSource:
-    """Samples live simulated boards (escalation feedback included)."""
-
-    def __init__(self, members: list[FleetMember]) -> None:
-        if not members:
-            raise ConfigError("live source needs at least one member")
-        n_cores = members[0].board.spec.n_cores
-        if any(m.board.spec.n_cores != n_cores for m in members):
-            raise ConfigError("fleet members must share a core count")
-        self.members = members
-        self.featurizer = Featurizer(n_cores=n_cores)
-
-    @property
-    def n_columns(self) -> int:
-        return self.featurizer.n_columns
-
-    def row(self, index: int, tick: int, t: float) -> np.ndarray:
-        """One board's featurized row at ``t`` (NaN once destroyed)."""
-        member = self.members[index]
-        if member.dead:
-            return np.full(self.n_columns, np.nan)
-        try:
-            samples = sample_fleet_tick(
-                [member.board], [member.schedule], t
-            )
-        except DeviceDestroyed:
-            member.dead = True
-            return np.full(self.n_columns, np.nan)
-        return self.featurizer.row(samples[0])
-
-    def gather(self, indices: list[int], tick: int, t: float) -> np.ndarray:
-        """The (boards × features) matrix of ``indices`` at ``t``."""
-        return np.array([self.row(index, tick, t) for index in indices])
 
 
 class ReplaySource:

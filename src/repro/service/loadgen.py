@@ -13,10 +13,9 @@ which is how the benchmark measures rows/s and decision-latency
 percentiles without the board simulation on the hot path.
 
 :func:`run_replay_reference` is the synchronous ground truth for replay
-runs: one whole-fleet scorer, one supervisor, a plain loop — no
-asyncio, no queues, no backends — producing the alarm/reboot histories
-and health rollup every strategy/shard-count cell must match
-byte-for-byte.
+runs: one whole-fleet scorer, one supervisor, one tick at a time — no
+shards, no queues, no backends — producing the alarm/reboot histories
+and health rollup every shard-count cell must match byte-for-byte.
 """
 
 from __future__ import annotations
@@ -25,7 +24,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.sel.fleet import FleetMember, schedule_fleet_latchups
+from repro.core.sel.fleet import (
+    FleetMember,
+    LiveBoardSource,
+    schedule_fleet_latchups,
+)
 from repro.detect.base import AnomalyDetector
 from repro.detect.fleet import FleetConfig
 from repro.errors import ConfigError
@@ -37,7 +40,6 @@ from repro.radiation.schedule import (
     MissionPhase,
     SpeModel,
 )
-from repro.service.ingest import LiveBoardSource
 from repro.service.shard import ShardScorer
 from repro.service.supervisor import FleetSupervisor
 from repro.workloads.stress import cpu_memory_stress_schedule
@@ -106,9 +108,9 @@ def record_fleet_telemetry(
     n_ticks = int(duration_s * rate_hz)
     rows = np.empty((n_ticks, len(members), source.n_columns))
     for tick in range(n_ticks):
-        t = t_start + tick / rate_hz
-        for i in range(len(members)):
-            rows[tick, i] = source.row(i, tick, t)
+        rows[tick] = source.gather(
+            range(len(members)), tick, t_start + tick / rate_hz
+        )
     return rows
 
 

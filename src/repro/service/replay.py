@@ -46,27 +46,29 @@ def service_history(
     """Reconstruct per-board histories from a service trace.
 
     Accepts a built :class:`TraceIndex` or a JSONL trace path.  Alarm
-    times come from ``fleet-decision`` events (the supervisor emits one
-    per shard result; the ``alarms`` field carries comma-joined board
-    ids), reboots from ``board-power-cycle``, sheds from ``queue-shed``.
+    times come from the index's replay of the ``fleet-decision`` events
+    (the supervisor emits one per shard result), reboots from
+    ``board-power-cycle``, sheds from ``queue-shed``.
 
-    Events are replayed in ``(t, seq)`` order so histories are stable
-    even when concurrent shard pipelines interleaved their emissions —
-    per-board sequences are unambiguous because one board's events all
-    come from one shard's strictly ordered loop.
+    One shard emits all of a board's events, in tick order, so each
+    board's alarm times are already in time order in the stream; the
+    other kinds are replayed in ``(t, seq)`` order, which keeps shard
+    restarts in time order however the shards' emissions interleaved.
     """
     if not isinstance(trace, TraceIndex):
         trace = TraceIndex.from_file(trace)
-    history = ServiceHistory()
+    history = ServiceHistory(
+        alarm_times={
+            board_id: list(times)
+            for board_id, times in trace.fleet.alarms.items()
+        },
+        decisions=len(trace.by_kind.get("fleet-decision", [])),
+    )
 
     def ordered(kind: str):
         pairs = trace.by_kind.get(kind, [])
         return sorted(pairs, key=lambda pair: (pair[1].t, pair[0]))
 
-    for _, event in ordered("fleet-decision"):
-        history.decisions += 1
-        for board_id in event.alarm_ids():
-            history.alarm_times.setdefault(board_id, []).append(event.t)
     for _, event in ordered("board-power-cycle"):
         history.reboot_times.setdefault(event.board_id, []).append(event.t)
     for _, event in ordered("queue-shed"):

@@ -1,26 +1,26 @@
-"""The constellation-scale async mission-control service.
+"""The constellation-scale mission-control service.
 
-:class:`AsyncFleetService` is the asyncio front-end tying the package
-together: per shard it runs a producer/consumer pipeline — the producer
-samples each tick's telemetry into the shard's bounded queue
-(:class:`~repro.service.ingest.ShardIngest`), the consumer assembles one
-tick's rows, steps the shard's scorer inline
+:class:`AsyncFleetService` ties the package together in one plain loop.
+Per shard it samples each tick's telemetry into the shard's bounded
+queue (:class:`~repro.service.ingest.ShardIngest`), assembles the tick's
+rows back out, steps the shard's scorer inline
 (:class:`~repro.service.backend.InProcessBackend`), and hands the
 decision to the cross-shard
-:class:`~repro.service.supervisor.FleetSupervisor` for escalation.
+:class:`~repro.service.supervisor.FleetSupervisor` for escalation.  The
+loop works in windows of ``max_inflight_ticks`` ticks; the order of its
+calls across shards is spelled out in :meth:`AsyncFleetService._drive`.
 
 **Byte-identity.**  With ``max_inflight_ticks=1`` (the default) each
-shard's loop is strictly ``sample(k) -> score(k) -> escalate(k) ->
-sample(k+1)`` — the exact dataflow of the synchronous
+shard scores and escalates tick ``k`` before it samples tick ``k + 1``
+— the exact dataflow of the synchronous
 :class:`~repro.core.sel.fleet.SelFleetService.tick` — and since every
 per-board quantity (board RNG, detector stream state, alarm/quarantine
 streaks, controller cooldown) evolves independently of other boards,
 the sharded run's per-board histories are byte-identical to the
 synchronous single-scorer run at any shard count.
-Raising ``max_inflight_ticks`` pipelines sampling ahead of scoring
-*within* a shard (saturation/load-test mode); identity is then only
-guaranteed for replay sources, where there is no escalation feedback
-into sampling.
+Raising ``max_inflight_ticks`` samples ahead of scoring *within* a
+shard (saturation/load-test mode); identity is then only guaranteed for
+replay sources, where there is no escalation feedback into sampling.
 
 **Crash recovery.**  The supervisor holds the latest state snapshot per
 shard plus a replay buffer of the rows since it.  When a shard step
@@ -35,7 +35,6 @@ recovery is lossless by construction.
 
 from __future__ import annotations
 
-import asyncio
 import time
 from dataclasses import dataclass, field
 
@@ -43,6 +42,7 @@ import numpy as np
 
 from repro.core.sel.fleet import (
     FleetMember,
+    LiveBoardSource,
     schedule_fleet_latchups,
 )
 from repro.detect.base import AnomalyDetector
@@ -52,7 +52,7 @@ from repro.obs.aggregate import Rollup
 from repro.obs.events import ShardRestart, Tracer
 from repro.radiation.schedule import EnvironmentTimeline, MissionPhase
 from repro.service.backend import InProcessBackend
-from repro.service.ingest import LiveBoardSource, ReplaySource, ShardIngest
+from repro.service.ingest import ReplaySource, ShardIngest
 from repro.service.metrics import DecisionLatencyTracker, rows_per_second
 from repro.service.queues import ShedPolicy
 from repro.service.shard import ShardScorer, shard_boards
@@ -61,7 +61,7 @@ from repro.service.supervisor import FleetSupervisor
 
 @dataclass(frozen=True)
 class ServiceConfig:
-    """Knobs of the async service (scoring knobs live in FleetConfig).
+    """Knobs of the service (scoring knobs live in FleetConfig).
 
     Attributes:
         n_shards: scoring shards requested (clamped to fleet size).
@@ -70,13 +70,13 @@ class ServiceConfig:
         queue_capacity: bounded queue depth in ticks (one queue per
             shard, which sheds a tick for all of the shard's boards).
         shed_policy: what a full queue does with the next arrival.
-        max_inflight_ticks: per-shard ticks sampled ahead of the
-            decision loop.  1 (default) = lockstep, the byte-identity
-            mode for live boards; >1 pipelines ingestion (replay /
-            saturation mode), and beyond ``queue_capacity`` the
-            producer overruns the bounded queues — this is how
-            backpressure sheds are actually exercised, with the shed
-            frames scoring as sensor dropouts.
+        max_inflight_ticks: the loop's window: ticks each shard
+            samples before it scores them.  1 (default) = lockstep, the
+            byte-identity mode for live boards; >1 samples ahead of
+            scoring (replay / saturation mode), and beyond
+            ``queue_capacity`` sampling overruns the bounded queues —
+            this is how backpressure sheds are actually exercised, with
+            the shed frames scoring as sensor dropouts.
         snapshot_every: checkpoint cadence in ticks (the crash-recovery
             anchor; also bounds the replay buffer length).
     """
@@ -115,7 +115,7 @@ class ServiceRunReport:
         rows_processed: frames that reached a scorer.
         rows_shed: frames lost to backpressure policies.
         restarts: shard crash-recoveries performed.
-        elapsed_s: wall-clock time inside the event loop.
+        elapsed_s: wall-clock time of the sampling and scoring loop.
         rows_per_s: throughput over ``elapsed_s``.
         latency: NaN-free decision-latency summary (see
             :func:`repro.obs.metrics.latency_summary`).
@@ -134,7 +134,7 @@ class ServiceRunReport:
 
 
 class AsyncFleetService:
-    """Sharded async counterpart of
+    """Sharded counterpart of
     :class:`~repro.core.sel.fleet.SelFleetService`.
 
     One-shot: construct, :meth:`run`, then read histories/health.
@@ -263,7 +263,7 @@ class AsyncFleetService:
                     shard, -1, self.backend.snapshot(shard)
                 )
             started = time.perf_counter()
-            asyncio.run(self._run(n_ticks, rate_hz, t_start))
+            self._drive(n_ticks, rate_hz, t_start)
             elapsed = time.perf_counter() - started
             self._final_states = [
                 self.backend.snapshot(shard)
@@ -290,9 +290,15 @@ class AsyncFleetService:
             ],
         )
 
-    async def _run(
-        self, n_ticks: int, rate_hz: float, t_start: float
-    ) -> None:
+    def _drive(self, n_ticks: int, rate_hz: float, t_start: float) -> None:
+        """Sample and score every shard's ticks, window by window.
+
+        A window is ``max_inflight_ticks`` ticks (the last may be
+        short).  In the first window each shard samples the window's
+        ticks and scores them before the next shard starts; in every
+        later window every shard samples the window's ticks, and then
+        every shard scores them, in tick order.
+        """
         self._ingests = [
             ShardIngest(
                 shard,
@@ -306,59 +312,39 @@ class AsyncFleetService:
             for shard in range(self.n_shards)
         ]
         self._buffers = [[] for _ in range(self.n_shards)]
-        await asyncio.gather(
-            *(
-                self._shard_pipeline(shard, n_ticks, rate_hz, t_start)
-                for shard in range(self.n_shards)
+        shards = range(self.n_shards)
+        window = self.service.max_inflight_ticks
+        for first in range(0, n_ticks, window):
+            ticks = [
+                (tick, t_start + tick / rate_hz)
+                for tick in range(first, min(first + window, n_ticks))
+            ]
+            groups = [[shard] for shard in shards] if first == 0 else [shards]
+            for group in groups:
+                for shard in group:
+                    for tick, t in ticks:
+                        self._ingests[shard].produce(tick, t)
+                for shard in group:
+                    for tick, t in ticks:
+                        self._consume(shard, tick, t)
+
+    def _consume(self, shard: int, tick: int, t: float) -> None:
+        """Score one sampled tick of ``shard`` and apply its decision."""
+        rows, frames = self._ingests[shard].assemble(tick)
+        self._buffers[shard].append((tick, t, rows))
+        result = self._step_with_recovery(shard, tick, t, rows)
+        self.supervisor.apply(result)
+        if frames:
+            done = time.perf_counter()
+            frame = next(iter(frames.values()))
+            self.latency.record(done - frame.enqueued_pc, len(frames))
+            self._rows_processed += len(frames)
+        if (tick + 1) % self.service.snapshot_every == 0:
+            self.supervisor.checkpoint(
+                shard, tick, self.backend.snapshot(shard)
             )
-        )
-
-    async def _shard_pipeline(
-        self, shard: int, n_ticks: int, rate_hz: float, t_start: float
-    ) -> None:
-        """One shard's producer/consumer pair, inflight-gated.
-
-        The semaphore (initial value ``max_inflight_ticks``) is the
-        lockstep contract: the producer may only sample tick ``k + w``
-        after the consumer has *applied* tick ``k`` for window ``w``.
-        """
-        ingest = self._ingests[shard]
-        gate = asyncio.Semaphore(self.service.max_inflight_ticks)
-        ready: asyncio.Queue = asyncio.Queue()
-
-        async def producer() -> None:
-            for tick in range(n_ticks):
-                await gate.acquire()
-                t = t_start + tick / rate_hz
-                ingest.produce(tick, t)
-                await ready.put((tick, t))
-
-        async def consumer() -> None:
-            for _ in range(n_ticks):
-                tick, t = await ready.get()
-                rows, frames = ingest.assemble(tick)
-                self._buffers[shard].append((tick, t, rows))
-                result = self._step_with_recovery(shard, tick, t, rows)
-                self.supervisor.apply(result)
-                if frames:
-                    done = time.perf_counter()
-                    frame = next(iter(frames.values()))
-                    self.latency.record(
-                        done - frame.enqueued_pc, len(frames)
-                    )
-                    self._rows_processed += len(frames)
-                if (tick + 1) % self.service.snapshot_every == 0:
-                    self.supervisor.checkpoint(
-                        shard, tick, self.backend.snapshot(shard)
-                    )
-                    self._buffers[shard] = [
-                        entry
-                        for entry in self._buffers[shard]
-                        if entry[0] > tick
-                    ]
-                gate.release()
-
-        await asyncio.gather(producer(), consumer())
+            # Every buffered tick is at or before this one.
+            self._buffers[shard].clear()
 
     def _step_with_recovery(
         self, shard: int, tick: int, t: float, rows: np.ndarray

@@ -110,7 +110,6 @@ def test_rank_text_and_json_modes(capsys):
 
 def test_verify_reports_non_equivalent_runs(capsys, monkeypatch):
     from repro.analysis.protect_verify import VerifyFinding, VerifyResult
-    from repro.core.dmr import ProtectionLevel
 
     def fake_verify(name, level):
         return VerifyResult(

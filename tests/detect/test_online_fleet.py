@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.detect import (
-    CurrentThresholdDetector, EllipticEnvelopeDetector, EnsembleDetector,
+    CurrentThresholdDetector, EnsembleDetector,
     FleetConfig, FleetScorer, LinearResidualDetector, OnlineRefit,
     ResidualCusumDetector, auc_weights,
 )

@@ -2,7 +2,7 @@
 
 A recording's board count must equal the fleet's, checked when the
 service is built, and it must hold every tick the run asks for,
-checked before the event loop scores anything.  Each error names the
+checked before the service's loop scores anything.  Each error names the
 recording's shape and what the fleet or the run needed.
 """
 

@@ -93,14 +93,6 @@ _OBSERVER_SAFE_OPS = frozenset({
 })
 
 
-def _value_types(func: Function) -> dict[str, Type]:
-    types = {arg.name: arg.type for arg in func.args}
-    for instr in func.instructions():
-        if instr.defines_value:
-            types[instr.name] = instr.type
-    return types
-
-
 def _detect_block_names(func: Function) -> frozenset[str]:
     return frozenset(
         b.name for b in func.blocks
@@ -412,7 +404,7 @@ class FunctionMasking:
 
 
 def _analyze_function(func: Function) -> FunctionMasking:
-    types = _value_types(func)
+    types = func.value_types()
     info = liveness(func)
     reach = reaching_definitions(func)
 

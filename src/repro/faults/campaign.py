@@ -22,8 +22,11 @@ Every campaign flavour runs through the same three stages (:func:`run_plan`):
   and span events in trial order, so the traced stream is the same
   however the trials ran.
 
-Golden runs come from :data:`repro.perf.cache.GOLDEN_CACHE`, and the
-trials an executor runs share one compiled-block ``code_cache``.  Tracing
+Golden runs come from :data:`repro.perf.cache.GOLDEN_CACHE`.  The
+golden run, the pruning replay and every trial run the module's one
+compiled code (:func:`repro.ir.interp.module_code`), which every later
+campaign over the module shares too; :func:`run_golden` checks it
+against the module's printed-IR fingerprint once per campaign.  Tracing
 only observes — it never draws from an RNG or mutates engine state — so
 traced results are byte-identical to untraced ones.
 """
@@ -38,12 +41,12 @@ from repro.errors import FaultInjectionError
 from repro.faults.model import FaultSpec, FaultTarget
 from repro.faults.outcomes import FaultOutcome, OutcomeCounts, TrialResult, classify
 from repro.faults.seu import (
-    HeapFaultInjector, RegisterFaultInjector, _value_types, draw_register_fault,
+    HeapFaultInjector, RegisterFaultInjector, draw_register_fault,
 )
 from repro.ir.costmodel import CORTEX_A53, CostModel
 from repro.ir.interp import (
     BoundSnapshots, ExecutionResult, ExecutionStatus, GoldenSnapshots,
-    Interpreter,
+    Interpreter, module_code,
 )
 from repro.ir.module import Module
 from repro.obs.events import (
@@ -151,12 +154,13 @@ def run_golden(
     :meth:`~repro.ir.interp.GoldenSnapshots.bind` resolves it against
     each campaign's own module.
     """
-    key = None
+    key = GOLDEN_CACHE.key_for(
+        campaign.module, campaign.func_name, campaign.args,
+        campaign.cost_model,
+    )
+    # The campaign's one check of the module's shared compiled code.
+    code = module_code(campaign.module, campaign.cost_model, key[0])
     if use_cache:
-        key = GOLDEN_CACHE.key_for(
-            campaign.module, campaign.func_name, campaign.args,
-            campaign.cost_model,
-        )
         cached = GOLDEN_CACHE.get(key, fuel=campaign.fuel)
         if tracer is not None:
             tracer.emit(GoldenCacheLookup(
@@ -167,7 +171,7 @@ def run_golden(
             return cached
     golden_interp = Interpreter(
         campaign.module, cost_model=campaign.cost_model, fuel=campaign.fuel,
-        snapshots=GoldenSnapshots(),
+        code_cache=code, snapshots=GoldenSnapshots(),
     )
     golden = golden_interp.run(campaign.func_name, list(campaign.args))
     if golden.status is ExecutionStatus.HANG:
@@ -184,7 +188,7 @@ def run_golden(
         )
     if golden.instructions == 0:
         raise FaultInjectionError("golden run executed no instructions")
-    if key is not None:
+    if use_cache:
         GOLDEN_CACHE.put(key, golden)
     return golden
 
@@ -754,17 +758,13 @@ class _TrialPlanner:
                     self._points[id(instr)] = (
                         func.name, block.name, body_index
                     )
-        self._type_cache: dict[str, dict] = {}
 
     def __call__(self, interp, frame, instr, dynamic_index: int) -> None:
         at = self.next_index
         env = frame.env
         if at is None or at > dynamic_index or not env:
             return  # injectors wait for live state; so does the planner
-        types = self._type_cache.get(frame.func.name)
-        if types is None:
-            types = _value_types(frame.func)
-            self._type_cache[frame.func.name] = types
+        types = interp.value_types(frame.func)
         point = self._points.get(id(instr))
         pending, requests = self._pending, self.requests
         while pending and requests[pending[-1]][0] <= dynamic_index:
@@ -824,6 +824,7 @@ def prune_masked_trials(
         campaign.module,
         cost_model=campaign.cost_model,
         fuel=campaign.fuel,
+        code_cache=module_code(campaign.module, campaign.cost_model),
         # The planner's ``next_index`` lets every block that ends before
         # the next unresolved request run batched.
         step_hook=planner,

@@ -13,7 +13,7 @@ event batch when traced.  Both implementations run every item through
   (:data:`repro.perf.pool.POOL_REGISTRY`) kept alive across campaigns of
   the same shape.  Each worker parses the printed IR once, re-derives
   and cross-checks the golden run, and keeps one :class:`TrialContext`
-  (with its compiled-block cache); one chunk function returns pickled
+  (with its module's compiled code); one chunk function returns pickled
   rows.  Chunk sizes follow the CPUs actually available.
 
 Results are **byte-identical** however the trials ran: trial *i* is a
@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import os
 from collections.abc import Iterator
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import repro.faults.campaign as engine
 from repro.errors import FaultInjectionError, WorkerLost
@@ -43,7 +43,7 @@ from repro.faults.model import FaultTarget
 from repro.faults.outcomes import TrialResult
 from repro.faults.seu import RegisterFaultInjector
 from repro.ir.costmodel import CostModel
-from repro.ir.interp import BoundSnapshots, ExecutionResult
+from repro.ir.interp import BoundSnapshots, ExecutionResult, module_code
 from repro.ir.parser import parse_module
 from repro.ir.printer import print_module
 from repro.obs.events import Event, InMemorySink, Tracer
@@ -137,8 +137,9 @@ class TrialContext:
     golden: ExecutionResult
     trial_fuel: int
     supervisor: object | None  # repro.recover.supervisor.Supervisor
-    snapshots: BoundSnapshots | None = None
-    code_cache: dict = field(default_factory=dict)
+    snapshots: BoundSnapshots | None
+    #: the module's shared compiled blocks (``module_code``).
+    code_cache: dict
 
     @classmethod
     def build(
@@ -153,7 +154,10 @@ class TrialContext:
         snapshots = None
         if golden.snapshots is not None:
             snapshots = golden.snapshots.bind(campaign.module)
-        return cls(campaign, golden, trial_fuel, supervisor, snapshots)
+        return cls(
+            campaign, golden, trial_fuel, supervisor, snapshots,
+            module_code(campaign.module, campaign.cost_model),
+        )
 
     def run(
         self,

@@ -22,13 +22,8 @@ from repro.ir.types import F64, INT64, Type, injectable_width
 from repro.rng import make_rng
 
 
-def _value_types(func: Function) -> dict[str, Type]:
-    """Declared type of every named value (arguments + instruction results)."""
-    types = {arg.name: arg.type for arg in func.args}
-    for instr in func.instructions():
-        if instr.defines_value:
-            types[instr.name] = instr.type
-    return types
+#: Declared type of every named value (arguments + instruction results).
+_value_types = Function.value_types
 
 
 def draw_register_fault(
@@ -80,7 +75,6 @@ class RegisterFaultInjector:
         self.rng = make_rng(seed)
         self.resolved: FaultSpec | None = None
         self.next_index: int | None = spec.dynamic_index
-        self._type_cache: dict[str, dict[str, Type]] = {}
 
     def __call__(
         self,
@@ -94,18 +88,14 @@ class RegisterFaultInjector:
         env = frame.env
         if not env:
             return  # nothing live yet; fires at the next opportunity
-        types = self._type_cache.get(frame.func.name)
-        if types is None:
-            types = _value_types(frame.func)
-            self._type_cache[frame.func.name] = types
-
         location = self.spec.location
         if location is not None:
             location = str(location)
             if location not in env:
                 return  # requested register not live yet; wait
         name, type_, bit = draw_register_fault(
-            env, types, self.rng, location, self.spec.bit
+            env, interp.value_types(frame.func), self.rng, location,
+            self.spec.bit,
         )
         env[name] = flip_value_bit(env[name], type_, bit)
         self.resolved = FaultSpec(

@@ -78,6 +78,14 @@ class Function:
         for block in self.blocks:
             yield from block.instructions
 
+    def value_types(self) -> dict[str, Type]:
+        """Declared type of every named value (arguments + instruction results)."""
+        types = {arg.name: arg.type for arg in self.args}
+        for instr in self.instructions():
+            if instr.defines_value:
+                types[instr.name] = instr.type
+        return types
+
     def __len__(self) -> int:
         """Total instruction count."""
         return sum(len(b) for b in self.blocks)

@@ -8,34 +8,38 @@ trace can be recorded (consumed by the DMR control-flow monitor), and a
 register state at a precise dynamic instruction index — the same granularity
 the paper's QEMU framework provides (sect. 4.2).
 
-Execution uses a compiled fast path: the first time a basic block runs, its
-instructions are lowered to per-instruction step closures with operand
-accessors, cycle costs, and branch targets resolved once, so the per-step
-loop does no opcode dispatch, no cost-model lookups, and no isinstance
-chains.  Compiled blocks can be shared across interpreter instances via the
-``code_cache`` argument (one cache per module + cost model), which is how
-fault-injection campaigns amortize compilation across hundreds of trials.
+Execution translates each basic block, the first time it runs, into
+Python functions generated from its IR and ``compile``-d once, as QEMU
+translates each guest block into host code: one statement per
+instruction, with operands, cycle costs and branch targets resolved
+then, so a run does no opcode dispatch and no cost-model lookup.  One
+emitter (:meth:`_BlockCode.emit`) writes a batched and a stepped
+variant of each block.  The compiled code is kept on the module
+object, one cache per cost model (:func:`module_code`), and shared by
+every run: a campaign's golden run, its pruning replay and all its
+trials, and every later campaign over the same module.
 
 Every step hook says when it next acts: its ``next_index`` is the lowest
 dynamic index at which it may do anything, and None means it never acts
 again (a hook without the attribute is wrapped as acting at every index).
 Like the paper's injector, which pauses the emulation only at the
 selected time, the interpreter runs everything else at full speed.  One
-frame loop serves every run, traced or not: a block runs batched — a bare
-loop with the instruction/cycle counters and the fuel check hoisted out —
-when it contains no call (calls re-enter the interpreter and must see
+frame loop serves every run, traced or not: a block runs batched — its
+values in locals, the instruction/cycle counters charged in bulk and no
+fuel check — when it contains no call (calls re-enter the interpreter and must see
 exact counters), cannot cross the fuel ceiling (so HANG trips at the
 identical dynamic instruction on the per-step path) and ends at or before
 ``next_index``; otherwise it runs per step and the hook is called before
-every body instruction, exactly like the reference semantics.  A
-mid-block trap re-charges exactly the instructions executed up to and
-including the trapping one (prefix-summed cycle tables).  ``record_trace``
-and ``trace_hook`` see every block entry of the same loop.
+every body instruction, exactly like the reference semantics.  A trap in
+a batched block is charged exactly the instructions executed up to and
+including the trapping one, by the line of the generated function it
+left (prefix-summed cycle tables).  ``record_trace`` and ``trace_hook``
+see every block entry of the same loop.
 
 Hung runs end in closed form (the hang shortcut).  When a frame of an
 untraced run reaches a loop header over its back edge with ``next_index``
 None, the header's :class:`~repro.ir.loops.CountedLoop` — found once
-per function per code cache, its proof slice compiled then — decides
+per function per module, its proof slice compiled then — decides
 from the live environment whether every pass the remaining fuel reaches
 keeps to the loop's path.  If so the run is charged exactly what the
 per-step loop would count at exhaustion: with ``k, r = divmod(fuel -
@@ -72,7 +76,6 @@ from __future__ import annotations
 
 import enum
 import math
-import operator
 import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
@@ -89,6 +92,7 @@ from repro.ir.function import Function
 from repro.ir.instructions import Instruction, Opcode, Predicate
 from repro.ir.loops import CountedLoop, counted_loops
 from repro.ir.module import Module
+from repro.ir.printer import module_fingerprint
 from repro.ir.types import Type
 from repro.ir.values import Argument, Constant, Value
 
@@ -159,71 +163,156 @@ class _Return:
         self.value = value
 
 
-#: A compiled step: ``(interp, frame) -> None | _CONTINUE | _Return``.
-#: ``None`` falls through to the next step; ``_CONTINUE`` means a branch was
-#: taken (re-enter the block loop); ``_Return`` carries the frame's result.
-_Step = Callable[["Interpreter", Frame], object]
-
-
 class _BlockCode:
-    """Compiled form of one basic block.
+    """One basic block's accounting and its generated Python functions.
+
+    Created at the block's first execution.  Each function is emitted
+    from the IR by :meth:`emit` and compiled the first time it is
+    needed; a block's functions return ``_CONTINUE`` after a branch (the
+    frame's ``block`` and ``prev_block`` moved) or a :class:`_Return`.
+
+    * ``batched(interp, frame)`` — phis, body and terminator with every
+      value in a local (and still written to ``frame.env``), no hook and
+      no fuel check.  It charges the block's counters in bulk just
+      before its terminator.  ``charges[line]`` is what a trap raised on
+      source line ``line`` (its ``tb_lineno``) adds instead: phi ``j``
+      charges ``j`` instructions and ``phi_prefix[j]`` cycles (a
+      trapping phi read is not counted), body step ``i`` charges
+      ``n_phis + i + 1`` instructions and ``phi_prefix[-1] +
+      body_prefix[i + 1]`` cycles (the trapping one is), the terminator
+      nothing more.
+    * ``stepped(interp, frame, hook, phis)`` — the reference semantics:
+      every operand read from ``frame.env`` (a hook may change any
+      value), each phi counted and fuel-checked after it is read, and
+      before each body instruction the hook called, the instruction
+      counted and the fuel checked.  ``phis`` false skips the phis
+      (:meth:`Interpreter.resume`).
 
     Attributes:
-        phis: ``(phi, cost, incoming)`` per leading phi, where ``incoming``
-            maps predecessor block (by identity) to an operand accessor.
-        steps: ``(instr, cost, step)`` per body instruction.  The original
-            :class:`Instruction` rides along for step hooks.
         has_call: whether any body instruction is a call.  Calls re-enter
             the interpreter, which must observe exact counters, so blocks
-            with calls never run in batched mode.
-
-    Exact accounting data for batched execution:
-
-    * ``body`` — the bare steps before the terminator, whose step is
-      ``term``;
-    * ``phi_prefix[j]`` — cycles of the first ``j`` phis;
-    * ``body_prefix[k]`` — cycles of the first ``k`` body steps;
-    * ``weight`` — dynamic instructions of a full pass (phis + body +
-      terminator);
-    * ``total_cycles`` — cycles of a full pass.
-
-    Hang shortcut data:
-
-    * ``loop`` — the :class:`~repro.ir.loops.CountedLoop` this block
-      heads, if any: its proof and pass accounting;
-    * ``loops`` — on a function's entry block, the function's counted
-      loops by header once they were found (None before).
+            with calls never run batched.
+        costs: cycles of each instruction, phis first.
+        phi_prefix, body_prefix: cycles of the first ``j`` phis and of
+            the first ``k`` body instructions before the terminator.
+        weight: dynamic instructions of a full pass (phis + body +
+            terminator); ``total_cycles`` its cycles.
+        loop: the :class:`~repro.ir.loops.CountedLoop` this block heads,
+            if any: its proof and pass accounting.
+        loops, types: on a function's entry block, the function's counted
+            loops by header and the declared type of each of its values,
+            once found (None before).
     """
 
     __slots__ = (
-        "phis", "steps", "has_call", "n_phis", "phi_prefix", "body",
-        "body_prefix", "term", "weight", "total_cycles", "loop", "loops",
+        "block", "costs", "has_call", "n_phis", "phi_prefix", "body_prefix",
+        "weight", "total_cycles", "batched", "charges", "stepped", "loop",
+        "loops", "types",
     )
 
-    def __init__(
-        self,
-        phis: list[tuple[Instruction, int, dict[BasicBlock, Callable]]],
-        steps: tuple[tuple[Instruction, int, _Step], ...],
-        has_call: bool,
-    ) -> None:
-        self.phis = phis
-        self.steps = steps
-        self.has_call = has_call
-        self.n_phis = len(phis)
-        self.phi_prefix = tuple(
-            accumulate((cost for _phi, cost, _incoming in phis), initial=0)
+    def __init__(self, block: BasicBlock, cost: Callable) -> None:
+        # Batched runs charge the terminator apart from the body; the
+        # verifier rejects unterminated blocks, and so does this, before
+        # they run.
+        if not block.is_terminated:
+            raise IRError(f"block ^{block.name} has no terminator")
+        self.block = block
+        self.costs = tuple(map(cost, block.instructions))
+        self.n_phis = n_phis = len(block.phis)
+        self.has_call = any(
+            instr.opcode is Opcode.CALL for instr in block.instructions
         )
-        *body, (_term_instr, term_cost, self.term) = steps
-        self.body = tuple(step for _instr, _cost, step in body)
-        self.body_prefix = tuple(
-            accumulate((cost for _instr, cost, _step in body), initial=0)
-        )
-        self.weight = self.n_phis + len(steps)
-        self.total_cycles = (
-            self.phi_prefix[-1] + self.body_prefix[-1] + term_cost
-        )
+        self.phi_prefix = tuple(accumulate(self.costs[:n_phis], initial=0))
+        self.body_prefix = tuple(accumulate(self.costs[n_phis:-1], initial=0))
+        self.weight = len(self.costs)
+        self.total_cycles = sum(self.costs)
+        self.batched: Callable | None = None
+        self.charges: tuple[tuple[int, int], ...] = ()
+        self.stepped: Callable | None = None
         self.loop: CountedLoop | None = None
         self.loops: dict[BasicBlock, CountedLoop] | None = None
+        self.types: dict[str, Type] | None = None
+
+    def emit(self, module: Module, hooked: bool) -> Callable:
+        """Generate and compile the block's stepped or batched function.
+
+        The one code generator of the interpreter: see :class:`_Source`.
+        """
+        block = self.block
+        steps = block.instructions[self.n_phis:]
+        src = _Source(hooked)
+        src.indent = 0
+        src.line("def _run(interp, frame, hook, phis):" if hooked
+                 else "def _run(interp, frame):")
+        src.indent = 1
+        src.line("env = frame.env")
+        if hooked:
+            src.line("fuel = interp.fuel")
+        elif any(i.opcode in (Opcode.LOAD, Opcode.STORE) for i in steps):
+            src.line("heap = interp.heap")  # alloc extends it in place
+        if self.n_phis:
+            if hooked:
+                src.line("if phis:")
+                src.indent = 2
+            src.phis(self)
+            src.indent = 1
+        last = len(steps) - 1
+        for i, instr in enumerate(steps):
+            index = self.n_phis + i
+            if i < last:
+                src.charge = (
+                    index + 1, self.phi_prefix[-1] + self.body_prefix[i + 1]
+                )
+            else:
+                src.charge = (0, 0)  # charged in bulk just before
+            if hooked:
+                src.line("if hook is not None:")
+                src.line(f"    hook(interp, frame, {src.bind(instr)}, "
+                         "interp.instructions)")
+                src.line("    env = frame.env")
+                src.count(self.costs[index])
+            elif i == last:
+                src.line(f"interp.instructions += {self.weight}")
+                src.line(f"interp.cycles += {self.total_cycles}")
+            src.instruction(instr, module)
+        func = block.parent.name if block.parent else "?"
+        exec(compile(
+            "\n".join(src.lines), f"<block @{func}:^{block.name}>", "exec"
+        ), src.names)
+        run = src.names["_run"]
+        if hooked:
+            self.stepped = run
+        else:
+            self.batched, self.charges = run, tuple(src.charges)
+        return run
+
+
+def module_code(
+    module: Module, cost_model: CostModel, fingerprint: str | None = None
+) -> dict[BasicBlock, _BlockCode]:
+    """The compiled blocks every run of ``module`` under ``cost_model`` shares.
+
+    The code is kept on the module object, so it dies with the module,
+    and a clone, even one with identical IR, compiles its own: compiled
+    code holds its module's blocks, and the hang shortcut recognises a
+    loop by them.  ``fingerprint`` is the module's printed-IR hash
+    (:func:`repro.ir.printer.module_fingerprint`); code compiled from
+    other IR, or unchecked, is dropped first.  Without one the code is
+    returned unchecked, which is sound only while the module cannot have
+    changed since its last check: a campaign checks once, in its golden
+    lookup, and shares the code with its replay and trials.
+    """
+    shared = module._code
+    if shared is None or (
+        fingerprint is not None and shared[0] != fingerprint
+    ):
+        shared = module._code = (fingerprint, [])
+    for model, blocks in shared[1]:
+        if model == cost_model:
+            return blocks
+    blocks = {}
+    shared[1].append((cost_model, blocks))
+    return blocks
 
 
 #: Snapshot points a golden run keeps after the one at instruction 0.
@@ -431,10 +520,12 @@ class Interpreter:
         step_hook: optional :data:`StepHook`, its ``next_index`` read at
             every block entry (see the module docstring).  A hook without
             the attribute is wrapped once, here, to act at every index.
-        code_cache: optional dict reused across interpreter instances to
-            share compiled blocks.  Callers must only share a cache between
-            interpreters with the same module (not mutated in between) and
-            the same cost model — fault-injection campaigns satisfy both.
+        code_cache: the compiled blocks to run.  By default the module's
+            shared code (:func:`module_code`), checked here against the
+            module's printed IR; a campaign, which checks it once, passes
+            it in.  A caller's own dict must only be shared between
+            interpreters with the same module (not mutated in between)
+            and the same cost model.
         trace_hook: optional ``(func_name, block_name)`` callback fired on
             every block entry (the observability layer's block-transition
             tracing).
@@ -474,9 +565,11 @@ class Interpreter:
         self.instructions = 0
         self.block_trace: list[tuple[str, str]] = []
         self.frames: list[Frame] = []
-        self._code: dict[BasicBlock, _BlockCode] = (
-            code_cache if code_cache is not None else {}
-        )
+        if code_cache is None:
+            code_cache = module_code(
+                module, cost_model, module_fingerprint(module)
+            )
+        self._code: dict[BasicBlock, _BlockCode] = code_cache
 
     # -- public API -----------------------------------------------------------
 
@@ -624,8 +717,8 @@ class Interpreter:
         return result.value  # type: ignore[union-attr]
 
     def _run_frame(self, frame: Frame) -> int | float | None:
-        # One loop for every run.  A block runs batched (counter updates
-        # and fuel check hoisted) when it has no call, cannot cross the
+        # One loop for every run.  A block runs batched (counters charged
+        # in bulk, no fuel check) when it has no call, cannot cross the
         # fuel ceiling and ends at or before the hook's ``next_index``;
         # otherwise it runs on the exact per-step path.
         code_cache = self._code
@@ -687,148 +780,40 @@ class Interpreter:
             return result.value  # type: ignore[union-attr]
 
     def _run_batched(self, frame: Frame, code: _BlockCode) -> object:
-        """Batched execution of one block (hook idle, fuel prefits).
+        """One block batched (hook idle, fuel prefits).
 
-        Counters are charged in bulk after the block completes; a step
-        that traps is re-charged exactly: the reference loop increments
-        counters *before* executing a step (so a trapping instruction is
-        counted) but evaluates a phi's incoming operand before counting
-        it (so a trapping phi read is not).
+        The block's batched function charges the counters in bulk; a
+        trap is charged exactly from ``code.charges`` by the line of the
+        generated frame it left: the reference loop counts an instruction
+        *before* executing it (so a trapping instruction is counted) but
+        reads a phi's incoming operand before counting it (so a trapping
+        phi read is not).
         """
-        env = frame.env
-        phis = code.phis
-        if phis:
-            prev = frame.prev_block
-            if code.n_phis == 1:
-                # One phi needs no parallel staging; a trapping incoming
-                # read charges nothing, same as j == 0 below.
-                phi, _cost, incoming = phis[0]
-                if prev is None:
-                    raise InterpreterError(
-                        f"phi {phi.ref()} reached without a "
-                        f"predecessor edge"
-                    )
-                get = incoming.get(prev)
-                if get is None:
-                    raise TrapError(
-                        f"phi {phi.ref()}: no incoming entry for edge "
-                        f"from ^{prev.name} (control-flow corruption?)"
-                    )
-                env[phi.name] = get(env)
-                return self._run_batched_body(frame, code)
-            staged: dict[str, int | float] = {}
-            j = 0
-            try:
-                for phi, _cost, incoming in phis:
-                    if prev is None:
-                        raise InterpreterError(
-                            f"phi {phi.ref()} reached without a "
-                            f"predecessor edge"
-                        )
-                    get = incoming.get(prev)
-                    if get is None:
-                        raise TrapError(
-                            f"phi {phi.ref()}: no incoming entry for edge "
-                            f"from ^{prev.name} (control-flow corruption?)"
-                        )
-                    staged[phi.name] = get(env)
-                    j += 1
-            except BaseException:
-                self.instructions += j
-                self.cycles += code.phi_prefix[j]
-                raise
-            env.update(staged)
-        return self._run_batched_body(frame, code)
-
-    def _run_batched_body(self, frame: Frame, code: _BlockCode) -> object:
-        """Run a block's body + terminator in bulk, phis already applied."""
-        i = 0
+        run = code.batched or code.emit(self.module, hooked=False)
         try:
-            for step in code.body:
-                step(self, frame)
-                i += 1
-        except BaseException:
-            self.instructions += code.n_phis + i + 1
-            self.cycles += code.phi_prefix[-1] + code.body_prefix[i + 1]
+            return run(self, frame)
+        except BaseException as exc:
+            line = exc.__traceback__.tb_next  # the generated frame
+            if line is not None:  # None: raised entering it
+                instructions, cycles = code.charges[line.tb_lineno]
+                self.instructions += instructions
+                self.cycles += cycles
+                _undefined_read(exc)
             raise
-        self.instructions += code.weight
-        self.cycles += code.total_cycles
-        return code.term(self, frame)
 
     def _run_block(self, frame: Frame, skip_phis: bool = False) -> object:
+        """One block per step, hook called before every body instruction."""
         block = frame.block
-        code = self._code.get(block)
-        if code is None:
-            code = self._compile_block(block)
-
-        # Phi nodes evaluate in parallel against the edge just taken.
-        if code.phis and not skip_phis:
-            prev = frame.prev_block
-            staged: dict[str, int | float] = {}
-            fuel = self.fuel
-            for phi, cost, incoming in code.phis:
-                if prev is None:
-                    raise InterpreterError(
-                        f"phi {phi.ref()} reached without a predecessor edge"
-                    )
-                get = incoming.get(prev)
-                if get is None:
-                    raise TrapError(
-                        f"phi {phi.ref()}: no incoming entry for edge from "
-                        f"^{prev.name} (control-flow corruption?)"
-                    )
-                staged[phi.name] = get(frame.env)
-                self.instructions += 1
-                self.cycles += cost
-                if self.instructions > fuel:
-                    raise FuelExhausted(
-                        f"instruction budget of {fuel} exhausted"
-                    )
-            frame.env.update(staged)
-
-        hook = self.step_hook
-        fuel = self.fuel
-        for instr, cost, step in code.steps:
-            if hook is not None:
-                hook(self, frame, instr, self.instructions)
-            self.instructions += 1
-            self.cycles += cost
-            if self.instructions > fuel:
-                raise FuelExhausted(
-                    f"instruction budget of {fuel} exhausted"
-                )
-            result = step(self, frame)
-            if result is not None:
-                return result
-        raise InterpreterError(
-            f"@{frame.func.name}:^{frame.block.name} fell off the end"
-        )  # pragma: no cover - verifier guarantees terminators
-
-    # -- block compilation -----------------------------------------------------
+        code = self._code.get(block) or self._compile_block(block)
+        run = code.stepped or code.emit(self.module, hooked=True)
+        try:
+            return run(self, frame, self.step_hook, not skip_phis)
+        except KeyError as exc:
+            _undefined_read(exc)
+            raise
 
     def _compile_block(self, block: BasicBlock) -> _BlockCode:
-        # Batched runs split the terminator off the body; the verifier
-        # rejects unterminated blocks, and so does this, before they run.
-        if not block.is_terminated:
-            raise IRError(f"block ^{block.name} has no terminator")
-        cost = self.cost_model.cost
-        phis: list[tuple[Instruction, int, dict[BasicBlock, Callable]]] = []
-        for phi in block.phis:
-            incoming: dict[BasicBlock, Callable] = {}
-            for value, pred in zip(phi.operands, phi.block_targets):
-                # First entry wins, matching the reference lookup order.
-                if pred not in incoming:
-                    incoming[pred] = _operand_getter(value)
-            phis.append((phi, cost(phi), incoming))
-        steps = tuple(
-            (instr, cost(instr), self._compile_step(block, instr))
-            for instr in block.body
-        )
-        has_call = any(
-            instr.opcode is Opcode.CALL for instr in block.body
-        )
-        code = _BlockCode(phis, steps, has_call)
-        self._code[block] = code
+        code = self._code[block] = _BlockCode(block, self.cost_model.cost)
         return code
 
     def _find_loops(self, func: Function) -> None:
@@ -845,333 +830,23 @@ class Interpreter:
                 code = self._code.get(header) or self._compile_block(header)
                 code.loop = loop
 
-    def _compile_step(self, block: BasicBlock, instr: Instruction) -> _Step:
-        op = instr.opcode
-        ops = instr.operands
-        name = instr.name
-        type_ = instr.type
+    def value_types(self, func: Function) -> dict[str, Type]:
+        """Declared type of every value of ``func``, once per code cache.
 
-        if op is Opcode.RET:
-            if ops:
-                get = _operand_getter(ops[0])
-
-                def step_ret(interp: Interpreter, frame: Frame) -> object:
-                    return _Return(get(frame.env))
-
-                return step_ret
-            return lambda interp, frame: _RETURN_NONE
-
-        if op is Opcode.TRAP:
-            func_name = block.parent.name if block.parent else "?"
-            message = f"protection trap in @{func_name}:^{block.name}"
-
-            def step_trap(interp: Interpreter, frame: Frame) -> object:
-                raise DetectionTrap(message)
-
-            return step_trap
-
-        if op is Opcode.JMP:
-            target = instr.block_targets[0]
-
-            def step_jmp(interp: Interpreter, frame: Frame) -> object:
-                frame.prev_block = frame.block
-                frame.block = target
-                return _CONTINUE
-
-            return step_jmp
-
-        if op is Opcode.BR:
-            cond = _operand_getter(ops[0])
-            then_block, else_block = instr.block_targets
-
-            def step_br(interp: Interpreter, frame: Frame) -> object:
-                target = then_block if cond(frame.env) else else_block
-                frame.prev_block = frame.block
-                frame.block = target
-                return _CONTINUE
-
-            return step_br
-
-        if op in _INT_ARITH:
-            a, b = _operand_getter(ops[0]), _operand_getter(ops[1])
-            # Wrapping is inlined with the type's mask/max/span captured
-            # at compile time: ``Type.wrap`` re-derives them through
-            # property lookups on every call, which dominates the hot
-            # loop.  Semantics are identical (two's-complement reduce).
-            mask, smax, span = _wrap_params(type_)
-            if op is Opcode.ADD:
-                def step(interp, frame):
-                    env = frame.env
-                    v = (int(a(env)) + int(b(env))) & mask
-                    env[name] = v - span if v > smax else v
-            elif op is Opcode.SUB:
-                def step(interp, frame):
-                    env = frame.env
-                    v = (int(a(env)) - int(b(env))) & mask
-                    env[name] = v - span if v > smax else v
-            elif op is Opcode.MUL:
-                def step(interp, frame):
-                    env = frame.env
-                    v = (int(a(env)) * int(b(env))) & mask
-                    env[name] = v - span if v > smax else v
-            elif op is Opcode.AND:
-                def step(interp, frame):
-                    env = frame.env
-                    v = (int(a(env)) & int(b(env))) & mask
-                    env[name] = v - span if v > smax else v
-            elif op is Opcode.OR:
-                def step(interp, frame):
-                    env = frame.env
-                    v = (int(a(env)) | int(b(env))) & mask
-                    env[name] = v - span if v > smax else v
-            elif op is Opcode.XOR:
-                def step(interp, frame):
-                    env = frame.env
-                    v = (int(a(env)) ^ int(b(env))) & mask
-                    env[name] = v - span if v > smax else v
-            else:
-                # Divisions and shifts share the reference helper: they are
-                # rare in the workloads and carry trap/masking subtleties.
-                def step(interp, frame, op=op, type_=type_):
-                    env = frame.env
-                    env[name] = _int_arith(
-                        op, type_, int(a(env)), int(b(env))
-                    )
-            return step
-
-        if op in _FLOAT_ARITH:
-            a, b = _operand_getter(ops[0]), _operand_getter(ops[1])
-            if op is Opcode.FADD:
-                def step(interp, frame):
-                    env = frame.env
-                    env[name] = float(a(env)) + float(b(env))
-            elif op is Opcode.FSUB:
-                def step(interp, frame):
-                    env = frame.env
-                    env[name] = float(a(env)) - float(b(env))
-            elif op is Opcode.FMUL:
-                def step(interp, frame):
-                    env = frame.env
-                    env[name] = float(a(env)) * float(b(env))
-            else:
-                def step(interp, frame):
-                    env = frame.env
-                    env[name] = _float_arith(
-                        Opcode.FDIV, float(a(env)), float(b(env))
-                    )
-            return step
-
-        if op is Opcode.ICMP:
-            assert instr.predicate is not None
-            cmp = _PREDICATE_OPS[instr.predicate]
-            a, b = _operand_getter(ops[0]), _operand_getter(ops[1])
-
-            def step_icmp(interp: Interpreter, frame: Frame) -> object:
-                env = frame.env
-                env[name] = int(cmp(int(a(env)), int(b(env))))
-
-            return step_icmp
-
-        if op is Opcode.FCMP:
-            assert instr.predicate is not None
-            cmp = _PREDICATE_OPS[instr.predicate]
-            nan_result = int(instr.predicate is Predicate.NE)
-            a, b = _operand_getter(ops[0]), _operand_getter(ops[1])
-            isnan = math.isnan
-
-            def step_fcmp(interp: Interpreter, frame: Frame) -> object:
-                env = frame.env
-                av, bv = float(a(env)), float(b(env))
-                if isnan(av) or isnan(bv):
-                    env[name] = nan_result
-                else:
-                    env[name] = int(cmp(av, bv))
-
-            return step_fcmp
-
-        if op is Opcode.SITOFP:
-            a = _operand_getter(ops[0])
-
-            def step_sitofp(interp: Interpreter, frame: Frame) -> object:
-                env = frame.env
-                env[name] = float(int(a(env)))
-
-            return step_sitofp
-
-        if op is Opcode.FPTOSI:
-            a = _operand_getter(ops[0])
-            mask, smax, span = _wrap_params(type_)
-
-            def step_fptosi(interp: Interpreter, frame: Frame) -> object:
-                env = frame.env
-                value = float(a(env))
-                if math.isnan(value) or math.isinf(value):
-                    raise TrapError(f"fptosi of non-finite value {value}")
-                v = int(value) & mask
-                env[name] = v - span if v > smax else v
-
-            return step_fptosi
-
-        if op is Opcode.ZEXT:
-            a = _operand_getter(ops[0])
-            src_mask = (1 << ops[0].type.bits) - 1
-            mask, smax, span = _wrap_params(type_)
-
-            def step_zext(interp: Interpreter, frame: Frame) -> object:
-                env = frame.env
-                v = int(a(env)) & src_mask & mask
-                env[name] = v - span if v > smax else v
-
-            return step_zext
-
-        if op is Opcode.TRUNC:
-            a = _operand_getter(ops[0])
-            mask, smax, span = _wrap_params(type_)
-
-            def step_trunc(interp: Interpreter, frame: Frame) -> object:
-                env = frame.env
-                v = int(a(env)) & mask
-                env[name] = v - span if v > smax else v
-
-            return step_trunc
-
-        if op is Opcode.ALLOC:
-            a = _operand_getter(ops[0])
-
-            def step_alloc(interp: Interpreter, frame: Frame) -> object:
-                env = frame.env
-                env[name] = interp.alloc_cells(int(a(env)))
-
-            return step_alloc
-
-        if op is Opcode.LOAD:
-            a = _operand_getter(ops[0])
-            if type_.is_float:
-                def step_load(interp: Interpreter, frame: Frame) -> object:
-                    env = frame.env
-                    address = int(a(env))
-                    heap = interp.heap
-                    if not 0 <= address < len(heap):
-                        raise TrapError(
-                            f"load from invalid address {address}"
-                        )
-                    env[name] = float(heap[address])
-            else:
-                mask, smax, span = _wrap_params(type_)
-
-                def step_load(interp: Interpreter, frame: Frame) -> object:
-                    env = frame.env
-                    address = int(a(env))
-                    heap = interp.heap
-                    if not 0 <= address < len(heap):
-                        raise TrapError(
-                            f"load from invalid address {address}"
-                        )
-                    v = int(heap[address]) & mask
-                    env[name] = v - span if v > smax else v
-            return step_load
-
-        if op is Opcode.STORE:
-            value_get = _operand_getter(ops[0])
-            addr_get = _operand_getter(ops[1])
-
-            def step_store(interp: Interpreter, frame: Frame) -> object:
-                env = frame.env
-                # Address before value: the reference path reads them in
-                # this order, which fixes which trap fires first.
-                address = int(addr_get(env))
-                value = value_get(env)
-                heap = interp.heap
-                if not 0 <= address < len(heap):
-                    raise TrapError(f"store to invalid address {address}")
-                heap[address] = value
-
-            return step_store
-
-        if op is Opcode.GEP:
-            a, b = _operand_getter(ops[0]), _operand_getter(ops[1])
-
-            def step_gep(interp: Interpreter, frame: Frame) -> object:
-                env = frame.env
-                env[name] = int(a(env)) + int(b(env))
-
-            return step_gep
-
-        if op is Opcode.SELECT:
-            cond = _operand_getter(ops[0])
-            a, b = _operand_getter(ops[1]), _operand_getter(ops[2])
-
-            def step_select(interp: Interpreter, frame: Frame) -> object:
-                env = frame.env
-                env[name] = a(env) if cond(env) else b(env)
-
-            return step_select
-
-        if op is Opcode.MAG:
-            a = _operand_getter(ops[0])
-            k = instr.imm or 0
-
-            def step_mag(interp: Interpreter, frame: Frame) -> object:
-                env = frame.env
-                env[name] = magnitude(float(a(env)), k)
-
-            return step_mag
-
-        if op is Opcode.SIGN:
-            a = _operand_getter(ops[0])
-            copysign = math.copysign
-
-            def step_sign(interp: Interpreter, frame: Frame) -> object:
-                env = frame.env
-                env[name] = int(copysign(1.0, float(a(env))) < 0)
-
-            return step_sign
-
-        if op is Opcode.CALL:
-            assert instr.callee is not None
-            callee = self.module.function(instr.callee)
-            getters = [_operand_getter(a) for a in ops]
-            if instr.defines_value:
-                def step_call(interp: Interpreter, frame: Frame) -> object:
-                    env = frame.env
-                    result = interp._call(callee, [g(env) for g in getters])
-                    env[name] = 0 if result is None else result
-            else:
-                def step_call(interp: Interpreter, frame: Frame) -> object:
-                    env = frame.env
-                    interp._call(callee, [g(env) for g in getters])
-            return step_call
-
-        raise InterpreterError(f"unhandled opcode {op}")  # pragma: no cover
+        Kept on the entry block's code beside the counted loops, so the
+        register injectors and the pruning planner of every campaign over
+        the module share one table.
+        """
+        entry = self._code.get(func.entry) or self._compile_block(func.entry)
+        if entry.types is None:
+            entry.types = func.value_types()
+        return entry.types
 
 
 def _wrap_params(type_: Type) -> tuple[int, int, int]:
     """``(mask, signed_max, span)`` for inlined two's-complement wrapping."""
     bits = type_.bits
     return (1 << bits) - 1, (1 << (bits - 1)) - 1, 1 << bits
-
-
-def _operand_getter(value: Value) -> Callable[[dict], int | float]:
-    """Compile one operand to an environment accessor."""
-    if isinstance(value, Constant):
-        constant = value.value
-
-        def get_const(env: dict) -> int | float:
-            return constant
-
-        return get_const
-    if isinstance(value, (Argument, Instruction)):
-        name = value.name
-        ref = value.ref()
-
-        def get_named(env: dict) -> int | float:
-            try:
-                return env[name]
-            except KeyError:
-                raise TrapError(f"read of undefined value {ref}") from None
-
-        return get_named
-    raise InterpreterError(f"unknown value kind {value!r}")
 
 
 #: Magnitude of zero: below the smallest subnormal exponent (2**-1074).
@@ -1208,61 +883,12 @@ _RETURN_NONE = _Return(None)
 #: Returned by the top frame when its run rejoined golden.
 _REJOINED = object()
 
-_INT_ARITH = frozenset({
-    Opcode.ADD, Opcode.SUB, Opcode.MUL, Opcode.SDIV, Opcode.SREM,
-    Opcode.AND, Opcode.OR, Opcode.XOR, Opcode.SHL, Opcode.LSHR, Opcode.ASHR,
-})
-_FLOAT_ARITH = frozenset({Opcode.FADD, Opcode.FSUB, Opcode.FMUL, Opcode.FDIV})
-
-_PREDICATE_OPS = {
-    Predicate.EQ: operator.eq,
-    Predicate.NE: operator.ne,
-    Predicate.LT: operator.lt,
-    Predicate.LE: operator.le,
-    Predicate.GT: operator.gt,
-    Predicate.GE: operator.ge,
-}
-
-
 def _coerce(type_: Type, value: int | float) -> int | float:
     if type_.is_float:
         return float(value)
     if type_.is_pointer:
         return int(value)
     return type_.wrap(int(value))
-
-
-def _int_arith(op: Opcode, type_: Type, a: int, b: int) -> int:
-    bits = type_.bits
-    if op is Opcode.ADD:
-        return type_.wrap(a + b)
-    if op is Opcode.SUB:
-        return type_.wrap(a - b)
-    if op is Opcode.MUL:
-        return type_.wrap(a * b)
-    if op is Opcode.SDIV:
-        if b == 0:
-            raise TrapError("integer division by zero")
-        return type_.wrap(int(a / b))  # trunc-toward-zero, like hardware
-    if op is Opcode.SREM:
-        if b == 0:
-            raise TrapError("integer remainder by zero")
-        return type_.wrap(a - int(a / b) * b)
-    if op is Opcode.AND:
-        return type_.wrap(a & b)
-    if op is Opcode.OR:
-        return type_.wrap(a | b)
-    if op is Opcode.XOR:
-        return type_.wrap(a ^ b)
-    shift = b & (bits - 1) if bits > 1 else 0
-    unsigned = a & ((1 << bits) - 1)
-    if op is Opcode.SHL:
-        return type_.wrap(unsigned << shift)
-    if op is Opcode.LSHR:
-        return type_.wrap(unsigned >> shift)
-    if op is Opcode.ASHR:
-        return type_.wrap(a >> shift)
-    raise AssertionError(op)  # pragma: no cover
 
 
 def _float_arith(op: Opcode, a: float, b: float) -> float:
@@ -1282,15 +908,310 @@ def _float_arith(op: Opcode, a: float, b: float) -> float:
     raise AssertionError(op)  # pragma: no cover
 
 
-def _compare(pred: Predicate, a: int | float, b: int | float) -> bool:
-    if pred is Predicate.EQ:
-        return a == b
-    if pred is Predicate.NE:
-        return a != b
-    if pred is Predicate.LT:
-        return a < b
-    if pred is Predicate.LE:
-        return a <= b
-    if pred is Predicate.GT:
-        return a > b
-    return a >= b
+# -- block code generation -------------------------------------------------------
+
+_INT_SYMBOLS = {
+    Opcode.ADD: "+", Opcode.SUB: "-", Opcode.MUL: "*",
+    Opcode.AND: "&", Opcode.OR: "|", Opcode.XOR: "^",
+}
+_SHIFT_SYMBOLS = {Opcode.SHL: "<<", Opcode.LSHR: ">>", Opcode.ASHR: ">>"}
+_FLOAT_SYMBOLS = {Opcode.FADD: "+", Opcode.FSUB: "-", Opcode.FMUL: "*"}
+_PREDICATE_SYMBOLS = {
+    Predicate.EQ: "==", Predicate.NE: "!=", Predicate.LT: "<",
+    Predicate.LE: "<=", Predicate.GT: ">", Predicate.GE: ">=",
+}
+_HANG = 'raise FuelExhausted(f"instruction budget of {fuel} exhausted")'
+
+
+def _no_edge(phi: Instruction, prev: BasicBlock | None) -> None:
+    """Raise the error of a phi with no operand for the edge taken."""
+    if prev is None:
+        raise InterpreterError(
+            f"phi {phi.ref()} reached without a predecessor edge"
+        )
+    raise TrapError(
+        f"phi {phi.ref()}: no incoming entry for edge from "
+        f"^{prev.name} (control-flow corruption?)"
+    )
+
+
+def _undefined_read(exc: BaseException) -> None:
+    """Trap on a ``KeyError`` a generated frame's own ``env`` read raised.
+
+    ``exc`` was caught by the caller of a generated function; a
+    ``KeyError`` from a deeper frame, a hook's, is left alone.
+    """
+    line = exc.__traceback__.tb_next
+    if type(exc) is KeyError and line is not None and line.tb_next is None:
+        raise TrapError(f"read of undefined value %{exc.args[0]}") from None
+
+
+#: Globals of every generated function, besides the objects it binds.
+_GLOBALS = {
+    "_CONTINUE": _CONTINUE, "_Return": _Return, "_RETURN_NONE": _RETURN_NONE,
+    "DetectionTrap": DetectionTrap, "FuelExhausted": FuelExhausted,
+    "TrapError": TrapError, "_no_edge": _no_edge,
+    "_float_arith": _float_arith, "_magnitude": magnitude,
+    "_copysign": math.copysign, "_isfinite": math.isfinite,
+}
+
+
+class _Source:
+    """The source of one generated block function, line by line.
+
+    Each instruction's lines carry its charge (see :class:`_BlockCode`).
+    In the batched variant every value the block defines lives in a
+    local, with its Python type when the operation fixes it, so an
+    ``int()`` or ``float()`` that could not change the value is left
+    out; the stepped variant reads every operand from ``env``.
+    """
+
+    def __init__(self, hooked: bool) -> None:
+        self.hooked = hooked
+        self.lines: list[str] = []
+        self.charges: list[tuple[int, int]] = [(0, 0)]  # lines count from 1
+        self.charge = (0, 0)
+        self.indent = 1
+        self.names = dict(_GLOBALS)
+        self._bound: dict[int, str] = {}
+        #: IR value name -> (local, its Python type or None).
+        self.locals: dict[str, tuple[str, type | None]] = {}
+        self._vars = 0
+
+    def line(self, text: str) -> None:
+        self.lines.append("    " * self.indent + text)
+        self.charges.append(self.charge)
+
+    def bind(self, obj: object) -> str:
+        """A global of the generated function holding ``obj``."""
+        name = self._bound.get(id(obj))
+        if name is None:
+            name = self._bound[id(obj)] = f"_g{len(self._bound)}"
+            self.names[name] = obj
+        return name
+
+    def literal(self, value: int | float) -> str:
+        if type(value) is int:
+            return repr(value) if value >= 0 else f"({value})"
+        if type(value) is float and 0.0 < value < math.inf:
+            return repr(value)  # round-trips exactly
+        return self.bind(value)
+
+    def read(self, value: Value, kind: type | None = None) -> str:
+        """An expression reading ``value``, as ``kind`` (int/float) if given."""
+        if isinstance(value, Constant):
+            expr, known = self.literal(value.value), type(value.value)
+        elif isinstance(value, (Argument, Instruction)):
+            expr, known = self.locals.get(value.name) or (
+                f"env[{value.name!r}]", None
+            )
+        else:
+            raise InterpreterError(f"unknown value kind {value!r}")
+        if kind is None or kind is known:
+            return expr
+        return f"{kind.__name__}({expr})"
+
+    def kind(self, value: Value) -> type | None:
+        if isinstance(value, Constant):
+            return type(value.value)
+        local = self.locals.get(value.name)
+        return None if local is None else local[1]
+
+    def var(self) -> str:
+        """A fresh local for the next value."""
+        if self.hooked:
+            return "v"
+        self._vars += 1
+        return f"v{self._vars}"
+
+    def define(self, instr: Instruction, var: str, kind: type | None) -> None:
+        if not self.hooked:
+            self.locals[instr.name] = (var, kind)
+        self.line(f"env[{instr.name!r}] = {var}")
+
+    def wrap(self, var: str, expr: str, type_: Type) -> None:
+        """``var = expr`` reduced to ``type_``'s two's-complement range."""
+        mask, smax, span = _wrap_params(type_)
+        self.line(f"{var} = ({expr}) & {mask}")
+        self.line(f"if {var} > {smax}: {var} -= {span}")
+
+    def count(self, cost: int) -> None:
+        """Charge one instruction, then check the fuel (stepped only)."""
+        self.line(f"interp.instructions += 1; interp.cycles += {cost}")
+        self.line(f"if interp.instructions > fuel: {_HANG}")
+
+    def phis(self, code: _BlockCode) -> None:
+        """Read every phi's operand for the edge taken, then define them.
+
+        One branch per predecessor; phi ``j`` reads into ``t<j>``.
+        """
+        phis = code.block.phis
+        preds: list[BasicBlock] = []
+        for phi in phis:
+            for pred in phi.block_targets:
+                if all(pred is not seen for seen in preds):
+                    preds.append(pred)
+        self.line("prev = frame.prev_block")
+        for k, pred in enumerate(preds):
+            self.line(f"{'elif' if k else 'if'} prev is {self.bind(pred)}:")
+            self.indent += 1
+            for j, phi in enumerate(phis):
+                self.charge = (j, code.phi_prefix[j])
+                # The first entry for the edge, as the reference looks up.
+                value = next((
+                    value for value, source
+                    in zip(phi.operands, phi.block_targets) if source is pred
+                ), None)
+                if value is None:
+                    self.line(f"_no_edge({self.bind(phi)}, prev)")
+                    break
+                self.line(f"t{j} = {self.read(value)}")
+                if self.hooked:
+                    self.count(code.costs[j])
+            self.indent -= 1
+            self.charge = (0, 0)
+        if preds:
+            self.line("else:")
+            self.line(f"    _no_edge({self.bind(phis[0])}, prev)")
+        else:
+            self.line(f"_no_edge({self.bind(phis[0])}, prev)")
+        for j, phi in enumerate(phis):
+            self.define(phi, f"t{j}", None)
+
+    def instruction(self, instr: Instruction, module: Module) -> None:
+        """The lines of one body instruction; a terminator's return."""
+        op, ops, type_ = instr.opcode, instr.operands, instr.type
+        read, line = self.read, self.line
+        block = instr.parent
+        if op is Opcode.RET:
+            line(f"return _Return({read(ops[0])})" if ops
+                 else "return _RETURN_NONE")
+        elif op is Opcode.TRAP:
+            func = block.parent.name if block.parent else "?"
+            message = f"protection trap in @{func}:^{block.name}"
+            line(f"raise DetectionTrap({self.bind(message)})")
+        elif op is Opcode.JMP:
+            target = self.bind(instr.block_targets[0])
+            line(f"frame.prev_block, frame.block = {self.bind(block)}, {target}")
+            line("return _CONTINUE")
+        elif op is Opcode.BR:
+            then, other = map(self.bind, instr.block_targets)
+            line(f"frame.prev_block, frame.block = {self.bind(block)}, "
+                 f"{then} if {read(ops[0])} else {other}")
+            line("return _CONTINUE")
+        elif op in _INT_SYMBOLS:
+            x, y, var = read(ops[0], int), read(ops[1], int), self.var()
+            self.wrap(var, f"{x} {_INT_SYMBOLS[op]} {y}", type_)
+            self.define(instr, var, int)
+        elif op is Opcode.SDIV or op is Opcode.SREM:
+            line(f"x = {read(ops[0], int)}")
+            line(f"y = {read(ops[1], int)}")
+            var = self.var()
+            if op is Opcode.SDIV:  # truncating toward zero, like hardware
+                line('if y == 0: raise TrapError("integer division by zero")')
+                self.wrap(var, "int(x / y)", type_)
+            else:
+                line('if y == 0: raise TrapError("integer remainder by zero")')
+                self.wrap(var, "x - int(x / y) * y", type_)
+            self.define(instr, var, int)
+        elif op in _SHIFT_SYMBOLS:
+            x, y, var = read(ops[0], int), read(ops[1], int), self.var()
+            bits = type_.bits
+            if op is not Opcode.ASHR:
+                x = f"({x} & {(1 << bits) - 1})"
+            shift = f"({y} & {bits - 1 if bits > 1 else 0})"
+            self.wrap(var, f"{x} {_SHIFT_SYMBOLS[op]} {shift}", type_)
+            self.define(instr, var, int)
+        elif op in _FLOAT_SYMBOLS:
+            x, y, var = read(ops[0], float), read(ops[1], float), self.var()
+            line(f"{var} = {x} {_FLOAT_SYMBOLS[op]} {y}")
+            self.define(instr, var, float)
+        elif op is Opcode.FDIV:
+            line(f"x = {read(ops[0], float)}")
+            line(f"y = {read(ops[1], float)}")
+            var = self.var()
+            line(f"{var} = x / y if y else _float_arith({self.bind(op)}, x, y)")
+            self.define(instr, var, float)
+        elif op is Opcode.ICMP or op is Opcode.FCMP:
+            # NaN compares false but for ``ne``: the fcmp NaN rule.
+            kind = int if op is Opcode.ICMP else float
+            x, y, var = read(ops[0], kind), read(ops[1], kind), self.var()
+            symbol = _PREDICATE_SYMBOLS[instr.predicate]
+            line(f"{var} = 1 if {x} {symbol} {y} else 0")
+            self.define(instr, var, int)
+        elif op is Opcode.SITOFP:
+            var = self.var()
+            line(f"{var} = float({read(ops[0], int)})")
+            self.define(instr, var, float)
+        elif op is Opcode.FPTOSI:
+            line(f"f = {read(ops[0], float)}")
+            line('if not _isfinite(f): '
+                 'raise TrapError(f"fptosi of non-finite value {f}")')
+            var = self.var()
+            self.wrap(var, "int(f)", type_)
+            self.define(instr, var, int)
+        elif op is Opcode.ZEXT or op is Opcode.TRUNC:
+            x, var = read(ops[0], int), self.var()
+            if op is Opcode.ZEXT:
+                x = f"{x} & {(1 << ops[0].type.bits) - 1}"
+            self.wrap(var, x, type_)
+            self.define(instr, var, int)
+        elif op is Opcode.ALLOC:
+            var = self.var()
+            line(f"{var} = interp.alloc_cells({read(ops[0], int)})")
+            self.define(instr, var, int)
+        elif op is Opcode.LOAD:
+            line(f"a = {read(ops[0], int)}")
+            if self.hooked:
+                line("heap = interp.heap")
+            line('if not 0 <= a < len(heap): '
+                 'raise TrapError(f"load from invalid address {a}")')
+            var = self.var()
+            if type_.is_float:
+                line(f"{var} = float(heap[a])")
+                self.define(instr, var, float)
+            else:
+                self.wrap(var, "int(heap[a])", type_)
+                self.define(instr, var, int)
+        elif op is Opcode.STORE:
+            # Address before value: this order fixes which trap fires.
+            line(f"a = {read(ops[1], int)}")
+            line(f"s = {read(ops[0])}")
+            if self.hooked:
+                line("heap = interp.heap")
+            line('if not 0 <= a < len(heap): '
+                 'raise TrapError(f"store to invalid address {a}")')
+            line("heap[a] = s")
+        elif op is Opcode.GEP:
+            var = self.var()
+            line(f"{var} = {read(ops[0], int)} + {read(ops[1], int)}")
+            self.define(instr, var, int)
+        elif op is Opcode.SELECT:
+            # The condition first, then only the chosen arm.
+            cond, x, y = ops
+            var = self.var()
+            line(f"{var} = {read(x)} if {read(cond)} else {read(y)}")
+            kind = self.kind(x)
+            self.define(instr, var, kind if kind is self.kind(y) else None)
+        elif op is Opcode.MAG:
+            var = self.var()
+            line(f"{var} = _magnitude({read(ops[0], float)}, {instr.imm or 0})")
+            self.define(instr, var, int)
+        elif op is Opcode.SIGN:
+            var = self.var()
+            line(f"{var} = 1 if _copysign(1.0, {read(ops[0], float)}) < 0 "
+                 "else 0")
+            self.define(instr, var, int)
+        elif op is Opcode.CALL:
+            callee = self.bind(module.function(instr.callee))
+            call = f"interp._call({callee}, [{', '.join(map(read, ops))}])"
+            if instr.defines_value:
+                var = self.var()
+                line(f"{var} = {call}")
+                line(f"if {var} is None: {var} = 0")
+                self.define(instr, var, None)
+            else:
+                line(call)
+        else:  # pragma: no cover
+            raise InterpreterError(f"unhandled opcode {op}")
+

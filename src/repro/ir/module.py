@@ -14,6 +14,14 @@ class Module:
     def __init__(self, name: str = "module") -> None:
         self.name = name
         self._functions: dict[str, Function] = {}
+        #: Compiled code of :mod:`repro.ir.interp`, kept here so that it
+        #: dies with the module (see :func:`repro.ir.interp.module_code`).
+        self._code: tuple | None = None
+
+    def __getstate__(self) -> dict:
+        # A pickled or deep-copied module compiles its own code: compiled
+        # code holds this module's blocks.
+        return {**self.__dict__, "_code": None}
 
     def add_function(self, func: Function) -> Function:
         if func.name in self._functions:

@@ -18,6 +18,8 @@ the grammar.  Example::
 
 from __future__ import annotations
 
+import hashlib
+
 from repro.ir.block import BasicBlock
 from repro.ir.function import Function
 from repro.ir.instructions import (
@@ -108,3 +110,13 @@ def print_function(func: Function) -> str:
 
 def print_module(module: Module) -> str:
     return "\n\n".join(print_function(f) for f in module) + "\n"
+
+
+def module_fingerprint(module: Module) -> str:
+    """Content hash of a module: SHA-256 of its printed IR.
+
+    Two modules with identical printed IR behave identically under the
+    interpreter (the printer is the module's canonical serialization), so
+    the fingerprint is a sound cache key for execution results.
+    """
+    return hashlib.sha256(print_module(module).encode("utf-8")).hexdigest()

@@ -1,9 +1,10 @@
 """Reference IR interpreter: the original per-instruction dispatch loop.
 
-:class:`repro.ir.interp.Interpreter` lowers blocks to compiled step
-closures for speed.  This module keeps the pre-optimization dispatch loop
-— opcode tests, cost-model lookups and operand resolution done per dynamic
-instruction — under the same public contract, for two purposes:
+:class:`repro.ir.interp.Interpreter` translates each block into a
+compiled Python function.  This module keeps the pre-optimization
+dispatch loop — opcode tests, cost-model lookups and operand resolution
+done per dynamic instruction — under the same public contract, for two
+purposes:
 
 * **differential oracle**: ``tests/ir/test_fastpath.py`` checks that the
   compiled interpreter produces identical values, cycles, instruction
@@ -11,9 +12,11 @@ instruction — under the same public contract, for two purposes:
 * **perf baseline**: ``benchmarks/bench_perf.py`` measures the fast path's
   speedup against this loop and records it in ``BENCH_perf.json``.
 
-Keep semantics in lockstep with :mod:`repro.ir.interp`; shared helpers
-(``magnitude``, arithmetic, coercion) are imported from there so only the
-dispatch structure is duplicated.
+Keep semantics in lockstep with :mod:`repro.ir.interp`.  ``magnitude``,
+coercion and float arithmetic are imported from there; integer
+arithmetic and comparisons are written out here, apart from the code
+the fast path generates, so the oracle checks that code against an
+independent reading of the semantics.
 """
 
 from __future__ import annotations
@@ -21,15 +24,13 @@ from __future__ import annotations
 from repro.errors import DetectionTrap, FuelExhausted, InterpreterError, TrapError
 from repro.ir.costmodel import CORTEX_A53, CostModel
 from repro.ir.function import Function
-from repro.ir.instructions import Instruction, Opcode, Predicate
+from repro.ir.instructions import (
+    FLOAT_BINOPS, INT_BINOPS, Instruction, Opcode, Predicate,
+)
 from repro.ir.interp import (
     _CONTINUE,
-    _FLOAT_ARITH,
-    _INT_ARITH,
     _coerce,
-    _compare,
     _float_arith,
-    _int_arith,
     ExecutionResult,
     ExecutionStatus,
     Frame,
@@ -94,6 +95,11 @@ class ReferenceInterpreter:
             block_trace=self.block_trace,
             trap_reason=reason,
         )
+
+    @staticmethod
+    def value_types(func: Function) -> dict[str, Type]:
+        """Declared type of every value of ``func``, found per call."""
+        return func.value_types()
 
     def alloc_cells(self, count: int) -> int:
         """Allocate ``count`` zeroed heap cells; returns base address."""
@@ -214,9 +220,9 @@ class ReferenceInterpreter:
         op = instr.opcode
         get = lambda i: self._value(frame, instr.operands[i])  # noqa: E731
 
-        if op in _INT_ARITH:
+        if op in INT_BINOPS:
             return _int_arith(op, instr.type, int(get(0)), int(get(1)))
-        if op in _FLOAT_ARITH:
+        if op in FLOAT_BINOPS:
             return _float_arith(op, float(get(0)), float(get(1)))
         if op is Opcode.ICMP:
             assert instr.predicate is not None
@@ -274,3 +280,50 @@ class ReferenceInterpreter:
         if not 0 <= address < len(self.heap):
             raise TrapError(f"store to invalid address {address}")
         self.heap[address] = value
+
+
+def _int_arith(op: Opcode, type_: Type, a: int, b: int) -> int:
+    bits = type_.bits
+    if op is Opcode.ADD:
+        return type_.wrap(a + b)
+    if op is Opcode.SUB:
+        return type_.wrap(a - b)
+    if op is Opcode.MUL:
+        return type_.wrap(a * b)
+    if op is Opcode.SDIV:
+        if b == 0:
+            raise TrapError("integer division by zero")
+        return type_.wrap(int(a / b))  # trunc-toward-zero, like hardware
+    if op is Opcode.SREM:
+        if b == 0:
+            raise TrapError("integer remainder by zero")
+        return type_.wrap(a - int(a / b) * b)
+    if op is Opcode.AND:
+        return type_.wrap(a & b)
+    if op is Opcode.OR:
+        return type_.wrap(a | b)
+    if op is Opcode.XOR:
+        return type_.wrap(a ^ b)
+    shift = b & (bits - 1) if bits > 1 else 0
+    unsigned = a & ((1 << bits) - 1)
+    if op is Opcode.SHL:
+        return type_.wrap(unsigned << shift)
+    if op is Opcode.LSHR:
+        return type_.wrap(unsigned >> shift)
+    if op is Opcode.ASHR:
+        return type_.wrap(a >> shift)
+    raise AssertionError(op)  # pragma: no cover
+
+
+def _compare(pred: Predicate, a: int | float, b: int | float) -> bool:
+    if pred is Predicate.EQ:
+        return a == b
+    if pred is Predicate.NE:
+        return a != b
+    if pred is Predicate.LT:
+        return a < b
+    if pred is Predicate.LE:
+        return a <= b
+    if pred is Predicate.GT:
+        return a > b
+    return a >= b

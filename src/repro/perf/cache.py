@@ -22,7 +22,6 @@ it to its own blocks.
 
 from __future__ import annotations
 
-import hashlib
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, replace
@@ -30,17 +29,7 @@ from dataclasses import dataclass, replace
 from repro.ir.costmodel import CostModel
 from repro.ir.interp import ExecutionResult
 from repro.ir.module import Module
-from repro.ir.printer import print_module
-
-
-def module_fingerprint(module: Module) -> str:
-    """Content hash of a module: SHA-256 of its printed IR.
-
-    Two modules with identical printed IR behave identically under the
-    interpreter (the printer is the module's canonical serialization), so
-    the fingerprint is a sound cache key for execution results.
-    """
-    return hashlib.sha256(print_module(module).encode("utf-8")).hexdigest()
+from repro.ir.printer import module_fingerprint
 
 
 def cost_model_key(cost_model: CostModel) -> tuple:

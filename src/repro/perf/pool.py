@@ -8,7 +8,7 @@ everything the worker warm-start depends on (module fingerprint via
 printed IR, entry + args, cost model, fuel, supervisor config, worker
 count).  The first campaign for a key forks and warm-starts the pool;
 later campaigns of the same shape reuse the hot workers, whose parsed
-module, validated golden run and compiled ``code_cache`` are already in
+module, validated golden run and compiled code are already in
 place, so dispatch costs only queue traffic.
 
 ``multiprocessing.Pool`` replaces a worker that dies (OOM kill,

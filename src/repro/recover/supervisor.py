@@ -46,7 +46,7 @@ from repro.faults.campaign import (
     trial_fuel_for,
 )
 from repro.faults.outcomes import FaultOutcome, OutcomeCounts, TrialResult
-from repro.ir.interp import ExecutionResult, Interpreter
+from repro.ir.interp import ExecutionResult, Interpreter, module_code
 from repro.recover.checkpoint import (
     CheckpointHook,
     CheckpointManager,
@@ -302,9 +302,9 @@ class Supervisor:
         self.campaign = campaign
         self.golden = golden
         self.config = config
-        # Compiled blocks shared by every trial, clean re-run and resume
-        # this supervisor drives (one module + one cost model throughout).
-        self.code_cache: dict = {}
+        # The module's shared compiled blocks, which the campaign's golden
+        # lookup checked: every trial, clean re-run and resume runs them.
+        self.code_cache = module_code(campaign.module, campaign.cost_model)
         self.ladder = EscalationLadder(config.ladder)
         self.watchdog_budget = max(
             1, int(golden.instructions * config.watchdog_margin)

@@ -24,4 +24,5 @@ def pearson_correlation(x: np.ndarray, y: np.ndarray) -> float:
     denom = np.sqrt((xc * xc).sum() * (yc * yc).sum())
     if denom == 0:
         return 0.0
-    return float((xc * yc).sum() / denom)
+    # Rounding (subnormal squares of tiny deviations) can leave [-1, 1].
+    return float(np.clip((xc * yc).sum() / denom, -1.0, 1.0))

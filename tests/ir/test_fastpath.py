@@ -1,11 +1,12 @@
 """Fast-path interpreter vs the reference dispatch loop.
 
-:class:`repro.ir.interp.Interpreter` pre-compiles each basic block into
-operand-accessor closures; :class:`repro.ir.refinterp.ReferenceInterpreter`
-keeps the original instruction-at-a-time dispatch loop as a differential
-oracle.  The two must agree *exactly* — value, dynamic instruction count,
-cycle count, status, block trace — on every workload program, with and
-without fault injectors in the loop.
+:class:`repro.ir.interp.Interpreter` translates each basic block into
+compiled Python functions generated from its IR;
+:class:`repro.ir.refinterp.ReferenceInterpreter` keeps the original
+instruction-at-a-time dispatch loop as a differential oracle.  The two
+must agree *exactly* — value, dynamic instruction count, cycle count,
+status, block trace — on every workload program, with and without fault
+injectors in the loop.
 """
 
 import math

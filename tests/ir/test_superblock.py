@@ -1,13 +1,15 @@
 """Batched block execution: the call rule and counter exactness.
 
-:class:`repro.ir.interp.Interpreter` runs a block batched — fuel and
-cycles charged in bulk — when it has no call, cannot cross the fuel
-ceiling and the step hook is quiescent.  These tests pin the call rule,
-prove the batched tier actually runs (per-step work is counted through
-``Interpreter._run_block``), and prove the bulk accounting is *exact*
-against :class:`repro.ir.refinterp.ReferenceInterpreter` — same
-instruction count, cycle count, fuel-exhaustion point and trap position
-on every workload, with and without step hooks in the loop.
+:class:`repro.ir.interp.Interpreter` runs a block batched — the block's
+generated batched function, instructions and cycles charged in bulk —
+when it has no call, cannot cross the fuel ceiling and the step hook is
+quiescent; otherwise its stepped function runs.  These tests pin the
+call rule, prove the batched tier actually runs (per-step work is
+counted through ``Interpreter._run_block``), and prove the bulk
+accounting is *exact* against
+:class:`repro.ir.refinterp.ReferenceInterpreter` — same instruction
+count, cycle count, fuel-exhaustion point and trap position on every
+workload, with and without step hooks in the loop.
 """
 
 import math

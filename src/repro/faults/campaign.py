@@ -9,10 +9,11 @@ instructions (sect. 4.2).
 
 Every campaign flavour runs through the same three stages (:func:`run_plan`):
 
-* **plan** — one :class:`PlannedTrial` per trial.  Plain campaigns fork
-  one generator per trial (:func:`plan_trials`); timeline campaigns draw
-  their thinned arrivals, then fork the same way; pruned campaigns
-  resolve every fault and mark the ones the masking analysis proves
+* **plan** — one :class:`PlannedTrial` per trial, planned after the
+  campaign's one golden lookup.  Plain campaigns fork one generator per
+  trial (:func:`plan_trials`); timeline campaigns draw their thinned
+  arrivals, then fork the same way; pruned campaigns resolve every fault
+  from that lookup and mark the ones the module's masking report proves
   benign (:func:`prune_masked_trials`); supervised campaigns use the
   plain plan and hand a ``SupervisorConfig`` to the executor.
 * **execute** — :func:`repro.faults.parallel.execute` runs every trial
@@ -22,18 +23,22 @@ Every campaign flavour runs through the same three stages (:func:`run_plan`):
   and span events in trial order, so the traced stream is the same
   however the trials ran.
 
-Golden runs come from :data:`repro.perf.cache.GOLDEN_CACHE`.  The
-golden run, the pruning replay and every trial run the module's one
-compiled code (:func:`repro.ir.interp.module_code`), which every later
-campaign over the module shares too; :func:`run_golden` checks it
-against the module's printed-IR fingerprint once per campaign.  Tracing
-only observes — it never draws from an RNG or mutates engine state — so
-traced results are byte-identical to untraced ones.
+Golden runs come from :data:`repro.perf.cache.GOLDEN_CACHE`, looked up
+once per campaign.  The golden run, the pruning replay and every trial
+run the module's one compiled code (:func:`repro.ir.interp.module_code`),
+and pruned campaigns plan from the module's one masking report; both
+sit in the module's record (:func:`repro.ir.interp.module_record`),
+which every later campaign over the module shares too.  :func:`run_golden`
+checks that record against the module's printed-IR fingerprint once per
+campaign.  Tracing only observes — it never draws from an RNG or
+mutates engine state — so traced results are byte-identical to untraced
+ones.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from typing import Callable
 
 import numpy as np
 
@@ -46,7 +51,7 @@ from repro.faults.seu import (
 from repro.ir.costmodel import CORTEX_A53, CostModel
 from repro.ir.interp import (
     BoundSnapshots, ExecutionResult, ExecutionStatus, GoldenSnapshots,
-    Interpreter, module_code,
+    Interpreter, module_code, module_record,
 )
 from repro.ir.module import Module
 from repro.obs.events import (
@@ -61,7 +66,7 @@ from repro.obs.events import (
     TrialStart,
 )
 from repro.obs.spans import ROOT, SpanEnd, SpanStart, campaign_root, span_id
-from repro.perf.cache import GOLDEN_CACHE, module_fingerprint
+from repro.perf.cache import GOLDEN_CACHE
 from repro.rng import fork, make_rng
 
 
@@ -158,7 +163,8 @@ def run_golden(
         campaign.module, campaign.func_name, campaign.args,
         campaign.cost_model,
     )
-    # The campaign's one check of the module's shared compiled code.
+    # The campaign's one check of the module's shared record: its
+    # compiled code and its masking report.
     code = module_code(campaign.module, campaign.cost_model, key[0])
     if use_cache:
         cached = GOLDEN_CACHE.get(key, fuel=campaign.fuel)
@@ -505,20 +511,22 @@ class CampaignEmitter:
 
 def run_plan(
     campaign: Campaign,
-    plan: list[PlannedTrial],
+    planner: Callable[[ExecutionResult], list[PlannedTrial]],
     emitter: CampaignEmitter,
     workers: int | None = None,
     trace_blocks: bool = False,
     supervisor_config=None,
 ) -> tuple[CampaignResult, list]:
-    """Execute ``plan`` and emit it: the pipeline every flavour shares.
+    """Plan, execute and emit a campaign: the pipeline every flavour shares.
 
-    Hands the unpruned trials to the executor (the warm pool when
-    ``workers`` > 1), rebuilds the pruned ones from the golden run and
-    emits everything in trial order.  Returns the campaign result and one
-    recovery record per trial (None unless supervised and failing).
-    ``workers`` < 1 raises :class:`~repro.errors.FaultInjectionError`
-    before the campaign starts.
+    Starts the campaign, looks its golden run up once and hands it to
+    ``planner``, which returns one :class:`PlannedTrial` per trial.  Hands
+    the unpruned trials to the executor (the warm pool when ``workers`` >
+    1), rebuilds the pruned ones from the golden run and emits everything
+    in trial order.  Returns the campaign result and one recovery record
+    per trial (None unless supervised and failing).  ``workers`` < 1
+    raises :class:`~repro.errors.FaultInjectionError` before the campaign
+    starts.
     """
     from repro.faults.parallel import execute
 
@@ -527,6 +535,7 @@ def run_plan(
     tracer = emitter.tracer
     emitter.start(supervised=supervisor_config is not None)
     golden = run_golden(campaign, tracer=tracer)
+    plan = planner(golden)
     rows = execute(
         campaign, golden,
         [(index, planned) for index, planned in enumerate(plan)
@@ -570,8 +579,8 @@ def run_campaign(
     """
     emitter = CampaignEmitter(tracer, campaign, seed, trace_spans)
     result, _records = run_plan(
-        campaign, plan_trials(campaign, seed), emitter, workers,
-        trace_blocks=trace_blocks,
+        campaign, lambda _golden: plan_trials(campaign, seed), emitter,
+        workers, trace_blocks=trace_blocks,
     )
     return result
 
@@ -680,14 +689,19 @@ class PrunedTrials:
 
     Attributes:
         golden: the fault-free reference run.
-        report: the masking analysis that justified each pruning verdict.
+        report: the masking analysis that justified each pruning verdict
+            (the module's cached report).
         trials: one :class:`PlannedTrial` per campaign trial, index-aligned
             with the unpruned campaign's trial sequence.
+        fingerprint: the printed-IR hash of the module it was planned
+            against; :func:`run_campaign_pruned` runs the plan only on a
+            module with the same one.
     """
 
     golden: ExecutionResult
     report: "MaskingReport"  # noqa: F821 - analysis import is lazy
     trials: list[PlannedTrial]
+    fingerprint: str
 
     @property
     def n_pruned(self) -> int:
@@ -698,25 +712,6 @@ class PrunedTrials:
         if not self.trials:
             return 0.0
         return self.n_pruned / len(self.trials)
-
-
-def _check_report_module(
-    campaign: Campaign, report: "MaskingReport"  # noqa: F821
-) -> None:
-    """Refuse a masking report built for a module other than the campaign's.
-
-    Its verdicts name blocks and registers of that other module, so
-    pruning with them would skip trials that can fail.  A report of a
-    clone with identical printed IR classifies every point the same way
-    and is accepted.
-    """
-    if report.module is campaign.module:
-        return
-    if module_fingerprint(report.module) != module_fingerprint(campaign.module):
-        raise FaultInjectionError(
-            f"masking report of module {report.module.name!r} does not "
-            f"match the IR of campaign module {campaign.module.name!r}"
-        )
 
 
 class _TrialPlanner:
@@ -785,7 +780,7 @@ class _TrialPlanner:
 def prune_masked_trials(
     campaign: Campaign,
     seed: int | np.random.Generator | None = None,
-    report: "MaskingReport | None" = None,  # noqa: F821
+    golden: ExecutionResult | None = None,
 ) -> PrunedTrials:
     """Plan a pruned campaign: resolve every trial, classify, mark prunable.
 
@@ -798,9 +793,15 @@ def prune_masked_trials(
     never fire are marked ``pruned``; the rest, CHECK_MASKED included
     (benign or detected depending on dynamic values), must execute.
 
-    A passed ``report`` must analyse the campaign's module or a clone
-    with identical printed IR; another module's report raises
-    :class:`~repro.errors.FaultInjectionError` instead of mis-pruning.
+    The verdicts come from the module's masking report, kept in its
+    shared record (:func:`repro.ir.interp.module_record`): the first
+    pruned campaign over a module computes it with
+    :func:`repro.analysis.masking.analyze_masking`, every later one
+    reuses it.  The golden lookup (:func:`run_golden`) checks the record
+    against the module's printed IR, so a module changed in place is
+    analysed again.  ``golden`` is that lookup when the caller has just
+    made it for this campaign (:func:`run_campaign_pruned`, so that a
+    campaign looks golden up once); without it, planning makes its own.
     Register campaigns only: heap faults have no masking analysis.
     """
     from repro.analysis.masking import EXACT_BENIGN, MaskClass, analyze_masking
@@ -811,9 +812,10 @@ def prune_masked_trials(
             f"{campaign.target.value} — the masking analysis proves "
             f"register faults benign, not heap faults"
         )
-    if report is not None:
-        _check_report_module(campaign, report)
-    golden = run_golden(campaign)
+    if golden is None:
+        golden = run_golden(campaign)
+    # Checked against the module's IR by the golden lookup just made.
+    record = module_record(campaign.module)
     requests = [
         (int(planned.rng.integers(golden.instructions)), planned.rng)
         for planned in plan_trials(campaign, seed)
@@ -836,8 +838,9 @@ def prune_masked_trials(
             f"{replay.instructions} != {golden.instructions} instructions)"
         )
 
-    if report is None:
-        report = analyze_masking(campaign.module)
+    if record.masking is None:
+        record.masking = analyze_masking(campaign.module)
+    report = record.masking
 
     trials: list[PlannedTrial] = []
     for number, (index, _rng) in enumerate(requests):
@@ -866,7 +869,10 @@ def prune_masked_trials(
             spec=spec, func=func_name, block=block, body_index=body_index,
             mask_class=mask_class, pruned=mask_class in EXACT_BENIGN,
         ))
-    return PrunedTrials(golden=golden, report=report, trials=trials)
+    return PrunedTrials(
+        golden=golden, report=report, trials=trials,
+        fingerprint=record.fingerprint,
+    )
 
 
 def reconstruct_pruned_trial(
@@ -892,7 +898,6 @@ def run_campaign_pruned(
     seed: int | np.random.Generator | None = None,
     workers: int | None = None,
     plan: PrunedTrials | None = None,
-    report: "MaskingReport | None" = None,  # noqa: F821
     tracer: Tracer | None = None,
     trace_blocks: bool = False,
     trace_spans: bool = False,
@@ -907,24 +912,37 @@ def run_campaign_pruned(
     and firing point the unpruned campaign would draw).  ``workers > 1``
     fans the executed subset across the warm pool, still byte-identical.
 
-    Pass a precomputed ``plan`` (from :func:`prune_masked_trials`) to
-    amortize planning across repeat campaigns, or a ``report`` to reuse
-    one module's masking analysis.  Either must come from this
-    campaign's module (or an identical-IR clone of it), and a plan must
-    hold ``campaign.n_trials`` trials; otherwise
-    :class:`~repro.errors.FaultInjectionError` is raised.
+    The campaign looks golden up once and plans from that lookup with
+    the module's masking report, computed by the first pruned campaign
+    over the module and reused by every later one
+    (:func:`prune_masked_trials`).  Pass a precomputed ``plan`` to
+    amortize planning across repeat campaigns.  It must hold
+    ``campaign.n_trials`` trials and have been planned against this
+    module's printed IR (an identical-IR clone's plan is accepted); a
+    plan of other IR, or of this module before it changed, raises
+    :class:`~repro.errors.FaultInjectionError` after the golden lookup.
     """
-    if plan is not None:
-        _check_report_module(campaign, plan.report)
-        if len(plan.trials) != campaign.n_trials:
+    if plan is not None and len(plan.trials) != campaign.n_trials:
+        raise FaultInjectionError(
+            f"pruning plan holds {len(plan.trials)} trials, campaign "
+            f"@{campaign.func_name} asks for {campaign.n_trials}"
+        )
+
+    def planner(golden: ExecutionResult) -> list[PlannedTrial]:
+        if plan is None:
+            return prune_masked_trials(campaign, seed, golden=golden).trials
+        # The fingerprint the golden lookup just checked.
+        fingerprint = module_record(campaign.module).fingerprint
+        if plan.fingerprint != fingerprint:
             raise FaultInjectionError(
-                f"pruning plan holds {len(plan.trials)} trials, campaign "
-                f"@{campaign.func_name} asks for {campaign.n_trials}"
+                f"pruning plan of IR {plan.fingerprint[:12]} does not "
+                f"match the IR of campaign module "
+                f"{campaign.module.name!r} ({fingerprint[:12]})"
             )
+        return plan.trials
+
     emitter = CampaignEmitter(tracer, campaign, seed, trace_spans)
-    if plan is None:
-        plan = prune_masked_trials(campaign, seed, report=report)
     result, _records = run_plan(
-        campaign, plan.trials, emitter, workers, trace_blocks=trace_blocks,
+        campaign, planner, emitter, workers, trace_blocks=trace_blocks,
     )
     return result

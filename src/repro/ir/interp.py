@@ -287,31 +287,62 @@ class _BlockCode:
         return run
 
 
+class ModuleRecord:
+    """What every run and plan over one module's IR share, on the module.
+
+    ``code`` holds the compiled blocks, one ``(cost_model, blocks)`` pair
+    per cost model (:func:`module_code`).  ``masking`` is the module's
+    masking report, computed by the first pruned campaign over it
+    (:func:`repro.faults.campaign.prune_masked_trials`), None until then.
+    Both were derived from the printed IR whose hash is ``fingerprint``
+    (None while unchecked), and both go when that IR changes.
+    """
+
+    __slots__ = ("fingerprint", "code", "masking")
+
+    def __init__(self, fingerprint: str | None) -> None:
+        self.fingerprint = fingerprint
+        self.code: list[tuple[CostModel, dict[BasicBlock, _BlockCode]]] = []
+        self.masking = None
+
+
+def module_record(
+    module: Module, fingerprint: str | None = None
+) -> ModuleRecord:
+    """``module``'s shared record, kept on the module object.
+
+    It dies with the module, and a clone, even one with identical IR,
+    starts its own.  ``fingerprint`` is the module's printed-IR hash
+    (:func:`repro.ir.printer.module_fingerprint`); a record derived from
+    other IR, or unchecked, is replaced by an empty one first.  Without
+    one the record is returned unchecked, which is sound only while the
+    module cannot have changed since its last check: a campaign checks
+    once, in its golden lookup, and shares the record with its planning,
+    its replay and its trials.
+    """
+    record = module._code
+    if record is None or (
+        fingerprint is not None and record.fingerprint != fingerprint
+    ):
+        record = module._code = ModuleRecord(fingerprint)
+    return record
+
+
 def module_code(
     module: Module, cost_model: CostModel, fingerprint: str | None = None
 ) -> dict[BasicBlock, _BlockCode]:
     """The compiled blocks every run of ``module`` under ``cost_model`` shares.
 
-    The code is kept on the module object, so it dies with the module,
-    and a clone, even one with identical IR, compiles its own: compiled
-    code holds its module's blocks, and the hang shortcut recognises a
-    loop by them.  ``fingerprint`` is the module's printed-IR hash
-    (:func:`repro.ir.printer.module_fingerprint`); code compiled from
-    other IR, or unchecked, is dropped first.  Without one the code is
-    returned unchecked, which is sound only while the module cannot have
-    changed since its last check: a campaign checks once, in its golden
-    lookup, and shares the code with its replay and trials.
+    Kept in the module's record (:func:`module_record`, which checks
+    ``fingerprint``), so a clone compiles its own: compiled code holds
+    its module's blocks, and the hang shortcut recognises a loop by them.
     """
-    shared = module._code
-    if shared is None or (
-        fingerprint is not None and shared[0] != fingerprint
-    ):
-        shared = module._code = (fingerprint, [])
-    for model, blocks in shared[1]:
+    record = module_record(module, fingerprint)
+    for model, blocks in record.code:
         if model == cost_model:
             return blocks
     blocks = {}
-    shared[1].append((cost_model, blocks))
+    record.code.append((cost_model, blocks))
     return blocks
 
 

@@ -14,13 +14,16 @@ class Module:
     def __init__(self, name: str = "module") -> None:
         self.name = name
         self._functions: dict[str, Function] = {}
-        #: Compiled code of :mod:`repro.ir.interp`, kept here so that it
-        #: dies with the module (see :func:`repro.ir.interp.module_code`).
-        self._code: tuple | None = None
+        #: What every run and plan over this module share: its compiled
+        #: code and its masking report, checked against its printed IR
+        #: and kept here so that they die with the module (see
+        #: :func:`repro.ir.interp.module_record`).
+        self._code: "ModuleRecord | None" = None  # noqa: F821
 
     def __getstate__(self) -> dict:
-        # A pickled or deep-copied module compiles its own code: compiled
-        # code holds this module's blocks.
+        # A pickled or deep-copied module compiles its own code and
+        # analyses itself again: compiled code holds this module's blocks,
+        # and a report its functions.
         return {**self.__dict__, "_code": None}
 
     def add_function(self, func: Function) -> Function:

@@ -590,8 +590,8 @@ def run_supervised_campaign(
     """
     emitter = CampaignEmitter(tracer, campaign, seed, trace_spans)
     result, records = run_plan(
-        campaign, plan_trials(campaign, seed), emitter, workers,
-        supervisor_config=config,
+        campaign, lambda _golden: plan_trials(campaign, seed), emitter,
+        workers, supervisor_config=config,
     )
     return SupervisedCampaignResult(
         result.golden, result.counts, result.trials, records, config

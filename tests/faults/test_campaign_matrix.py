@@ -103,7 +103,10 @@ FLAVOURS = {
 }
 
 #: flavour -> (trial digest, traced stream digest, spans+blocks digest),
-#: pinned on the engine before the pipeline refactor.
+#: pinned on the engine before the pipeline refactor.  The pruned
+#: streams were re-pinned when a pruned campaign came to look golden up
+#: once: its one ``golden-cache`` event now reports the cold cache's miss
+#: where a second lookup reported a hit; every other line is unchanged.
 DIGESTS = {
     "plain": (
         "a27eb00bb27f5c0cf6b93be65b74c1a3e86f2bf8d997d84901d071bf8c0ab32f",
@@ -112,8 +115,8 @@ DIGESTS = {
     ),
     "pruned": (
         "7e2b2ae5d4e82600dbd1a4782166dc3068ac700b4f239376791464ee9cddd2cb",
-        "6c3193af02404f0f9e4e27192440ea0ace61b2df87ddcf0beb14e1c9fb089756",
-        "faada461a91e7ab236a08d0847ee7f67f1e786f5eb71f3099964c10ae095ed90",
+        "5bd0785682857d86c9a1be9ed0e6cd504dad0523677862eabfe07d2e26a67bdf",
+        "df9e32d760870644cd5868c42cb4f1b84cd1ef98b43042bd5dc34d8e445ed699",
     ),
     "supervised": (
         "50512591c3a5e80cde7d187152b28cfd255cef44c526435ead07b2db2bed34e7",

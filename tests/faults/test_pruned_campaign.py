@@ -107,29 +107,12 @@ def test_pruned_parallel_equals_serial():
 
 def test_precomputed_plan_and_report_are_honored():
     campaign = _campaign("gcd", ProtectionLevel.FULL_DMR)
-    report = analyze_masking(campaign.module)
-    plan = prune_masked_trials(campaign, seed=SEED, report=report)
+    plan = prune_masked_trials(campaign, seed=SEED)
     fresh = prune_masked_trials(campaign, seed=SEED)
     assert plan.trials == fresh.trials
     result = run_campaign_pruned(campaign, seed=SEED, plan=plan)
     base = run_campaign(campaign, seed=SEED)
     assert_trials_identical(result.trials, base.trials)
-
-
-@pytest.mark.parametrize(
-    "campaign_level,report_level",
-    [
-        (ProtectionLevel.NONE, ProtectionLevel.FULL_DMR),
-        (ProtectionLevel.FULL_DMR, ProtectionLevel.NONE),
-    ],
-)
-def test_report_of_another_module_is_rejected(campaign_level, report_level):
-    campaign = _campaign("gcd", campaign_level)
-    report = analyze_masking(_campaign("gcd", report_level).module)
-    with pytest.raises(FaultInjectionError, match="does not match"):
-        prune_masked_trials(campaign, seed=SEED, report=report)
-    with pytest.raises(FaultInjectionError, match="does not match"):
-        run_campaign_pruned(campaign, seed=SEED, report=report)
 
 
 def test_plan_of_another_campaign_is_rejected():
@@ -152,10 +135,6 @@ def test_report_and_plan_of_an_equal_ir_clone_are_accepted():
     clone = parse_module(print_module(campaign.module), name="clone")
     assert clone is not campaign.module
     base = trials_digest(run_campaign(campaign, seed=SEED))
-    report = analyze_masking(clone)
-    assert trials_digest(
-        run_campaign_pruned(campaign, seed=SEED, report=report)
-    ) == base
     plan = prune_masked_trials(
         Campaign(module=clone, func_name=campaign.func_name,
                  args=campaign.args, n_trials=campaign.n_trials),

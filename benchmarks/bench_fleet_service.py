@@ -18,7 +18,9 @@ E15 ``throughput``/``ensemble`` sections; bounded trajectory via
 ``benchmarks/results/E18.txt``.
 
 Budget knobs: ``REPRO_SERVICE_BOARDS`` (default 64),
-``REPRO_SERVICE_TICKS`` (default 200).
+``REPRO_SERVICE_TICKS`` (default 1000, service-replay's length: a timed
+run of 64,000 rows; at 200 ticks a run was 12,800 rows, about 30 ms,
+and a cell's median moved by a quarter between back-to-back runs).
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 REPORT_PATH = REPO_ROOT / "BENCH_fleet.json"
 
 N_BOARDS = int(os.environ.get("REPRO_SERVICE_BOARDS", "64"))
-N_TICKS = int(os.environ.get("REPRO_SERVICE_TICKS", "200"))
+N_TICKS = int(os.environ.get("REPRO_SERVICE_TICKS", "1000"))
 RATE_HZ = 10.0
 DURATION_S = N_TICKS / RATE_HZ
 ONSET_S = DURATION_S / 4.0

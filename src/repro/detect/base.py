@@ -116,5 +116,8 @@ class AnomalyDetector(abc.ABC):
         Returns ``(scores, new_state)``.  Each stream must evolve exactly
         as if it were scored alone with a dedicated detector instance —
         the property the fleet scorer's equivalence tests pin down.
+        ``scores`` must be a new array, never one the detector writes to
+        later: the fleet scorer keeps it until it folds its score
+        histogram.
         """
         return self.score_batch(rows), state

@@ -238,12 +238,25 @@ class BoardScoringState:
     samples_dropped: int = 0
 
 
+#: Unfolded scores at which :meth:`FleetBoards.add_scores` folds, so a
+#: scorer nobody reads holds at most this many.
+FOLD_SCORES = 1 << 16
+
+
 @dataclass
 class FleetBoards:
     """A fleet scorer's whole mutable state.  Per-board values are
     arrays, index-aligned with the scorer's board ids, so one array
     operation updates the whole fleet.  The health rollup is read off
     this state (:meth:`health`) and a checkpoint is one :meth:`copy`.
+
+    The ``fleet.score`` histogram is filled when it is read, not per
+    tick: each tick's scores wait in ``unfolded`` (in stream order)
+    until :meth:`fold` adds them all in one
+    :meth:`~repro.obs.metrics.Histogram.record_many`.  :attr:`score`,
+    :meth:`health` and :meth:`copy` fold first, and so does
+    :meth:`add_scores` once :data:`FOLD_SCORES` wait, so every read
+    sees exactly what recording each tick at once would have left.
 
     Attributes:
         hits: consecutive anomalous samples (the alarm persistence count).
@@ -257,9 +270,10 @@ class FleetBoards:
         alarms: each board's alarm times, append-only.
         stream_state: the detector's per-board stream state.
         anomalous: scored samples past threshold, fleet-wide.
-        score: every score, as the ``fleet.score`` histogram.
         start_t: time of the first tick (None before it).
         threshold_scale: scale on the detector threshold.
+        unfolded: each tick's scores not yet in the histogram.
+        n_unfolded: how many scores ``unfolded`` holds.
     """
 
     hits: np.ndarray
@@ -273,9 +287,11 @@ class FleetBoards:
     alarms: list[list[float]]
     stream_state: object
     anomalous: int = 0
-    score: Histogram = field(default_factory=lambda: Histogram(SCORE_BOUNDS))
     start_t: float | None = None
     threshold_scale: float = 1.0
+    unfolded: list[np.ndarray] = field(default_factory=list)
+    n_unfolded: int = 0
+    _score: Histogram = field(default_factory=lambda: Histogram(SCORE_BOUNDS))
 
     @classmethod
     def fresh(cls, n_boards: int, detector: AnomalyDetector) -> "FleetBoards":
@@ -290,11 +306,35 @@ class FleetBoards:
             stream_state=detector.make_stream_state(n_boards),
         )
 
+    @property
+    def score(self) -> Histogram:
+        """Every score, as the ``fleet.score`` histogram (folded first)."""
+        self.fold()
+        return self._score
+
+    def add_scores(self, scores: np.ndarray) -> None:
+        """Queue one tick's scores for the histogram, folding once
+        :data:`FOLD_SCORES` wait.  ``scores`` is held, not copied, as
+        the ``step_streams`` contract allows
+        (:meth:`~repro.detect.base.AnomalyDetector.step_streams`)."""
+        self.unfolded.append(scores)
+        self.n_unfolded += len(scores)
+        if self.n_unfolded >= FOLD_SCORES:
+            self.fold()
+
+    def fold(self) -> None:
+        """Add every unfolded score to the histogram, in stream order."""
+        if self.unfolded:
+            self._score.record_many(np.concatenate(self.unfolded))
+            self.unfolded = []
+            self.n_unfolded = 0
+
     def copy(self, alarm_lengths: list[int] | None = None) -> "FleetBoards":
-        """A copy sharing nothing mutable with this state but the
+        """A folded copy sharing nothing mutable with this state but the
         append-only alarm lists (the ``deepcopy`` memo maps them to
         themselves): shared as they are, or, given ``alarm_lengths``,
-        cut to those lengths as new lists."""
+        cut to those lengths as new lists.  This state is folded too."""
+        self.fold()
         boards = deepcopy(self, {id(self.alarms): self.alarms})
         if alarm_lengths is not None:
             boards.alarms = [a[:n] for a, n in zip(self.alarms, alarm_lengths)]
@@ -302,11 +342,12 @@ class FleetBoards:
 
     def health(self, board_ids: list[str]) -> Rollup:
         """The health rollup of this state, built fresh: per-board and
-        fleet-wide counters, and a copy of the score histogram.  Every
-        entry is additive over boards, so scorers sharding one fleet's
-        boards merge their rollups into *exactly* the rollup one scorer
-        over the whole fleet would hold (the sharded mission-control
-        property).  A key appears once the scorer has incremented it:
+        fleet-wide counters, and a copy of the score histogram, which
+        folds first (:attr:`score`).  Every entry is additive over
+        boards, so scorers sharding one fleet's boards merge their
+        rollups into *exactly* the rollup one scorer over the whole
+        fleet would hold (the sharded mission-control property).  A key
+        appears once the scorer has incremented it:
         ``fleet.dropped`` from the first tick, ``fleet.score`` from the
         first board scored, every other counter once it is nonzero.
         """
@@ -387,9 +428,12 @@ class FleetScorer:
 
     A tick is array work, not a loop over boards: every mutable value
     lives in one :class:`FleetBoards`, whose per-board arrays a handful
-    of whole-fleet array operations advance, and the ``fleet.score``
-    histogram takes the tick's scores in one batch (exactly as one
-    record per score would leave it).  Boards are visited in index
+    of whole-fleet array operations advance.  A tick pays for nothing
+    that only a read needs: its scores wait unfolded until the
+    ``fleet.score`` histogram is read or copied, then go in with every
+    other waiting tick's in one batch (exactly as one record per score
+    would leave it), and a tick with no dropout and no quarantined
+    board skips the quarantine update.  Boards are visited in index
     order wherever order shows (alarm, quarantine and release lists).
 
     Attributes:
@@ -471,6 +515,12 @@ class FleetScorer:
         self, finite: np.ndarray
     ) -> tuple[list[int], list[int]]:
         boards = self.boards
+        if not boards.quarantined.any() and finite.all():
+            # What the general path below leaves when no row dropped out
+            # and no board waits for release.
+            boards.bad_streak.fill(0)
+            boards.good_streak += 1
+            return [], []
         config = self.config
         bad = ~finite
         boards.bad_streak = np.where(finite, 0, boards.bad_streak + 1)
@@ -527,7 +577,7 @@ class FleetScorer:
                 flags = sub_scores > self.detector.threshold * boards.threshold_scale
                 anomalous[idx] = flags
                 boards.scored[idx] += 1
-                boards.score.record_many(sub_scores)
+                boards.add_scores(sub_scores)
                 boards.anomalous += int(np.count_nonzero(flags))
                 hits = np.where(flags, boards.hits[idx] + 1, 0)
                 fired = hits >= self.config.consecutive_hits

@@ -67,7 +67,7 @@ from repro.obs.events import (
 )
 from repro.obs.spans import ROOT, SpanEnd, SpanStart, campaign_root, span_id
 from repro.perf.cache import GOLDEN_CACHE
-from repro.rng import fork, make_rng
+from repro.rng import DEFAULT_SEED, fork, make_rng
 
 
 @dataclass
@@ -696,12 +696,19 @@ class PrunedTrials:
         fingerprint: the printed-IR hash of the module it was planned
             against; :func:`run_campaign_pruned` runs the plan only on a
             module with the same one.
+        func_name, args, seed: the entry point, arguments and seed it
+            was planned for; ``seed`` is None when planned from a
+            Generator, whose state no later run can check (see
+            :func:`_checkable_seed`).
     """
 
     golden: ExecutionResult
     report: "MaskingReport"  # noqa: F821 - analysis import is lazy
     trials: list[PlannedTrial]
     fingerprint: str
+    func_name: str
+    args: tuple
+    seed: int | None
 
     @property
     def n_pruned(self) -> int:
@@ -871,8 +878,18 @@ def prune_masked_trials(
         ))
     return PrunedTrials(
         golden=golden, report=report, trials=trials,
-        fingerprint=record.fingerprint,
+        fingerprint=record.fingerprint, func_name=campaign.func_name,
+        args=tuple(campaign.args), seed=_checkable_seed(seed),
     )
+
+
+def _checkable_seed(seed: int | np.random.Generator | None) -> int | None:
+    """The integer a seed draws from (``None`` means
+    :data:`~repro.rng.DEFAULT_SEED`), or None for a Generator, which may
+    have drawn anything before it reaches the campaign."""
+    if isinstance(seed, np.random.Generator):
+        return None
+    return DEFAULT_SEED if seed is None else seed
 
 
 def reconstruct_pruned_trial(
@@ -891,6 +908,34 @@ def reconstruct_pruned_trial(
         rel_error=0.0,
         cycles=golden.cycles,
     )
+
+
+def _check_plan_identity(
+    plan: PrunedTrials,
+    campaign: Campaign,
+    seed: int | np.random.Generator | None,
+) -> None:
+    """Raise unless ``plan`` was made for ``campaign``'s trial count,
+    entry point and arguments at ``seed`` (the IR is checked after the
+    golden lookup)."""
+    if len(plan.trials) != campaign.n_trials:
+        raise FaultInjectionError(
+            f"pruning plan holds {len(plan.trials)} trials, campaign "
+            f"@{campaign.func_name} asks for {campaign.n_trials}"
+        )
+    seed = _checkable_seed(seed)
+    if seed is None or plan.seed is None:
+        raise FaultInjectionError(
+            "a pruning plan is checked against an integer seed; it "
+            "cannot be run or made with a Generator"
+        )
+    planned = (plan.func_name, plan.args, plan.seed)
+    asked = (campaign.func_name, tuple(campaign.args), seed)
+    if planned != asked:
+        raise FaultInjectionError(
+            "pruning plan made for @{}{} at seed {} cannot run campaign "
+            "@{}{} at seed {}".format(*planned, *asked)
+        )
 
 
 def run_campaign_pruned(
@@ -917,16 +962,17 @@ def run_campaign_pruned(
     over the module and reused by every later one
     (:func:`prune_masked_trials`).  Pass a precomputed ``plan`` to
     amortize planning across repeat campaigns.  It must hold
-    ``campaign.n_trials`` trials and have been planned against this
-    module's printed IR (an identical-IR clone's plan is accepted); a
-    plan of other IR, or of this module before it changed, raises
-    :class:`~repro.errors.FaultInjectionError` after the golden lookup.
+    ``campaign.n_trials`` trials, have been planned for this entry
+    point, arguments and integer seed, and against this module's printed
+    IR (an identical-IR clone's plan is accepted).  Anything else raises
+    :class:`~repro.errors.FaultInjectionError`: before the campaign
+    starts, or, for a plan of other IR or of this module before it
+    changed, after the golden lookup.  A plan cannot be checked against
+    a Generator seed, so a plan with one, or planned from one, raises
+    too.
     """
-    if plan is not None and len(plan.trials) != campaign.n_trials:
-        raise FaultInjectionError(
-            f"pruning plan holds {len(plan.trials)} trials, campaign "
-            f"@{campaign.func_name} asks for {campaign.n_trials}"
-        )
+    if plan is not None:
+        _check_plan_identity(plan, campaign, seed)
 
     def planner(golden: ExecutionResult) -> list[PlannedTrial]:
         if plan is None:

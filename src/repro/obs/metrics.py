@@ -31,12 +31,16 @@ from bisect import bisect_left
 from fractions import Fraction
 from itertools import accumulate, repeat
 from math import ceil, inf, isfinite
-from operator import lshift
+from operator import add, lshift
 from typing import Sequence
 
 import numpy as np
 
 from repro.errors import ConfigError
+
+#: Mantissas one int64 sum may take: 2**10 values below 2**53 sum below
+#: 2**63, so :meth:`Histogram.record_many` never overflows a group.
+_INT64_GROUP = 1 << 10
 
 
 class Histogram:
@@ -91,11 +95,18 @@ class Histogram:
         """Record ``values`` in order, leaving exactly the state that
         :meth:`record` on each value in turn leaves.
 
-        Every field is an order-free fold except ``min``/``max``, which
-        keep the first value seen on ties (``-0.0`` and ``0.0`` compare
-        equal, and whichever came first stays).  The exact sum adds
-        each finite value's 53-bit integer mantissa, shifted onto the
-        batch's smallest binary exponent, as one Python integer.
+        A call costs a fixed few dozen numpy operations, so it pays on
+        large batches (the fleet scorer folds many ticks' scores into
+        one call).  Every field is an order-free fold except
+        ``min``/``max``, which keep the first value seen on ties
+        (``-0.0`` and ``0.0`` compare equal, and whichever came first
+        stays).  Bucket counts are a ``bincount`` of the
+        ``searchsorted`` indices, added to the Python ints of
+        ``bucket_counts``.  The exact sum takes each finite value's
+        53-bit integer mantissa and sums them in int64, grouped by
+        binary exponent and at most :data:`_INT64_GROUP` to a group, so
+        no group sum overflows; the few group sums are then shifted onto
+        the batch's smallest exponent as Python ints.
         """
         values = np.asarray(values, dtype=float).ravel()
         finite = values[np.isfinite(values)]
@@ -104,9 +115,18 @@ class Histogram:
             return
         self.count += len(finite)
         fraction, exponent = np.frexp(finite)
-        mantissas = (fraction * 2.0**53).astype(np.int64).tolist()
-        lowest = int(exponent.min())
-        exact = sum(map(lshift, mantissas, (exponent - lowest).tolist()))
+        order = np.argsort(exponent)
+        exponent = exponent[order]
+        # A group starts at every new exponent and every _INT64_GROUP-th
+        # value, so each lies inside one exponent's run.
+        starts = np.union1d(
+            np.flatnonzero(np.diff(exponent)) + 1,
+            np.arange(0, len(exponent), _INT64_GROUP),
+        )
+        mantissas = (fraction[order] * 2.0**53).astype(np.int64)
+        sums = np.add.reduceat(mantissas, starts).tolist()
+        lowest = int(exponent[0])
+        exact = sum(map(lshift, sums, (exponent[starts] - lowest).tolist()))
         lowest -= 53
         self._exact_total += (
             Fraction(exact << lowest) if lowest >= 0
@@ -118,9 +138,11 @@ class Histogram:
         high = float(finite[np.argmax(finite)])
         if high > self.max:
             self.max = high
-        buckets = self.bucket_counts
-        for index in np.searchsorted(self._edges, finite).tolist():
-            buckets[index] += 1
+        counts = np.bincount(
+            np.searchsorted(self._edges, finite),
+            minlength=len(self.bucket_counts),
+        )
+        self.bucket_counts[:] = map(add, self.bucket_counts, counts.tolist())
 
     @property
     def total(self) -> float:

@@ -115,7 +115,8 @@ class ServiceRunReport:
         rows_processed: frames that reached a scorer.
         rows_shed: frames lost to backpressure policies.
         restarts: shard crash-recoveries performed.
-        elapsed_s: wall-clock time of the sampling and scoring loop.
+        elapsed_s: wall-clock time of the sampling and scoring loop
+            and of the final state snapshots.
         rows_per_s: throughput over ``elapsed_s``.
         latency: NaN-free decision-latency summary (see
             :func:`repro.obs.metrics.latency_summary`).
@@ -264,11 +265,12 @@ class AsyncFleetService:
                 )
             started = time.perf_counter()
             self._drive(n_ticks, rate_hz, t_start)
-            elapsed = time.perf_counter() - started
+            # Timed: the snapshots fold the scores still unfolded.
             self._final_states = [
                 self.backend.snapshot(shard)
                 for shard in range(self.n_shards)
             ]
+            elapsed = time.perf_counter() - started
         finally:
             self.backend.close()
         rows = self._rows_processed

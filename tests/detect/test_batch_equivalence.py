@@ -133,7 +133,9 @@ class TestStreamEquivalence:
         return streams
 
     def test_streams_equal_sequential_per_board(self, fitted):
-        """Interleaved multi-board scoring == N dedicated daemons."""
+        """Interleaved multi-board scoring == N dedicated daemons, and
+        each returned score array stays as returned while later ticks
+        are scored (the fleet scorer keeps them until it folds)."""
         streams = self._board_streams()
         reference = np.empty((self.N_TICKS, self.N_BOARDS))
         for b, stream in enumerate(streams):
@@ -142,12 +144,12 @@ class TestStreamEquivalence:
                 reference[t, b] = fitted.score(stream[t:t + 1])[0]
         _reset(fitted)
         state = fitted.make_stream_state(self.N_BOARDS)
-        interleaved = np.empty((self.N_TICKS, self.N_BOARDS))
+        kept = []
         for t in range(self.N_TICKS):
             rows = np.stack([stream[t] for stream in streams])
             scores, state = fitted.step_streams(rows, state)
-            interleaved[t] = scores
-        np.testing.assert_array_equal(reference, interleaved)
+            kept.append(scores)
+        np.testing.assert_array_equal(reference, np.stack(kept))
 
     def test_mutating_returned_scores_does_not_corrupt_state(self, fitted):
         """Returned score arrays must not alias internal stream state."""

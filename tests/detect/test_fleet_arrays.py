@@ -8,7 +8,15 @@ the quarantine and release thresholds, warmup, threshold-scale changes,
 hit streaks, and scores that are signed zeros, ties, NaN or infinite —
 both must agree after every tick on the :class:`FleetStep`, on every
 board's state and on the health rollup, floats compared by their bits.
+
+The array scorer folds its waiting scores into the histogram only when
+the histogram is read or copied (or once ``FOLD_SCORES`` wait), so a
+read after every tick would fold every tick.  ``TestFoldAcrossTicks``
+reads at random ticks only, and restores a mid-run copy, as a shard's
+crash recovery does.
 """
+
+from copy import deepcopy
 
 import numpy as np
 import pytest
@@ -22,7 +30,10 @@ from repro.detect import (
     ResidualCusumDetector,
 )
 from repro.detect.base import AnomalyDetector
+from repro.detect.fleet import FOLD_SCORES
 from repro.errors import ConfigError
+from repro.obs.aggregate import SCORE_BOUNDS
+from repro.obs.metrics import Histogram
 from tests.detect.per_board_scorer import PerBoardFleetScorer
 from tests.identity import canonical
 
@@ -131,18 +142,22 @@ def run_both(detector, config, ticks, scales):
     return got
 
 
+def _scripted_ticks(data, n_boards, n_ticks):
+    return [
+        np.array(data.draw(st.lists(
+            CELLS, min_size=n_boards, max_size=n_boards
+        )))
+        for _ in range(n_ticks)
+    ]
+
+
 class TestScriptedScores:
     @settings(max_examples=150, deadline=None)
     @given(data=st.data(), config=CONFIGS)
     def test_array_scorer_equals_per_board_spec(self, data, config):
         n_boards = data.draw(st.integers(1, 6))
         n_ticks = data.draw(st.integers(1, 30))
-        ticks = [
-            np.array(data.draw(st.lists(
-                CELLS, min_size=n_boards, max_size=n_boards
-            )))
-            for _ in range(n_ticks)
-        ]
+        ticks = _scripted_ticks(data, n_boards, n_ticks)
         scales = data.draw(st.lists(
             SCALES, min_size=n_ticks, max_size=n_ticks
         ))
@@ -187,6 +202,76 @@ class TestStreamingDetectors:
             for k in range(n_ticks)
         ]
         run_both(DETECTORS[detector], config, list(rows), scales)
+
+
+class TestFoldAcrossTicks:
+    @settings(max_examples=120, deadline=None)
+    @given(data=st.data(), config=CONFIGS)
+    def test_reads_at_random_ticks_and_a_restored_copy(self, data, config):
+        """Steps compared every tick, state only at random ticks; a copy
+        taken at tick ``c`` is restored at tick ``r`` and ticks ``c+1``
+        on are stepped again, on both scorers."""
+        detector = DETECTORS["scripted"]
+        n_boards = data.draw(st.integers(1, 6))
+        n_ticks = data.draw(st.integers(2, 40))
+        ticks = _scripted_ticks(data, n_boards, n_ticks)
+        reads = data.draw(st.sets(st.integers(0, n_ticks - 1)))
+        c = data.draw(st.integers(0, n_ticks - 2))
+        r = data.draw(st.integers(c + 1, n_ticks - 1))
+        ids = [f"b{i}" for i in range(n_boards)]
+        got = FleetScorer(detector, ids, config)
+        want = PerBoardFleetScorer(detector, ids, config)
+
+        def step(k):
+            t = 0.5 * k
+            assert_steps_equal(
+                got.step(t, ticks[k].copy()), want.step(t, ticks[k].copy())
+            )
+            if k in reads:
+                assert_scorers_equal(got, want)
+
+        for k in range(r + 1):
+            step(k)
+            if k == c:
+                snapshot = got.boards.copy()
+                lengths = list(map(len, got.boards.alarms))
+                spec = deepcopy(want, {id(detector): detector})
+        got.boards = snapshot.copy(lengths)
+        want = spec
+        for k in range(c + 1, n_ticks):
+            step(k)
+        assert_scorers_equal(got, want)
+
+    def test_an_unread_scorer_folds_at_the_fold_count(self):
+        """Past ``FOLD_SCORES`` scores with no read, the scorer holds
+        fewer than that many unfolded, and its histogram still equals
+        one record per score."""
+        rng = np.random.default_rng(5)
+        n_boards, n_ticks = 256, FOLD_SCORES // 256 + 44
+        scorer = FleetScorer(
+            DETECTORS["scripted"], [f"b{i}" for i in range(n_boards)],
+            FleetConfig(warmup_s=0.0),
+        )
+        one = Histogram(SCORE_BOUNDS)
+        folds = 0
+        for k in range(n_ticks):
+            rows = np.column_stack([
+                rng.uniform(-1.0, 10.0, n_boards), np.zeros(n_boards)
+            ])
+            held = scorer.boards.n_unfolded
+            scorer.step(float(k), rows)
+            for value in rows[:, 0]:
+                one.record(value)
+            boards = scorer.boards
+            folds += boards.n_unfolded < held
+            assert boards.n_unfolded == sum(map(len, boards.unfolded))
+            assert boards.n_unfolded < FOLD_SCORES
+        assert folds == 1 and 0 < scorer.boards.n_unfolded
+        hist = scorer.health.histograms["fleet.score"]
+        assert scorer.boards.n_unfolded == 0
+        assert canonical((hist.merge_key(), hist.total)) == canonical(
+            (one.merge_key(), one.total)
+        )
 
 
 class TestCounterKeys:

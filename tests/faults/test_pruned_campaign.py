@@ -9,6 +9,9 @@ execution paths.  Trials are compared bitwise (:mod:`tests.identity`).
 
 from __future__ import annotations
 
+from dataclasses import replace
+
+import numpy as np
 import pytest
 
 from repro.analysis.masking import FunctionMasking, MaskClass, analyze_masking
@@ -31,6 +34,7 @@ from repro.ir.parser import parse_module
 from repro.ir.printer import print_module
 from repro.obs.events import InMemorySink, Tracer
 from repro.obs.query import TraceIndex
+from repro.rng import DEFAULT_SEED
 from repro.workloads.irprograms import PROGRAMS, build_program
 
 from tests.identity import (
@@ -128,6 +132,61 @@ def test_plan_of_another_campaign_is_rejected():
     )
     with pytest.raises(FaultInjectionError, match="trials"):
         run_campaign_pruned(campaign, seed=SEED, plan=short)
+
+
+@pytest.mark.parametrize(
+    "planned_for,run_at",
+    [
+        (("fact", (10,), 6), ("fact", (10,), 5)),
+        (("fact", (10,), 5), ("fact", (12,), 5)),
+        (("gcd", (1071, 462), 5), ("gcd", (462, 1071), 5)),
+    ],
+    ids=["other-seed", "other-args", "swapped-args"],
+)
+def test_plan_for_another_seed_or_args_is_rejected(planned_for, run_at):
+    """A plan resolves each trial's fault for one seed and one golden
+    run; run elsewhere it would return wrong records without an error."""
+    name, args, seed = planned_for
+    module = build_program(name)
+    plan = prune_masked_trials(
+        Campaign(module=module, func_name=name, args=args, n_trials=200),
+        seed=seed,
+    )
+    name, args, seed = run_at
+    campaign = Campaign(module=module, func_name=name, args=args,
+                        n_trials=200)
+    with pytest.raises(FaultInjectionError, match="cannot run campaign"):
+        run_campaign_pruned(campaign, seed=seed, plan=plan)
+
+
+def test_plan_for_another_function_is_rejected():
+    campaign = _campaign("gcd", ProtectionLevel.NONE, n_trials=20)
+    plan = replace(prune_masked_trials(campaign, seed=SEED), func_name="lcm")
+    with pytest.raises(FaultInjectionError, match="cannot run campaign"):
+        run_campaign_pruned(campaign, seed=SEED, plan=plan)
+
+
+def test_plan_with_a_generator_seed_is_rejected():
+    campaign = _campaign("fact", ProtectionLevel.NONE)
+    plan = prune_masked_trials(campaign, seed=SEED)
+    with pytest.raises(FaultInjectionError, match="integer seed"):
+        run_campaign_pruned(
+            campaign, seed=np.random.default_rng(SEED), plan=plan
+        )
+    from_generator = prune_masked_trials(
+        campaign, seed=np.random.default_rng(SEED)
+    )
+    with pytest.raises(FaultInjectionError, match="integer seed"):
+        run_campaign_pruned(campaign, seed=SEED, plan=from_generator)
+
+
+def test_plan_at_the_default_seed_runs_at_none():
+    campaign = _campaign("fact", ProtectionLevel.NONE)
+    plan = prune_masked_trials(campaign, seed=DEFAULT_SEED)
+    assert_trials_identical(
+        run_campaign_pruned(campaign, seed=None, plan=plan).trials,
+        run_campaign(campaign, seed=None).trials,
+    )
 
 
 def test_report_and_plan_of_an_equal_ir_clone_are_accepted():

@@ -10,6 +10,7 @@ zeros included — equal to recording one value at a time.
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.obs.aggregate import LATENCY_BOUNDS, SCORE_BOUNDS
@@ -68,3 +69,39 @@ class TestRecordMany:
         assert hist.merge_key() == one.merge_key()
         assert math.isfinite(hist.mean)
 
+    @pytest.mark.parametrize(
+        "values",
+        [
+            np.random.default_rng(3).uniform(1.5, 2.0, 3000),
+            np.full(1025, np.nextafter(2.0, 0.0)),
+            -np.full(2049, np.nextafter(2.0, 0.0)),
+        ],
+        ids=["3000-in-[1.5,2)", "1025-largest-below-2", "2049-negated"],
+    )
+    def test_more_than_1024_values_sharing_one_exponent(self, values):
+        """One binary exponent's mantissas sum past int64 beyond 1,024
+        values; the batch must still sum them exactly."""
+        assert len(set(np.frexp(values)[1].tolist())) == 1
+        one = Histogram(SCORE_BOUNDS)
+        for value in values:
+            one.record(value)
+        batched = Histogram(SCORE_BOUNDS)
+        batched.record_many(values)
+        assert state(batched) == state(one)
+
+    def test_subnormals_to_1e308_in_one_batch(self):
+        rng = np.random.default_rng(4)
+        magnitudes = np.concatenate([
+            [5e-324, 2.0**-1074 * 3, 1e-310, 2.2250738585072014e-308, 1e308],
+            np.logspace(-323, 308, 2000),
+        ])
+        values = magnitudes * rng.choice([-1.0, 1.0], len(magnitudes))
+        values = np.concatenate([values, [0.0, -0.0, np.nan, np.inf]])
+        rng.shuffle(values)
+        one = Histogram(LATENCY_BOUNDS)
+        for value in values:
+            one.record(value)
+        batched = Histogram(LATENCY_BOUNDS)
+        batched.record_many(values)
+        assert state(batched) == state(one)
+        assert batched.nonfinite == one.nonfinite == 2

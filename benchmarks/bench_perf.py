@@ -14,13 +14,19 @@ the file records a perf *trajectory* across commits, not a single point):
   ``REPRO_PERF_WORKERS`` workers, vs the pre-optimization baseline engine
   (reference interpreter, no caches);
 * parallel determinism — the 4-worker campaign must be **byte-identical**
-  to the serial loop.
+  to the serial loop;
+* trial streams — the baseline engine draws every trial from numpy's own
+  forked Generators, the optimized engine from exact trial streams
+  (:func:`repro.rng.trial_streams`), and their trial records must be
+  equal.
 
 Determinism assertions always gate — including the gate that serial and
-warm-pool parallel campaigns stay byte-identical at 1/2/4 workers.  Timing numbers are recorded, not
-asserted, unless ``REPRO_PERF_STRICT=1``: wall-clock depends on the host
-(CI runners and 1-CPU sandboxes can't demonstrate parallel scaling), but
-correctness never does.  ``parallel.available_cpus`` is recorded so a
+warm-pool parallel campaigns stay byte-identical at 1/2/4 workers, and
+the gate that the baseline's records equal the serial campaign's.
+Timing numbers are recorded, not asserted, unless
+``REPRO_PERF_STRICT=1``: wall-clock depends on the host (CI runners and
+1-CPU sandboxes can't demonstrate parallel scaling), but correctness
+never does.  ``parallel.available_cpus`` is recorded so a
 sub-linear parallel number on a quota-limited host is interpretable.
 
 ``REPRO_PERF_GATE=1`` (CI perf-smoke) adds the trajectory gates, each
@@ -61,7 +67,7 @@ from repro.faults.campaign import (
     run_campaign,
     trial_fuel_for,
 )
-from repro.faults.outcomes import FaultOutcome, OutcomeCounts, TrialResult, classify
+from repro.faults.outcomes import FaultOutcome, TrialResult, classify
 from repro.faults.parallel import available_cpus
 from repro.obs.events import InMemorySink, Tracer
 from repro.obs.report import outcome_counts
@@ -104,18 +110,19 @@ def _best_of(fn, repeat: int = REPEAT) -> float:
     return best
 
 
-def _baseline_campaign(campaign: Campaign, seed: int) -> OutcomeCounts:
+def _baseline_campaign(campaign: Campaign, seed: int) -> list[TrialResult]:
     """The pre-optimization engine: reference interpreter, no caches.
 
     Replicates the original serial loop exactly — golden run and every
-    trial on :class:`ReferenceInterpreter`, nothing memoized — as the
-    "before" point of the throughput trajectory.
+    trial on :class:`ReferenceInterpreter`, nothing memoized, each trial
+    drawing from a numpy Generator forked from the seed — as the "before"
+    point of the throughput trajectory.  Returns its trial records.
     """
     golden = ReferenceInterpreter(
         campaign.module, cost_model=campaign.cost_model, fuel=campaign.fuel
     ).run(campaign.func_name, list(campaign.args))
     trial_fuel = trial_fuel_for(campaign, golden)
-    counts = OutcomeCounts()
+    trials = []
     for trial_rng in fork(make_rng(seed), campaign.n_trials):
         injector = make_injector(campaign, golden, trial_rng)
         result = ReferenceInterpreter(
@@ -129,16 +136,14 @@ def _baseline_campaign(campaign: Campaign, seed: int) -> OutcomeCounts:
         )
         if not injector.fired:
             outcome, rel_error = FaultOutcome.BENIGN, 0.0
-        counts.record(
-            TrialResult(
-                spec=injector.resolved or injector.spec,
-                outcome=outcome,
-                value=result.value,
-                rel_error=rel_error,
-                cycles=result.cycles,
-            ).outcome
-        )
-    return counts
+        trials.append(TrialResult(
+            spec=injector.resolved or injector.spec,
+            outcome=outcome,
+            value=result.value,
+            rel_error=rel_error,
+            cycles=result.cycles,
+        ))
+    return trials
 
 
 def test_perf_interpreter_fastpath():
@@ -221,7 +226,16 @@ def test_perf_campaign_throughput():
         assert par.counts.counts == serial.counts.counts
 
     GOLDEN_CACHE.clear()
-    t_baseline = _best_of(lambda: _baseline_campaign(campaign, seed=1), 1)
+    baseline: list[list[TrialResult]] = []
+    t_baseline = _best_of(
+        lambda: baseline.append(_baseline_campaign(campaign, seed=1)), 1
+    )
+    # Streams gate: the baseline forks numpy Generators, the engine draws
+    # from trial streams, so equal records check the streams against the
+    # numpy this runs on.
+    assert baseline[-1] == serial.trials, (
+        "the engine's trial streams diverged from numpy's forked generators"
+    )
     t_serial = _best_of(lambda: run_campaign(campaign, seed=1))
     # The warm pool is already hot from the determinism gates above, so
     # this measures steady-state dispatch, not fork + golden re-derive.

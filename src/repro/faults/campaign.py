@@ -10,12 +10,15 @@ instructions (sect. 4.2).
 Every campaign flavour runs through the same three stages (:func:`run_plan`):
 
 * **plan** — one :class:`PlannedTrial` per trial, planned after the
-  campaign's one golden lookup.  Plain campaigns fork one generator per
-  trial (:func:`plan_trials`); timeline campaigns draw their thinned
-  arrivals, then fork the same way; pruned campaigns resolve every fault
-  from that lookup and mark the ones the module's masking report proves
-  benign (:func:`prune_masked_trials`); supervised campaigns use the
-  plain plan and hand a ``SupervisorConfig`` to the executor.
+  campaign's one golden lookup.  Plain campaigns give each trial its own
+  child of the seed (:func:`plan_trials`): an exact
+  :class:`~repro.rng.TrialStream` for an integer seed, a forked numpy
+  Generator for a Generator seed; timeline campaigns draw their thinned
+  arrivals, then fork their Generator the same way; pruned campaigns
+  resolve every fault from that lookup and mark the ones the module's
+  masking report proves benign (:func:`prune_masked_trials`); supervised
+  campaigns use the plain plan and hand a ``SupervisorConfig`` to the
+  executor.
 * **execute** — :func:`repro.faults.parallel.execute` runs every trial
   that is not pruned, inline or on the warm worker pool, and yields one
   ``(trial, record, events)`` row per trial in plan order.
@@ -67,7 +70,7 @@ from repro.obs.events import (
 )
 from repro.obs.spans import ROOT, SpanEnd, SpanStart, campaign_root, span_id
 from repro.perf.cache import GOLDEN_CACHE
-from repro.rng import DEFAULT_SEED, fork, make_rng
+from repro.rng import DEFAULT_SEED, TrialStream, make_rng, trial_rngs
 
 
 @dataclass
@@ -226,9 +229,12 @@ def trial_fuel_for(campaign: Campaign, golden: ExecutionResult) -> int:
 def make_injector(
     campaign: Campaign,
     golden: ExecutionResult,
-    trial_rng: np.random.Generator,
+    trial_rng: TrialStream | np.random.Generator,
 ) -> RegisterFaultInjector | HeapFaultInjector:
-    """Draw one trial's fault (uniform dynamic index) and build its injector."""
+    """Draw one trial's fault (uniform dynamic index) and build its injector.
+
+    The injector keeps ``trial_rng`` for its site and bit draws.
+    """
     index = int(trial_rng.integers(golden.instructions))
     spec = FaultSpec(target=campaign.target, dynamic_index=index)
     if campaign.target is FaultTarget.REGISTER:
@@ -293,7 +299,7 @@ def run_trial(
     campaign: Campaign,
     golden: ExecutionResult,
     trial_fuel: int,
-    trial_rng: np.random.Generator | None,
+    trial_rng: TrialStream | np.random.Generator | None,
     code_cache: dict | None = None,
     tracer: Tracer | None = None,
     trial_index: int = 0,
@@ -398,7 +404,10 @@ class PlannedTrial:
             (:class:`repro.analysis.masking.MaskClass`), if analysed.
         pruned: the record can be rebuilt without execution
             (EXACT_BENIGN verdict, or the fault never fired).
-        rng: the trial's forked generator (plain and supervised plans).
+        rng: the trial's own child of the campaign seed (plain and
+            supervised plans): a :class:`~repro.rng.TrialStream` for an
+            integer seed, a forked numpy Generator for a Generator seed.
+            Both answer the ``integers`` draws a fault needs.
     """
 
     spec: FaultSpec | None = None
@@ -408,7 +417,7 @@ class PlannedTrial:
     body_index: int = -1
     mask_class: "MaskClass | None" = None  # noqa: F821 - analysis import is lazy
     pruned: bool = False
-    rng: np.random.Generator | None = field(
+    rng: TrialStream | np.random.Generator | None = field(
         default=None, compare=False, repr=False
     )
 
@@ -416,10 +425,14 @@ class PlannedTrial:
 def plan_trials(
     campaign: Campaign, seed: int | np.random.Generator | None
 ) -> list[PlannedTrial]:
-    """The plain plan: one forked generator per trial, nothing pruned."""
+    """The plain plan: one child of ``seed`` per trial, nothing pruned.
+
+    Children come from :func:`repro.rng.trial_rngs`, so trial *k* draws
+    what numpy's ``spawn`` child *k* of the seed would.
+    """
     return [
         PlannedTrial(rng=trial_rng)
-        for trial_rng in fork(make_rng(seed), campaign.n_trials)
+        for trial_rng in trial_rngs(seed, campaign.n_trials)
     ]
 
 
@@ -725,7 +738,7 @@ class _TrialPlanner:
     """Step hook that resolves every trial's fault in one golden replay.
 
     Draws exactly as :class:`repro.faults.seu.RegisterFaultInjector`
-    does: each trial's own forked generator goes through
+    does: each trial's own child of the seed goes through
     :func:`repro.faults.seu.draw_register_fault` (site from the sorted
     live environment, then bit) at the first hook call at or past its
     drawn dynamic index with a non-empty environment.  The planner only
@@ -737,7 +750,9 @@ class _TrialPlanner:
     """
 
     def __init__(
-        self, module: Module, requests: list[tuple[int, np.random.Generator]]
+        self,
+        module: Module,
+        requests: list[tuple[int, TrialStream | np.random.Generator]],
     ) -> None:
         self.requests = requests
         #: per-trial (resolved spec, (func, block, body_index) | None);
@@ -793,7 +808,7 @@ def prune_masked_trials(
 
     One replay of the golden run resolves every trial's fault (site, bit,
     firing point), consuming the campaign RNG exactly as
-    :func:`run_campaign` would (fork per trial, then the injector's
+    :func:`run_campaign` would (one child per trial, then the injector's
     index/site/bit draws), so the resolved specs equal the unpruned
     campaign's.  Faults the masking analysis classifies EXACT_BENIGN —
     provably reproducing the golden run bit for bit — plus faults that

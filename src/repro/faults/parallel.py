@@ -17,8 +17,10 @@ event batch when traced.  Both implementations run every item through
   rows.  Chunk sizes follow the CPUs actually available.
 
 Results are **byte-identical** however the trials ran: trial *i* is a
-pure function of its work item (a generator forked in the parent, or a
-fault spec resolved by the planner), and ``pool.map`` keeps chunk order.
+pure function of its work item (its child of the campaign seed, a
+:class:`~repro.rng.TrialStream` or a forked Generator, made in the parent;
+or a fault spec resolved by the planner), and ``pool.map`` keeps chunk
+order.
 That is also the worker-loss contract: when a worker dies mid-dispatch
 (OOM kill, SIGKILL) the pool is discarded and the dispatch re-runs
 inline with the same result.  An exception raised in a worker — a trial

@@ -19,17 +19,31 @@ from repro.ir.function import Function
 from repro.ir.instructions import Instruction
 from repro.ir.interp import Frame, Interpreter
 from repro.ir.types import F64, INT64, Type, injectable_width
-from repro.rng import make_rng
+from repro.rng import TrialStream, make_rng
 
 
 #: Declared type of every named value (arguments + instruction results).
 _value_types = Function.value_types
 
+#: What an injector draws from: a seed, a numpy Generator or a trial stream.
+Seed = int | np.random.Generator | TrialStream | None
+
+
+def _draw_rng(
+    spec: FaultSpec, seed: Seed
+) -> np.random.Generator | TrialStream | None:
+    """The generator an injector draws its site and bit from, or None when
+    ``spec`` fixes both, so that nothing is drawn (the executed trials of
+    a pruned campaign) and no generator is built."""
+    if spec.location is not None and spec.bit is not None:
+        return None
+    return make_rng(seed)
+
 
 def draw_register_fault(
     env: dict[str, int | float],
     types: dict[str, Type],
-    rng: np.random.Generator,
+    rng: np.random.Generator | TrialStream | None,
     location: str | None = None,
     bit: int | None = None,
 ) -> tuple[str, Type, int]:
@@ -40,6 +54,9 @@ def draw_register_fault(
     declared type is typed by its runtime value (F64 or INT64).  The
     injector and the pruned-campaign planner both draw through here, so
     a planned trial consumes ``rng`` exactly like the trial it stands for.
+    Every draw is ``rng.integers``, so ``rng`` may be a numpy Generator or
+    a :class:`~repro.rng.TrialStream`; with both fields given it may be
+    None.
     """
     if location is None:
         names = sorted(env)
@@ -58,6 +75,9 @@ class RegisterFaultInjector:
     Attributes:
         spec: the fault request; unresolved fields (location/bit) are chosen
             uniformly at injection time and recorded in :attr:`resolved`.
+        rng: what those fields are drawn from: ``make_rng(seed)``, so a
+            numpy Generator or the trial's :class:`~repro.rng.TrialStream`;
+            None when ``spec`` fixes both and nothing is drawn.
         resolved: the fully determined fault actually injected (None until
             injection happens).
     """
@@ -65,14 +85,14 @@ class RegisterFaultInjector:
     def __init__(
         self,
         spec: FaultSpec,
-        seed: int | np.random.Generator | None = None,
+        seed: Seed = None,
     ) -> None:
         if spec.target is not FaultTarget.REGISTER:
             raise FaultInjectionError(
                 f"RegisterFaultInjector got target {spec.target}"
             )
         self.spec = spec
-        self.rng = make_rng(seed)
+        self.rng = _draw_rng(spec, seed)
         self.resolved: FaultSpec | None = None
         self.next_index: int | None = spec.dynamic_index
 
@@ -115,20 +135,22 @@ class HeapFaultInjector:
     """Flips one bit in one heap cell at one dynamic instruction.
 
     Heap cells are typeless 8-byte slots; the flip respects the runtime kind
-    of the stored value (float vs integer).
+    of the stored value (float vs integer).  Address and bit are drawn
+    like :class:`RegisterFaultInjector`'s site and bit, through ``integers``
+    only, and not at all when ``spec`` fixes both.
     """
 
     def __init__(
         self,
         spec: FaultSpec,
-        seed: int | np.random.Generator | None = None,
+        seed: Seed = None,
     ) -> None:
         if spec.target is not FaultTarget.MEMORY:
             raise FaultInjectionError(
                 f"HeapFaultInjector got target {spec.target}"
             )
         self.spec = spec
-        self.rng = make_rng(seed)
+        self.rng = _draw_rng(spec, seed)
         self.resolved: FaultSpec | None = None
         self.next_index: int | None = spec.dynamic_index
 

@@ -21,7 +21,7 @@ from repro.machine.cpu import Machine, RunOutcome
 from repro.machine.gdbport import GdbPort
 from repro.machine.isa import MachInstr, N_REGISTERS
 from repro.machine.programs import RESULT_ADDR, load_program
-from repro.rng import fork, make_rng
+from repro.rng import TrialStream, trial_rngs
 
 
 @dataclass
@@ -78,7 +78,7 @@ class _OneShotInjector:
         self,
         target: FaultTarget,
         step: int,
-        rng: np.random.Generator,
+        rng: TrialStream | np.random.Generator,
     ) -> None:
         self.target = target
         self.step = step
@@ -140,8 +140,11 @@ def run_machine_campaign(
     campaign: MachineCampaign,
     seed: int | np.random.Generator | None = None,
 ) -> MachineCampaignResult:
-    """Run a machine-level fault-injection campaign."""
-    rng = make_rng(seed)
+    """Run a machine-level fault-injection campaign.
+
+    Trial *k* draws its step, site and bit from child *k* of ``seed``
+    (:func:`repro.rng.trial_rngs`), as the IR engine's trials do.
+    """
     program = load_program(campaign.program_name)
     golden_value, golden_steps, _ = _golden(program, fuel=5_000_000)
     result = MachineCampaignResult(
@@ -151,7 +154,7 @@ def run_machine_campaign(
     )
     fuel = golden_steps * campaign.fuel_factor + 1_000
 
-    for trial_rng in fork(rng, campaign.n_trials):
+    for trial_rng in trial_rngs(seed, campaign.n_trials):
         step = int(trial_rng.integers(golden_steps))
         injector = _OneShotInjector(campaign.target, step, trial_rng)
         machine = Machine(

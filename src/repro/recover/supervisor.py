@@ -67,6 +67,7 @@ from repro.obs.events import (
 )
 from repro.obs.spans import SpanEnd, SpanStart, span_id
 from repro.recover.watchdog import InterpWatchdog, chain_step_hooks
+from repro.rng import TrialStream
 
 #: Failure outcomes a supervisor can observe and react to.
 RECOVERABLE_OUTCOMES = frozenset({
@@ -320,12 +321,17 @@ class Supervisor:
 
     def run_trial(
         self,
-        trial_rng: np.random.Generator,
+        trial_rng: TrialStream | np.random.Generator,
         tracer: Tracer | None = None,
         trial_index: int = 0,
         span_root: str = "",
     ) -> tuple[TrialResult, RecoveryRecord | None]:
         """One supervised trial: inject, classify, recover if observable.
+
+        The fault is drawn from ``trial_rng`` as an unsupervised trial
+        draws it.  Recovery's storage-fault draws continue from where the
+        fault's left off, on a numpy Generator: a trial stream hands its
+        position to one (:meth:`~repro.rng.TrialStream.generator`).
 
         Traced, it emits an unsupervised trial's events with checkpoint
         and watchdog events interleaved, then one event per ladder rung
@@ -366,6 +372,8 @@ class Supervisor:
             emit_trial_events(tracer, trial_index, trial, fired=injector.fired)
         record = None
         if trial.outcome in RECOVERABLE_OUTCOMES:
+            if isinstance(trial_rng, TrialStream):
+                trial_rng = trial_rng.generator()
             record = self.recover(
                 trial.outcome, result, manager, trial_rng,
                 tracer=tracer, trial_index=trial_index, span=trial_span,
@@ -584,7 +592,7 @@ def run_supervised_campaign(
     """Execute ``campaign`` with the supervisor in the loop.
 
     The plain plan run by the campaign pipeline, whose executor hands each
-    trial's forked generator to :meth:`Supervisor.run_trial` under
+    trial's own child of ``seed`` to :meth:`Supervisor.run_trial` under
     ``config``; byte-identical at any worker count, traced or not
     (``trace_spans`` adds the campaign → trial → attempt span hierarchy).
     """

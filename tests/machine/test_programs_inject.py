@@ -1,5 +1,7 @@
 """Machine workload and campaign tests."""
 
+import hashlib
+
 import pytest
 
 from repro.faults.model import FaultTarget
@@ -76,3 +78,38 @@ class TestMachineCampaigns:
         )
         counts = result.counts.counts
         assert counts[FaultOutcome.CRASH] + counts[FaultOutcome.HANG] > 0
+
+
+def _trials_digest(result) -> str:
+    h = hashlib.sha256()
+    for t in result.trials:
+        h.update(repr(
+            (t.step, t.location, t.bit, t.outcome.value, t.in_cache)
+        ).encode())
+    return h.hexdigest()[:16]
+
+
+#: Trial-record digests of 20-trial bubble_sort campaigns, recorded while
+#: every trial drew from a numpy Generator forked per trial; the exact
+#: trial streams must draw the same faults.
+MACHINE_DIGESTS = {
+    (FaultTarget.REGISTER, 0): "cd3381474b1200e9",
+    (FaultTarget.REGISTER, 11): "47f66e91654a3594",
+    (FaultTarget.REGISTER, 2**70 + 5): "9ef5bc11d089dffc",
+    (FaultTarget.MEMORY, 0): "c254d60ccbafb0b0",
+    (FaultTarget.MEMORY, 11): "bafd95d0e63fe4b4",
+    (FaultTarget.MEMORY, 2**70 + 5): "e90bdb09d67b674d",
+    (FaultTarget.CACHE, 0): "7e649ceb83bedbc5",
+    (FaultTarget.CACHE, 11): "bc0d09be23bff64e",
+    (FaultTarget.CACHE, 2**70 + 5): "fe27d5b3672d05eb",
+}
+
+
+@pytest.mark.parametrize(
+    "target,seed", sorted(MACHINE_DIGESTS, key=lambda k: (k[0].value, k[1]))
+)
+def test_machine_campaign_records_pinned(target, seed):
+    result = run_machine_campaign(
+        MachineCampaign("bubble_sort", n_trials=20, target=target), seed=seed
+    )
+    assert _trials_digest(result) == MACHINE_DIGESTS[target, seed]

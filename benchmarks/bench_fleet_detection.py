@@ -132,11 +132,11 @@ def _family_eval(detector, clean, families):
     whose fault is active from t=0 on a freshly armed detector.
     """
     _reset(detector)
-    scores = [detector.score_batch(clean)]
+    scores = [detector.score(clean)]
     labels = [np.zeros(len(clean), int)]
     for family in families:
         _reset(detector)
-        scores.append(detector.score_batch(family))
+        scores.append(detector.score(family))
         labels.append(np.ones(len(family), int))
     _reset(detector)
     return np.concatenate(scores), np.concatenate(labels)

@@ -10,7 +10,7 @@ the file records a perf *trajectory* across commits, not a single point):
   :class:`repro.ir.refinterp.ReferenceInterpreter` (the original dispatch
   loop, kept as the differential oracle);
 * campaign throughput — trials/s of the optimized engine (fast path +
-  golden cache + the module's shared compiled code), serial and at
+  the module's record: its compiled code and golden run), serial and at
   ``REPRO_PERF_WORKERS`` workers, vs the pre-optimization baseline engine
   (reference interpreter, no caches);
 * parallel determinism — the 4-worker campaign must be **byte-identical**
@@ -40,7 +40,9 @@ decide the ratio; and the fast path's speedup over the reference loop,
 the smallest per-program median, must not regress more than 20% below
 the previous entry's ``min_speedup`` in ``BENCH_perf.json``.  A gated
 run stores that median as its own ``min_speedup``; an ungated one
-stores its best-of sample.
+stores its best-of sample.  A test stores its numbers only once its
+gates passed, and the report is written only when no test failed, so a
+failed gate leaves ``BENCH_perf.json`` byte-identical.
 
 Budget knobs: ``REPRO_PERF_TRIALS`` (campaign trials per measurement,
 default 300), ``REPRO_PERF_WORKERS`` (default 4), ``REPRO_PERF_REPEAT``
@@ -183,7 +185,7 @@ def test_perf_interpreter_fastpath():
 
     speedups = [d["speedup"] for d in per_program.values()]
     min_speedup = min(speedups)
-    SNAPSHOT["interpreter"] = {
+    entry = {
         "programs": per_program,
         "min_speedup": min_speedup,
         "target_speedup": 9.0,
@@ -192,10 +194,6 @@ def test_perf_interpreter_fastpath():
         assert min_speedup >= 9.0, f"min_speedup {min_speedup:.2f}x < 9x"
     if GATE:
         gate_min = min(median(ratios) for ratios in gate_rounds.values())
-        # The next run's gate judges its median against this median, not
-        # against a best-of sample taken beside it.
-        SNAPSHOT["interpreter"]["gate_rounds"] = gate_rounds
-        SNAPSHOT["interpreter"]["min_speedup"] = gate_min
         previous = load_perf_report(REPORT_PATH) or {}
         prev_min = previous.get("interpreter", {}).get("min_speedup")
         if prev_min:
@@ -204,6 +202,13 @@ def test_perf_interpreter_fastpath():
                 f"{GATE_ROUNDS} interleaved rounds vs {prev_min:.2f}x in "
                 "the previous history entry"
             )
+        # The next run's gate judges its median against this median, not
+        # against a best-of sample taken beside it.
+        entry["gate_rounds"] = gate_rounds
+        entry["min_speedup"] = gate_min
+    # Stored only once every gate passed: a failed median must not
+    # become the next run's bar.
+    SNAPSHOT["interpreter"] = entry
 
 
 def test_perf_campaign_throughput():
@@ -247,7 +252,7 @@ def test_perf_campaign_throughput():
     serial_tps = N_TRIALS / t_serial
     parallel_tps = N_TRIALS / t_parallel
     cpus = available_cpus()
-    SNAPSHOT["campaign"] = {
+    campaign_entry = {
         "program": CAMPAIGN_PROGRAM,
         "n_trials": N_TRIALS,
         "baseline_trials_per_s": baseline_tps,
@@ -257,7 +262,7 @@ def test_perf_campaign_throughput():
         "parallel_speedup_vs_baseline": parallel_tps / baseline_tps,
         "target_parallel_speedup_vs_baseline": 2.0,
     }
-    SNAPSHOT["parallel"] = {
+    parallel_entry = {
         "workers": WORKERS,
         "available_cpus": cpus,
         "deterministic": True,
@@ -268,7 +273,7 @@ def test_perf_campaign_throughput():
             "host the pool adds IPC overhead without adding compute"
         ),
     }
-    SNAPSHOT["golden_cache"] = GOLDEN_CACHE.stats.as_dict()
+    golden_cache = GOLDEN_CACHE.stats.as_dict()
     if STRICT:
         assert parallel_tps >= 2.0 * baseline_tps
     if GATE and cpus > 1:
@@ -278,13 +283,17 @@ def test_perf_campaign_throughput():
             lambda: run_campaign(gate_campaign, seed=1, workers=WORKERS),
         )
         ratio = median(ratios)
-        SNAPSHOT["parallel"]["gate_trials"] = GATE_TRIALS
-        SNAPSHOT["parallel"]["gate_rounds"] = ratios
         assert ratio >= 1.0, (
             f"warm-pool parallel lost to serial (median {ratio:.2f}x over "
             f"{GATE_ROUNDS} rounds of {GATE_TRIALS} trials) with {cpus} "
             "CPUs available"
         )
+        parallel_entry["gate_trials"] = GATE_TRIALS
+        parallel_entry["gate_rounds"] = ratios
+    # Stored only once every gate passed.
+    SNAPSHOT["campaign"] = campaign_entry
+    SNAPSHOT["parallel"] = parallel_entry
+    SNAPSHOT["golden_cache"] = golden_cache
 
 
 def test_perf_observability_overhead():
@@ -345,14 +354,6 @@ def test_perf_observability_overhead():
     )
     overhead = t_traced / t_plain - 1.0
     span_overhead = t_span / t_plain - 1.0
-    SNAPSHOT["observability"] = {
-        "events_per_campaign": len(sink.events),
-        "span_events_per_campaign": len(span_sink.events),
-        "traced_overhead": overhead,
-        "span_traced_overhead": span_overhead,
-        "target_traced_overhead": 0.25,
-        "deterministic": True,
-    }
     if STRICT:
         # Enabled tracing emits ~3 events/trial into a list append; it
         # must stay a small fraction of the trial's interpreter work —
@@ -362,9 +363,20 @@ def test_perf_observability_overhead():
         assert span_overhead < 0.25, (
             f"span tracing overhead {span_overhead:.1%}"
         )
+    SNAPSHOT["observability"] = {
+        "events_per_campaign": len(sink.events),
+        "span_events_per_campaign": len(span_sink.events),
+        "traced_overhead": overhead,
+        "span_traced_overhead": span_overhead,
+        "target_traced_overhead": 0.25,
+        "deterministic": True,
+    }
 
 
-def test_perf_write_report():
+def test_perf_write_report(request):
+    # A failed gate anywhere in the session writes nothing: the stored
+    # entry, and with it every gate's bar, stays as it was.
+    assert request.session.testsfailed == 0, "a perf gate failed"
     assert "interpreter" in SNAPSHOT and "campaign" in SNAPSHOT, (
         "earlier perf measurements did not run"
     )

@@ -6,18 +6,15 @@ columns are software features), then ``score`` new rows — higher scores
 mean more anomalous.  ``predict`` applies the detector's calibrated
 threshold.
 
-Two batched fast paths extend the per-sample contract:
-
-- :meth:`AnomalyDetector.score_batch` scores one *stream* of rows and must
-  be numerically identical to scoring them one at a time (the default
-  implementation literally loops; vectorized overrides keep bitwise
-  equality by using batch-size-invariant reductions such as ``einsum``).
-- :meth:`AnomalyDetector.step_streams` scores one row from each of N
-  *independent* streams (one per fleet board) in a single call,
-  threading per-stream detector state through an opaque handle from
-  :meth:`AnomalyDetector.make_stream_state`.  Stateless detectors ignore
-  the state; sequential detectors (EWMA, CUSUM) vectorize their
-  recursion elementwise across streams.
+``score`` takes a whole batch of rows from one *stream* and must be
+numerically identical to scoring them one at a time, sequential state
+included: every detector vectorizes with batch-size-invariant reductions
+such as ``einsum``.  :meth:`AnomalyDetector.step_streams` scores one row
+from each of N *independent* streams (one per fleet board) in a single
+call, threading per-stream detector state through an opaque handle from
+:meth:`AnomalyDetector.make_stream_state`.  Stateless detectors ignore
+the state; sequential detectors (EWMA, CUSUM) vectorize their recursion
+elementwise across streams.
 """
 
 from __future__ import annotations
@@ -64,9 +61,12 @@ class AnomalyDetector(abc.ABC):
         self.state = FittedState.FITTED
         return self
 
-    def score(self, rows: np.ndarray) -> np.ndarray:
+    def _require_fitted(self) -> None:
         if self.state is not FittedState.FITTED:
             raise DetectorError(f"{type(self).__name__} is not fitted")
+
+    def score(self, rows: np.ndarray) -> np.ndarray:
+        self._require_fitted()
         return self._score(np.atleast_2d(np.asarray(rows, dtype=float)))
 
     def predict(self, rows: np.ndarray) -> np.ndarray:
@@ -76,37 +76,13 @@ class AnomalyDetector(abc.ABC):
     def score_one(self, row: np.ndarray) -> float:
         return float(self.score(row.reshape(1, -1))[0])
 
-    # -- batched fast paths ----------------------------------------------------
-
-    def _require_fitted(self) -> None:
-        if self.state is not FittedState.FITTED:
-            raise DetectorError(f"{type(self).__name__} is not fitted")
-
-    def score_batch(self, rows: np.ndarray) -> np.ndarray:
-        """Score a batch of rows from one stream.
-
-        Contract: numerically identical to calling :meth:`score` on each
-        row in order (including state advancement for sequential
-        detectors).  The base implementation loops; subclasses override
-        with vectorized math that preserves bitwise equality.
-        """
-        self._require_fitted()
-        rows = np.atleast_2d(np.asarray(rows, dtype=float))
-        if rows.size == 0:
-            return np.empty(0)
-        return np.concatenate(
-            [self._score(rows[i:i + 1]) for i in range(rows.shape[0])]
-        )
-
-    def predict_batch(self, rows: np.ndarray) -> np.ndarray:
-        """Boolean anomaly flags via the batched fast path."""
-        return self.score_batch(rows) > self.threshold
+    # -- the fleet's multi-stream path ----------------------------------------
 
     def make_stream_state(self, n_streams: int):
         """Fresh per-stream scoring state for :meth:`step_streams`.
 
         ``None`` means the detector is stateless across samples and the
-        default :meth:`step_streams` just batch-scores the rows.
+        default :meth:`step_streams` just scores the rows.
         """
         return None
 
@@ -120,4 +96,4 @@ class AnomalyDetector(abc.ABC):
         later: the fleet scorer keeps it until it folds its score
         histogram.
         """
-        return self.score_batch(rows), state
+        return self.score(rows), state

@@ -54,10 +54,6 @@ class CusumDetector(AnomalyDetector):
         self._s = s
         return scores
 
-    def score_batch(self, rows: np.ndarray) -> np.ndarray:
-        """Sequential recursion with vectorized per-row preparation."""
-        return self.score(rows)
-
     def make_stream_state(self, n_streams: int) -> np.ndarray:
         """One CUSUM accumulator per stream (board)."""
         return np.zeros(n_streams)

@@ -75,17 +75,10 @@ class EllipticEnvelopeDetector(AnomalyDetector):
         self._threshold = max(chi2_cut, self.safety_factor * sustained)
 
     def _score(self, rows: np.ndarray) -> np.ndarray:
+        # The fixed-order column reduction is batch-size invariant: a
+        # batch scores bitwise equal to its rows one at a time.
         assert self._mcd is not None
         return self._mcd.mahalanobis_sq(rows)
-
-    def score_batch(self, rows: np.ndarray) -> np.ndarray:
-        """Vectorized: one batched Mahalanobis pass for all rows.
-
-        The fixed-order column reduction in ``McdResult.mahalanobis_sq``
-        is batch-size invariant, so batched scores are bitwise equal to
-        per-sample scoring.
-        """
-        return self.score(rows)
 
     @property
     def threshold(self) -> float:

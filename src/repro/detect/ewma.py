@@ -60,10 +60,6 @@ class EwmaDetector(AnomalyDetector):
         self._ewma = ewma
         return scores
 
-    def score_batch(self, rows: np.ndarray) -> np.ndarray:
-        """Sequential recursion with vectorized per-row preparation."""
-        return self.score(rows)
-
     def make_stream_state(self, n_streams: int) -> np.ndarray:
         """One EWMA accumulator per stream (board)."""
         return np.zeros(n_streams)

@@ -96,7 +96,7 @@ class EnsembleDetector(AnomalyDetector):
     def _calibrate(self, rows: np.ndarray) -> None:
         """Per-member normalization: clean median -> 0, threshold -> 1."""
         for i, member in enumerate(self.members):
-            scores = member.score_batch(rows)
+            scores = member.score(rows)
             _reset_if_stateful(member)
             center = float(np.median(scores))
             span = member.threshold - center
@@ -128,14 +128,6 @@ class EnsembleDetector(AnomalyDetector):
 
     def _score(self, rows: np.ndarray) -> np.ndarray:
         return self._combine([m.score(rows) for m in self.members])
-
-    def score_batch(self, rows: np.ndarray) -> np.ndarray:
-        """Vectorized: every member's batched fast path, combined once."""
-        self._require_fitted()
-        rows = np.atleast_2d(np.asarray(rows, dtype=float))
-        if rows.size == 0:
-            return np.empty(0)
-        return self._combine([m.score_batch(rows) for m in self.members])
 
     @property
     def threshold(self) -> float:
@@ -186,7 +178,7 @@ def auc_weights(
     weights = []
     for member in members:
         _reset_if_stateful(member)
-        scores = member.score_batch(rows)
+        scores = member.score(rows)
         _reset_if_stateful(member)
         weights.append(max(roc_auc(scores, labels) - 0.5, 0.0) ** sharpness)
     if sum(weights) <= 0:

@@ -92,7 +92,7 @@ class OnlineRefit(AnomalyDetector):
 
     def _calibrate_drift_scale(self, rows: np.ndarray) -> None:
         """Center/scale of the wrapped detector's clean-score distribution."""
-        scores = self.detector.score_batch(rows)
+        scores = self.detector.score(rows)
         self._reset_inner()
         self._center = float(np.median(scores))
         mad = float(np.median(np.abs(scores - self._center)))
@@ -129,13 +129,9 @@ class OnlineRefit(AnomalyDetector):
         self._maybe_refit()
 
     def _score(self, rows: np.ndarray) -> np.ndarray:
-        scores = self.detector.score_batch(rows)
+        scores = self.detector.score(rows)
         self._observe(rows, scores)
         return scores
-
-    def score_batch(self, rows: np.ndarray) -> np.ndarray:
-        """Single code path: the wrapped detector's batched fast path."""
-        return self.score(rows)
 
     def _maybe_refit(self) -> None:
         if abs(self._drift) >= self.drift_sigmas and self.window_full:

@@ -104,10 +104,6 @@ class LinearResidualDetector(AnomalyDetector):
         expected = self.expected_current(rows)
         return np.abs(rows[:, -1] - expected) / self._sigma
 
-    def score_batch(self, rows: np.ndarray) -> np.ndarray:
-        """Vectorized: one design-matrix reduction for the whole batch."""
-        return self.score(rows)
-
     @property
     def threshold(self) -> float:
         return self.z_threshold

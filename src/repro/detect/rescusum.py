@@ -72,10 +72,6 @@ class ResidualCusumDetector(AnomalyDetector):
         self._s = s
         return scores
 
-    def score_batch(self, rows: np.ndarray) -> np.ndarray:
-        """Sequential recursion with vectorized residual preparation."""
-        return self.score(rows)
-
     def partial_fit(self, rows: np.ndarray, forgetting: float = 1.0) -> None:
         """Warm-started update of the underlying linear current model."""
         self._model.partial_fit(rows, forgetting=forgetting)

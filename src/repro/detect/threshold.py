@@ -37,10 +37,6 @@ class CurrentThresholdDetector(AnomalyDetector):
     def _score(self, rows: np.ndarray) -> np.ndarray:
         return rows[:, -1] - self._ceiling
 
-    def score_batch(self, rows: np.ndarray) -> np.ndarray:
-        """Vectorized: one elementwise subtraction for the whole batch."""
-        return self.score(rows)
-
     @property
     def threshold(self) -> float:
         return 0.0

@@ -32,10 +32,6 @@ class RollingZScoreDetector(AnomalyDetector):
     def _score(self, rows: np.ndarray) -> np.ndarray:
         return np.abs(rows[:, -1] - self._mean) / self._std
 
-    def score_batch(self, rows: np.ndarray) -> np.ndarray:
-        """Vectorized: elementwise |z| over the whole batch at once."""
-        return self.score(rows)
-
     @property
     def threshold(self) -> float:
         return self.z_threshold

@@ -26,16 +26,15 @@ Every campaign flavour runs through the same three stages (:func:`run_plan`):
   and span events in trial order, so the traced stream is the same
   however the trials ran.
 
-Golden runs come from :data:`repro.perf.cache.GOLDEN_CACHE`, looked up
-once per campaign.  The golden run, the pruning replay and every trial
-run the module's one compiled code (:func:`repro.ir.interp.module_code`),
-and pruned campaigns plan from the module's one masking report; both
-sit in the module's record (:func:`repro.ir.interp.module_record`),
-which every later campaign over the module shares too.  :func:`run_golden`
-checks that record against the module's printed-IR fingerprint once per
-campaign.  Tracing only observes — it never draws from an RNG or
-mutates engine state — so traced results are byte-identical to untraced
-ones.
+A campaign looks its golden run up once (:func:`run_golden`).  Each
+module keeps one record (:func:`repro.ir.interp.module_record`) that
+every campaign over it shares: its golden runs, its one compiled code
+(:func:`repro.ir.interp.module_code`), which the golden run, the
+pruning replay and every trial run, and its one masking report, which
+pruned campaigns plan from.  :func:`run_golden` checks that record
+against the module's printed-IR fingerprint once per campaign.
+Tracing only observes — it never draws from an RNG or mutates engine
+state — so traced results are byte-identical to untraced ones.
 """
 
 from __future__ import annotations
@@ -53,10 +52,11 @@ from repro.faults.seu import (
 )
 from repro.ir.costmodel import CORTEX_A53, CostModel
 from repro.ir.interp import (
-    BoundSnapshots, ExecutionResult, ExecutionStatus, GoldenSnapshots,
-    Interpreter, module_code, module_record,
+    ExecutionResult, ExecutionStatus, GoldenSnapshots, Interpreter,
+    module_code, module_record,
 )
 from repro.ir.module import Module
+from repro.ir.printer import module_fingerprint
 from repro.obs.events import (
     BlockTransition,
     CampaignEnd,
@@ -70,7 +70,7 @@ from repro.obs.events import (
 )
 from repro.obs.spans import ROOT, SpanEnd, SpanStart, campaign_root, span_id
 from repro.perf.cache import GOLDEN_CACHE
-from repro.rng import DEFAULT_SEED, TrialStream, make_rng, trial_rngs
+from repro.rng import TrialStream, make_rng, trial_rngs
 
 
 @dataclass
@@ -148,39 +148,45 @@ def run_golden(
 ) -> ExecutionResult:
     """The campaign's fault-free reference run (validated).
 
-    Served from :data:`repro.perf.cache.GOLDEN_CACHE` when an identical
-    module (by printed-IR fingerprint), entry point, args and cost model
-    were already golden-run with a sufficient fuel budget; pass
-    ``use_cache=False`` to force re-execution.  With a tracer, the cache
-    consultation is recorded as a :class:`GoldenCacheLookup` event.
+    Kept in the module's record (:func:`repro.ir.interp.module_record`),
+    one run per entry point, args and cost model, and served to every
+    later campaign over the same module object whose fuel covers the
+    run's instruction count.  The record is first checked against the
+    module's printed-IR fingerprint: this is the campaign's one check of
+    everything derived from its module.  ``use_cache=False`` neither
+    reads nor stores a run.  Each lookup counts a hit or a miss in
+    :data:`repro.perf.cache.GOLDEN_CACHE`; with a tracer it is recorded
+    as a :class:`GoldenCacheLookup` event.
 
     The run records its block-entry snapshot table as it goes
     (:class:`repro.ir.interp.GoldenSnapshots`, at most 65 points however
-    long the run) and returns it as ``snapshots``; the cache entry keeps
-    it.  Trials start at its latest point at or before their fault and
-    end when their state rejoins golden's.  The table names blocks, so
-    :meth:`~repro.ir.interp.GoldenSnapshots.bind` resolves it against
-    each campaign's own module.
+    long the run) and returns it as ``snapshots``.  Trials of the same
+    module start at its latest point at or before their fault and end
+    when their state rejoins golden's.
     """
-    key = GOLDEN_CACHE.key_for(
-        campaign.module, campaign.func_name, campaign.args,
-        campaign.cost_model,
-    )
-    # The campaign's one check of the module's shared record: its
-    # compiled code and its masking report.
-    code = module_code(campaign.module, campaign.cost_model, key[0])
+    module = campaign.module
+    record = module_record(module, module_fingerprint(module))
+    # Args by repr: 0.0 == -0.0, yet 1.0 / %a tells them apart.
+    key = (campaign.func_name, repr(tuple(campaign.args)), campaign.cost_model)
     if use_cache:
-        cached = GOLDEN_CACHE.get(key, fuel=campaign.fuel)
+        golden = next((
+            run for entry, run in record.golden
+            if entry == key and run.instructions <= campaign.fuel
+        ), None)
+        hit = golden is not None
         if tracer is not None:
             tracer.emit(GoldenCacheLookup(
-                hit=cached is not None,
-                instructions=cached.instructions if cached is not None else 0,
+                hit=hit, instructions=golden.instructions if hit else 0,
             ))
-        if cached is not None:
-            return cached
+        if hit:
+            GOLDEN_CACHE.stats.hits += 1
+            # A copy, so that no caller can change the stored run.
+            return replace(golden, block_trace=list(golden.block_trace))
+        GOLDEN_CACHE.stats.misses += 1
     golden_interp = Interpreter(
-        campaign.module, cost_model=campaign.cost_model, fuel=campaign.fuel,
-        code_cache=code, snapshots=GoldenSnapshots(),
+        module, cost_model=campaign.cost_model, fuel=campaign.fuel,
+        code_cache=module_code(module, campaign.cost_model),
+        snapshots=GoldenSnapshots(),
     )
     golden = golden_interp.run(campaign.func_name, list(campaign.args))
     if golden.status is ExecutionStatus.HANG:
@@ -198,7 +204,9 @@ def run_golden(
     if golden.instructions == 0:
         raise FaultInjectionError("golden run executed no instructions")
     if use_cache:
-        GOLDEN_CACHE.put(key, golden)
+        record.golden.append(
+            (key, replace(golden, block_trace=list(golden.block_trace)))
+        )
     return golden
 
 
@@ -306,7 +314,7 @@ def run_trial(
     trace_blocks: bool = False,
     span_root: str = "",
     injector: RegisterFaultInjector | HeapFaultInjector | None = None,
-    snapshots: BoundSnapshots | None = None,
+    snapshots: GoldenSnapshots | None = None,
 ) -> TrialResult:
     """Execute and classify one faulted trial.
 
@@ -316,31 +324,24 @@ def run_trial(
     trial's RNG stream; a ``span_root`` brackets them with the trial's
     deterministic span.  Pruned campaigns pass an ``injector`` whose spec
     the planner resolved; the trial then draws nothing and ``trial_rng``
-    may be None.  ``snapshots`` (golden's table bound to the campaign's
+    may be None.  ``snapshots`` (golden's table, of the campaign's
     module) lets the trial start late and stop early unless it traces
     blocks; the record is the same either way.
     """
-    trace_hook = None
     trial_span = ""
     if tracer is not None:
         if span_root:
             trial_span = begin_trial_span(tracer, span_root, trial_index)
         tracer.emit(TrialStart(trial=trial_index))
-        if trace_blocks:
-            emit = tracer.emit
-
-            def trace_hook(func: str, block: str) -> None:
-                emit(BlockTransition(func=func, block=block))
-
     if injector is None:
         injector = make_injector(campaign, golden, trial_rng)
     interp = Interpreter(
         campaign.module,
         cost_model=campaign.cost_model,
         fuel=trial_fuel,
+        record_trace=trace_blocks and tracer is not None,
         step_hook=injector,
         code_cache=code_cache,
-        trace_hook=trace_hook,
         # The injector's ``next_index`` (its drawn index, None once
         # fired) lets the interpreter batch outside the injection
         # window, start at a golden snapshot and stop where the trial
@@ -350,6 +351,8 @@ def run_trial(
     result = interp.run(campaign.func_name, list(campaign.args))
     trial = classify_trial(campaign, golden, injector, result)
     if tracer is not None:
+        for func, block in result.block_trace:
+            tracer.emit(BlockTransition(func=func, block=block))
         emit_trial_events(tracer, trial_index, trial, fired=injector.fired)
         if trial_span:
             end_trial_span(tracer, trial_span, trial)
@@ -706,22 +709,11 @@ class PrunedTrials:
             (the module's cached report).
         trials: one :class:`PlannedTrial` per campaign trial, index-aligned
             with the unpruned campaign's trial sequence.
-        fingerprint: the printed-IR hash of the module it was planned
-            against; :func:`run_campaign_pruned` runs the plan only on a
-            module with the same one.
-        func_name, args, seed: the entry point, arguments and seed it
-            was planned for; ``seed`` is None when planned from a
-            Generator, whose state no later run can check (see
-            :func:`_checkable_seed`).
     """
 
     golden: ExecutionResult
     report: "MaskingReport"  # noqa: F821 - analysis import is lazy
     trials: list[PlannedTrial]
-    fingerprint: str
-    func_name: str
-    args: tuple
-    seed: int | None
 
     @property
     def n_pruned(self) -> int:
@@ -891,20 +883,7 @@ def prune_masked_trials(
             spec=spec, func=func_name, block=block, body_index=body_index,
             mask_class=mask_class, pruned=mask_class in EXACT_BENIGN,
         ))
-    return PrunedTrials(
-        golden=golden, report=report, trials=trials,
-        fingerprint=record.fingerprint, func_name=campaign.func_name,
-        args=tuple(campaign.args), seed=_checkable_seed(seed),
-    )
-
-
-def _checkable_seed(seed: int | np.random.Generator | None) -> int | None:
-    """The integer a seed draws from (``None`` means
-    :data:`~repro.rng.DEFAULT_SEED`), or None for a Generator, which may
-    have drawn anything before it reaches the campaign."""
-    if isinstance(seed, np.random.Generator):
-        return None
-    return DEFAULT_SEED if seed is None else seed
+    return PrunedTrials(golden=golden, report=report, trials=trials)
 
 
 def reconstruct_pruned_trial(
@@ -925,39 +904,10 @@ def reconstruct_pruned_trial(
     )
 
 
-def _check_plan_identity(
-    plan: PrunedTrials,
-    campaign: Campaign,
-    seed: int | np.random.Generator | None,
-) -> None:
-    """Raise unless ``plan`` was made for ``campaign``'s trial count,
-    entry point and arguments at ``seed`` (the IR is checked after the
-    golden lookup)."""
-    if len(plan.trials) != campaign.n_trials:
-        raise FaultInjectionError(
-            f"pruning plan holds {len(plan.trials)} trials, campaign "
-            f"@{campaign.func_name} asks for {campaign.n_trials}"
-        )
-    seed = _checkable_seed(seed)
-    if seed is None or plan.seed is None:
-        raise FaultInjectionError(
-            "a pruning plan is checked against an integer seed; it "
-            "cannot be run or made with a Generator"
-        )
-    planned = (plan.func_name, plan.args, plan.seed)
-    asked = (campaign.func_name, tuple(campaign.args), seed)
-    if planned != asked:
-        raise FaultInjectionError(
-            "pruning plan made for @{}{} at seed {} cannot run campaign "
-            "@{}{} at seed {}".format(*planned, *asked)
-        )
-
-
 def run_campaign_pruned(
     campaign: Campaign,
     seed: int | np.random.Generator | None = None,
     workers: int | None = None,
-    plan: PrunedTrials | None = None,
     tracer: Tracer | None = None,
     trace_blocks: bool = False,
     trace_spans: bool = False,
@@ -975,35 +925,14 @@ def run_campaign_pruned(
     The campaign looks golden up once and plans from that lookup with
     the module's masking report, computed by the first pruned campaign
     over the module and reused by every later one
-    (:func:`prune_masked_trials`).  Pass a precomputed ``plan`` to
-    amortize planning across repeat campaigns.  It must hold
-    ``campaign.n_trials`` trials, have been planned for this entry
-    point, arguments and integer seed, and against this module's printed
-    IR (an identical-IR clone's plan is accepted).  Anything else raises
-    :class:`~repro.errors.FaultInjectionError`: before the campaign
-    starts, or, for a plan of other IR or of this module before it
-    changed, after the golden lookup.  A plan cannot be checked against
-    a Generator seed, so a plan with one, or planned from one, raises
-    too.
+    (:func:`prune_masked_trials`).
     """
-    if plan is not None:
-        _check_plan_identity(plan, campaign, seed)
-
-    def planner(golden: ExecutionResult) -> list[PlannedTrial]:
-        if plan is None:
-            return prune_masked_trials(campaign, seed, golden=golden).trials
-        # The fingerprint the golden lookup just checked.
-        fingerprint = module_record(campaign.module).fingerprint
-        if plan.fingerprint != fingerprint:
-            raise FaultInjectionError(
-                f"pruning plan of IR {plan.fingerprint[:12]} does not "
-                f"match the IR of campaign module "
-                f"{campaign.module.name!r} ({fingerprint[:12]})"
-            )
-        return plan.trials
-
     emitter = CampaignEmitter(tracer, campaign, seed, trace_spans)
     result, _records = run_plan(
-        campaign, planner, emitter, workers, trace_blocks=trace_blocks,
+        campaign,
+        lambda golden: prune_masked_trials(
+            campaign, seed, golden=golden
+        ).trials,
+        emitter, workers, trace_blocks=trace_blocks,
     )
     return result

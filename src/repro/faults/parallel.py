@@ -11,10 +11,11 @@ event batch when traced.  Both implementations run every item through
   holds one trial's events at a time;
 * **warm pool** — contiguous chunks on a persistent process pool
   (:data:`repro.perf.pool.POOL_REGISTRY`) kept alive across campaigns of
-  the same shape.  Each worker parses the printed IR once, re-derives
-  and cross-checks the golden run, and keeps one :class:`TrialContext`
-  (with its module's compiled code); one chunk function returns pickled
-  rows.  Chunk sizes follow the CPUs actually available.
+  the same shape.  Each worker parses the printed IR once, runs the
+  parsed module's own golden run and cross-checks it against the
+  parent's, and keeps one :class:`TrialContext` (with its module's
+  compiled code and golden snapshots); one chunk function returns
+  pickled rows.  Chunk sizes follow the CPUs actually available.
 
 Results are **byte-identical** however the trials ran: trial *i* is a
 pure function of its work item (its child of the campaign seed, a
@@ -45,7 +46,7 @@ from repro.faults.model import FaultTarget
 from repro.faults.outcomes import TrialResult
 from repro.faults.seu import RegisterFaultInjector
 from repro.ir.costmodel import CostModel
-from repro.ir.interp import BoundSnapshots, ExecutionResult, module_code
+from repro.ir.interp import ExecutionResult, GoldenSnapshots, module_code
 from repro.ir.parser import parse_module
 from repro.ir.printer import print_module
 from repro.obs.events import Event, InMemorySink, Tracer
@@ -131,15 +132,15 @@ class TrialContext:
     """Everything a trial needs besides its work item.
 
     Built once per campaign inline, and once per worker on the pool;
-    either way it binds golden's snapshot table to its own campaign's
-    module once.
+    either way from its own campaign module's golden run, whose snapshot
+    table holds that module's blocks.
     """
 
     campaign: Campaign
     golden: ExecutionResult
     trial_fuel: int
     supervisor: object | None  # repro.recover.supervisor.Supervisor
-    snapshots: BoundSnapshots | None
+    snapshots: GoldenSnapshots | None
     #: the module's shared compiled blocks (``module_code``).
     code_cache: dict
 
@@ -152,12 +153,9 @@ class TrialContext:
             from repro.recover.supervisor import Supervisor
 
             supervisor = Supervisor(campaign, golden, supervisor_config)
-        trial_fuel = engine.trial_fuel_for(campaign, golden)
-        snapshots = None
-        if golden.snapshots is not None:
-            snapshots = golden.snapshots.bind(campaign.module)
         return cls(
-            campaign, golden, trial_fuel, supervisor, snapshots,
+            campaign, golden, engine.trial_fuel_for(campaign, golden),
+            supervisor, golden.snapshots,
             module_code(campaign.module, campaign.cost_model),
         )
 
@@ -199,7 +197,10 @@ _WORKER: TrialContext | Exception | None = None
 
 
 def _init_worker(wire: WireCampaign, supervisor_config) -> None:
-    """Pool initializer: parse the module once, cross-check the golden run.
+    """Pool initializer: parse the module once, cross-check its golden run.
+
+    The parsed module's record starts empty, so its golden run executes
+    and is compared with the parent's.
 
     A failure is kept and raised by the first chunk instead: a raising
     initializer kills its worker, and the pool would respawn it forever.

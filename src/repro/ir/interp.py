@@ -14,8 +14,9 @@ translates each guest block into host code: one statement per
 instruction, with operands, cycle costs and branch targets resolved
 then, so a run does no opcode dispatch and no cost-model lookup.  One
 emitter (:meth:`_BlockCode.emit`) writes a batched and a stepped
-variant of each block.  The compiled code is kept on the module
-object, one cache per cost model (:func:`module_code`), and shared by
+variant of each block.  The compiled code is kept in the module's
+record (:class:`ModuleRecord`), one cache per cost model
+(:func:`module_code`), beside the module's golden runs, and shared by
 every run: a campaign's golden run, its pruning replay and all its
 trials, and every later campaign over the same module.
 
@@ -33,8 +34,8 @@ identical dynamic instruction on the per-step path) and ends at or before
 every body instruction, exactly like the reference semantics.  A trap in
 a batched block is charged exactly the instructions executed up to and
 including the trapping one, by the line of the generated function it
-left (prefix-summed cycle tables).  ``record_trace`` and ``trace_hook``
-see every block entry of the same loop.
+left (prefix-summed cycle tables).  ``record_trace`` sees every block
+entry of the same loop.
 
 Hung runs end in closed form (the hang shortcut).  When a frame of an
 untraced run reaches a loop header over its back edge with ``next_index``
@@ -52,17 +53,18 @@ snapshots).  A golden run handed an empty :class:`GoldenSnapshots`
 records its state at pre-phi block entries of the top frame: at
 instruction 0, then at the first such entry at or after each multiple of
 a power-of-two stride, the smallest that keeps at most 64 points after
-instruction 0, so the table stays small however long the run.  Blocks
-are stored by name and resolved per module (:meth:`GoldenSnapshots.bind`).
-A run given the bound table and golden's function and arguments, with
-nothing tracing, starts at the latest snapshot at or before its hook's
-``next_index`` (counters, heap and previous block restored) — the prefix
-is golden's, because the hook is a no-op there.  Once ``next_index`` is
-None, at each later snapshot point — a block entry of the top frame
-whose instruction count equals the snapshot's — the run ends with
-golden's record if block, previous block, cycles and heap equal
-golden's, and so does every value live there: live into the block, or
-an operand its phis read on the edge from the previous block
+instruction 0, so the table stays small however long the run.  It
+holds the module's own blocks, and the names live at each point with
+golden's values for them, computed once when the run finishes.  A run
+of the same module given the finished table and golden's function and
+arguments, with nothing tracing, starts at the latest snapshot at or
+before its hook's ``next_index`` (counters, heap and previous block
+restored) — the prefix is golden's, because the hook is a no-op there.
+Once ``next_index`` is None, at each later snapshot point — a block
+entry of the top frame whose instruction count equals the snapshot's —
+the run ends with golden's record if block, previous block, cycles and
+heap equal golden's, and so does every value live there: live into the
+block, or an operand its phis read on the edge from the previous block
 (:mod:`repro.analysis.liveness`).  Floats are compared by their bits
 and every value with its type (``-0.0 == 0.0`` and ``0 == 0.0`` are
 different states).  A dead value is redefined before any read, the
@@ -291,18 +293,22 @@ class ModuleRecord:
     """What every run and plan over one module's IR share, on the module.
 
     ``code`` holds the compiled blocks, one ``(cost_model, blocks)`` pair
-    per cost model (:func:`module_code`).  ``masking`` is the module's
-    masking report, computed by the first pruned campaign over it
+    per cost model (:func:`module_code`).  ``golden`` holds the module's
+    golden runs, one ``((func_name, repr(args), cost_model), run)`` entry
+    each (:func:`repro.faults.campaign.run_golden`); a run's snapshot table
+    holds this module's blocks.  ``masking`` is the module's masking
+    report, computed by the first pruned campaign over it
     (:func:`repro.faults.campaign.prune_masked_trials`), None until then.
-    Both were derived from the printed IR whose hash is ``fingerprint``
-    (None while unchecked), and both go when that IR changes.
+    All were derived from the printed IR whose hash is ``fingerprint``
+    (None while unchecked), and all go when that IR changes.
     """
 
-    __slots__ = ("fingerprint", "code", "masking")
+    __slots__ = ("fingerprint", "code", "golden", "masking")
 
     def __init__(self, fingerprint: str | None) -> None:
         self.fingerprint = fingerprint
         self.code: list[tuple[CostModel, dict[BasicBlock, _BlockCode]]] = []
+        self.golden: list[tuple[tuple, ExecutionResult]] = []
         self.masking = None
 
 
@@ -353,64 +359,41 @@ _NEVER = sys.maxsize
 
 
 class GoldenSnapshots:
-    """Block-entry snapshots of one golden run, blocks stored by name.
+    """Block-entry snapshots of one golden run, on its module's blocks.
 
     Filled by the :meth:`Interpreter.run` of an interpreter constructed
     with the empty table, which must be the golden run itself (no step
     hook, no tracing; any other run leaves the table empty).  Each point
-    is ``(instructions, cycles, block, previous block, env, heap)`` at a
-    pre-phi block entry of the top frame, the whole env kept; ``result``
-    is golden's ``(value, cycles, instructions)`` once the run finished
-    OK.
+    is ``(instructions, cycles, block, previous block, env, heap, names,
+    values)`` at a pre-phi block entry of the top frame: the whole env,
+    and the names live there with golden's values for them, computed
+    once when the run finished OK.  Then ``func`` is golden's entry
+    function, ``result`` its ``(value, cycles, instructions)``, and the
+    run returns the table as its ``snapshots``.
 
-    Names, not objects: the golden cache serves this table to every
-    module with the same printed IR, and a run must execute its own
-    module's blocks (their code cache holds its loop proofs).
-    :meth:`bind` resolves the names against one module.
+    Handed as ``snapshots`` to a later run of the same module, the
+    finished table lets it start at the latest point at or before its
+    hook's ``next_index``, golden's whole env restored, and end with
+    golden's record at the first later point where its live state
+    equals golden's (see the module docstring).  It serves that module
+    only, whose record keeps it with the golden run.
     """
 
+    __slots__ = (
+        "func", "points", "counts", "result", "_triggers", "_stride",
+        "_next",
+    )
+
     def __init__(self) -> None:
-        self.func = ""
+        self.func: Function | None = None
         self.points: list[tuple] = []
+        self.counts: list[int] = []
         self.result: tuple[int | float | None, int, int] | None = None
         # Recording state: each point's trigger (the stride multiple it
         # stands for), the stride and the next trigger.
         self._triggers: list[int] = []
         self._stride = 1
         self._next = 0
-        # Per point, the names live there and golden's values for them.
-        self._live: list[tuple[tuple[str, ...], tuple]] | None = None
-
-    def bind(self, module: Module) -> BoundSnapshots | None:
-        """The table with ``module``'s blocks; None if golden never finished.
-
-        ``module`` must be the golden run's module or one with identical
-        printed IR.  The first bind computes each point's live names,
-        which every later bind of this table shares.
-        """
-        if self.result is None:
-            return None
-        func = module.function(self.func)
-        blocks = {block.name: block for block in func.blocks}
-        if self._live is None:
-            # Lazy: repro.analysis imports the IR, this module included.
-            from repro.analysis.liveness import LivenessAnalysis, liveness
-
-            live_in = liveness(func).live_in
-            edge_fact = LivenessAnalysis().edge_fact
-            self._live = []
-            for _n, _cycles, block, prev, env, _heap in self.points:
-                names = live_in[block]
-                if prev is not None:  # plus the phi operands from prev
-                    names = edge_fact(blocks[prev], blocks[block], names)
-                names = tuple(sorted(env.keys() & names))
-                self._live.append((names, tuple(map(env.get, names))))
-        return BoundSnapshots(func, [
-            (n, cycles, blocks[block],
-             None if prev is None else blocks[prev], env, heap, *live)
-            for (n, cycles, block, prev, env, heap), live
-            in zip(self.points, self._live)
-        ], self.result)
 
     def _record(self, frame: Frame, interp: Interpreter) -> int:
         """Take a point at this block entry; returns the next trigger.
@@ -419,11 +402,9 @@ class GoldenSnapshots:
         first entry at or after a multiple of the new stride stay, so the
         table equals what that stride would have recorded from the start.
         """
-        prev = frame.prev_block
         n = interp.instructions
         self.points.append((
-            n, interp.cycles, frame.block.name,
-            None if prev is None else prev.name,
+            n, interp.cycles, frame.block, frame.prev_block,
             dict(frame.env), list(interp.heap),
         ))
         self._triggers.append(self._next)
@@ -440,29 +421,30 @@ class GoldenSnapshots:
         self._next = (n // stride + 1) * stride
         return self._next
 
+    def _finish(self, func: Function, result: ExecutionResult) -> None:
+        """Close the table of golden's OK run of ``func``.
 
-class BoundSnapshots:
-    """A :class:`GoldenSnapshots` table resolved against one module.
+        Each point gains the names live there — live into its block, or
+        read by the block's phis on the edge from the previous block —
+        and golden's values for them.
+        """
+        # Lazy: repro.analysis imports the IR, this module included.
+        from repro.analysis.liveness import LivenessAnalysis, liveness
 
-    Handed to :class:`Interpreter` as ``snapshots``: a run starts at the
-    latest point at or before its hook's ``next_index``, golden's whole
-    env restored, and ends with golden's record at the first later point
-    where its live state equals golden's (see the module docstring).
-    Each point adds the names live there and golden's values for them.
-    """
-
-    __slots__ = ("func", "points", "counts", "value", "cycles", "instructions")
-
-    def __init__(
-        self,
-        func: Function,
-        points: list[tuple],
-        result: tuple[int | float | None, int, int],
-    ) -> None:
-        self.func = func
+        live_in = liveness(func).live_in
+        edge_fact = LivenessAnalysis().edge_fact
+        points = []
+        for point in self.points:
+            _n, _cycles, block, prev, env, _heap = point
+            names = live_in[block.name]
+            if prev is not None:
+                names = edge_fact(prev, block, names)
+            names = tuple(sorted(env.keys() & names))
+            points.append((*point, names, tuple(map(env.get, names))))
         self.points = points
         self.counts = [point[0] for point in points]
-        self.value, self.cycles, self.instructions = result
+        self.func = func
+        self.result = (result.value, result.cycles, result.instructions)
 
     def start(self, frame: Frame, interp: Interpreter) -> Frame:
         """The frame a run of ``frame``'s entry starts from.
@@ -478,7 +460,7 @@ class BoundSnapshots:
         entry_env = self.points[0][4]
         if (
             frame.func is not self.func or i < 0
-            or self.instructions > interp.fuel
+            or self.result[2] > interp.fuel
             or not _same_values(frame.env, entry_env)
         ):
             return frame
@@ -557,13 +539,10 @@ class Interpreter:
             it in.  A caller's own dict must only be shared between
             interpreters with the same module (not mutated in between)
             and the same cost model.
-        trace_hook: optional ``(func_name, block_name)`` callback fired on
-            every block entry (the observability layer's block-transition
-            tracing).
-        snapshots: the golden run's snapshot table.  An empty
+        snapshots: a golden run's snapshot table.  An empty
             :class:`GoldenSnapshots` is filled by this interpreter's
-            golden run; a :class:`BoundSnapshots` for this module lets
-            untraced runs start late and stop early.
+            golden run; a finished one of this module lets untraced
+            runs start late and stop early.
     """
 
     def __init__(
@@ -574,8 +553,7 @@ class Interpreter:
         record_trace: bool = False,
         step_hook: StepHook | None = None,
         code_cache: dict[BasicBlock, _BlockCode] | None = None,
-        trace_hook: Callable[[str, str], None] | None = None,
-        snapshots: GoldenSnapshots | BoundSnapshots | None = None,
+        snapshots: GoldenSnapshots | None = None,
     ) -> None:
         self.module = module
         self.cost_model = cost_model
@@ -587,7 +565,6 @@ class Interpreter:
             step_hook = partial(step_hook)
             step_hook.next_index = 0
         self.step_hook = step_hook
-        self.trace_hook = trace_hook
         self.snapshots = snapshots
         #: instruction count of the top frame's next snapshot point.
         self._next_at = _NEVER
@@ -619,19 +596,16 @@ class Interpreter:
         self._next_at = _NEVER
         frame = self._entry_frame(self.module.function(func_name), args)
         table = self.snapshots
-        untraced = not self.record_trace and self.trace_hook is None
-        recording = (
-            isinstance(table, GoldenSnapshots) and not table.points
-            and self.step_hook is None and untraced
-        )
-        if recording:
-            table.func = func_name
-            self._next_at = 0
-        elif isinstance(table, BoundSnapshots) and untraced:
-            frame = table.start(frame, self)
+        recording = False
+        if table is not None and not self.record_trace:
+            if table.result is not None:
+                frame = table.start(frame, self)
+            elif not table.points and self.step_hook is None:
+                recording = True
+                self._next_at = 0
         result = self._execute(frame)
         if recording and result.ok:
-            table.result = (result.value, result.cycles, result.instructions)
+            table._finish(frame.func, result)
             result.snapshots = table
         return result
 
@@ -686,9 +660,7 @@ class Interpreter:
             value, status, reason = None, ExecutionStatus.HANG, str(exc)
         if value is _REJOINED:
             # The rest of the run is golden's: so is its record.
-            table = self.snapshots
-            value = table.value
-            self.cycles, self.instructions = table.cycles, table.instructions
+            value, self.cycles, self.instructions = self.snapshots.result
         return ExecutionResult(
             status=status,
             value=value,
@@ -740,8 +712,6 @@ class Interpreter:
         """The resumed block per step with its phis skipped, then the rest."""
         if self.record_trace:
             self.block_trace.append((frame.func.name, frame.block.name))
-        if self.trace_hook is not None:
-            self.trace_hook(frame.func.name, frame.block.name)
         result = self._run_block(frame, skip_phis=True)
         if result is _CONTINUE:
             return self._run_frame(frame)
@@ -755,9 +725,7 @@ class Interpreter:
         code_cache = self._code
         fuel = self.fuel
         hook = self.step_hook
-        record = self.record_trace
-        trace_hook = self.trace_hook
-        traced = record or trace_hook is not None
+        traced = self.record_trace
         run_batched = self._run_batched
         run_block = self._run_block
         if not traced:
@@ -767,14 +735,11 @@ class Interpreter:
         next_at = self._next_at if len(self.frames) == 1 else _NEVER
         while True:
             if traced:
-                if record:
-                    self.block_trace.append((frame.func.name, frame.block.name))
-                if trace_hook is not None:
-                    trace_hook(frame.func.name, frame.block.name)
+                self.block_trace.append((frame.func.name, frame.block.name))
             at = None if hook is None else hook.next_index
             if self.instructions >= next_at:
                 table = self.snapshots
-                if isinstance(table, GoldenSnapshots):
+                if table.result is None:
                     next_at = table._record(frame, self)
                 else:
                     next_at = table.rejoined(frame, self)

@@ -107,7 +107,7 @@ class CampaignEnd(Event):
 
 @dataclass(frozen=True)
 class GoldenCacheLookup(Event):
-    """One consultation of the golden-run cache."""
+    """One golden-run lookup in the campaign module's record."""
 
     kind: ClassVar[str] = "golden-cache"
 

@@ -1,12 +1,12 @@
-"""Performance support: golden-run caching, warm pools, the perf report.
+"""Performance support: golden-lookup counts, warm pools, the perf report.
 
 Campaign wall-clock is the binding constraint on how many fault-injection
 trials, DMR levels and workloads the experiment suite can afford (see
 ROADMAP).  This package holds the cross-cutting perf machinery:
 
-* :mod:`repro.perf.cache` — a process-global golden-run cache keyed by a
-  module fingerprint (hash of the printed IR) + entry function + args +
-  cost model, so multi-level sweeps stop re-deriving identical golden runs;
+* :mod:`repro.perf.cache` — the counts of golden-run lookups
+  (:data:`GOLDEN_CACHE`; each run itself is kept in its module's record
+  and dies with the module) and the cost-model key the pool keys on;
 * :mod:`repro.perf.pool` — the persistent warm worker-pool registry used
   by the campaign executor, so repeat campaigns skip
   fork/parse/golden-validate entirely, and a lost worker raises instead
@@ -22,7 +22,6 @@ The campaign executor itself lives in :mod:`repro.faults.parallel`.
 from repro.perf.cache import (
     CacheStats,
     GOLDEN_CACHE,
-    GoldenRunCache,
     cost_model_key,
     module_fingerprint,
 )
@@ -31,7 +30,6 @@ from repro.perf.pool import POOL_REGISTRY, PoolRegistry, WarmPool
 __all__ = [
     "CacheStats",
     "GOLDEN_CACHE",
-    "GoldenRunCache",
     "cost_model_key",
     "module_fingerprint",
     "POOL_REGISTRY",

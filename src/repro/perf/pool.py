@@ -20,7 +20,7 @@ chunks outstanding.
 
 Each registry counts its pools' lifecycle in :attr:`PoolRegistry.stats`
 (pools created and reused, workers lost and alive, chunks dispatched),
-as :attr:`repro.perf.cache.GoldenRunCache.stats` does for the cache;
+as :data:`repro.perf.cache.GOLDEN_CACHE` counts golden lookups;
 ``benchmarks/bench_perf.py`` stores :data:`POOL_REGISTRY`'s under
 ``parallel.warm_pool`` in ``BENCH_perf.json``, where
 ``python -m repro.perf.report`` shows them.

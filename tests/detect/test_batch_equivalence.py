@@ -1,8 +1,8 @@
 """Differential tests: batched scoring is bitwise per-sample scoring.
 
-``score_batch`` is the fleet service's fast path; its contract is not
-"close to" but *numerically identical to* calling ``score`` on each row
-in order — so every equality here is ``assert_array_equal``, never
+``score`` on a batch of rows is vectorized; its contract is not "close
+to" but *numerically identical to* calling ``score`` on each row in
+order — so every equality here is ``assert_array_equal``, never
 allclose.  The same contract covers the multi-stream protocol
 (``make_stream_state`` / ``step_streams``): interleaving N boards
 through one detector must reproduce each board's dedicated sequential
@@ -75,7 +75,7 @@ class TestScoreBatchEquivalence:
     def test_batch_equals_per_sample_loop(self, fitted):
         """The core contract, on mixed clean/anomalous telemetry."""
         rows = _telemetry_rows(n=257, seed=2, shift_after=150, shift=0.05)
-        batched = fitted.score_batch(rows)
+        batched = fitted.score(rows)
         _reset(fitted)
         looped = np.concatenate(
             [fitted.score(rows[i:i + 1]) for i in range(len(rows))]
@@ -84,39 +84,39 @@ class TestScoreBatchEquivalence:
 
     def test_single_row_batch(self, fitted):
         row = _telemetry_rows(n=1, seed=3)
-        batched = fitted.score_batch(row)
+        batched = fitted.score(row)
         _reset(fitted)
-        single = fitted.score(row)
-        np.testing.assert_array_equal(batched, single)
+        single = fitted.score_one(row[0])
+        np.testing.assert_array_equal(batched, [single])
         assert batched.shape == (1,)
 
     def test_empty_batch(self, fitted):
         empty = np.empty((0, 4))
-        scores = fitted.score_batch(empty)
+        scores = fitted.score(empty)
         assert scores.shape == (0,)
 
     def test_predict_batch_consistent(self, fitted):
         rows = _telemetry_rows(n=64, seed=4, shift_after=32, shift=0.08)
-        flags = fitted.predict_batch(rows)
+        flags = fitted.predict(rows)
         _reset(fitted)
-        scores = fitted.score_batch(rows)
+        scores = fitted.score(rows)
         np.testing.assert_array_equal(flags, scores > fitted.threshold)
 
     def test_split_batches_equal_one_batch(self, fitted):
         """Scoring in chunks must agree with one big batch (stateful
         detectors carry their accumulator across the chunk boundary)."""
         rows = _telemetry_rows(n=100, seed=5)
-        whole = fitted.score_batch(rows)
+        whole = fitted.score(rows)
         _reset(fitted)
         parts = np.concatenate(
-            [fitted.score_batch(rows[:37]), fitted.score_batch(rows[37:])]
+            [fitted.score(rows[:37]), fitted.score(rows[37:])]
         )
         np.testing.assert_array_equal(whole, parts)
 
     def test_unfitted_batch_raises(self):
         for name in DETECTOR_NAMES:
             with pytest.raises(DetectorError):
-                _fresh(name).score_batch(np.zeros((3, 4)))
+                _fresh(name).score(np.zeros((3, 4)))
 
 
 class TestStreamEquivalence:

@@ -56,7 +56,7 @@ class TestDeterminism:
         runs = []
         for _ in range(2):
             detector = EllipticEnvelopeDetector(seed=7).fit(train)
-            runs.append(detector.score_batch(probe))
+            runs.append(detector.score(probe))
         np.testing.assert_array_equal(runs[0], runs[1])
 
     @FAST
@@ -65,9 +65,9 @@ class TestDeterminism:
         train = _rows(seed=seed)
         probe = _rows(n=60, seed=seed + 2)
         detector = ResidualCusumDetector().fit(train)
-        first = detector.score_batch(probe)
+        first = detector.score(probe)
         detector.reset()
-        second = detector.score_batch(probe)
+        second = detector.score(probe)
         np.testing.assert_array_equal(first, second)
 
 
@@ -84,10 +84,10 @@ class TestMonotonicity:
             detector.fit(train)
             lo = _rows(n=80, seed=4, step_after=40, step=small)
             hi = _rows(n=80, seed=4, step_after=40, step=small + extra)
-            lo_score = detector.score_batch(lo)[40:].max()
+            lo_score = detector.score(lo)[40:].max()
             if hasattr(detector, "reset"):
                 detector.reset()
-            hi_score = detector.score_batch(hi)[40:].max()
+            hi_score = detector.score(hi)[40:].max()
             if hasattr(detector, "reset"):
                 detector.reset()
             assert hi_score >= lo_score, type(detector).__name__
@@ -109,7 +109,7 @@ class TestPredictConsistency:
         ):
             detector.fit(train)
             flags = detector.predict(probe)
-            scores = detector.score_batch(probe)
+            scores = detector.score(probe)
             np.testing.assert_array_equal(
                 flags, scores > detector.threshold
             )
@@ -129,12 +129,12 @@ class TestRefitIdempotence:
 
         online.refresh()
         coef_once = online.detector._coef.copy()
-        scores_once = online.detector.score_batch(probe)
+        scores_once = online.detector.score(probe)
 
         online.refresh()
         np.testing.assert_array_equal(coef_once, online.detector._coef)
         np.testing.assert_array_equal(
-            scores_once, online.detector.score_batch(probe)
+            scores_once, online.detector.score(probe)
         )
         assert online.refreshes == 2
 
@@ -153,5 +153,5 @@ class TestRefitIdempotence:
         direct = EllipticEnvelopeDetector(seed=11).fit(window)
         probe = _rows(n=30, seed=seed + 5)
         np.testing.assert_array_equal(
-            online.detector.score_batch(probe), direct.score_batch(probe)
+            online.detector.score(probe), direct.score(probe)
         )

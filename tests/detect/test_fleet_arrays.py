@@ -53,9 +53,6 @@ class ScriptedDetector(AnomalyDetector):
             value,
         )
 
-    def score_batch(self, rows):
-        return self.score(rows)
-
     @property
     def threshold(self):
         return 1.0

@@ -44,7 +44,7 @@ class TestOnlineRefit:
         online.fit(_rows(seed=1))
         fresh = _rows(n=250, seed=2)
         for start in range(0, 250, 50):
-            online.score_batch(fresh[start:start + 50])
+            online.score(fresh[start:start + 50])
         assert online.partial_updates == 2
 
     def test_anomalous_rows_never_enter_window(self):
@@ -57,7 +57,7 @@ class TestOnlineRefit:
         before = len(online._buffer)
         hot = _rows(n=50, seed=4)
         hot[:, -1] += 5.0  # far above any calibrated ceiling
-        scores = online.score_batch(hot)
+        scores = online.score(hot)
         assert (scores > online.threshold).all()
         assert len(online._buffer) == before
 
@@ -73,7 +73,7 @@ class TestOnlineRefit:
         )
         online.fit(_rows(n=300, seed=5))
         shifted = _rows(n=600, seed=6, offset=0.008)
-        online.score_batch(shifted)
+        online.score(shifted)
         assert online.refreshes >= 1
         assert abs(online.drift) < online.drift_sigmas
 
@@ -83,7 +83,7 @@ class TestOnlineRefit:
         )
         online.fit(_rows(n=400, seed=7))
         assert online.window_matrix().shape == (150, 4)
-        online.score_batch(_rows(n=80, seed=8))
+        online.score(_rows(n=80, seed=8))
         assert online.window_matrix().shape == (150, 4)
 
     def test_threshold_passthrough(self):
@@ -124,12 +124,12 @@ class TestEnsemble:
             ensemble = EnsembleDetector(self._members(), vote=vote)
             ensemble.fit(_rows(seed=11))
             clean = _rows(n=60, seed=12)
-            scores = ensemble.score_batch(clean)
+            scores = ensemble.score(clean)
             ensemble.reset()
             assert (scores <= ensemble.threshold).mean() > 0.9, vote
             hot = _rows(n=60, seed=12)
             hot[:, -1] += 0.5
-            assert ensemble.score_batch(hot).max() > ensemble.threshold
+            assert ensemble.score(hot).max() > ensemble.threshold
             ensemble.reset()
 
     def test_from_fitted_requires_fitted_members(self):
@@ -144,7 +144,7 @@ class TestEnsemble:
         thresholds = [m.threshold for m in members]
         ensemble = EnsembleDetector.from_fitted(members, train)
         assert [m.threshold for m in ensemble.members] == thresholds
-        assert len(ensemble.score_batch(_rows(n=5, seed=15))) == 5
+        assert len(ensemble.score(_rows(n=5, seed=15))) == 5
 
     def test_auc_weights_favor_discriminative_member(self):
         train = _rows(seed=16)

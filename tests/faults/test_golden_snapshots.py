@@ -10,8 +10,8 @@ their bits, the heap included, never before the fault fires, a value
 compared while it is live and not once it is dead, a phi operand live on
 the edge the run arrives by), that a trial starting where a name is
 already dead draws its register from the whole env, that records equal
-full runs on every campaign-plain cell, and that a clone served from the
-golden cache runs its own blocks.
+full runs on every campaign-plain cell, and that an identical clone
+runs its own golden run and its own blocks.
 """
 
 import math
@@ -32,17 +32,11 @@ from repro.faults.model import FaultSpec, FaultTarget
 from repro.faults.outcomes import FaultOutcome
 from repro.faults.parallel import TrialContext
 from repro.faults.seu import HeapFaultInjector, RegisterFaultInjector
-from repro.ir.interp import (
-    BoundSnapshots,
-    ExecutionStatus,
-    GoldenSnapshots,
-    Interpreter,
-)
+from repro.ir.interp import ExecutionStatus, GoldenSnapshots, Interpreter
 from repro.ir.loops import CountedLoop
 from repro.ir.parser import parse_module
 from repro.ir.printer import print_module
 from repro.ir.refinterp import ReferenceInterpreter
-from repro.perf import GOLDEN_CACHE
 from repro.workloads.irprograms import PROGRAMS, build_program
 
 from tests.identity import canonical
@@ -174,7 +168,7 @@ def _reference(campaign, injector):
 def rejoins(monkeypatch):
     """Instruction count of every rejoin, in order."""
     seen = []
-    rejoined = BoundSnapshots.rejoined
+    rejoined = GoldenSnapshots.rejoined
 
     def recording(self, frame, interp):
         result = rejoined(self, frame, interp)
@@ -182,7 +176,7 @@ def rejoins(monkeypatch):
             seen.append(interp.instructions)
         return result
 
-    monkeypatch.setattr(BoundSnapshots, "rejoined", recording)
+    monkeypatch.setattr(GoldenSnapshots, "rejoined", recording)
     return seen
 
 
@@ -201,13 +195,15 @@ class TestTable:
         assert table.result == (golden.value, golden.cycles,
                                 golden.instructions)
 
-        # Every top-frame block entry, from a traced run.
-        entries = []
-        traced = Interpreter(module, trace_hook=lambda func, block: (
-            entries.append((traced.instructions, block))
-            if len(traced.frames) == 1 else None
-        ))
-        traced.run(name, args)
+        # Every top-frame block entry, from a traced run: these
+        # programs make no call, so each block entry is one.
+        entries, n = [], 0
+        func = module.function(name)
+        traced = Interpreter(module, record_trace=True).run(name, args)
+        for _func, block in traced.block_trace:
+            entries.append((n, block))
+            n += len(func.block(block).instructions)
+        assert n == golden.instructions
         # The stride the table settled on, and what it records.
         counts = [point[0] for point in table.points]
         stride = 1
@@ -219,7 +215,7 @@ class TestTable:
             if len(expected) <= 65:
                 break
             stride *= 2
-        assert [(p[0], p[2]) for p in table.points] == expected
+        assert [(p[0], p[2].name) for p in table.points] == expected
         assert counts[0] == 0 and len(counts) <= 65
         if golden.instructions > 64 * 8:
             assert len(counts) >= 16
@@ -233,7 +229,7 @@ class TestTable:
                 "dot", list(PROGRAMS["dot"].default_args)
             )
             assert result.ok and result.snapshots is None
-            assert table.points == [] and table.bind(module) is None
+            assert table.points == [] and table.result is None
 
 
 class TestStateCompare:
@@ -317,7 +313,7 @@ def _bits(value):
 
 
 def _point(context, n):
-    """The bound point at instruction ``n``: (block, names live, env)."""
+    """The point at instruction ``n``: (block, names live, env)."""
     point = context.snapshots.points[context.snapshots.counts.index(n)]
     return point[2].name, point[6], point[4]
 
@@ -416,7 +412,7 @@ class TestCampaignCells:
             _module(name, level), name, PROGRAMS[name].default_args,
             n_trials=100,
         )
-        rejoined = BoundSnapshots.rejoined
+        rejoined = GoldenSnapshots.rejoined
         flags = []
 
         def recording(self, frame, interp):
@@ -425,7 +421,7 @@ class TestCampaignCells:
                 flags[-1] = True
             return result
 
-        monkeypatch.setattr(BoundSnapshots, "rejoined", recording)
+        monkeypatch.setattr(GoldenSnapshots, "rejoined", recording)
         run = Interpreter.run
 
         def tracking(self, func_name, args):
@@ -473,7 +469,7 @@ class TestCampaignCells:
         )
         golden = run_golden(campaign)
         context = TrialContext.build(campaign, golden, None)
-        rejoined = BoundSnapshots.rejoined
+        rejoined = GoldenSnapshots.rejoined
         differs = []
 
         def recording(self, frame, interp):
@@ -486,7 +482,7 @@ class TestCampaignCells:
                 }))
             return result
 
-        monkeypatch.setattr(BoundSnapshots, "rejoined", recording)
+        monkeypatch.setattr(GoldenSnapshots, "rejoined", recording)
         checked = 0
         for planned in plan_trials(campaign, 5):
             differs.clear()
@@ -514,10 +510,9 @@ class TestClonedModules:
     def test_clone_served_from_golden_cache_takes_hang_shortcut(
         self, monkeypatch
     ):
-        # A clone with the same printed IR hits the original's golden
-        # cache entry.  Its trials must run the clone's own blocks, whose
-        # code cache holds the loop proofs: every hang ends in closed form.
-        GOLDEN_CACHE.clear()
+        # A clone with the same printed IR, after the original ran
+        # golden.  Its trials must run the clone's own blocks, whose code
+        # cache holds the loop proofs: every hang ends in closed form.
         original = build_program("dot")
         args = PROGRAMS["dot"].default_args
         run_golden(_campaign(original, "dot", args))
@@ -532,11 +527,9 @@ class TestClonedModules:
             return proofs[-1]
 
         monkeypatch.setattr(CountedLoop, "spins", recording)
-        hits = GOLDEN_CACHE.stats.hits
         result = run_campaign(
             _campaign(clone, "dot", args, n_trials=300), seed=17
         )
-        assert GOLDEN_CACHE.stats.hits > hits
         hangs = [t for t in result.trials if t.outcome is FaultOutcome.HANG]
         assert hangs
         assert sum(proofs) == len(hangs)

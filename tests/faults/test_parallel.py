@@ -11,6 +11,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -23,6 +24,7 @@ from repro.errors import FaultInjectionError
 from repro.faults.campaign import Campaign, run_campaign, run_golden
 from repro.faults.model import FaultTarget
 from repro.faults.parallel import MIN_PARALLEL_TRIALS, WireCampaign
+from repro.ir.clone import clone_module
 from repro.obs.events import InMemorySink, Tracer
 from repro.perf.cache import GOLDEN_CACHE
 from repro.perf.pool import POOL_REGISTRY
@@ -158,6 +160,44 @@ class TestChunkHeuristic:
         assert par.available_cpus() >= 1
 
 
+class TestWarmStart:
+    def test_worker_golden_lookup_misses_and_runs_its_parsed_module(
+        self, monkeypatch, tmp_path, deadline
+    ):
+        """A worker's parsed module has its own, empty record, so the
+        warm-start cross-check compares a real re-run with the parent's
+        golden run, never the parent's run with a copy of itself."""
+        real = par._init_worker
+
+        def recording(wire, supervisor_config):
+            # The parent's counts came with the fork: count from them.
+            before = GOLDEN_CACHE.stats.hits, GOLDEN_CACHE.stats.misses
+            real(wire, supervisor_config)
+            hits = GOLDEN_CACHE.stats.hits - before[0]
+            misses = GOLDEN_CACHE.stats.misses - before[1]
+            # The file's name is the record, so it exists whole or not.
+            (tmp_path / f"{os.getpid()} {hits} {misses}").touch()
+
+        POOL_REGISTRY.clear()
+        monkeypatch.setattr(par, "_init_worker", recording)
+        created = POOL_REGISTRY.stats.created
+        campaign = _campaign("isort", n_trials=40)
+        serial = run_campaign(campaign, seed=4)
+        try:
+            with deadline(60):
+                assert_identical(
+                    run_campaign(campaign, seed=4, workers=2), serial
+                )
+                pooled = POOL_REGISTRY.stats.created > created
+                # Both workers warm-start, whichever ran the chunks.
+                while pooled and len(list(tmp_path.iterdir())) < 2:
+                    time.sleep(0.01)
+        finally:
+            POOL_REGISTRY.clear()
+        counts = [path.name.split(" ", 1)[1] for path in tmp_path.iterdir()]
+        assert counts == (["0 1", "0 1"] if pooled else [])
+
+
 class TestWarmPoolReuse:
     def test_repeat_campaign_reuses_pool(self):
         campaign = _campaign("gcd", n_trials=16)
@@ -174,7 +214,9 @@ class TestWarmPoolReuse:
 
 
 def _traced(campaign, **kwargs):
-    GOLDEN_CACHE.clear()  # golden-cache hits are part of the stream
+    # The golden lookup is part of the stream, and a module keeps its
+    # golden run: each run starts cold on a fresh clone.
+    campaign = replace(campaign, module=clone_module(campaign.module))
     sink = InMemorySink()
     result = run_campaign(
         campaign, seed=1, tracer=Tracer(sink), trace_spans=True, **kwargs

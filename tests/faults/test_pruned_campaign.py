@@ -9,9 +9,6 @@ execution paths.  Trials are compared bitwise (:mod:`tests.identity`).
 
 from __future__ import annotations
 
-from dataclasses import replace
-
-import numpy as np
 import pytest
 
 from repro.analysis.masking import FunctionMasking, MaskClass, analyze_masking
@@ -93,7 +90,7 @@ def test_prune_rate_is_substantial():
 def test_pruned_trials_reconstruct_golden_records():
     campaign = _campaign("gcd", ProtectionLevel.FULL_DMR)
     plan = prune_masked_trials(campaign, seed=SEED)
-    result = run_campaign_pruned(campaign, seed=SEED, plan=plan)
+    result = run_campaign_pruned(campaign, seed=SEED)
     for planned, trial in zip(plan.trials, result.trials):
         if planned.pruned:
             assert trial.outcome is FaultOutcome.BENIGN
@@ -114,77 +111,18 @@ def test_precomputed_plan_and_report_are_honored():
     plan = prune_masked_trials(campaign, seed=SEED)
     fresh = prune_masked_trials(campaign, seed=SEED)
     assert plan.trials == fresh.trials
-    result = run_campaign_pruned(campaign, seed=SEED, plan=plan)
+    assert fresh.report is plan.report
+    result = run_campaign_pruned(campaign, seed=SEED)
     base = run_campaign(campaign, seed=SEED)
     assert_trials_identical(result.trials, base.trials)
-
-
-def test_plan_of_another_campaign_is_rejected():
-    campaign = _campaign("gcd", ProtectionLevel.FULL_DMR)
-    other = prune_masked_trials(
-        _campaign("gcd", ProtectionLevel.NONE), seed=SEED
-    )
-    with pytest.raises(FaultInjectionError, match="does not match"):
-        run_campaign_pruned(campaign, seed=SEED, plan=other)
-    short = prune_masked_trials(
-        _campaign("gcd", ProtectionLevel.FULL_DMR, n_trials=N_TRIALS // 2),
-        seed=SEED,
-    )
-    with pytest.raises(FaultInjectionError, match="trials"):
-        run_campaign_pruned(campaign, seed=SEED, plan=short)
-
-
-@pytest.mark.parametrize(
-    "planned_for,run_at",
-    [
-        (("fact", (10,), 6), ("fact", (10,), 5)),
-        (("fact", (10,), 5), ("fact", (12,), 5)),
-        (("gcd", (1071, 462), 5), ("gcd", (462, 1071), 5)),
-    ],
-    ids=["other-seed", "other-args", "swapped-args"],
-)
-def test_plan_for_another_seed_or_args_is_rejected(planned_for, run_at):
-    """A plan resolves each trial's fault for one seed and one golden
-    run; run elsewhere it would return wrong records without an error."""
-    name, args, seed = planned_for
-    module = build_program(name)
-    plan = prune_masked_trials(
-        Campaign(module=module, func_name=name, args=args, n_trials=200),
-        seed=seed,
-    )
-    name, args, seed = run_at
-    campaign = Campaign(module=module, func_name=name, args=args,
-                        n_trials=200)
-    with pytest.raises(FaultInjectionError, match="cannot run campaign"):
-        run_campaign_pruned(campaign, seed=seed, plan=plan)
-
-
-def test_plan_for_another_function_is_rejected():
-    campaign = _campaign("gcd", ProtectionLevel.NONE, n_trials=20)
-    plan = replace(prune_masked_trials(campaign, seed=SEED), func_name="lcm")
-    with pytest.raises(FaultInjectionError, match="cannot run campaign"):
-        run_campaign_pruned(campaign, seed=SEED, plan=plan)
-
-
-def test_plan_with_a_generator_seed_is_rejected():
-    campaign = _campaign("fact", ProtectionLevel.NONE)
-    plan = prune_masked_trials(campaign, seed=SEED)
-    with pytest.raises(FaultInjectionError, match="integer seed"):
-        run_campaign_pruned(
-            campaign, seed=np.random.default_rng(SEED), plan=plan
-        )
-    from_generator = prune_masked_trials(
-        campaign, seed=np.random.default_rng(SEED)
-    )
-    with pytest.raises(FaultInjectionError, match="integer seed"):
-        run_campaign_pruned(campaign, seed=SEED, plan=from_generator)
 
 
 def test_plan_at_the_default_seed_runs_at_none():
     campaign = _campaign("fact", ProtectionLevel.NONE)
     plan = prune_masked_trials(campaign, seed=DEFAULT_SEED)
+    assert plan.trials == prune_masked_trials(campaign, seed=None).trials
     assert_trials_identical(
-        run_campaign_pruned(campaign, seed=None, plan=plan).trials,
+        run_campaign_pruned(campaign, seed=None).trials,
         run_campaign(campaign, seed=None).trials,
     )
 
@@ -194,14 +132,11 @@ def test_report_and_plan_of_an_equal_ir_clone_are_accepted():
     clone = parse_module(print_module(campaign.module), name="clone")
     assert clone is not campaign.module
     base = trials_digest(run_campaign(campaign, seed=SEED))
-    plan = prune_masked_trials(
-        Campaign(module=clone, func_name=campaign.func_name,
-                 args=campaign.args, n_trials=campaign.n_trials),
-        seed=SEED,
-    )
-    assert trials_digest(
-        run_campaign_pruned(campaign, seed=SEED, plan=plan)
-    ) == base
+    cloned = Campaign(module=clone, func_name=campaign.func_name,
+                      args=campaign.args, n_trials=campaign.n_trials)
+    plan = prune_masked_trials(cloned, seed=SEED)
+    assert plan.trials == prune_masked_trials(campaign, seed=SEED).trials
+    assert trials_digest(run_campaign_pruned(cloned, seed=SEED)) == base
 
 
 @pytest.mark.parametrize(
@@ -231,7 +166,7 @@ def test_traced_pruned_campaign_emits_identical_tallies():
 
     sink = InMemorySink()
     with Tracer(sink) as tracer:
-        run_campaign_pruned(campaign, seed=SEED, plan=plan, tracer=tracer)
+        run_campaign_pruned(campaign, seed=SEED, tracer=tracer)
     (camp,) = TraceIndex.from_events(sink.events).segments
     assert camp.outcomes and len(camp.outcomes) == N_TRIALS
     assert camp.pruned
@@ -248,9 +183,7 @@ def test_traced_pruned_campaign_emits_identical_tallies():
     # The parallel traced stream is byte-identical to the serial one.
     sink2 = InMemorySink()
     with Tracer(sink2) as tracer:
-        run_campaign_pruned(
-            campaign, seed=SEED, plan=plan, tracer=tracer, workers=2
-        )
+        run_campaign_pruned(campaign, seed=SEED, tracer=tracer, workers=2)
     assert stream_digest(sink2.records) == stream_digest(sink.records)
 
 

@@ -6,8 +6,7 @@ keeps on the module beside its compiled code: the first pruned campaign
 over a module computes it, every later one reuses it.  The report obeys
 the compiled code's rules (``test_shared_code.py``):
 
-* a module changed in place is analysed again, and a plan made before
-  the change is refused;
+* a module changed in place is analysed again;
 * a pickled or deep-copied module, and an identical clone, analyse
   themselves;
 * the report must not keep its module alive.
@@ -24,7 +23,6 @@ import pytest
 
 import repro.analysis.masking as masking
 from repro.core.dmr import ProtectionLevel, instrument_module
-from repro.errors import FaultInjectionError
 from repro.faults.campaign import (
     Campaign,
     prune_masked_trials,
@@ -63,8 +61,7 @@ def _start_counter_at_3(module) -> None:
     """Make fact's loop counter start at 3 instead of 1, in place.
 
     The loop then runs two passes fewer, so golden and every trial's
-    dynamic indices change: a plan of the old IR mis-resolves most
-    trials (185 of 200 records at seed 5).
+    dynamic indices change.
     """
     (phi,) = [
         instr for block in module.function("fact").blocks
@@ -123,20 +120,6 @@ def test_module_changed_in_place_is_analysed_again(analysed):
     )
 
 
-def test_plan_made_before_the_module_changed_is_refused():
-    module = build_program("fact")
-    campaign = _campaign(module, "fact", n_trials=200)
-    plan = prune_masked_trials(campaign, seed=5)
-    _start_counter_at_3(module)
-    with pytest.raises(FaultInjectionError, match="does not match"):
-        run_campaign_pruned(campaign, seed=5, plan=plan)
-    replanned = prune_masked_trials(campaign, seed=5)
-    assert replanned.fingerprint != plan.fingerprint
-    assert trials_digest(
-        run_campaign_pruned(campaign, seed=5, plan=replanned)
-    ) == trials_digest(run_campaign(campaign, seed=5))
-
-
 @pytest.mark.parametrize(
     "copy_of",
     [
@@ -182,9 +165,3 @@ def test_cold_pruned_campaign_looks_golden_up_once():
         GoldenCacheLookup(hit=False, instructions=0)
     ]
     assert (GOLDEN_CACHE.stats.hits, GOLDEN_CACHE.stats.misses) == (0, 1)
-
-    # A campaign handed a plan looks golden up once too: a hit now.
-    plan = prune_masked_trials(campaign, seed=3)
-    lookups = GOLDEN_CACHE.stats.lookups
-    run_campaign_pruned(campaign, seed=3, plan=plan)
-    assert GOLDEN_CACHE.stats.lookups == lookups + 1

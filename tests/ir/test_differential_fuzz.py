@@ -137,7 +137,7 @@ def test_random_seu_agrees_across_all_tiers(case, seed):
     Interpreter(module, snapshots=table).run("f", args)
     from_snapshots = Interpreter(
         module, fuel=fuel, step_hook=injector(),
-        snapshots=table.bind(module),
+        snapshots=table,
     ).run("f", args)
 
     _assert_same_execution(fast, oracle)
@@ -194,7 +194,7 @@ def test_hook_acting_many_times_agrees_across_all_tiers(case, seed):
     table = GoldenSnapshots()
     Interpreter(module, snapshots=table).run("f", args)
     from_snapshots = Interpreter(
-        module, fuel=fuel, step_hook=hooks[3], snapshots=table.bind(module),
+        module, fuel=fuel, step_hook=hooks[3], snapshots=table,
     ).run("f", args)
 
     assert hooks[0].log

@@ -238,7 +238,7 @@ def test_random_seu_agrees_across_all_tiers(case, seed):
     table = GoldenSnapshots()
     _outcome(Interpreter(module, snapshots=table), args)
     from_snapshots = _outcome(Interpreter(
-        module, fuel=fuel, step_hook=injector(), snapshots=table.bind(module),
+        module, fuel=fuel, step_hook=injector(), snapshots=table,
     ), args)
     for result in (per_step, batched, from_snapshots):
         _assert_same(result, oracle)

@@ -6,9 +6,12 @@ pure functions of (parent, name, index), so every execution mode derives
 the same stream.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro.faults.campaign import Campaign, run_campaign
+from repro.ir.clone import clone_module
 from repro.obs.events import InMemorySink, Tracer
 from repro.obs.spans import (
     ROOT,
@@ -41,7 +44,9 @@ def _campaign(name="dot", **kwargs):
 
 
 def _traced(runner, campaign, **kwargs):
-    GOLDEN_CACHE.clear()
+    """The traced stream of a cold run: the golden lookup is part of it,
+    and a module keeps its golden run, so each run gets a fresh clone."""
+    campaign = replace(campaign, module=clone_module(campaign.module))
     sink = InMemorySink()
     runner(campaign, seed=SEED, tracer=Tracer(sink), trace_spans=True,
            **kwargs)

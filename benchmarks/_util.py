@@ -8,7 +8,6 @@ leaves the previous file whole.
 
 from __future__ import annotations
 
-import os
 import time
 from pathlib import Path
 
@@ -19,19 +18,6 @@ RESULTS_DIR = Path(__file__).parent / "results"
 #: Interleaved rounds a timing gate takes the median of: one sample per
 #: side flips on identical code.
 GATE_ROUNDS = 7
-
-
-def bench_workers(default: int | None = None) -> int | None:
-    """Worker count for campaign benchmarks.
-
-    ``REPRO_BENCH_WORKERS`` overrides (0 or 1 means serial); otherwise
-    ``default`` is returned, where ``None`` keeps the serial path.
-    """
-    raw = os.environ.get("REPRO_BENCH_WORKERS")
-    if raw is None:
-        return default
-    workers = int(raw)
-    return None if workers <= 1 else workers
 
 
 def write_result(experiment_id: str, title: str, body: str) -> str:

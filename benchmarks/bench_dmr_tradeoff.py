@@ -10,7 +10,7 @@ fraction of the cost (the paper's tunability argument).
 import numpy as np
 import pytest
 
-from benchmarks._util import bench_workers, fmt_table, write_result
+from benchmarks._util import fmt_table, write_result
 from repro import PROGRAMS, ProtectedProgram, build_program
 from repro.core.dmr.levels import ALL_LEVELS, ProtectionLevel
 from repro.faults.outcomes import FaultOutcome
@@ -31,9 +31,7 @@ def tradeoff():
             args = PROGRAMS[name].default_args
             overheads.append(prog.overhead(args))
             duplicated.append(prog.plan.n_duplicated)
-            counts = prog.campaign(
-                args, n_trials=N_TRIALS, seed=99, workers=bench_workers()
-            ).counts
+            counts = prog.campaign(args, n_trials=N_TRIALS, seed=99).counts
             detected += counts.counts[FaultOutcome.DETECTED]
             sdc += counts.counts[FaultOutcome.SDC]
             benign += counts.counts[FaultOutcome.BENIGN]

@@ -32,7 +32,6 @@ from statistics import median, quantiles
 from benchmarks._util import GATE_ROUNDS, fmt_table, write_result
 from repro.core.sel import SelTrialConfig, train_detector_on_clean_trace
 from repro.detect import FleetConfig, ResidualCusumDetector
-from repro.faults.parallel import available_cpus
 from repro.perf.report import load_perf_report, write_perf_report
 from repro.service import (
     AsyncFleetService,
@@ -153,7 +152,7 @@ def test_e18_shard_matrix():
             "byte_identical": True,
         }
     SNAPSHOT["service"] = {
-        "available_cpus": available_cpus(),
+        "available_cpus": len(os.sched_getaffinity(0)),
         "inflight_ticks": INFLIGHT,
         "matrix": matrix,
     }

@@ -10,50 +10,44 @@ the file records a perf *trajectory* across commits, not a single point):
   :class:`repro.ir.refinterp.ReferenceInterpreter` (the original dispatch
   loop, kept as the differential oracle);
 * campaign throughput — trials/s of the optimized engine (fast path +
-  the module's record: its compiled code and golden run), serial and at
-  ``REPRO_PERF_WORKERS`` workers, vs the pre-optimization baseline engine
-  (reference interpreter, no caches);
-* parallel determinism — the 4-worker campaign must be **byte-identical**
-  to the serial loop;
+  the module's record: its compiled code and golden run) vs the
+  pre-optimization baseline engine (reference interpreter, no caches);
 * trial streams — the baseline engine draws every trial from numpy's own
   forked Generators, the optimized engine from exact trial streams
   (:func:`repro.rng.trial_streams`), and their trial records must be
-  equal.
+  equal;
+* tracing overhead — event and span tracing vs the untraced campaign,
+  each the median of :data:`GATE_ROUNDS` interleaved rounds of CPU time
+  (``time.process_time``): every trial runs in this process, so CPU
+  time covers all of a campaign's work.  The rounds are stored.
 
-Determinism assertions always gate — including the gate that serial and
-warm-pool parallel campaigns stay byte-identical at 1/2/4 workers, and
-the gate that the baseline's records equal the serial campaign's.
-Timing numbers are recorded, not asserted, unless
-``REPRO_PERF_STRICT=1``: wall-clock depends on the host (CI runners and
-1-CPU sandboxes can't demonstrate parallel scaling), but correctness
-never does.  ``parallel.available_cpus`` is recorded so a
-sub-linear parallel number on a quota-limited host is interpretable.
+Determinism assertions always gate: the fast path's exactness, the
+baseline's records equal to the engine's, and traced campaigns equal to
+the untraced one.  Timing numbers are recorded, not asserted, unless
+``REPRO_PERF_STRICT=1``: wall-clock depends on the host, but correctness
+never does.  ``campaign.available_cpus`` records the CPUs the run could
+use.
 
-``REPRO_PERF_GATE=1`` (CI perf-smoke) adds the trajectory gates, each
-judged on the median of :data:`GATE_ROUNDS` interleaved rounds because
-one best-of-1 sample flips on identical code:
-``parallel_vs_serial >= 1.0`` whenever more than one CPU is actually
-available (informational on 1-CPU hosts, where a pool cannot win), each
-round a campaign of :data:`GATE_TRIALS` trials (whatever
-``REPRO_PERF_TRIALS`` is) so the pool's fixed dispatch cost does not
-decide the ratio; and the fast path's speedup over the reference loop,
-the smallest per-program median, must not regress more than 20% below
-the previous entry's ``min_speedup`` in ``BENCH_perf.json``.  A gated
-run stores that median as its own ``min_speedup``; an ungated one
-stores its best-of sample.  A test stores its numbers only once its
-gates passed, and the report is written only when no test failed, so a
-failed gate leaves ``BENCH_perf.json`` byte-identical.
+``REPRO_PERF_GATE=1`` (CI perf-smoke) adds the trajectory gate, judged
+on the median of :data:`GATE_ROUNDS` interleaved rounds because one
+best-of-1 sample flips on identical code: the fast path's speedup over
+the reference loop, the smallest per-program median, must not regress
+more than 20% below the previous entry's ``min_speedup`` in
+``BENCH_perf.json``.  A gated run stores that median as its own
+``min_speedup``; an ungated one stores its best-of sample.  A test
+stores its numbers only once its gates passed, and the report is
+written only when no test failed, so a failed gate leaves
+``BENCH_perf.json`` byte-identical.
 
 Budget knobs: ``REPRO_PERF_TRIALS`` (campaign trials per measurement,
-default 300), ``REPRO_PERF_WORKERS`` (default 4), ``REPRO_PERF_REPEAT``
-(timing repetitions, best-of, default 3).
+default 300), ``REPRO_PERF_REPEAT`` (timing repetitions, best-of,
+default 3).
 """
 
 from __future__ import annotations
 
 import os
 import time
-from dataclasses import replace
 from pathlib import Path
 from statistics import median
 
@@ -70,13 +64,12 @@ from repro.faults.campaign import (
     trial_fuel_for,
 )
 from repro.faults.outcomes import FaultOutcome, TrialResult, classify
-from repro.faults.parallel import available_cpus
 from repro.obs.events import InMemorySink, Tracer
 from repro.obs.report import outcome_counts
 from repro.obs.spans import SpanEnd, SpanStart, campaign_root
 from repro.ir.interp import Interpreter
 from repro.ir.refinterp import ReferenceInterpreter
-from repro.perf import GOLDEN_CACHE, POOL_REGISTRY
+from repro.perf import GOLDEN_CACHE
 from repro.perf.report import load_perf_report, write_perf_report
 from repro.rng import fork, make_rng
 from repro.workloads.irprograms import PROGRAMS, build_program
@@ -85,15 +78,9 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 REPORT_PATH = REPO_ROOT / "BENCH_perf.json"
 
 N_TRIALS = int(os.environ.get("REPRO_PERF_TRIALS", "300"))
-WORKERS = int(os.environ.get("REPRO_PERF_WORKERS", "4"))
 REPEAT = int(os.environ.get("REPRO_PERF_REPEAT", "3"))
 STRICT = os.environ.get("REPRO_PERF_STRICT") == "1"
 GATE = os.environ.get("REPRO_PERF_GATE") == "1"
-
-#: Trials per gate round: enough serial work (≈0.4 s of isort on a
-#: 2-CPU host) that the pool's fixed dispatch cost is a small share; a
-#: 60-trial round is about that cost, so its ratio sits near 1.
-GATE_TRIALS = 1200
 
 INTERP_PROGRAMS = ("isort", "orbit")
 CAMPAIGN_PROGRAM = "isort"
@@ -110,6 +97,23 @@ def _best_of(fn, repeat: int = REPEAT) -> float:
         fn()
         best = min(best, time.perf_counter() - t0)
     return best
+
+
+def _cpu_rounds(sides: dict) -> dict[str, list[float]]:
+    """:data:`GATE_ROUNDS` interleaved CPU-time samples of each side.
+
+    Each round runs every side once, back to back, rotating which goes
+    first, so host drift within a round hits every side alike.
+    """
+    names = list(sides)
+    rounds: dict[str, list[float]] = {name: [] for name in names}
+    for k in range(GATE_ROUNDS):
+        first = k % len(names)
+        for name in names[first:] + names[:first]:
+            t0 = time.process_time()
+            sides[name]()
+            rounds[name].append(time.process_time() - t0)
+    return rounds
 
 
 def _baseline_campaign(campaign: Campaign, seed: int) -> list[TrialResult]:
@@ -220,16 +224,7 @@ def test_perf_campaign_throughput():
         n_trials=N_TRIALS,
     )
 
-    # Determinism gate: the warm-pool parallel run stays byte-identical
-    # to the serial loop at every worker count.
     serial = run_campaign(campaign, seed=1)
-    for workers in (1, 2, WORKERS):
-        par = run_campaign(campaign, seed=1, workers=workers)
-        assert par.trials == serial.trials, (
-            f"parallel campaign diverged from serial at workers={workers}"
-        )
-        assert par.counts.counts == serial.counts.counts
-
     GOLDEN_CACHE.clear()
     baseline: list[list[TrialResult]] = []
     t_baseline = _best_of(
@@ -242,58 +237,23 @@ def test_perf_campaign_throughput():
         "the engine's trial streams diverged from numpy's forked generators"
     )
     t_serial = _best_of(lambda: run_campaign(campaign, seed=1))
-    # The warm pool is already hot from the determinism gates above, so
-    # this measures steady-state dispatch, not fork + golden re-derive.
-    t_parallel = _best_of(
-        lambda: run_campaign(campaign, seed=1, workers=WORKERS)
-    )
 
     baseline_tps = N_TRIALS / t_baseline
     serial_tps = N_TRIALS / t_serial
-    parallel_tps = N_TRIALS / t_parallel
-    cpus = available_cpus()
     campaign_entry = {
         "program": CAMPAIGN_PROGRAM,
         "n_trials": N_TRIALS,
+        "available_cpus": len(os.sched_getaffinity(0)),
         "baseline_trials_per_s": baseline_tps,
         "serial_trials_per_s": serial_tps,
-        "parallel_trials_per_s": parallel_tps,
         "serial_speedup_vs_baseline": serial_tps / baseline_tps,
-        "parallel_speedup_vs_baseline": parallel_tps / baseline_tps,
-        "target_parallel_speedup_vs_baseline": 2.0,
+        "target_speedup_vs_baseline": 2.0,
     }
-    parallel_entry = {
-        "workers": WORKERS,
-        "available_cpus": cpus,
-        "deterministic": True,
-        "parallel_vs_serial": serial_tps and parallel_tps / serial_tps,
-        "warm_pool": POOL_REGISTRY.stats.as_dict(),
-        "efficiency_note": (
-            "parallel_vs_serial scales with available_cpus; on a 1-CPU "
-            "host the pool adds IPC overhead without adding compute"
-        ),
-    }
-    golden_cache = GOLDEN_CACHE.stats.as_dict()
     if STRICT:
-        assert parallel_tps >= 2.0 * baseline_tps
-    if GATE and cpus > 1:
-        gate_campaign = replace(campaign, n_trials=GATE_TRIALS)
-        ratios = interleaved_ratios(
-            lambda: run_campaign(gate_campaign, seed=1),
-            lambda: run_campaign(gate_campaign, seed=1, workers=WORKERS),
-        )
-        ratio = median(ratios)
-        assert ratio >= 1.0, (
-            f"warm-pool parallel lost to serial (median {ratio:.2f}x over "
-            f"{GATE_ROUNDS} rounds of {GATE_TRIALS} trials) with {cpus} "
-            "CPUs available"
-        )
-        parallel_entry["gate_trials"] = GATE_TRIALS
-        parallel_entry["gate_rounds"] = ratios
+        assert serial_tps >= 2.0 * baseline_tps
     # Stored only once every gate passed.
     SNAPSHOT["campaign"] = campaign_entry
-    SNAPSHOT["parallel"] = parallel_entry
-    SNAPSHOT["golden_cache"] = golden_cache
+    SNAPSHOT["golden_cache"] = GOLDEN_CACHE.stats.as_dict()
 
 
 def test_perf_observability_overhead():
@@ -301,8 +261,10 @@ def test_perf_observability_overhead():
 
     Two measurements ride the perf snapshot:
 
-    * ``traced_overhead`` — enabled tracing (in-memory sink) vs the
-      untraced serial loop.  The event stream is also replayed through
+    * ``traced_overhead`` and ``span_traced_overhead`` — event tracing
+      and span tracing (in-memory sinks) vs the untraced campaign, each
+      the median of :data:`GATE_ROUNDS` interleaved CPU-time rounds.
+      The event stream is also replayed through
       :func:`repro.obs.report.outcome_counts` and must reproduce the
       engine tally exactly.
     * the untraced loop itself IS the disabled mode (``tracer=None`` is
@@ -343,17 +305,24 @@ def test_perf_observability_overhead():
         CAMPAIGN_PROGRAM, CAMPAIGN_PROGRAM, 1, N_TRIALS
     )
 
-    t_plain = _best_of(lambda: run_campaign(campaign, seed=1))
-    t_traced = _best_of(
-        lambda: run_campaign(campaign, seed=1, tracer=Tracer(InMemorySink()))
-    )
-    t_span = _best_of(
-        lambda: run_campaign(
+    rounds = _cpu_rounds({
+        "untraced": lambda: run_campaign(campaign, seed=1),
+        "traced": lambda: run_campaign(
+            campaign, seed=1, tracer=Tracer(InMemorySink())
+        ),
+        "span_traced": lambda: run_campaign(
             campaign, seed=1, tracer=Tracer(InMemorySink()), trace_spans=True
-        )
-    )
-    overhead = t_traced / t_plain - 1.0
-    span_overhead = t_span / t_plain - 1.0
+        ),
+    })
+    overheads = {
+        side: [
+            t / t_plain - 1.0
+            for t, t_plain in zip(rounds[side], rounds["untraced"])
+        ]
+        for side in ("traced", "span_traced")
+    }
+    overhead = median(overheads["traced"])
+    span_overhead = median(overheads["span_traced"])
     if STRICT:
         # Enabled tracing emits ~3 events/trial into a list append; it
         # must stay a small fraction of the trial's interpreter work —
@@ -368,6 +337,8 @@ def test_perf_observability_overhead():
         "span_events_per_campaign": len(span_sink.events),
         "traced_overhead": overhead,
         "span_traced_overhead": span_overhead,
+        "overhead_rounds": overheads,
+        "cpu_s_rounds": rounds,
         "target_traced_overhead": 0.25,
         "deterministic": True,
     }
@@ -403,19 +374,17 @@ def test_perf_write_report(request):
              "1.00x"],
             ["optimized serial", f"{camp['serial_trials_per_s']:.0f}",
              f"{camp['serial_speedup_vs_baseline']:.2f}x"],
-            [f"parallel x{SNAPSHOT['parallel']['workers']} (warm pool)",
-             f"{camp['parallel_trials_per_s']:.0f}",
-             f"{camp['parallel_speedup_vs_baseline']:.2f}x"],
         ],
     )
     obs = SNAPSHOT.get("observability", {})
     body += (
         f"\n\n{camp['n_trials']} trials of {camp['program']}; "
-        f"{SNAPSHOT['parallel']['available_cpus']} CPU(s) available; "
+        f"{camp['available_cpus']} CPU(s) available; "
         f"history depth {len(report.get('history', []))}; "
         f"tracing overhead {obs.get('traced_overhead', 0.0):+.1%} "
         f"({obs.get('events_per_campaign', 0)} events), "
         f"span-traced {obs.get('span_traced_overhead', 0.0):+.1%} "
-        f"({obs.get('span_events_per_campaign', 0)} events)"
+        f"({obs.get('span_events_per_campaign', 0)} events), "
+        f"medians of {GATE_ROUNDS} interleaved CPU-time rounds"
     )
     write_result("PERF", "fault-injection engine throughput", body)

@@ -13,9 +13,10 @@ degradation:
 * **survival** — the critical workload lives through a full SPE under
   the adaptive policy (zero expected silent corruptions during the
   storm, downtime under 5% of it), while the weak static levels do not;
-* **determinism** — timeline-driven fault injection is byte-identical
-  between the serial and parallel campaign engines for the same seed:
-  same thinned arrival times, same per-trial faults, same tallies.
+* **determinism** — tracing a timeline-driven campaign changes nothing
+  for the same seed: same thinned arrival times, same per-trial faults,
+  same tallies, and the trace holds one trial end per arrival and a
+  campaign end whose counts are the result's.
 
 Writes ``BENCH_scenarios.json`` at the repo root (bounded history via
 :func:`repro.perf.report.write_perf_report`) and ``results/E16.txt``.
@@ -23,7 +24,7 @@ Writes ``BENCH_scenarios.json`` at the repo root (bounded history via
 Budget knobs: ``REPRO_SCENARIO_HOURS`` (scenario length, default 8),
 ``REPRO_SCENARIO_CHUNK_S`` (fluid-loop resolution, default 120),
 ``REPRO_SCENARIO_CAMPAIGN_S`` (injection window for the determinism
-gate, default 1800), ``REPRO_BENCH_WORKERS`` (parallel worker count).
+gate, default 1800).
 """
 
 from __future__ import annotations
@@ -33,9 +34,10 @@ from pathlib import Path
 
 import numpy as np
 
-from benchmarks._util import bench_workers, fmt_table, write_result
+from benchmarks._util import fmt_table, write_result
 from repro.faults import run_timeline_campaign
 from repro.faults.campaign import Campaign
+from repro.obs.events import CampaignEnd, InMemorySink, Tracer, TrialEnd
 from repro.perf.report import write_perf_report
 from repro.radiation import EnvironmentTimeline, LeoOrbit, SpeModel
 from repro.recover import WorkloadCriticality
@@ -217,7 +219,7 @@ def test_e16_critical_workload_survives_spe():
 
 
 def test_e16_timeline_injection_byte_identical():
-    """Gate: serial and parallel timeline campaigns match byte for byte."""
+    """Gate: untraced and traced timeline campaigns match byte for byte."""
     timeline = EnvironmentTimeline(
         orbit=LeoOrbit(),
         spe=SpeModel(
@@ -237,34 +239,37 @@ def test_e16_timeline_injection_byte_identical():
         n_trials=1,  # replaced by the thinned arrival count
     )
     rate = 0.02  # quiet-sun trials per second over the window
-    serial = run_timeline_campaign(
+    untraced = run_timeline_campaign(
         campaign, timeline, 0.0, CAMPAIGN_S, rate, seed=7,
     )
-    # The check is serial vs the pool, so it needs >= 2 workers even
-    # when REPRO_BENCH_WORKERS asks the other benches to stay serial.
-    parallel = run_timeline_campaign(
-        campaign, timeline, 0.0, CAMPAIGN_S, rate,
-        seed=7, workers=bench_workers(2) or 2,
+    sink = InMemorySink()
+    traced = run_timeline_campaign(
+        campaign, timeline, 0.0, CAMPAIGN_S, rate, seed=7,
+        tracer=Tracer(sink),
     )
-    assert np.array_equal(serial.arrivals, parallel.arrivals)
-    assert serial.phases == parallel.phases
-    assert serial.result.counts.counts == parallel.result.counts.counts
-    assert serial.result.trials == parallel.result.trials
-    assert len(serial.arrivals) > 0, "thinning produced no trials"
+    assert np.array_equal(untraced.arrivals, traced.arrivals)
+    assert untraced.phases == traced.phases
+    assert untraced.result.counts.counts == traced.result.counts.counts
+    assert untraced.result.trials == traced.result.trials
+    assert len(untraced.arrivals) > 0, "thinning produced no trials"
+    ends = [e for e in sink.events if isinstance(e, TrialEnd)]
+    assert [e.trial for e in ends] == list(range(len(untraced.arrivals)))
+    (campaign_end,) = [e for e in sink.events if isinstance(e, CampaignEnd)]
+    assert campaign_end.counts == untraced.result.counts.as_dict()
     # The storm concentrates trials: the SPE window's arrival density
     # must exceed the quiet window's.
-    spe_mask = serial.arrivals >= CAMPAIGN_S / 3.0
+    spe_mask = untraced.arrivals >= CAMPAIGN_S / 3.0
     spe_frac = float(spe_mask.mean())
     assert spe_frac > 2.0 / 3.0, (
         f"only {spe_frac:.0%} of arrivals landed after SPE onset"
     )
     SNAPSHOT["campaign"] = {
         "window_s": CAMPAIGN_S,
-        "trials": len(serial.arrivals),
-        "expected_trials": round(serial.expected_trials, 2),
+        "trials": len(untraced.arrivals),
+        "expected_trials": round(untraced.expected_trials, 2),
         "spe_arrival_fraction": round(spe_frac, 4),
         "counts": {
-            k.value: v for k, v in serial.result.counts.counts.items()
+            k.value: v for k, v in untraced.result.counts.counts.items()
         },
         "byte_identical": True,
     }
@@ -308,7 +313,7 @@ def test_e16_write_report():
         f"(expected {campaign['expected_trials']}) over "
         f"{campaign['window_s']:.0f}s, "
         f"{campaign['spe_arrival_fraction']:.0%} after SPE onset, "
-        f"serial == parallel byte-identical"
+        f"untraced == traced byte-identical"
     )
     write_result(
         "E16",

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from benchmarks._util import bench_workers, fmt_table, write_result
+from benchmarks._util import fmt_table, write_result
 from repro.analysis.vulnerability import analyze_function
 from repro.faults.campaign import Campaign, rank_sites, run_campaign
 from repro.obs.events import InMemorySink, Tracer
@@ -43,9 +43,7 @@ def _empirical_harm(name: str) -> dict[str, float]:
         n_trials=N_TRIALS,
     )
     sink = InMemorySink()
-    run_campaign(
-        campaign, seed=SEED, workers=bench_workers(), tracer=Tracer(sink),
-    )
+    run_campaign(campaign, seed=SEED, tracer=Tracer(sink))
     (segment,) = TraceIndex.from_events(sink.events).segments
     ranked = site_harm(segment.site_outcomes)
     return {

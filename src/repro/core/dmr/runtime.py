@@ -171,7 +171,6 @@ class ProtectedProgram:
         target: FaultTarget = FaultTarget.REGISTER,
         sdc_tolerance: float = 0.0,
         seed: int | None = None,
-        workers: int | None = None,
     ) -> CampaignResult:
         """Fault-injection campaign against the protected program."""
         return run_campaign(
@@ -186,5 +185,4 @@ class ProtectedProgram:
                 cost_model=self.cost_model,
             ),
             seed=seed,
-            workers=workers,
         )

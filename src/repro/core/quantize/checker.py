@@ -340,7 +340,6 @@ class QuantizedProgram:
         target: FaultTarget = FaultTarget.REGISTER,
         sdc_tolerance: float = 0.0,
         seed: int | None = None,
-        workers: int | None = None,
     ) -> CampaignResult:
         return run_campaign(
             Campaign(
@@ -354,5 +353,4 @@ class QuantizedProgram:
                 cost_model=self.cost_model,
             ),
             seed=seed,
-            workers=workers,
         )

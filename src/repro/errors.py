@@ -107,10 +107,6 @@ class FaultInjectionError(ReproError):
     """A fault could not be injected as specified."""
 
 
-class WorkerLost(ReproError):
-    """A pool worker died with chunks outstanding (recoverable: re-run)."""
-
-
 class RecoveryError(ReproError):
     """The recovery subsystem was misused or could not proceed."""
 

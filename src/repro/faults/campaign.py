@@ -17,14 +17,15 @@ Every campaign flavour runs through the same three stages (:func:`run_plan`):
   arrivals, then fork their Generator the same way; pruned campaigns
   resolve every fault from that lookup and mark the ones the module's
   masking report proves benign (:func:`prune_masked_trials`); supervised
-  campaigns use the plain plan and hand a ``SupervisorConfig`` to the
-  executor.
-* **execute** — :func:`repro.faults.parallel.execute` runs every trial
-  that is not pruned, inline or on the warm worker pool, and yields one
-  ``(trial, record, events)`` row per trial in plan order.
-* **emit** — :class:`CampaignEmitter` writes the campaign, trial, pruned
-  and span events in trial order, so the traced stream is the same
-  however the trials ran.
+  campaigns use the plain plan and hand a ``SupervisorConfig`` to
+  :func:`run_plan`.
+* **execute** — :func:`run_plan` runs every trial that is not pruned
+  in this process, in plan order: through :func:`run_trial`, or through
+  one :class:`~repro.recover.supervisor.Supervisor` built per campaign.
+  Each trial emits its events straight to the campaign's tracer.
+* **emit** — :class:`CampaignEmitter` writes the campaign's bounds and
+  rebuilds each pruned trial's events in its place, so the traced
+  stream is in trial order.
 
 A campaign looks its golden run up once (:func:`run_golden`).  Each
 module keeps one record (:func:`repro.ir.interp.module_record`) that
@@ -61,7 +62,6 @@ from repro.obs.events import (
     BlockTransition,
     CampaignEnd,
     CampaignStart,
-    Event,
     GoldenCacheLookup,
     Injection,
     Tracer,
@@ -318,15 +318,15 @@ def run_trial(
 ) -> TrialResult:
     """Execute and classify one faulted trial.
 
-    The trial body of every unsupervised execution mode, inline or on a
-    pool worker.  A tracer adds trial start / injection / end events (and
-    per-block transitions when ``trace_blocks``) without touching the
-    trial's RNG stream; a ``span_root`` brackets them with the trial's
-    deterministic span.  Pruned campaigns pass an ``injector`` whose spec
-    the planner resolved; the trial then draws nothing and ``trial_rng``
-    may be None.  ``snapshots`` (golden's table, of the campaign's
-    module) lets the trial start late and stop early unless it traces
-    blocks; the record is the same either way.
+    The trial body of every unsupervised campaign.  A tracer adds trial
+    start / injection / end events (and per-block transitions when
+    ``trace_blocks``) without touching the trial's RNG stream; a
+    ``span_root`` brackets them with the trial's deterministic span.
+    Pruned campaigns pass an ``injector`` whose spec the planner
+    resolved; the trial then draws nothing and ``trial_rng`` may be
+    None.  ``snapshots`` (golden's table, of the campaign's module) lets
+    the trial start late and stop early unless it traces blocks; the
+    record is the same either way.
     """
     trial_span = ""
     if tracer is not None:
@@ -394,7 +394,7 @@ class PlannedTrial:
     """One trial of a campaign plan: the executor's work item.
 
     A planner fixes everything a trial's result depends on before any
-    trial runs, so the result cannot depend on where trials execute.
+    trial runs, so no trial's result depends on another's.
 
     Attributes:
         spec: the fault the pruning planner resolved (dynamic index =
@@ -443,13 +443,13 @@ def plan_trials(
 
 
 class CampaignEmitter:
-    """The emit stage: every event a campaign writes, for every flavour.
+    """The emit stage: a campaign's bounds and its pruned trials' events.
 
     :meth:`start` opens the campaign's root span (its id derives from the
     campaign identity and integer seed, see
-    :func:`repro.obs.spans.campaign_root`).  Executed trials' events
-    arrive as the executor's batches; pruned trials' are rebuilt here.
-    Without a tracer every method does nothing.
+    :func:`repro.obs.spans.campaign_root`).  Executed trials emit their
+    own events as they run; pruned trials' are rebuilt here.  Without a
+    tracer every method does nothing.
     """
 
     def __init__(
@@ -486,19 +486,12 @@ class CampaignEmitter:
                 supervised=supervised,
             ))
 
-    def trial(
-        self,
-        index: int,
-        trial: TrialResult,
-        planned: PlannedTrial,
-        events: list[Event] | None,
+    def pruned(
+        self, index: int, trial: TrialResult, planned: PlannedTrial
     ) -> None:
-        """Trial ``index``'s events: its executed batch or its pruned form."""
+        """Pruned trial ``index``'s events, as an executed trial emits them."""
         tracer = self.tracer
         if tracer is None:
-            return
-        if not planned.pruned:
-            tracer.emit_all(events)
             return
         span = begin_trial_span(tracer, self.root, index) if self.root else ""
         tracer.emit(TrialStart(trial=index))
@@ -529,46 +522,56 @@ def run_plan(
     campaign: Campaign,
     planner: Callable[[ExecutionResult], list[PlannedTrial]],
     emitter: CampaignEmitter,
-    workers: int | None = None,
     trace_blocks: bool = False,
     supervisor_config=None,
 ) -> tuple[CampaignResult, list]:
     """Plan, execute and emit a campaign: the pipeline every flavour shares.
 
     Starts the campaign, looks its golden run up once and hands it to
-    ``planner``, which returns one :class:`PlannedTrial` per trial.  Hands
-    the unpruned trials to the executor (the warm pool when ``workers`` >
-    1), rebuilds the pruned ones from the golden run and emits everything
-    in trial order.  Returns the campaign result and one recovery record
-    per trial (None unless supervised and failing).  ``workers`` < 1
-    raises :class:`~repro.errors.FaultInjectionError` before the campaign
-    starts.
+    ``planner``, which returns one :class:`PlannedTrial` per trial.  Then
+    walks the plan in trial order: a pruned trial is rebuilt from the
+    golden run, every other one runs here, through :func:`run_trial` or,
+    with a ``supervisor_config``, through one
+    :class:`~repro.recover.supervisor.Supervisor` built for the campaign.
+    Returns the campaign result and one recovery record per trial (None
+    unless supervised and failing).
     """
-    from repro.faults.parallel import execute
-
-    if workers is not None and workers < 1:
-        raise FaultInjectionError(f"worker count must be >= 1, got {workers}")
     tracer = emitter.tracer
     emitter.start(supervised=supervisor_config is not None)
     golden = run_golden(campaign, tracer=tracer)
     plan = planner(golden)
-    rows = execute(
-        campaign, golden,
-        [(index, planned) for index, planned in enumerate(plan)
-         if not planned.pruned],
-        workers, traced=tracer is not None, trace_blocks=trace_blocks,
-        span_root=emitter.root, supervisor_config=supervisor_config,
-    )
+    supervisor = None
+    if supervisor_config is not None:
+        from repro.recover.supervisor import Supervisor
+
+        supervisor = Supervisor(campaign, golden, supervisor_config)
+    trial_fuel = trial_fuel_for(campaign, golden)
+    code_cache = module_code(campaign.module, campaign.cost_model)
+    span_root = emitter.root
     counts = OutcomeCounts()
     trials: list[TrialResult] = []
     records: list = []
     for index, planned in enumerate(plan):
+        record = None
         if planned.pruned:
-            row = (reconstruct_pruned_trial(golden, planned), None, None)
+            trial = reconstruct_pruned_trial(golden, planned)
+            emitter.pruned(index, trial, planned)
+        elif supervisor is not None:
+            trial, record = supervisor.run_trial(
+                planned.rng, tracer=tracer, trial_index=index,
+                span_root=span_root,
+            )
         else:
-            row = next(rows)
-        trial, record, events = row
-        emitter.trial(index, trial, planned, events)
+            trial = run_trial(
+                campaign, golden, trial_fuel, planned.rng, code_cache,
+                tracer=tracer, trial_index=index, trace_blocks=trace_blocks,
+                span_root=span_root,
+                injector=(
+                    None if planned.spec is None
+                    else RegisterFaultInjector(planned.spec)
+                ),
+                snapshots=golden.snapshots,
+            )
         counts.record(trial.outcome)
         trials.append(trial)
         records.append(record)
@@ -579,24 +582,21 @@ def run_plan(
 def run_campaign(
     campaign: Campaign,
     seed: int | np.random.Generator | None = None,
-    workers: int | None = None,
     tracer: Tracer | None = None,
     trace_blocks: bool = False,
     trace_spans: bool = False,
 ) -> CampaignResult:
     """Execute ``campaign`` and classify every trial.
 
-    With ``workers`` > 1, trials fan out across the warm worker pool,
-    byte-identical to the inline run for the same seed.  A ``tracer``
-    receives the event stream (campaign bounds, cache lookups, per-trial
-    start / injection / end; per-block transitions when
-    ``trace_blocks``), identical at every worker count; ``trace_spans``
-    adds deterministic causal spans (:mod:`repro.obs.spans`).
+    A ``tracer`` receives the event stream (campaign bounds, cache
+    lookups, per-trial start / injection / end; per-block transitions
+    when ``trace_blocks``); ``trace_spans`` adds deterministic causal
+    spans (:mod:`repro.obs.spans`).
     """
     emitter = CampaignEmitter(tracer, campaign, seed, trace_spans)
     result, _records = run_plan(
         campaign, lambda _golden: plan_trials(campaign, seed), emitter,
-        workers, trace_blocks=trace_blocks,
+        trace_blocks=trace_blocks,
     )
     return result
 
@@ -658,7 +658,6 @@ def run_timeline_campaign(
     t1: float,
     arrival_rate_per_s: float,
     seed: int | np.random.Generator | None = None,
-    workers: int | None = None,
     tracer: Tracer | None = None,
     trace_blocks: bool = False,
     trace_spans: bool = False,
@@ -672,9 +671,8 @@ def run_timeline_campaign(
     particle events concentrate trials exactly where the environment
     concentrates upsets.  The timeline planner is the plain one after the
     arrival draw: the draw consumes the master generator first, then
-    :func:`run_campaign` forks the per-trial generators from it, so for a
-    fixed seed the result is byte-identical at any worker count (the
-    property the E16 gate asserts).
+    :func:`run_campaign` forks the per-trial generators from it, so a
+    fixed seed fixes the arrivals and every trial.
     """
     rng = make_rng(seed)
     arrivals = sample_trial_arrivals(
@@ -683,7 +681,7 @@ def run_timeline_campaign(
     expected = timeline.expected_events(arrival_rate_per_s, t0, t1, subsystem)
     timed = replace(campaign, n_trials=len(arrivals))
     result = run_campaign(
-        timed, seed=rng, workers=workers, tracer=tracer,
+        timed, seed=rng, tracer=tracer,
         trace_blocks=trace_blocks, trace_spans=trace_spans,
     )
     phases = [timeline.phase_at(float(t)) for t in arrivals]
@@ -907,7 +905,6 @@ def reconstruct_pruned_trial(
 def run_campaign_pruned(
     campaign: Campaign,
     seed: int | np.random.Generator | None = None,
-    workers: int | None = None,
     tracer: Tracer | None = None,
     trace_blocks: bool = False,
     trace_spans: bool = False,
@@ -919,8 +916,7 @@ def run_campaign_pruned(
     only executing the trials the masking analysis could not prove
     EXACT_BENIGN.  Pruned trial records are reconstructed from the golden
     run; executed trials run with pre-resolved injectors (same site, bit
-    and firing point the unpruned campaign would draw).  ``workers > 1``
-    fans the executed subset across the warm pool, still byte-identical.
+    and firing point the unpruned campaign would draw).
 
     The campaign looks golden up once and plans from that lookup with
     the module's masking report, computed by the first pruned campaign
@@ -933,6 +929,6 @@ def run_campaign_pruned(
         lambda golden: prune_masked_trials(
             campaign, seed, golden=golden
         ).trials,
-        emitter, workers, trace_blocks=trace_blocks,
+        emitter, trace_blocks=trace_blocks,
     )
     return result

@@ -792,6 +792,9 @@ class Interpreter:
             line = exc.__traceback__.tb_next  # the generated frame
             if line is not None:  # None: raised entering it
                 instructions, cycles = code.charges[line.tb_lineno]
+                # Kept, the traceback would pin this frame, and every
+                # frame above it, in a cycle until the cyclic GC runs.
+                line = None
                 self.instructions += instructions
                 self.cycles += cycles
                 _undefined_read(exc)

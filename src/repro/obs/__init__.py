@@ -37,8 +37,8 @@ The contract every instrumentation point obeys: **zero overhead when
 disabled** (a single ``tracer is None`` test on the non-hot path, one
 attribute read per basic block on the interpreter's hot path) and
 **determinism when enabled** — campaign results stay byte-identical to
-the untraced engine, serial or parallel, because events only observe;
-they never touch an RNG or mutate engine state.
+the untraced engine, because events only observe; they never touch an
+RNG or mutate engine state.
 """
 
 from repro.obs.events import (

@@ -10,9 +10,7 @@ round-trips losslessly through :meth:`Event.to_dict` /
 Events are deliberately clock-free: no wall-clock timestamps, only
 logical time (trial index, dynamic instruction count, cycles, simulated
 seconds).  That is what makes a traced campaign reproducible — the same
-seed produces the same event stream byte for byte, whether trials ran
-serially or were fanned out across a worker pool and merged back in
-index order.
+seed produces the same event stream byte for byte.
 
 The :class:`Tracer` is the bus: ``tracer.emit(event)`` stamps a
 monotonic sequence number and fans the event out to every attached sink.
@@ -528,9 +526,7 @@ class Tracer:
 
     A tracer is cheap enough to build per campaign; instrumentation
     points accept ``tracer=None`` and skip all work when tracing is off.
-    Sequence numbers are assigned at emit time, so a parallel campaign
-    that re-emits its workers' per-trial event batches in trial order
-    reproduces the serial stream exactly, seq numbers included.
+    Sequence numbers are assigned at emit time.
     """
 
     __slots__ = ("sinks", "_seq")
@@ -544,11 +540,6 @@ class Tracer:
         self._seq = seq + 1
         for sink in self.sinks:
             sink.write(event, seq)
-
-    def emit_all(self, events: list[Event]) -> None:
-        """Re-emit a batch (the parallel engine's order-stable merge)."""
-        for event in events:
-            self.emit(event)
 
     @property
     def recorder(self):

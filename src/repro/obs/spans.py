@@ -4,16 +4,14 @@ A span is one *section* of mission-control work — a campaign, one trial
 inside it, one escalation-ladder attempt inside that, a fleet scoring
 tick, a commanded power cycle — emitted as a :class:`SpanStart` /
 :class:`SpanEnd` pair through the ordinary :class:`~repro.obs.events.Tracer`
-so spans ride the same JSONL stream, the same sinks and the same
-order-stable parallel merge as every other event.
+so spans ride the same JSONL stream and the same sinks as every other
+event.
 
 **Span IDs are derived, never drawn.**  An id is a 16-hex-character
 BLAKE2b digest of ``(parent_id, name, index)`` — see :func:`span_id` —
 seeded at the root from the campaign's identity and integer seed.  No
-``time.time()``, no global counter, no RNG: worker processes compute the
-exact id the serial loop would have computed for the same trial, which
-is what lets span-traced inline and pooled (any worker count) campaigns
-produce **byte-identical** trace streams.  The same
+``time.time()``, no global counter, no RNG: the same campaign and seed
+produce **byte-identical** trace streams in every run.  The same
 derivation means a reader can *predict* ids: trial 7 of a campaign root
 ``r`` is always ``span_id(r, "trial", 7)``.
 
@@ -99,8 +97,7 @@ def span_id(parent: str, name: str, index: int) -> str:
     """Deterministic id of the ``index``-th ``name`` span under ``parent``.
 
     Pure function of its inputs — no clock, no RNG, no process state —
-    so every execution mode (inline or warm-pool worker) derives the
-    identical id for the same logical span.
+    so every run derives the identical id for the same logical span.
     """
     digest = blake2b(
         f"{parent}|{name}|{index}".encode(), digest_size=SPAN_ID_BYTES

@@ -1,4 +1,4 @@
-"""Golden-run cache counts and the cost-model key.
+"""Golden-run cache counts.
 
 A campaign's golden (fault-free) run is kept in its module's record
 (:class:`repro.ir.interp.ModuleRecord`), beside the module's compiled
@@ -17,27 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.ir.costmodel import CostModel
 # Re-exported: the repository benchmark imports it from here.
 from repro.ir.printer import module_fingerprint as module_fingerprint
-
-
-def cost_model_key(cost_model: CostModel) -> tuple:
-    """Hashable identity of a cost model's cycle charges."""
-    return (
-        cost_model.name,
-        cost_model.int_alu,
-        cost_model.int_div,
-        cost_model.fp_alu,
-        cost_model.magnitude,
-        cost_model.load,
-        cost_model.store,
-        cost_model.branch,
-        cost_model.call_overhead,
-        tuple(sorted(
-            (op.value, cost) for op, cost in cost_model.overrides.items()
-        )),
-    )
 
 
 @dataclass
@@ -76,6 +57,6 @@ class _GoldenLookups:
         self.stats = CacheStats()
 
 
-#: The counts of :func:`repro.faults.campaign.run_golden`'s lookups.
-#: Each worker process of the warm pool counts its own.
+#: The counts of :func:`repro.faults.campaign.run_golden`'s lookups in
+#: this process.
 GOLDEN_CACHE = _GoldenLookups()

@@ -1,15 +1,15 @@
 """Machine-readable perf trajectory: ``BENCH_perf.json``.
 
-``benchmarks/bench_perf.py`` measures campaign throughput (serial vs
-parallel), interpreter speed (fast path vs reference loop) and golden-cache
-effectiveness, then writes one snapshot here.  Previous snapshots are kept
+``benchmarks/bench_perf.py`` measures campaign throughput (the engine
+vs the pre-optimization baseline), interpreter speed (fast path vs
+reference loop), tracing overhead and golden-cache effectiveness, then
+writes one snapshot here.  Previous snapshots are kept
 in a bounded ``history`` list so later PRs can regress against the
 trajectory, not just the latest number.
 
 ``python -m repro.perf.report [path]`` prints a human summary of the
-report — headline numbers, the trajectory of ``min_speedup`` and
-``parallel_vs_serial`` across history, and the ``golden_cache`` and
-``parallel.warm_pool`` sections the bench run stored.
+report — headline numbers, the trajectory of ``min_speedup`` across
+history, and the ``golden_cache`` section the bench run stored.
 
 :func:`write_text_atomic` is the one way the benchmarks write a result
 file: a crash mid-write leaves the old file whole.
@@ -106,11 +106,8 @@ def write_perf_report(
 _HEADLINES = (
     ("min_speedup", "fast-path speedup vs reference (min)", "x"),
     ("target_speedup", "fast-path speedup target", "x"),
-    ("parallel_vs_serial", "parallel vs serial throughput", "x"),
-    ("serial_trials_per_s", "serial campaign throughput", " trials/s"),
-    ("parallel_trials_per_s", "parallel campaign throughput", " trials/s"),
+    ("serial_trials_per_s", "campaign throughput", " trials/s"),
     ("available_cpus", "CPUs available to the bench run", ""),
-    ("workers", "workers used by the bench run", ""),
 )
 
 
@@ -127,7 +124,6 @@ def _headline(snapshot: dict, key: str):
 #: Stored sections rendered verbatim, as (label, path into the report).
 _SECTIONS = (
     ("golden_cache", ("golden_cache",)),
-    ("parallel.warm_pool", ("parallel", "warm_pool")),
 )
 
 
@@ -145,15 +141,14 @@ def format_report(report: dict | None) -> str:
             shown = f"{value:.2f}" if isinstance(value, float) else value
             lines.append(f"  {label}: {shown}{unit}")
     history = [h for h in report.get("history", []) if isinstance(h, dict)]
-    for key in ("min_speedup", "parallel_vs_serial"):
-        trail = [
-            v for v in (
-                _headline(snap, key) for snap in [report] + history
-            ) if v is not None
-        ]
-        if len(trail) > 1:
-            shown = " <- ".join(f"{v:.2f}" for v in trail[:8])
-            lines.append(f"  {key} trajectory (newest first): {shown}")
+    trail = [
+        v for v in (
+            _headline(snap, "min_speedup") for snap in [report] + history
+        ) if v is not None
+    ]
+    if len(trail) > 1:
+        shown = " <- ".join(f"{v:.2f}" for v in trail[:8])
+        lines.append(f"  min_speedup trajectory (newest first): {shown}")
     for label, keys in _SECTIONS:
         section = report
         for key in keys:

@@ -531,8 +531,7 @@ def sample_arrivals(
     probability ``multiplier(t) / peak`` — the classic Lewis-Shedler
     construction.  All draws happen in a fixed order (count, times,
     acceptance uniforms), so the result is byte-reproducible from the
-    generator state: the parent can draw arrivals once and fan the trials
-    out to any number of workers.
+    generator state.
     """
     if base_rate_per_s < 0:
         raise ConfigError("base rate must be non-negative")

@@ -585,21 +585,20 @@ def run_supervised_campaign(
     campaign: Campaign,
     config: SupervisorConfig = SupervisorConfig(),
     seed: int | np.random.Generator | None = None,
-    workers: int | None = None,
     tracer: Tracer | None = None,
     trace_spans: bool = False,
 ) -> SupervisedCampaignResult:
     """Execute ``campaign`` with the supervisor in the loop.
 
-    The plain plan run by the campaign pipeline, whose executor hands each
-    trial's own child of ``seed`` to :meth:`Supervisor.run_trial` under
-    ``config``; byte-identical at any worker count, traced or not
-    (``trace_spans`` adds the campaign → trial → attempt span hierarchy).
+    The plain plan run by the campaign pipeline, which hands each trial's
+    own child of ``seed`` to one :class:`Supervisor` under ``config``;
+    byte-identical traced or not (``trace_spans`` adds the campaign →
+    trial → attempt span hierarchy).
     """
     emitter = CampaignEmitter(tracer, campaign, seed, trace_spans)
     result, records = run_plan(
         campaign, lambda _golden: plan_trials(campaign, seed), emitter,
-        workers, supervisor_config=config,
+        supervisor_config=config,
     )
     return SupervisedCampaignResult(
         result.golden, result.counts, result.trials, records, config

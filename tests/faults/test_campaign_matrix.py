@@ -1,12 +1,12 @@
-"""One identity matrix for every campaign flavour and execution mode.
+"""One identity matrix for every campaign flavour.
 
-Every flavour (plain, timeline, pruned, supervised) runs inline, on the
-warm pool (``workers=2``) and with the pool unavailable, each untraced,
-traced, and traced with spans (plus per-block transitions where the
-flavour supports them).  Every cell must reproduce the SHA-256 digests of
-the trial records and of the JSONL event stream pinned below; they were
-recorded before the campaign engine became one plan → execute → emit
-pipeline, so the refactor is checked against the engine it replaced.
+Every flavour (plain, timeline, pruned, supervised) runs inline (every
+trial in this process), untraced, traced, and traced with spans (plus
+per-block transitions where the flavour supports them).  Every cell
+must reproduce the SHA-256 digests of the trial records and of the
+JSONL event stream pinned below; they were recorded before the campaign
+engine became one plan → execute → emit pipeline, so the refactor is
+checked against the engine it replaced.
 
 Floats are compared by their bits (:mod:`tests.identity`), so trials that
 return NaN — orbit seed 1 has one — count as identical when their bits are.
@@ -25,14 +25,14 @@ from repro.faults.campaign import (
 )
 from repro.obs.events import InMemorySink, Tracer
 from repro.perf.cache import GOLDEN_CACHE
-from repro.perf.pool import POOL_REGISTRY
 from repro.radiation.schedule import EnvironmentTimeline, SpeModel
 from repro.recover.supervisor import SupervisorConfig, run_supervised_campaign
 from repro.workloads.irprograms import PROGRAMS, build_program
 
 from tests.identity import assert_identical, stream_digest, trials_digest
 
-MODES = ("inline", "pool", "no-pool")
+#: Every trial runs inline; the mode stays part of each cell's id.
+MODES = ("inline",)
 TRACES = ("untraced", "traced", "spans+blocks")
 
 
@@ -57,41 +57,39 @@ def _timeline():
     )
 
 
-def _plain(workers, tracer, blocks, spans):
+def _plain(tracer, blocks, spans):
     return run_campaign(
-        _campaign("isort", 32), seed=7, workers=workers, tracer=tracer,
+        _campaign("isort", 32), seed=7, tracer=tracer,
         trace_blocks=blocks, trace_spans=spans,
     )
 
 
-def _orbit(workers, tracer, blocks, spans):
+def _orbit(tracer, blocks, spans):
     return run_campaign(
-        _campaign("orbit", 100), seed=1, workers=workers, tracer=tracer,
+        _campaign("orbit", 100), seed=1, tracer=tracer,
         trace_blocks=blocks, trace_spans=spans,
     )
 
 
-def _timeline_run(workers, tracer, blocks, spans):
+def _timeline_run(tracer, blocks, spans):
     return run_timeline_campaign(
         _campaign("dot", 1), _timeline(), 0.0, 1_800.0, 0.01, seed=3,
-        workers=workers, tracer=tracer, trace_blocks=blocks,
-        trace_spans=spans,
+        tracer=tracer, trace_blocks=blocks, trace_spans=spans,
     ).result
 
 
-def _pruned(workers, tracer, blocks, spans):
+def _pruned(tracer, blocks, spans):
     return run_campaign_pruned(
         _campaign("gcd", 80, ProtectionLevel.FULL_DMR), seed=11,
-        workers=workers, tracer=tracer, trace_blocks=blocks,
-        trace_spans=spans,
+        tracer=tracer, trace_blocks=blocks, trace_spans=spans,
     )
 
 
-def _supervised(workers, tracer, blocks, spans):
+def _supervised(tracer, blocks, spans):
     # Supervised campaigns trace spans but not per-block transitions.
     return run_supervised_campaign(
         _campaign("fact", 24), SupervisorConfig(storage_flip_prob=0.05),
-        seed=21, workers=workers, tracer=tracer, trace_spans=spans,
+        seed=21, tracer=tracer, trace_spans=spans,
     )
 
 
@@ -137,40 +135,31 @@ ORBIT_DIGESTS = (
 )
 
 
-def run_cell(runner, mode, trace, monkeypatch):
+def run_cell(runner, trace):
     """Run one cell; returns ``(result, stream digest or None)``."""
-    if mode == "no-pool":
-        monkeypatch.setattr(POOL_REGISTRY, "get", lambda *a, **k: None)
-    workers = None if mode == "inline" else 2
     GOLDEN_CACHE.clear()  # golden-cache hits are part of the stream
     sink = InMemorySink()
     tracer = None if trace == "untraced" else Tracer(sink)
     full = trace == "spans+blocks"
-    result = runner(workers, tracer, full, full)
+    result = runner(tracer, full, full)
     return result, None if tracer is None else stream_digest(sink.records)
 
 
 @pytest.mark.parametrize("trace", TRACES)
 @pytest.mark.parametrize("mode", MODES)
 @pytest.mark.parametrize("flavour", sorted(FLAVOURS))
-def test_cell_reproduces_pinned_digests(flavour, mode, trace, monkeypatch):
-    dispatched = POOL_REGISTRY.stats.chunks_dispatched
-    result, stream = run_cell(FLAVOURS[flavour], mode, trace, monkeypatch)
+def test_cell_reproduces_pinned_digests(flavour, mode, trace):
+    result, stream = run_cell(FLAVOURS[flavour], trace)
     trials, traced, full = DIGESTS[flavour]
     assert trials_digest(result) == trials
     assert stream == {"untraced": None, "traced": traced,
                       "spans+blocks": full}[trace]
-    now = POOL_REGISTRY.stats.chunks_dispatched
-    if mode != "pool":
-        assert now == dispatched
-    elif len(POOL_REGISTRY):  # hosts without POSIX semaphores run inline
-        assert now > dispatched
 
 
 @pytest.mark.parametrize("trace", ("untraced", "traced"))
 @pytest.mark.parametrize("mode", MODES)
-def test_nan_trial_is_identical_bitwise(mode, trace, monkeypatch):
-    result, stream = run_cell(_orbit, mode, trace, monkeypatch)
+def test_nan_trial_is_identical_bitwise(mode, trace):
+    result, stream = run_cell(_orbit, trace)
     assert repr(result.trials[50].value) == "nan"
     trials, traced = ORBIT_DIGESTS
     assert trials_digest(result) == trials

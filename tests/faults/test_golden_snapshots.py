@@ -27,12 +27,14 @@ from repro.faults.campaign import (
     run_campaign,
     run_golden,
     run_trial,
+    trial_fuel_for,
 )
 from repro.faults.model import FaultSpec, FaultTarget
 from repro.faults.outcomes import FaultOutcome
-from repro.faults.parallel import TrialContext
 from repro.faults.seu import HeapFaultInjector, RegisterFaultInjector
-from repro.ir.interp import ExecutionStatus, GoldenSnapshots, Interpreter
+from repro.ir.interp import (
+    ExecutionStatus, GoldenSnapshots, Interpreter, module_code,
+)
 from repro.ir.loops import CountedLoop
 from repro.ir.parser import parse_module
 from repro.ir.printer import print_module
@@ -147,20 +149,19 @@ def _campaign(module, name, args, target=FaultTarget.REGISTER, **kw):
 def _trial(campaign, injector, snapshots=True):
     """One trial run by the engine, with or without golden's table."""
     golden = run_golden(campaign)
-    context = TrialContext.build(campaign, golden, None)
     return run_trial(
-        campaign, golden, context.trial_fuel, None, context.code_cache,
+        campaign, golden, trial_fuel_for(campaign, golden), None,
+        module_code(campaign.module, campaign.cost_model),
         injector=injector,
-        snapshots=context.snapshots if snapshots else None,
+        snapshots=golden.snapshots if snapshots else None,
     )
 
 
 def _reference(campaign, injector):
     golden = run_golden(campaign)
-    context = TrialContext.build(campaign, golden, None)
     return ReferenceInterpreter(
         campaign.module, cost_model=campaign.cost_model,
-        fuel=context.trial_fuel, step_hook=injector,
+        fuel=trial_fuel_for(campaign, golden), step_hook=injector,
     ).run(campaign.func_name, list(campaign.args))
 
 
@@ -312,9 +313,10 @@ def _bits(value):
     return type(value), value
 
 
-def _point(context, n):
-    """The point at instruction ``n``: (block, names live, env)."""
-    point = context.snapshots.points[context.snapshots.counts.index(n)]
+def _point(golden, n):
+    """Golden's point at instruction ``n``: (block, names live, env)."""
+    table = golden.snapshots
+    point = table.points[table.counts.index(n)]
     return point[2].name, point[6], point[4]
 
 
@@ -325,7 +327,6 @@ class TestLiveCompare:
         # live value equals golden's, though b still differs in env.
         campaign = _campaign(parse_module(LIVE_THEN_DEAD), "f", [7])
         golden = run_golden(campaign)
-        context = TrialContext.build(campaign, golden, None)
         spec = FaultSpec(
             target=FaultTarget.REGISTER, dynamic_index=7, location="b",
             bit=3,
@@ -337,9 +338,9 @@ class TestLiveCompare:
         assert (trial.value, trial.cycles) == (ref.value, ref.cycles) \
             == (golden.value, golden.cycles)
         assert trial.outcome is FaultOutcome.BENIGN
-        assert _point(context, 10)[:2] == ("first", ("b", "i2"))
-        assert _point(context, 18)[:2] == ("mid", ("b",))
-        assert _point(context, 20)[:2] == ("second", ("d",))
+        assert _point(golden, 10)[:2] == ("first", ("b", "i2"))
+        assert _point(golden, 18)[:2] == ("mid", ("b",))
+        assert _point(golden, 20)[:2] == ("second", ("d",))
         assert rejoins == [20]
 
     def test_phi_operand_live_on_the_arriving_edge_blocks_rejoin(
@@ -349,10 +350,9 @@ class TestLiveCompare:
         # the edge half of the live set sees the flip.
         campaign = _campaign(parse_module(EDGE_OPERAND), "f", [5])
         golden = run_golden(campaign)
-        context = TrialContext.build(campaign, golden, None)
         live_in = liveness(campaign.module.function("f")).live_in
         assert "p" not in live_in["join"]
-        assert _point(context, 5)[:2] == ("join", ("p",))
+        assert _point(golden, 5)[:2] == ("join", ("p",))
         spec = FaultSpec(
             target=FaultTarget.REGISTER, dynamic_index=4, location="p",
             bit=2,
@@ -371,8 +371,7 @@ class TestLiveCompare:
         # env, as the full run does.
         campaign = _campaign(parse_module(LIVE_THEN_DEAD), "f", [7])
         golden = run_golden(campaign)
-        context = TrialContext.build(campaign, golden, None)
-        _block, names, env = _point(context, 24)
+        _block, names, env = _point(golden, 24)
         assert names == ("j2",) and len(env) == 9
         spec = FaultSpec(target=FaultTarget.REGISTER, dynamic_index=25)
         trial = _trial(campaign, RegisterFaultInjector(spec, seed=2))
@@ -430,18 +429,18 @@ class TestCampaignCells:
 
         monkeypatch.setattr(Interpreter, "run", tracking)
         golden = run_golden(campaign)
-        context = TrialContext.build(campaign, golden, None)
-        assert context.snapshots is not None
+        assert golden.snapshots is not None
+        fuel = trial_fuel_for(campaign, golden)
+        code = module_code(campaign.module, campaign.cost_model)
         with_table, flags_by_trial = [], []
         for planned in plan_trials(campaign, 5):
             with_table.append(run_trial(
-                campaign, golden, context.trial_fuel, planned.rng,
-                context.code_cache, snapshots=context.snapshots,
+                campaign, golden, fuel, planned.rng, code,
+                snapshots=golden.snapshots,
             ))
             flags_by_trial.append(flags[-1])
         full = [
-            run_trial(campaign, golden, context.trial_fuel, planned.rng,
-                      context.code_cache)
+            run_trial(campaign, golden, fuel, planned.rng, code)
             for planned in plan_trials(campaign, 5)
         ]
         assert canonical(with_table) == canonical(full)
@@ -468,14 +467,15 @@ class TestCampaignCells:
             n_trials=100,
         )
         golden = run_golden(campaign)
-        context = TrialContext.build(campaign, golden, None)
+        fuel = trial_fuel_for(campaign, golden)
+        code = module_code(campaign.module, campaign.cost_model)
         rejoined = GoldenSnapshots.rejoined
         differs = []
 
         def recording(self, frame, interp):
             result = rejoined(self, frame, interp)
             if result is None:
-                _block, names, env = _point(context, interp.instructions)
+                _block, names, env = _point(golden, interp.instructions)
                 differs.append((names, {
                     key for key, value in frame.env.items()
                     if key not in env or _bits(value) != _bits(env[key])
@@ -487,15 +487,15 @@ class TestCampaignCells:
         for planned in plan_trials(campaign, 5):
             differs.clear()
             trial = run_trial(
-                campaign, golden, context.trial_fuel, planned.rng,
-                context.code_cache, snapshots=context.snapshots,
+                campaign, golden, fuel, planned.rng, code,
+                snapshots=golden.snapshots,
             )
             if not differs or not differs[0][1]:
                 continue
             names, dead = differs[0]
             assert dead.isdisjoint(names)
             full = run_trial(
-                campaign, golden, context.trial_fuel, None,
+                campaign, golden, fuel, None,
                 injector=RegisterFaultInjector(trial.spec),
             )
             ref = _reference(campaign, RegisterFaultInjector(trial.spec))

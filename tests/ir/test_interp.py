@@ -1,6 +1,8 @@
 """Interpreter semantics tests."""
 
+import gc
 import math
+import weakref
 
 from hypothesis import given, strategies as st
 
@@ -111,6 +113,27 @@ class TestControlAndState:
         b.trap()
         result = Interpreter(module).run("f", [])
         assert result.status is ExecutionStatus.DETECTED
+
+    def test_trap_in_a_batched_block_leaves_no_cycle(self):
+        # The trap's traceback runs through the interpreter's frames:
+        # kept past the trap, it would hold the interpreter in a cycle
+        # that only the cyclic GC frees.
+        module = Module("m")
+        func = Function("f", [("a", INT64)], INT64)
+        module.add_function(func)
+        b = IRBuilder(func)
+        b.set_block(func.add_block("entry"))
+        b.ret(b.sdiv(b.add(func.args[0], b.i64(1)), func.args[0]))
+        interp = Interpreter(module)
+        gc.disable()
+        try:
+            result = interp.run("f", [0])
+            alive = weakref.ref(interp)
+            del interp
+            assert result.status is ExecutionStatus.TRAP
+            assert alive() is None
+        finally:
+            gc.enable()
 
     def test_call_between_functions(self, counted_loop_module):
         module = counted_loop_module

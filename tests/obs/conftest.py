@@ -42,7 +42,5 @@ def sample_trace(tmp_path_factory):
     path = tmp_path_factory.mktemp("trace") / "sample_trace.jsonl"
     GOLDEN_CACHE.clear()
     with Tracer(JsonlSink(path)) as tracer:
-        run_campaign(
-            _isort(60), seed=7, workers=1, tracer=tracer, trace_spans=True,
-        )
+        run_campaign(_isort(60), seed=7, tracer=tracer, trace_spans=True)
     return path

@@ -87,12 +87,6 @@ class TestTracer:
         assert [seq for seq, _ in a.records] == list(range(5))
         assert a.records == b.records
 
-    def test_emit_all_preserves_order(self):
-        sink = InMemorySink()
-        tracer = Tracer(sink)
-        tracer.emit_all([TrialStart(trial=i) for i in range(3)])
-        assert [e.trial for e in sink.events] == [0, 1, 2]
-
     def test_recorder_property_finds_flight_recorder(self):
         recorder = FlightRecorder()
         assert Tracer(InMemorySink(), recorder).recorder is recorder

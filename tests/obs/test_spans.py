@@ -1,9 +1,8 @@
 """Span tests: derived ids and byte-identical traced streams.
 
-The load-bearing claim: span-traced campaigns stay byte-identical
-across the inline run and the warm pool at any worker count — ids are
-pure functions of (parent, name, index), so every execution mode derives
-the same stream.
+The load-bearing claim: span ids are pure functions of (parent, name,
+index), so a span-traced campaign's stream is well formed, predictable
+from its root, and leaves the campaign's results untouched.
 """
 
 from dataclasses import replace
@@ -23,10 +22,7 @@ from repro.obs.spans import (
     span_id,
 )
 from repro.perf.cache import GOLDEN_CACHE
-from repro.recover.supervisor import run_supervised_campaign
 from repro.workloads.irprograms import PROGRAMS, build_program
-
-from tests.identity import stream_digest
 
 N_TRIALS = 24
 SEED = 7
@@ -43,13 +39,12 @@ def _campaign(name="dot", **kwargs):
     )
 
 
-def _traced(runner, campaign, **kwargs):
+def _traced(campaign):
     """The traced stream of a cold run: the golden lookup is part of it,
     and a module keeps its golden run, so each run gets a fresh clone."""
     campaign = replace(campaign, module=clone_module(campaign.module))
     sink = InMemorySink()
-    runner(campaign, seed=SEED, tracer=Tracer(sink), trace_spans=True,
-           **kwargs)
+    run_campaign(campaign, seed=SEED, tracer=Tracer(sink), trace_spans=True)
     return sink.records
 
 
@@ -82,7 +77,7 @@ class TestSpanIds:
 
 class TestTracedByteIdentity:
     def test_serial_stream_is_well_formed(self):
-        records = _traced(run_campaign, _campaign())
+        records = _traced(_campaign())
         starts = [e for _, e in records if isinstance(e, SpanStart)]
         ends = [e for _, e in records if isinstance(e, SpanEnd)]
         assert len(starts) == len(ends) == N_TRIALS + 1
@@ -96,25 +91,6 @@ class TestTracedByteIdentity:
             assert s.span == span_id(root.span, "trial", s.index)
         # Campaign spans never carry wall-clock.
         assert all(e.elapsed_s == 0.0 for e in ends)
-
-    @pytest.mark.parametrize("workers", [1, 2, 4])
-    def test_parallel_matches_serial(self, workers):
-        campaign = _campaign()
-        serial = _traced(run_campaign, campaign)
-        parallel = _traced(run_campaign, campaign, workers=workers)
-        assert stream_digest(parallel) == stream_digest(serial)
-
-    def test_supervised_parallel_matches_serial(self):
-        campaign = _campaign()
-        serial = _traced(run_supervised_campaign, campaign)
-        parallel = _traced(
-            run_supervised_campaign, campaign, workers=2
-        )
-        assert stream_digest(parallel) == stream_digest(serial)
-        names = {
-            e.name for _, e in serial if isinstance(e, SpanStart)
-        }
-        assert "campaign" in names and "trial" in names
 
     def test_span_stream_does_not_perturb_results(self):
         campaign = _campaign()

@@ -1,9 +1,8 @@
 """End-to-end tracing invariants.
 
 The observability contract: tracing only observes.  Traced campaign
-results are byte-identical to untraced ones; the merged parallel event
-stream is identical to the serial one at every worker count; and the
-report CLI's aggregation reproduces the engine's own tally exactly.
+results are byte-identical to untraced ones, and the report CLI's
+aggregation reproduces the engine's own tally exactly.
 """
 
 import json
@@ -83,34 +82,6 @@ class TestTracedEqualsUntraced:
         assert traced.trials == plain.trials
         assert [r.attempts for r in traced.records if r] == \
             [r.attempts for r in plain.records if r]
-
-
-class TestParallelMergeOrderStable:
-    @pytest.mark.parametrize("workers", [1, 2, 4])
-    def test_stream_identical_at_every_worker_count(self, workers):
-        _, serial_sink = _traced(run_campaign, _campaign(), seed=SEED)
-        parallel_sink = InMemorySink()
-        parallel = run_campaign(
-            _campaign(), seed=SEED, workers=workers,
-            tracer=Tracer(parallel_sink),
-        )
-        serial = run_campaign(_campaign(), seed=SEED)
-        assert parallel.trials == serial.trials
-        assert parallel_sink.records == serial_sink.records
-
-    def test_supervised_stream_identical(self):
-        config = SupervisorConfig(checkpoint_interval=100)
-        _, serial_sink = _traced(
-            run_supervised_campaign, _campaign(), config, seed=13
-        )
-        parallel_sink = InMemorySink()
-        parallel = run_supervised_campaign(
-            _campaign(), config, seed=13, workers=2,
-            tracer=Tracer(parallel_sink),
-        )
-        serial = run_supervised_campaign(_campaign(), config, seed=13)
-        assert parallel.trials == serial.trials
-        assert parallel_sink.records == serial_sink.records
 
 
 class TestRecoveryLatencyOnTrials:

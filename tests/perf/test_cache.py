@@ -12,11 +12,7 @@ from repro.faults.campaign import Campaign, run_golden
 from repro.ir.costmodel import CORTEX_A53
 from repro.ir.interp import Interpreter, module_record
 from repro.ir.parser import parse_module
-from repro.perf.cache import (
-    GOLDEN_CACHE,
-    cost_model_key,
-    module_fingerprint,
-)
+from repro.perf.cache import GOLDEN_CACHE, module_fingerprint
 from repro.workloads.irprograms import PROGRAMS, build_program
 
 RECIPROCAL = """
@@ -168,20 +164,3 @@ class TestRunGoldenIntegration:
         assert cached.value == fresh.value
         assert cached.instructions == fresh.instructions
         assert cached.cycles == fresh.cycles
-
-    def test_cost_model_key_distinguishes_overrides(self):
-        from repro.ir.costmodel import CostModel
-
-        assert cost_model_key(CORTEX_A53) == cost_model_key(CORTEX_A53)
-        tweaked = CostModel(
-            name=CORTEX_A53.name,
-            int_alu=CORTEX_A53.int_alu + 1,
-            int_div=CORTEX_A53.int_div,
-            fp_alu=CORTEX_A53.fp_alu,
-            magnitude=CORTEX_A53.magnitude,
-            load=CORTEX_A53.load,
-            store=CORTEX_A53.store,
-            branch=CORTEX_A53.branch,
-            call_overhead=CORTEX_A53.call_overhead,
-        )
-        assert cost_model_key(tweaked) != cost_model_key(CORTEX_A53)

@@ -50,22 +50,20 @@ def test_load_missing_or_corrupt_returns_none(tmp_path):
 def test_format_report_summarizes_headlines_and_metrics(tmp_path):
     from repro.perf.report import format_report
 
-    # The stored golden_cache and parallel.warm_pool sections render.
+    # The stored golden_cache section renders.
     report = {
         "schema": 1,
         "min_speedup": 9.5,
-        "parallel_vs_serial": 1.2,
         "available_cpus": 4,
         "golden_cache": {"hits": 3, "misses": 1},
-        "parallel": {"warm_pool": {"created": 1, "workers_alive": 2.0}},
         "history": [{"schema": 1, "min_speedup": 7.3}],
     }
     text = format_report(report)
     assert "9.50x" in text
     assert "min_speedup trajectory" in text
     assert "9.50 <- 7.30" in text
+    assert "CPUs available to the bench run: 4" in text
     assert "hits: 3" in text
-    assert "workers_alive: 2.0" in text
 
 
 def test_format_report_handles_missing_report():
@@ -143,7 +141,9 @@ def test_report_cli_survives_a_closed_pipe(tmp_path):
     # Far more output than a pipe buffers, so the writer is still
     # writing when the reader goes away.
     path = tmp_path / "BENCH_perf.json"
-    path.write_text(json.dumps({"schema": 1, "workers": "x" * 1_000_000}))
+    path.write_text(
+        json.dumps({"schema": 1, "available_cpus": "x" * 1_000_000})
+    )
     proc = subprocess.Popen(
         [sys.executable, "-m", "repro.perf.report", str(path)],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE,

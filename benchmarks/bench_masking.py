@@ -8,12 +8,12 @@ measures, per workload × protection level:
 * the static proven-benign mass and the AVF upper bound;
 * the realized prune rate over an actual campaign's trial draws;
 * wall-clock speedup over the full campaign of the first pruned campaign
-  on a module, which computes the module's masking report, and of a
-  repeat one on the same module, which reuses it — both paying planning
-  (golden replay) as ``run_campaign_pruned`` callers do.  Each time is
-  the median of :data:`~benchmarks._util.GATE_ROUNDS` interleaved
-  rounds, alternating whether the full campaign runs before or after
-  the pruned pair;
+  on a module, which computes the module's masking report and records
+  its golden run's site table, and of a repeat one on the same module,
+  which reuses both and plans by lookup alone, as
+  ``run_campaign_pruned`` callers do.  Each time is the median of
+  :data:`~benchmarks._util.GATE_ROUNDS` interleaved rounds, alternating
+  whether the full campaign runs before or after the pruned pair;
 
 and asserts the contract that makes pruning admissible at all — the
 pruned campaign's outcome counts are *byte-identical* to the full
@@ -82,7 +82,8 @@ def _time_rounds(
 
     Each round builds a fresh module and compiles its code untimed, with
     an untimed full campaign at the same seed, so its first pruned
-    campaign differs from the repeat only by the masking analysis.  The
+    campaign differs from the repeat only by the masking analysis and
+    the site-table recording.  The
     full campaign runs on the cell's own module, before the pruned pair
     in even rounds and after it in odd ones.  Every result must equal
     ``base`` trial for trial.
@@ -167,11 +168,11 @@ def test_e17_masking_prune_rates(measurements, benchmark):
         "\n'static proven' = fraction of (site, bit, window) triples the"
         "\nmasking analysis proves benign; 'prune rate' = trials actually"
         "\nskipped and reconstructed.  'first' = the first pruned campaign"
-        "\non a fresh module, its masking analysis included; 'repeat' = a"
-        "\nlater one on the same module, its report reused.  Times are"
-        f"\nmedians of {GATE_ROUNDS} interleaved rounds, speedups medians of"
-        "\nper-round full/pruned ratios.  Every pruned and full run asserted"
-        "\nbyte-identical to the full campaign at the same seed."
+        "\non a fresh module, its masking analysis and site-table recording"
+        "\nincluded; 'repeat' = a later one on the same module, both reused."
+        f"\nTimes are medians of {GATE_ROUNDS} interleaved rounds, speedups"
+        "\nmedians of per-round full/pruned ratios.  Every pruned and full"
+        "\nrun asserted byte-identical to the full campaign at the same seed."
     )
     write_result("E17", "provably-benign trial pruning", body)
     write_text_atomic(

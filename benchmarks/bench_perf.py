@@ -28,16 +28,21 @@ the untraced one.  Timing numbers are recorded, not asserted, unless
 never does.  ``campaign.available_cpus`` records the CPUs the run could
 use.
 
-``REPRO_PERF_GATE=1`` (CI perf-smoke) adds the trajectory gate, judged
+``REPRO_PERF_GATE=1`` (CI perf-smoke) adds the fast-path gate, judged
 on the median of :data:`GATE_ROUNDS` interleaved rounds because one
 best-of-1 sample flips on identical code: the fast path's speedup over
-the reference loop, the smallest per-program median, must not regress
-more than 20% below the previous entry's ``min_speedup`` in
-``BENCH_perf.json``.  A gated run stores that median as its own
-``min_speedup``; an ungated one stores its best-of sample.  A test
-stores its numbers only once its gates passed, and the report is
-written only when no test failed, so a failed gate leaves
+the reference loop, the smallest per-program median, must reach
+:data:`MIN_SPEEDUP_BAR`.  The bar is a constant, moved only on purpose:
+a bar taken from the last stored run would follow whichever run was
+committed last.  A gated run stores its median as its own
+``min_speedup``, history only; an ungated one stores its best-of
+sample.  A test stores its numbers only once its gates passed, and the
+report is written only when no test failed, so a failed gate leaves
 ``BENCH_perf.json`` byte-identical.
+
+``golden_cache`` counts the golden lookups of the throughput test's
+campaigns over a fresh module: one miss, then one hit per timed
+campaign.
 
 Budget knobs: ``REPRO_PERF_TRIALS`` (campaign trials per measurement,
 default 300), ``REPRO_PERF_REPEAT`` (timing repetitions, best-of,
@@ -70,7 +75,7 @@ from repro.obs.spans import SpanEnd, SpanStart, campaign_root
 from repro.ir.interp import Interpreter
 from repro.ir.refinterp import ReferenceInterpreter
 from repro.perf import GOLDEN_CACHE
-from repro.perf.report import load_perf_report, write_perf_report
+from repro.perf.report import write_perf_report
 from repro.rng import fork, make_rng
 from repro.workloads.irprograms import PROGRAMS, build_program
 
@@ -83,6 +88,9 @@ STRICT = os.environ.get("REPRO_PERF_STRICT") == "1"
 GATE = os.environ.get("REPRO_PERF_GATE") == "1"
 
 INTERP_PROGRAMS = ("isort", "orbit")
+#: The fast-path gate's bar on the median speedup: 0.8 × the 28.62×
+#: median of the run that set it.
+MIN_SPEEDUP_BAR = 22.9
 CAMPAIGN_PROGRAM = "isort"
 
 #: Accumulated across tests in this module; the last test writes the report.
@@ -198,16 +206,11 @@ def test_perf_interpreter_fastpath():
         assert min_speedup >= 9.0, f"min_speedup {min_speedup:.2f}x < 9x"
     if GATE:
         gate_min = min(median(ratios) for ratios in gate_rounds.values())
-        previous = load_perf_report(REPORT_PATH) or {}
-        prev_min = previous.get("interpreter", {}).get("min_speedup")
-        if prev_min:
-            assert gate_min >= 0.8 * prev_min, (
-                f"min_speedup regressed >20%: median {gate_min:.2f}x over "
-                f"{GATE_ROUNDS} interleaved rounds vs {prev_min:.2f}x in "
-                "the previous history entry"
-            )
-        # The next run's gate judges its median against this median, not
-        # against a best-of sample taken beside it.
+        assert gate_min >= MIN_SPEEDUP_BAR, (
+            f"min_speedup below the bar: median {gate_min:.2f}x over "
+            f"{GATE_ROUNDS} interleaved rounds vs {MIN_SPEEDUP_BAR}x"
+        )
+        # History only: no later run's gate reads it.
         entry["gate_rounds"] = gate_rounds
         entry["min_speedup"] = gate_min
     # Stored only once every gate passed: a failed median must not
@@ -224,8 +227,8 @@ def test_perf_campaign_throughput():
         n_trials=N_TRIALS,
     )
 
-    serial = run_campaign(campaign, seed=1)
     GOLDEN_CACHE.clear()
+    serial = run_campaign(campaign, seed=1)
     baseline: list[list[TrialResult]] = []
     t_baseline = _best_of(
         lambda: baseline.append(_baseline_campaign(campaign, seed=1)), 1
@@ -251,6 +254,9 @@ def test_perf_campaign_throughput():
     }
     if STRICT:
         assert serial_tps >= 2.0 * baseline_tps
+    # The first campaign ran golden; every timed one found it.
+    assert GOLDEN_CACHE.stats.misses == 1
+    assert GOLDEN_CACHE.stats.hits == REPEAT
     # Stored only once every gate passed.
     SNAPSHOT["campaign"] = campaign_entry
     SNAPSHOT["golden_cache"] = GOLDEN_CACHE.stats.as_dict()

@@ -15,8 +15,9 @@ Every campaign flavour runs through the same three stages (:func:`run_plan`):
   :class:`~repro.rng.TrialStream` for an integer seed, a forked numpy
   Generator for a Generator seed; timeline campaigns draw their thinned
   arrivals, then fork their Generator the same way; pruned campaigns
-  resolve every fault from that lookup and mark the ones the module's
-  masking report proves benign (:func:`prune_masked_trials`); supervised
+  resolve every fault by lookup in the golden run's site table and mark
+  the ones the module's masking report proves benign
+  (:func:`prune_masked_trials`); supervised
   campaigns use the plain plan and hand a ``SupervisorConfig`` to
   :func:`run_plan`.
 * **execute** — :func:`run_plan` runs every trial that is not pruned
@@ -29,11 +30,13 @@ Every campaign flavour runs through the same three stages (:func:`run_plan`):
 
 A campaign looks its golden run up once (:func:`run_golden`).  Each
 module keeps one record (:func:`repro.ir.interp.module_record`) that
-every campaign over it shares: its golden runs, its one compiled code
-(:func:`repro.ir.interp.module_code`), which the golden run, the
-pruning replay and every trial run, and its one masking report, which
-pruned campaigns plan from.  :func:`run_golden` checks that record
-against the module's printed-IR fingerprint once per campaign.
+every campaign over it shares: its golden runs, each with the site
+table the first pruned campaign over it records (:func:`golden_sites`),
+its one compiled code (:func:`repro.ir.interp.module_code`), which the
+golden run, the site-table recording and every trial run, and its one
+masking report.  Pruned campaigns plan from the site table and the
+report.  :func:`run_golden` checks that record against the module's
+printed-IR fingerprint once per campaign.
 Tracing only observes — it never draws from an RNG or mutates engine
 state — so traced results are byte-identical to untraced ones.
 """
@@ -49,7 +52,7 @@ from repro.errors import FaultInjectionError
 from repro.faults.model import FaultSpec, FaultTarget
 from repro.faults.outcomes import FaultOutcome, OutcomeCounts, TrialResult, classify
 from repro.faults.seu import (
-    HeapFaultInjector, RegisterFaultInjector, draw_register_fault,
+    HeapFaultInjector, RegisterFaultInjector, SiteRecorder, SiteTable,
 )
 from repro.ir.costmodel import CORTEX_A53, CostModel
 from repro.ir.interp import (
@@ -724,69 +727,27 @@ class PrunedTrials:
         return self.n_pruned / len(self.trials)
 
 
-class _TrialPlanner:
-    """Step hook that resolves every trial's fault in one golden replay.
+def golden_sites(campaign: Campaign, golden: ExecutionResult) -> SiteTable:
+    """The site table of ``golden``, ``campaign``'s golden run.
 
-    Draws exactly as :class:`repro.faults.seu.RegisterFaultInjector`
-    does: each trial's own child of the seed goes through
-    :func:`repro.faults.seu.draw_register_fault` (site from the sorted
-    live environment, then bit) at the first hook call at or past its
-    drawn dynamic index with a non-empty environment.  The planner only
-    *reads* the frame; the replay stays fault-free, which is precisely
-    why the environments it observes equal the ones each faulted trial's
-    injector would have seen (the fault has not fired yet at its own
-    firing point).  Its ``next_index`` is the drawn index of the next
-    unresolved request, None once every request is resolved.
+    Recorded the first time a pruned campaign plans from the run: one
+    more run of golden, per step, under a :class:`SiteRecorder`.  Kept
+    in the run's snapshot table, so it lives with the golden run in the
+    module's record and every later pruned campaign over it plans by
+    lookup alone.  Plain campaigns never read it and never pay for it.
     """
-
-    def __init__(
-        self,
-        module: Module,
-        requests: list[tuple[int, TrialStream | np.random.Generator]],
-    ) -> None:
-        self.requests = requests
-        #: per-trial (resolved spec, (func, block, body_index) | None);
-        #: None while (or if never) resolved.
-        self.resolutions: list[
-            tuple[FaultSpec, tuple[str, str, int] | None] | None
-        ] = [None] * len(requests)
-        # Unresolved trials, the lowest drawn index last; all trials whose
-        # index <= the current dynamic index fire at the same hook call
-        # (each from its own generator, so resolution order cannot
-        # perturb the draws).
-        self._pending = sorted(
-            range(len(requests)), key=lambda i: -requests[i][0]
-        )
-        self.next_index = requests[self._pending[-1]][0] if requests else None
-        self._points: dict[int, tuple[str, str, int]] = {}
-        for func in module:
-            for block in func.blocks:
-                for body_index, instr in enumerate(block.body):
-                    self._points[id(instr)] = (
-                        func.name, block.name, body_index
-                    )
-
-    def __call__(self, interp, frame, instr, dynamic_index: int) -> None:
-        at = self.next_index
-        env = frame.env
-        if at is None or at > dynamic_index or not env:
-            return  # injectors wait for live state; so does the planner
-        types = interp.value_types(frame.func)
-        point = self._points.get(id(instr))
-        pending, requests = self._pending, self.requests
-        while pending and requests[pending[-1]][0] <= dynamic_index:
-            number = pending.pop()
-            name, _type, bit = draw_register_fault(
-                env, types, requests[number][1]
-            )
-            spec = FaultSpec(
-                target=FaultTarget.REGISTER,
-                dynamic_index=dynamic_index,
-                location=name,
-                bit=bit,
-            )
-            self.resolutions[number] = (spec, point)
-        self.next_index = requests[pending[-1]][0] if pending else None
+    sites = golden.snapshots.sites
+    if sites is None:
+        recorder = SiteRecorder(campaign.module)
+        run = Interpreter(
+            campaign.module,
+            cost_model=campaign.cost_model,
+            fuel=campaign.fuel,
+            code_cache=module_code(campaign.module, campaign.cost_model),
+            step_hook=recorder,
+        ).run(campaign.func_name, list(campaign.args))
+        sites = golden.snapshots.sites = recorder.finish(run.instructions)
+    return sites
 
 
 def prune_masked_trials(
@@ -796,14 +757,15 @@ def prune_masked_trials(
 ) -> PrunedTrials:
     """Plan a pruned campaign: resolve every trial, classify, mark prunable.
 
-    One replay of the golden run resolves every trial's fault (site, bit,
-    firing point), consuming the campaign RNG exactly as
-    :func:`run_campaign` would (one child per trial, then the injector's
-    index/site/bit draws), so the resolved specs equal the unpruned
-    campaign's.  Faults the masking analysis classifies EXACT_BENIGN —
-    provably reproducing the golden run bit for bit — plus faults that
-    never fire are marked ``pruned``; the rest, CHECK_MASKED included
-    (benign or detected depending on dynamic values), must execute.
+    Each trial's own child of the seed draws its dynamic index, then its
+    site and bit from golden's site table (:func:`golden_sites`,
+    :meth:`~repro.faults.seu.SiteTable.fault`): the calls
+    :func:`run_campaign`'s injector makes, on the same stream in the
+    same order, so the resolved specs equal the unpruned campaign's.
+    Faults the masking analysis classifies EXACT_BENIGN — provably
+    reproducing the golden run bit for bit — plus faults that never
+    fire are marked ``pruned``; the rest, CHECK_MASKED included (benign
+    or detected depending on dynamic values), must execute.
 
     The verdicts come from the module's masking report, kept in its
     shared record (:func:`repro.ir.interp.module_record`): the first
@@ -811,10 +773,11 @@ def prune_masked_trials(
     :func:`repro.analysis.masking.analyze_masking`, every later one
     reuses it.  The golden lookup (:func:`run_golden`) checks the record
     against the module's printed IR, so a module changed in place is
-    analysed again.  ``golden`` is that lookup when the caller has just
-    made it for this campaign (:func:`run_campaign_pruned`, so that a
-    campaign looks golden up once); without it, planning makes its own.
-    Register campaigns only: heap faults have no masking analysis.
+    analysed, and its golden run recorded, again.  ``golden`` is that
+    lookup when the caller has just made it for this campaign
+    (:func:`run_campaign_pruned`, so that a campaign looks golden up
+    once); without it, planning makes its own.  Register campaigns only:
+    heap faults have no masking analysis.
     """
     from repro.analysis.masking import EXACT_BENIGN, MaskClass, analyze_masking
 
@@ -828,36 +791,16 @@ def prune_masked_trials(
         golden = run_golden(campaign)
     # Checked against the module's IR by the golden lookup just made.
     record = module_record(campaign.module)
-    requests = [
-        (int(planned.rng.integers(golden.instructions)), planned.rng)
-        for planned in plan_trials(campaign, seed)
-    ]
-
-    planner = _TrialPlanner(campaign.module, requests)
-    replay = Interpreter(
-        campaign.module,
-        cost_model=campaign.cost_model,
-        fuel=campaign.fuel,
-        code_cache=module_code(campaign.module, campaign.cost_model),
-        # The planner's ``next_index`` lets every block that ends before
-        # the next unresolved request run batched.
-        step_hook=planner,
-    ).run(campaign.func_name, list(campaign.args))
-    if not replay.ok or replay.instructions != golden.instructions:
-        raise FaultInjectionError(
-            f"pruning replay of @{campaign.func_name} diverged from the "
-            f"golden run ({replay.status.value}, "
-            f"{replay.instructions} != {golden.instructions} instructions)"
-        )
-
     if record.masking is None:
         record.masking = analyze_masking(campaign.module)
     report = record.masking
+    sites = golden_sites(campaign, golden)
 
     trials: list[PlannedTrial] = []
-    for number, (index, _rng) in enumerate(requests):
-        resolution = planner.resolutions[number]
-        if resolution is None:
+    for rng in trial_rngs(seed, campaign.n_trials):
+        index = int(rng.integers(golden.instructions))
+        fault = sites.fault(index, rng)
+        if fault is None:
             # The fault never fired: the trial re-runs the golden path
             # untouched and classifies BENIGN — reconstructible exactly.
             trials.append(PlannedTrial(
@@ -865,16 +808,10 @@ def prune_masked_trials(
                 fired=False, pruned=True,
             ))
             continue
-        spec, point = resolution
-        if point is None:  # pragma: no cover - hook always passes body instrs
-            trials.append(PlannedTrial(
-                spec=spec, mask_class=MaskClass.POSSIBLY_ACE
-            ))
-            continue
-        func_name, block, body_index = point
+        spec, (func_name, block, body_index) = fault
         masking = report.for_function(func_name)
         mask_class = (
-            masking.classify(block, body_index, str(spec.location), spec.bit)
+            masking.classify(block, body_index, spec.location, spec.bit)
             if masking is not None else MaskClass.POSSIBLY_ACE
         )
         trials.append(PlannedTrial(
@@ -918,9 +855,9 @@ def run_campaign_pruned(
     run; executed trials run with pre-resolved injectors (same site, bit
     and firing point the unpruned campaign would draw).
 
-    The campaign looks golden up once and plans from that lookup with
-    the module's masking report, computed by the first pruned campaign
-    over the module and reused by every later one
+    The campaign looks golden up once and plans from that lookup: from
+    its site table and the module's masking report, both made by the
+    first pruned campaign over the module and reused by every later one
     (:func:`prune_masked_trials`).
     """
     emitter = CampaignEmitter(tracer, campaign, seed, trace_spans)

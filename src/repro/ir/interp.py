@@ -17,8 +17,9 @@ emitter (:meth:`_BlockCode.emit`) writes a batched and a stepped
 variant of each block.  The compiled code is kept in the module's
 record (:class:`ModuleRecord`), one cache per cost model
 (:func:`module_code`), beside the module's golden runs, and shared by
-every run: a campaign's golden run, its pruning replay and all its
-trials, and every later campaign over the same module.
+every run: a campaign's golden run and all its trials, the one run that
+records a golden run's site table, and every later campaign over the
+same module.
 
 Every step hook says when it next acts: its ``next_index`` is the lowest
 dynamic index at which it may do anything, and None means it never acts
@@ -296,11 +297,15 @@ class ModuleRecord:
     per cost model (:func:`module_code`).  ``golden`` holds the module's
     golden runs, one ``((func_name, repr(args), cost_model), run)`` entry
     each (:func:`repro.faults.campaign.run_golden`); a run's snapshot table
-    holds this module's blocks.  ``masking`` is the module's masking
-    report, computed by the first pruned campaign over it
-    (:func:`repro.faults.campaign.prune_masked_trials`), None until then.
-    All were derived from the printed IR whose hash is ``fingerprint``
-    (None while unchecked), and all go when that IR changes.
+    holds this module's blocks, and keeps the run's site table
+    (:class:`repro.faults.seu.SiteTable`) once the first pruned campaign
+    that plans from the run has recorded it
+    (:func:`repro.faults.campaign.golden_sites`).  ``masking`` is the
+    module's masking report, computed by the first pruned campaign over
+    it (:func:`repro.faults.campaign.prune_masked_trials`), None until
+    then.  All were derived from the printed IR whose hash is
+    ``fingerprint`` (None while unchecked), and all go when that IR
+    changes.
     """
 
     __slots__ = ("fingerprint", "code", "golden", "masking")
@@ -323,8 +328,8 @@ def module_record(
     other IR, or unchecked, is replaced by an empty one first.  Without
     one the record is returned unchecked, which is sound only while the
     module cannot have changed since its last check: a campaign checks
-    once, in its golden lookup, and shares the record with its planning,
-    its replay and its trials.
+    once, in its golden lookup, and shares the record with its planning
+    and its trials.
     """
     record = module._code
     if record is None or (
@@ -376,12 +381,15 @@ class GoldenSnapshots:
     hook's ``next_index``, golden's whole env restored, and end with
     golden's record at the first later point where its live state
     equals golden's (see the module docstring).  It serves that module
-    only, whose record keeps it with the golden run.
+    only, whose record keeps it with the golden run.  ``sites`` is the
+    run's register-fault site table
+    (:func:`repro.faults.campaign.golden_sites`), None until a pruned
+    campaign first plans from the run.
     """
 
     __slots__ = (
-        "func", "points", "counts", "result", "_triggers", "_stride",
-        "_next",
+        "func", "points", "counts", "result", "sites", "_triggers",
+        "_stride", "_next",
     )
 
     def __init__(self) -> None:
@@ -389,6 +397,7 @@ class GoldenSnapshots:
         self.points: list[tuple] = []
         self.counts: list[int] = []
         self.result: tuple[int | float | None, int, int] | None = None
+        self.sites = None
         # Recording state: each point's trigger (the stride multiple it
         # stands for), the stride and the next trigger.
         self._triggers: list[int] = []
@@ -833,8 +842,8 @@ class Interpreter:
         """Declared type of every value of ``func``, once per code cache.
 
         Kept on the entry block's code beside the counted loops, so the
-        register injectors and the pruning planner of every campaign over
-        the module share one table.
+        register injectors of every campaign over the module, and the
+        recorder of its golden runs' site tables, share one table.
         """
         entry = self._code.get(func.entry) or self._compile_block(func.entry)
         if entry.types is None:

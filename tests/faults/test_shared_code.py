@@ -1,10 +1,10 @@
 """The per-module compiled code and golden runs every campaign shares.
 
 :func:`repro.ir.interp.module_code` keeps a module's compiled blocks on
-the module object: the golden run, the pruning replay and every trial of
-every campaign over that module run the same code.  Its golden runs sit
-in the same record (:func:`repro.faults.campaign.run_golden`).  Three
-traps:
+the module object: the golden run, the one run that records its site
+table and every trial of every campaign over that module run the same
+code.  Its golden runs sit in the same record
+(:func:`repro.faults.campaign.run_golden`).  Three traps:
 
 * an identical clone must compile its own blocks, or the hang shortcut,
   which recognises a loop by its blocks, stops firing on the clone; a
